@@ -9,6 +9,7 @@ two notions coincide with conditioning.
 
 from .formulas import (
     Atom,
+    BeliefChangeError,
     Const,
     Extension,
     FALSE,

@@ -1,9 +1,9 @@
 """Command-line front end: batch checks and traces over scenario files.
 
 Exit codes: 0 when every reported check passes, 1 when any check fails,
-2 on usage or scenario errors.  Reports are deterministic for a fixed
-scenario and flag set; the machine format emits one tab-separated record
-per line: CHECK, NAME, PASS|FAIL, WITNESS.
+2 on usage, scenario or any other package error.  Reports are
+deterministic for a fixed scenario and flag set; the machine format emits
+one tab-separated record per line: CHECK, NAME, PASS|FAIL, WITNESS.
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ import sys as _sys
 from typing import List, Optional
 
 from .diagnosis import check_prop_diag, diag, revision_report
-from .formulas import FormulaError, formula_of_extension, print_formula
+from .formulas import BeliefChangeError, formula_of_extension, print_formula
 from .reports import Report
 from .revision import check_agm, operator_from_ranking, validate_rev
-from .scenario import Scenario, ScenarioError, build_system, load_scenario
+from .scenario import Scenario, build_system, load_scenario
 from .synthesis import statify, verify_statification
 from .systems import bel, validate_bcs
 from .update import borrowed_car, check_km, update_operator, validate_upd
@@ -35,7 +35,7 @@ COMMANDS = (
 )
 
 
-class UsageError(Exception):
+class UsageError(BeliefChangeError):
     pass
 
 
@@ -66,20 +66,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     out: List[str] = []
     try:
         code = _dispatch(args, out)
-    except (UsageError, ScenarioError, FormulaError, OSError) as exc:
+    except (BeliefChangeError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except Exception as exc:  # domain errors from building checks are usage-level
-        from .diagnosis import DiagnosisError
-        from .revision import RevisionError
-        from .synthesis import SynthesisError
-        from .systems import RunSystemError
-        from .update import UpdateError
-
-        if isinstance(exc, (DiagnosisError, RevisionError, RunSystemError, SynthesisError, UpdateError)):
-            print(f"error: {exc}", file=_sys.stderr)
-            return 2
-        raise
     print("\n".join(out))
     return code
 

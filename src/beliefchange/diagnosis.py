@@ -12,7 +12,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .formulas import Atom, Formula, Not, Vocabulary, conj
+from .formulas import (
+    Atom,
+    BeliefChangeError,
+    Formula,
+    Not,
+    Vocabulary,
+    conj,
+    formula_of_extension,
+    seq_str,
+)
 from .plausibility import RankedMeasure
 from .reports import Report
 from .revision import validate_rev, _default_obs_sequences
@@ -21,7 +30,7 @@ from .systems import LocalState, Run, System, bel
 GATE_KINDS = ("AND", "OR", "NOT", "XOR")
 
 
-class DiagnosisError(Exception):
+class DiagnosisError(BeliefChangeError):
     pass
 
 
@@ -228,7 +237,7 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
             )
             if surviving:
                 if after != surviving and not filter_bad:
-                    filter_bad = f"at {_prefix_str(prefix)}: filtering mismatch"
+                    filter_bad = f"at {seq_str(prefix)}: filtering mismatch"
             else:
                 consistent = [
                     f
@@ -240,14 +249,14 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
                 least = min((len(f) for f in consistent), default=None)
                 expected = frozenset(f for f in consistent if len(f) == least)
                 if after != expected and not surprise_bad:
-                    surprise_bad = f"at {_prefix_str(prefix)}: surprise mismatch"
+                    surprise_bad = f"at {seq_str(prefix)}: surprise mismatch"
                 if before & after and not disjoint_bad:
-                    disjoint_bad = f"at {_prefix_str(prefix)}: explanations survived a surprise"
+                    disjoint_bad = f"at {seq_str(prefix)}: explanations survived a surprise"
             if before and after and not (before & after):
                 if min(len(f) for f in after) <= min(len(f) for f in before):
                     if not cardinality_bad:
                         cardinality_bad = (
-                            f"at {_prefix_str(prefix)}: fault cardinality did not grow"
+                            f"at {seq_str(prefix)}: fault cardinality did not grow"
                         )
     report.add("FILTER", not filter_bad, filter_bad)
     report.add("SURPRISE", not surprise_bad, surprise_bad)
@@ -262,10 +271,6 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
             break
     report.add("PERSISTENCE", not persistence_bad, persistence_bad)
     return report
-
-
-def _prefix_str(prefix: LocalState) -> str:
-    return "<" + ", ".join(str(o) for o in prefix) + ">"
 
 
 def revision_report(sys: System, circuit: Circuit) -> Report:
@@ -307,8 +312,6 @@ def fault_projection(sys: System, circuit: Circuit) -> System:
                     if w in sys.vocab.extension(observation)
                 }
             )
-            from .formulas import formula_of_extension
-
             cached = formula_of_extension(frozenset(compatible), fault_vocab)
             obs_cache[observation] = cached
         return cached

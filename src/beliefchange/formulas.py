@@ -20,7 +20,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("true", "false")
 
 
-class FormulaError(Exception):
+class BeliefChangeError(Exception):
+    """Base class for every error the package raises."""
+
+
+class FormulaError(BeliefChangeError):
     """Base class for errors raised by this module."""
 
 
@@ -248,6 +252,10 @@ class Vocabulary:
 
     def world_str(self, world: int) -> str:
         return format(world, f"0{len(self.props)}b")
+
+    def extension_str(self, worlds: Iterable[int]) -> str:
+        """A world set as ``{00,11}``, worlds in numeric order."""
+        return "{" + ",".join(self.world_str(w) for w in sorted(worlds)) + "}"
 
     def world_from_str(self, bits: str) -> int:
         if len(bits) != len(self.props) or any(c not in "01" for c in bits):
@@ -524,3 +532,8 @@ def print_formula(f: Formula) -> str:
             right = f"({right})"
         return f"{left} {op} {right}"
     raise FormulaError(f"unknown formula node {f!r}")
+
+
+def seq_str(formulas: Iterable[Formula]) -> str:
+    """An observation sequence or local state as ``<p, !q>``."""
+    return "<" + ", ".join(str(f) for f in formulas) + ">"

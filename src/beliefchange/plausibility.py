@@ -24,6 +24,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tu
 from .formulas import (
     TRUE,
     And,
+    BeliefChangeError,
     Formula,
     Implies,
     Not,
@@ -36,7 +37,7 @@ from .reports import Report
 INF = math.inf
 
 
-class PlausibilityError(Exception):
+class PlausibilityError(BeliefChangeError):
     pass
 
 
@@ -134,7 +135,7 @@ class PreferentialMeasure(PlausibilityMeasure):
         if pairs is not None:
             if class_key is not None:
                 raise PlausibilityError("explicit pairs are element-level; drop class_key")
-            closed = _transitive_closure(set(pairs))
+            closed = transitive_closure(set(pairs))
             for x, y in closed:
                 if x == y:
                     raise PlausibilityError("preference order contains a cycle")
@@ -232,7 +233,17 @@ def unwrap(measure: PlausibilityMeasure) -> PlausibilityMeasure:
     return measure
 
 
-def _transitive_closure(pairs: set) -> set:
+def element_rank(measure: PlausibilityMeasure, element) -> float:
+    """Rank of one element under a ranked measure, through any MappedMeasure
+    delegation in front of it."""
+    while isinstance(measure, MappedMeasure):
+        element = measure.to_base(element)
+        measure = measure.base
+    return measure.ranks[element]
+
+
+def transitive_closure(pairs: set) -> set:
+    """The smallest transitive relation containing the given pairs."""
     closed = set(pairs)
     changed = True
     while changed:
@@ -445,73 +456,45 @@ def check_klm_closure(
     def cond(a: Formula, b: Formula) -> bool:
         return conditional_holds(structure, a, b)
 
+    def held_by(f: Formula) -> list:
+        return [psi for psi in reps if cond(f, psi)]
+
+    def rw():
+        for f in reps:
+            for psi in held_by(f):
+                ext_psi = vocab.extension(psi)
+                for psi2 in reps:
+                    if ext_psi <= vocab.extension(psi2) and not cond(f, psi2):
+                        yield f"{f} => {psi} but not the weaker {psi2}"
+
     report = Report("klm")
-
-    witness = ""
-    for f in reps:
-        if not cond(f, f):
-            witness = f"{f} does not imply itself by default"
-            break
-    report.add("REF", not witness, witness)
-
-    witness = ""
-    for f, variant in pairs:
-        for psi in reps:
-            if cond(f, psi) != cond(variant, psi):
-                witness = f"({f}) vs equivalent ({variant}) before {psi}"
-                break
-        if witness:
-            break
-    report.add("LLE", not witness, witness)
-
-    witness = ""
-    for f in reps:
-        held = [psi for psi in reps if cond(f, psi)]
-        for psi in held:
-            ext_psi = vocab.extension(psi)
-            for psi2 in reps:
-                if ext_psi <= vocab.extension(psi2) and not cond(f, psi2):
-                    witness = f"{f} => {psi} but not the weaker {psi2}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("RW", not witness, witness)
-
-    witness = ""
-    for f in reps:
-        held = [psi for psi in reps if cond(f, psi)]
-        for p1, p2 in itertools.combinations_with_replacement(held, 2):
-            if not cond(f, And(p1, p2)):
-                witness = f"{f} => {p1} and {p2} but not their conjunction"
-                break
-        if witness:
-            break
-    report.add("AND", not witness, witness)
-
-    witness = ""
-    for psi in reps:
-        held = [f for f in reps if cond(f, psi)]
-        for f1, f2 in itertools.combinations_with_replacement(held, 2):
-            if not cond(Or(f1, f2), psi):
-                witness = f"{f1} => {psi} and {f2} => {psi} but not from their disjunction"
-                break
-        if witness:
-            break
-    report.add("OR", not witness, witness)
-
-    witness = ""
-    for f in reps:
-        held = [psi for psi in reps if cond(f, psi)]
-        for p1 in held:
-            for p2 in held:
-                if not cond(And(f, p1), p2):
-                    witness = f"{f} => {p1} and {p2}, but ({f}) & ({p1}) /=> {p2}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("CM", not witness, witness)
+    report.add_first("REF", (
+        f"{f} does not imply itself by default" for f in reps if not cond(f, f)
+    ))
+    report.add_first("LLE", (
+        f"({f}) vs equivalent ({variant}) before {psi}"
+        for f, variant in pairs
+        for psi in reps if cond(f, psi) != cond(variant, psi)
+    ))
+    report.add_first("RW", rw())
+    report.add_first("AND", (
+        f"{f} => {p1} and {p2} but not their conjunction"
+        for f in reps
+        for p1, p2 in itertools.combinations_with_replacement(held_by(f), 2)
+        if not cond(f, And(p1, p2))
+    ))
+    report.add_first("OR", (
+        f"{f1} => {psi} and {f2} => {psi} but not from their disjunction"
+        for psi in reps
+        for f1, f2 in itertools.combinations_with_replacement(
+            [f for f in reps if cond(f, psi)], 2
+        )
+        if not cond(Or(f1, f2), psi)
+    ))
+    report.add_first("CM", (
+        f"{f} => {p1} and {p2}, but ({f}) & ({p1}) /=> {p2}"
+        for f in reps
+        for p1, p2 in itertools.product(held_by(f), repeat=2)
+        if not cond(And(f, p1), p2)
+    ))
     return report

@@ -6,7 +6,7 @@ added, and every failure line carries a machine-parseable ``WITNESS:``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterable, Iterator, List
 
 
 @dataclass
@@ -35,6 +35,16 @@ class Report:
         result = CheckResult(self.check, name, bool(passed), "" if passed else str(witness))
         self.results.append(result)
         return result
+
+    def add_first(self, name: str, witnesses: Iterable[str]) -> CheckResult:
+        """The counterexample search every checker shares: FAIL with the
+        first non-empty witness, PASS if there is none.
+
+        Reading stops at that first witness, so a lazy search does no work
+        beyond the case that refutes the property.
+        """
+        witness = next(filter(None, witnesses), "")
+        return self.add(name, not witness, witness)
 
     def note(self, text: str) -> None:
         """Scope/context remarks; text format only, never machine records."""

@@ -17,25 +17,27 @@ from .formulas import (
     TRUE,
     And,
     Atom,
+    BeliefChangeError,
     Extension,
     Formula,
     Not,
     Vocabulary,
-    formula_of_extension,
+    seq_str,
 )
 from .plausibility import (
     INF,
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
+    element_rank,
     extension_representatives,
     unwrap,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, _run_rank, bel, runs_with_observations
+from .systems import LocalState, Run, System, bel, runs_with_observations
 
 
-class RevisionError(Exception):
+class RevisionError(BeliefChangeError):
     pass
 
 
@@ -112,76 +114,53 @@ def check_agm(
     else:
         pool = [(f, Not(Not(f))) for f in formulas]
     exts = sorted({vocab.extension(f) for f, _ in pool}, key=sorted)
-    report = Report("agm")
+    describe = vocab.extension_str
 
-    def describe(e: Extension) -> str:
-        return "{" + ",".join(vocab.world_str(w) for w in sorted(e)) + "}"
-
-    witness = ""
-    for ext in exts:
-        if not op(belief, ext) <= vocab.all_worlds():
-            witness = f"output not an extension for input {describe(ext)}"
-            break
-    report.add("R1", not witness, witness)
-
-    witness = ""
-    for ext in exts:
-        if not op(belief, ext) <= ext:
-            witness = f"revision by {describe(ext)} leaves its extension"
-            break
-    report.add("R2", not witness, witness)
-
-    witness = ""
-    for ext in exts:
-        if not op(belief, ext) >= belief & ext:
-            witness = f"revision by {describe(ext)} loses part of the belief overlap"
-            break
-    report.add("R3", not witness, witness)
-
-    witness = ""
-    for ext in exts:
-        if belief & ext and not op(belief, ext) <= belief & ext:
-            witness = f"consistent revision by {describe(ext)} adds foreign worlds"
-            break
-    report.add("R4", not witness, witness)
-
-    witness = ""
-    for ext in exts:
-        if (not op(belief, ext)) != (not ext):
-            witness = f"emptiness mismatch for input {describe(ext)}"
-            break
-    report.add("R5", not witness, witness)
-
-    witness = ""
-    for f, variant in pool:
+    def r6(f: Formula, variant: Formula) -> str:
         if vocab.extension(f) != vocab.extension(variant):
-            witness = f"parses of {f} and {variant} disagree"
-            break
+            return f"parses of {f} and {variant} disagree"
         if op(belief, vocab.extension(f)) != op(belief, vocab.extension(variant)):
-            witness = f"syntax of {f} leaked into the result"
-            break
-    report.add("R6", not witness, witness)
+            return f"syntax of {f} leaked into the result"
+        return ""
 
-    witness = ""
-    for ext_phi, ext_psi in itertools.product(exts, repeat=2):
-        if not op(belief, ext_phi & ext_psi) >= op(belief, ext_phi) & ext_psi:
-            witness = (
-                f"conjunctive revision {describe(ext_phi)} & {describe(ext_psi)} "
-                "dropped compatible worlds"
-            )
-            break
-    report.add("R7", not witness, witness)
-
-    witness = ""
-    for ext_phi, ext_psi in itertools.product(exts, repeat=2):
+    def r8(ext_phi: Extension, ext_psi: Extension) -> str:
         narrowed = op(belief, ext_phi) & ext_psi
         if narrowed and not op(belief, ext_phi & ext_psi) <= narrowed:
-            witness = (
+            return (
                 f"conjunctive revision {describe(ext_phi)} & {describe(ext_psi)} "
                 "added worlds beyond the narrowed result"
             )
-            break
-    report.add("R8", not witness, witness)
+        return ""
+
+    report = Report("agm")
+    report.add_first("R1", (
+        f"output not an extension for input {describe(ext)}"
+        for ext in exts if not op(belief, ext) <= vocab.all_worlds()
+    ))
+    report.add_first("R2", (
+        f"revision by {describe(ext)} leaves its extension"
+        for ext in exts if not op(belief, ext) <= ext
+    ))
+    report.add_first("R3", (
+        f"revision by {describe(ext)} loses part of the belief overlap"
+        for ext in exts if not op(belief, ext) >= belief & ext
+    ))
+    report.add_first("R4", (
+        f"consistent revision by {describe(ext)} adds foreign worlds"
+        for ext in exts if belief & ext and not op(belief, ext) <= belief & ext
+    ))
+    report.add_first("R5", (
+        f"emptiness mismatch for input {describe(ext)}"
+        for ext in exts if (not op(belief, ext)) != (not ext)
+    ))
+    report.add_first("R6", itertools.starmap(r6, pool))
+    report.add_first("R7", (
+        f"conjunctive revision {describe(ext_phi)} & {describe(ext_psi)} "
+        "dropped compatible worlds"
+        for ext_phi, ext_psi in itertools.product(exts, repeat=2)
+        if not op(belief, ext_phi & ext_psi) >= op(belief, ext_phi) & ext_psi
+    ))
+    report.add_first("R8", itertools.starmap(r8, itertools.product(exts, repeat=2)))
     return report
 
 
@@ -196,14 +175,36 @@ def system_from_ranking(
     horizon: int,
     universe: Optional[frozenset] = None,
 ) -> System:
-    """Static-environment system whose prior ranks runs by initial world.
+    """The :func:`static_system` whose prior ranks runs by initial world."""
+    return static_system(
+        vocab,
+        menu,
+        horizon,
+        lambda runs: RankedMeasure(
+            runs, {run: world_ranks.get(run.envs[0], INF) for run in runs}
+        ),
+        universe,
+    )
 
-    Runs hold their environment world constant and observe any menu
-    sequence true at that world, so observing carries no information
-    beyond the observed formulas' truth.  TRUE is forced into the menu so
-    every observation prefix extends to a full run.
+
+def static_system(
+    vocab: Vocabulary,
+    menu: Sequence[Formula],
+    horizon: int,
+    make_prior: Callable[[List[Run]], PlausibilityMeasure],
+    universe: Optional[frozenset] = None,
+) -> System:
+    """Runs that hold their environment world constant and observe any menu
+    sequence true at that world, under the prior ``make_prior`` builds
+    from them.
+
+    Observing carries no information beyond the observed formulas' truth.
+    TRUE is forced into the menu so every observation prefix extends to a
+    full run.
     """
-    menu = _with_true(menu)
+    menu = tuple(dict.fromkeys(menu))
+    if TRUE not in menu:
+        menu = (TRUE,) + menu
     if universe is None:
         universe = vocab.all_worlds()
     runs = []
@@ -211,21 +212,14 @@ def system_from_ranking(
         choices = [o for o in menu if w in vocab.extension(o)]
         for obs in itertools.product(choices, repeat=horizon):
             runs.append(Run((w,) * (horizon + 1), obs))
-    ranks = {run: world_ranks.get(run.envs[0], INF) for run in runs}
-    prior = RankedMeasure(runs, ranks)
     return System(
         vocab=vocab,
         runs=tuple(runs),
-        prior=prior,
+        prior=make_prior(runs),
         horizon=horizon,
         universe=frozenset(universe),
-        menu=tuple(menu),
+        menu=menu,
     )
-
-
-def _with_true(menu: Sequence[Formula]) -> Tuple[Formula, ...]:
-    menu = tuple(dict.fromkeys(menu))
-    return menu if TRUE in menu else (TRUE,) + menu
 
 
 def ranking_from_operator(op: RevisionOperator, belief: Extension) -> Dict[int, float]:
@@ -285,7 +279,7 @@ def characteristic_world_ranks(sys: System) -> Dict[int, float]:
         raise RevisionError("characteristic ranking needs a ranked prior")
     ranks: Dict[int, float] = {w: INF for w in sys.universe}
     for run in sys.runs:
-        r = _run_rank(sys.prior, run)
+        r = element_rank(sys.prior, run)
         w = run.envs[0]
         if r < ranks[w]:
             ranks[w] = r
@@ -352,18 +346,9 @@ def epistemic_bel(sys: System, state: Sequence[Formula]) -> Extension:
     state = tuple(state)
     if not state:
         return bel(sys, ())
-    vocab = sys.vocab
-    last = vocab.extension(state[-1]) & sys.universe
-    if not last:
+    _, suffix_ext = _consistent_suffix(sys, state)
+    if not suffix_ext:
         return frozenset()
-    suffix_ext = last
-    start = len(state) - 1
-    for k in range(len(state) - 2, -1, -1):
-        tighter = suffix_ext & vocab.extension(state[k])
-        if not tighter:
-            break
-        suffix_ext = tighter
-        start = k
     return _min_rank_worlds(characteristic_world_ranks(sys), suffix_ext)
 
 
@@ -373,18 +358,23 @@ def longest_consistent_suffix(sys: System, state: Sequence[Formula]) -> Tuple[Fo
     state = tuple(state)
     if not state:
         return ()
+    start, suffix_ext = _consistent_suffix(sys, state)
+    return state[start:] if suffix_ext else (FALSE,)
+
+
+def _consistent_suffix(sys: System, state: EpistemicState) -> Tuple[int, Extension]:
+    """Start index and joint extension of the longest jointly consistent
+    suffix of a non-empty state; the extension is empty when the last
+    element alone is inconsistent."""
     vocab = sys.vocab
-    if not vocab.extension(state[-1]) & sys.universe:
-        return (FALSE,)
-    suffix_ext = vocab.extension(state[-1]) & sys.universe
     start = len(state) - 1
-    for k in range(len(state) - 2, -1, -1):
-        tighter = suffix_ext & vocab.extension(state[k])
+    suffix_ext = vocab.extension(state[start]) & sys.universe
+    while suffix_ext and start > 0:
+        tighter = suffix_ext & vocab.extension(state[start - 1])
         if not tighter:
             break
-        suffix_ext = tighter
-        start = k
-    return state[start:]
+        suffix_ext, start = tighter, start - 1
+    return start, suffix_ext
 
 
 def check_agm_epistemic(
@@ -418,7 +408,7 @@ def check_agm_epistemic(
         bel_here = epistemic_bel(sys, state)
         for phi in probes:
             after = epistemic_bel(sys, state + (phi,))
-            tag = f"E={_seq_str(state)}, input {phi}"
+            tag = f"E={seq_str(state)}, input {phi}"
             if not results["R1'"] and not after <= vocab.all_worlds():
                 results["R1'"] = tag
             if not results["R2'"] and not after <= ext(phi):
@@ -446,10 +436,6 @@ def check_agm_epistemic(
     for name, witness in results.items():
         report.add(name, not witness, witness)
     return report
-
-
-def _seq_str(state: Sequence[Formula]) -> str:
-    return "<" + ", ".join(str(f) for f in state) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -481,34 +467,26 @@ def validate_rev(
     vocab = sys.vocab
     report = Report("rev")
 
-    witness = ""
-    for run in sys.runs:
-        for m in range(1, sys.horizon + 1):
-            if run.envs[m] != run.envs[0]:
-                witness = (
-                    f"environment changed from {vocab.world_str(run.envs[0])} to "
-                    f"{vocab.world_str(run.envs[m])} at time {m}"
-                )
-                break
-        if witness:
-            break
-    report.add("REV1", not witness, witness)
-
+    report.add_first("REV1", (
+        f"environment changed from {vocab.world_str(run.envs[0])} to "
+        f"{vocab.world_str(run.envs[m])} at time {m}"
+        for run in sys.runs
+        for m in range(1, sys.horizon + 1) if run.envs[m] != run.envs[0]
+    ))
     report.add("REV2", *_check_ranked(sys, budget))
 
-    base = unwrap(sys.prior)
-    ranked = isinstance(base, RankedMeasure)
-    witness = ""
-    for w in sorted(sys.universe):
+    ranked = isinstance(unwrap(sys.prior), RankedMeasure)
+
+    def positive(w: int) -> bool:
         event = frozenset(r for r in sys.runs if r.envs[0] == w)
         if ranked:
-            positive = any(_run_rank(sys.prior, r) < INF for r in event)
-        else:
-            positive = bool(event) and not sys.prior.is_bottom(event)
-        if not positive:
-            witness = f"world {vocab.world_str(w)} has bottom plausibility initially"
-            break
-    report.add("REV3", not witness, witness)
+            return any(element_rank(sys.prior, r) < INF for r in event)
+        return bool(event) and not sys.prior.is_bottom(event)
+
+    report.add_first("REV3", (
+        f"world {vocab.world_str(w)} has bottom plausibility initially"
+        for w in sorted(sys.universe) if not positive(w)
+    ))
 
     if formula_probes is None:
         formula_probes = _default_probes(sys)
@@ -576,7 +554,7 @@ def _check_ranked(sys: System, budget: int) -> Tuple[bool, str]:
 
 def _event_value(sys: System, event: frozenset, ranked: bool):
     if ranked:
-        return min((_run_rank(sys.prior, r) for r in event), default=INF)
+        return min((element_rank(sys.prior, r) for r in event), default=INF)
     return event
 
 
@@ -621,10 +599,9 @@ def _check_observation_neutrality(
         conj_vals = {}
         for f in probes:
             f_ext = vocab.extension(f)
+            f_conj_ext = f_ext & conj_ext
             cond_event = frozenset(r for r in prefix_runs if r.envs[m] in f_ext)
-            conj_event = frozenset(
-                r for r in sys.runs if r.envs[0] in (f_ext & conj_ext)
-            )
+            conj_event = frozenset(r for r in sys.runs if r.envs[0] in f_conj_ext)
             cond_vals[f] = _event_value(sys, cond_event, ranked)
             conj_vals[f] = _event_value(sys, conj_event, ranked)
         for f, g in itertools.product(probes, repeat=2):
@@ -634,7 +611,7 @@ def _check_observation_neutrality(
             lhs = _value_at_least(sys, cond_vals[f], cond_vals[g], ranked)
             rhs = _value_at_least(sys, conj_vals[f], conj_vals[g], ranked)
             if lhs != rhs:
-                tag = f"probes ({f}, {g}) after observing {_seq_str(seq)}"
+                tag = f"probes ({f}, {g}) after observing {seq_str(seq)}"
                 if not rev4:
                     rev4 = tag
                 if not rev4p and _value_positive(sys, cond_vals[f], ranked):

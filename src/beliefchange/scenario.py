@@ -9,17 +9,24 @@ world where p holds and q does not.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diagnosis import Circuit, DiagnosisError, build_diag_system, parse_circuit
-from .formulas import Formula, FormulaError, Vocabulary, parse_formula, print_formula
+from .formulas import (
+    BeliefChangeError,
+    Formula,
+    FormulaError,
+    Vocabulary,
+    parse_formula,
+    print_formula,
+)
 from .plausibility import PreferentialMeasure
-from .revision import system_from_ranking
-from .systems import Run, System
+from .revision import static_system, system_from_ranking
+from .systems import System
 from .update import (
     DistancePoset,
+    UpdateError,
     UpdateStructure,
     hamming_structure,
     system_from_update,
@@ -28,7 +35,7 @@ from .update import (
 PRIOR_KINDS = ("ranked", "preference", "lexicographic")
 
 
-class ScenarioError(Exception):
+class ScenarioError(BeliefChangeError):
     def __init__(self, message: str, lineno: Optional[int] = None):
         super().__init__(f"line {lineno}: {message}" if lineno else message)
         self.lineno = lineno
@@ -206,11 +213,15 @@ def _assemble(fields, blocks) -> Scenario:
                 b = _world(parts[1], vocab, lno)
                 label = parts[2]
                 distance_table[(a, b)] = 0 if label == "0" else label
+            labels = set(distance_table.values())
             for lno, rest in fields["order"]:
                 for chunk in rest.split(","):
                     sides = [s.strip() for s in chunk.split("<")]
                     if len(sides) != 2 or not all(sides):
                         raise ScenarioError("expected 'label < label' pairs", lno)
+                    for side in sides:
+                        if side not in labels:
+                            raise ScenarioError(f"order mentions unknown label {side!r}", lno)
                     order_pairs.append((sides[0], sides[1]))
     if kind == "lexicographic" and distance_kind is None:
         raise ScenarioError("lexicographic prior requires a distance block")
@@ -282,8 +293,6 @@ def _validate(s: Scenario):
     if not s.menu and s.circuit is None:
         raise ScenarioError("missing menu directive")
     if s.prior_kind == "lexicographic" and s.distance_kind == "table":
-        from .update import UpdateError
-
         try:
             s.update_structure()
         except UpdateError as exc:
@@ -324,28 +333,18 @@ def _system_from_preference(scenario: Scenario) -> System:
     """Static runs as in the ranked case, with a dominance prior keyed by
     the (world-level) preference pairs."""
     vocab = scenario.vocab
-    from .formulas import TRUE
-
-    menu = scenario.menu if TRUE in scenario.menu else (TRUE,) + scenario.menu
-    runs = []
-    for w in sorted(vocab.worlds()):
-        choices = [o for o in menu if w in vocab.extension(o)]
-        for obs in itertools.product(choices, repeat=scenario.horizon):
-            runs.append(Run((w,) * (scenario.horizon + 1), obs))
     closed = PreferentialMeasure(
         tuple(vocab.worlds()), pairs=scenario.preference_pairs
     ).pairs
-    prior = PreferentialMeasure(
-        runs,
-        prec=lambda wa, wb: (wa, wb) in closed,
-        class_key=lambda run: run.envs[0],
-    )
-    return System(
-        vocab=vocab,
-        runs=tuple(runs),
-        prior=prior,
-        horizon=scenario.horizon,
-        menu=menu,
+    return static_system(
+        vocab,
+        scenario.menu,
+        scenario.horizon,
+        lambda runs: PreferentialMeasure(
+            runs,
+            prec=lambda wa, wb: (wa, wb) in closed,
+            class_key=lambda run: run.envs[0],
+        ),
     )
 
 

@@ -13,10 +13,14 @@ formulas) is lost.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
+    FALSE,
+    TRUE,
+    BeliefChangeError,
     Formula,
     TimestampError,
     Vocabulary,
@@ -27,10 +31,10 @@ from .plausibility import MappedMeasure
 from .reports import Report
 from .revision import validate_rev
 from .systems import Believes, Run, System, model_check, validate_bcs
-from .update import validate_upd
+from .update import LexPrior, validate_upd
 
 
-class SynthesisError(Exception):
+class SynthesisError(BeliefChangeError):
     pass
 
 
@@ -190,14 +194,10 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
 
 
 def _has_structure(sys: System) -> bool:
-    from .update import LexPrior
-
     return isinstance(sys.prior, LexPrior)
 
 
 def _star_probes(st: StatifiedSystem) -> List[Formula]:
-    from .formulas import FALSE, TRUE
-
     probes: List[Formula] = [TRUE, FALSE]
     for o in st.source.menu:
         for k in range(1, st.source.horizon + 1):
@@ -224,8 +224,6 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Tuple[bool, st
             for mask_b in range(1 << n)
         )
     else:
-        import random
-
         rng = random.Random(0)
 
         def sampled():

@@ -15,23 +15,26 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
+    BeliefChangeError,
     Extension,
     Formula,
     FormulaError,
     Vocabulary,
+    seq_str,
 )
 from .plausibility import (
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
     check_monotonicity,
+    element_rank,
     is_qualitative,
     unwrap,
 )
 from .reports import Report
 
 
-class RunSystemError(Exception):
+class RunSystemError(BeliefChangeError):
     pass
 
 
@@ -185,7 +188,7 @@ def bel(sys: System, s_a: LocalState) -> Extension:
 
 
 def _bel_min_rank(sys: System, points, measure: ConditionedMeasure) -> Extension:
-    ranks = {run: _run_rank(measure.prior, run) for run, _ in points}
+    ranks = {run: element_rank(measure.prior, run) for run, _ in points}
     best = min(ranks.values())
     if best == float("inf"):
         return frozenset()
@@ -258,14 +261,6 @@ class KAnd(KptFormula):
     right: object
 
 
-def knot(f):
-    return KNot(f)
-
-
-def kand(left, right):
-    return KAnd(left, right)
-
-
 def model_check(sys: System, point: Point, formula) -> bool:
     """Recursive truth at a point.
 
@@ -335,26 +330,6 @@ def runs_with_observations(sys: System, observations: Sequence[Formula]) -> froz
     return frozenset(r for r in sys.runs if r.obs[:m] == target)
 
 
-def runs_matching(
-    sys: System,
-    formulas: Sequence[Optional[Formula]] = (),
-    observations: Sequence[Formula] = (),
-) -> frozenset:
-    """Runs where formulas[i] holds of the time-i environment (None skips a
-    position) and the observation sequence starts with ``observations``."""
-    if len(formulas) > sys.horizon + 1 or len(observations) > sys.horizon:
-        return frozenset()
-    exts = [None if f is None else sys.vocab.extension(f) for f in formulas]
-    target = tuple(observations)
-    out = []
-    for r in sys.runs:
-        if target and r.obs[: len(target)] != target:
-            continue
-        if all(ext is None or r.envs[i] in ext for i, ext in enumerate(exts)):
-            out.append(r)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Conditioning consistency (the step-to-step local rule)
 
@@ -402,20 +377,9 @@ def check_prior_local_rule(sys: System, max_points: int = 12) -> Report:
             else:
                 bad = _local_rule_generic(nxt, prev_points, next_measure, prev_measure)
             if bad is not None:
-                failures.append(f"local state {_state_str(s_next)}: {bad}")
+                failures.append(f"local state {seq_str(s_next)}: {bad}")
     report.add("LOCAL-RULE", not failures, failures[0] if failures else "")
     return report
-
-
-def _run_rank(prior: PlausibilityMeasure, run) -> float:
-    from .plausibility import MappedMeasure
-
-    m = prior
-    x = run
-    while isinstance(m, MappedMeasure):
-        x = m.to_base(x)
-        m = m.base
-    return m.ranks[x]
 
 
 def _minrank_table(ranks: Sequence[float], big: float):
@@ -435,8 +399,8 @@ def _minrank_table(ranks: Sequence[float], big: float):
 def _local_rule_ranked(sys: System, nxt, prev_points) -> Optional[str]:
     import numpy as np
 
-    ranks_next = [_run_rank(sys.prior, r) for r, _ in nxt]
-    ranks_prev = [_run_rank(sys.prior, r) for r, _ in prev_points]
+    ranks_next = [element_rank(sys.prior, r) for r, _ in nxt]
+    ranks_prev = [element_rank(sys.prior, r) for r, _ in prev_points]
     finite = [r for r in ranks_next + ranks_prev if r != float("inf")]
     big = (max(finite) + 1.0) if finite else 1.0
     mn = _minrank_table([min(r, big) for r in ranks_next], big)
@@ -466,10 +430,6 @@ def _local_rule_generic(nxt, prev_points, next_measure, prev_measure) -> Optiona
     return None
 
 
-def _state_str(s_a: LocalState) -> str:
-    return "<" + ", ".join(str(f) for f in s_a) + ">"
-
-
 # ---------------------------------------------------------------------------
 # Belief change system validation
 
@@ -479,68 +439,51 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
     environment-determined propositions, observation-sequence local states,
     learn-atom semantics, reliable observations, and a conditioning prior.
     """
-    report = Report("bcs")
+    menu = sys.menu or tuple(dict.fromkeys(o for r in sys.runs for o in r.obs))
 
-    witness = ""
-    for run in sys.runs:
+    def bcs1(run: Run) -> str:
         if len(run.envs) != sys.horizon + 1:
-            witness = f"run {_run_str(sys, run)} has {len(run.envs)} environment states"
-            break
+            return f"run {_run_str(sys, run)} has {len(run.envs)} environment states"
         bad = [w for w in run.envs if w not in sys.universe]
         if bad:
-            witness = f"environment state {sys.vocab.world_str(bad[0])} outside the universe"
-            break
-    report.add("BCS1", not witness, witness)
+            return f"environment state {sys.vocab.world_str(bad[0])} outside the universe"
+        return ""
 
-    witness = ""
-    for run in sys.runs:
+    def bcs2(run: Run) -> str:
         if len(run.obs) != sys.horizon:
-            witness = f"run {_run_str(sys, run)} has {len(run.obs)} observations"
-            break
+            return f"run {_run_str(sys, run)} has {len(run.obs)} observations"
         try:
             for o in run.obs:
                 if not isinstance(o, Formula):
                     raise FormulaError(f"observation {o!r} is not an environment formula")
                 sys.vocab.extension(o)
         except FormulaError as exc:
-            witness = f"observation not in the environment language: {exc}"
-            break
-    report.add("BCS2", not witness, witness)
+            return f"observation not in the environment language: {exc}"
+        return ""
 
-    witness = ""
-    menu = sys.menu or tuple(dict.fromkeys(o for r in sys.runs for o in r.obs))
-    for run in sys.runs:
-        for m in range(sys.horizon + 1):
-            if m == 0:
-                wrong = [o for o in menu if model_check(sys, (run, 0), Learn(o))]
-                if wrong:
-                    witness = f"learn({wrong[0]}) true at time 0"
-                    break
-            else:
-                if not model_check(sys, (run, m), Learn(run.obs[m - 1])):
-                    witness = f"learn({run.obs[m-1]}) false right after observing it"
-                    break
-                wrong = [
-                    o for o in menu if o != run.obs[m - 1] and model_check(sys, (run, m), Learn(o))
-                ]
-                if wrong:
-                    witness = f"learn({wrong[0]}) true without being observed"
-                    break
-        if witness:
-            break
-    report.add("BCS3", not witness, witness)
+    def bcs3(run: Run, m: int) -> str:
+        if m == 0:
+            wrong = [o for o in menu if model_check(sys, (run, 0), Learn(o))]
+            return f"learn({wrong[0]}) true at time 0" if wrong else ""
+        if not model_check(sys, (run, m), Learn(run.obs[m - 1])):
+            return f"learn({run.obs[m-1]}) false right after observing it"
+        wrong = [
+            o for o in menu if o != run.obs[m - 1] and model_check(sys, (run, m), Learn(o))
+        ]
+        return f"learn({wrong[0]}) true without being observed" if wrong else ""
 
-    witness = ""
-    for run in sys.runs:
-        for m in range(1, sys.horizon + 1):
-            if run.envs[m] not in sys.vocab.extension(run.obs[m - 1]):
-                witness = (
-                    f"observation {run.obs[m-1]} false at time {m} in run {_run_str(sys, run)}"
-                )
-                break
-        if witness:
-            break
-    report.add("BCS4", not witness, witness)
+    report = Report("bcs")
+    report.add_first("BCS1", map(bcs1, sys.runs))
+    report.add_first("BCS2", map(bcs2, sys.runs))
+    report.add_first("BCS3", (
+        bcs3(run, m) for run in sys.runs for m in range(sys.horizon + 1)
+    ))
+    report.add_first("BCS4", (
+        f"observation {run.obs[m-1]} false at time {m} in run {_run_str(sys, run)}"
+        for run in sys.runs
+        for m in range(1, sys.horizon + 1)
+        if run.envs[m] not in sys.vocab.extension(run.obs[m - 1])
+    ))
 
     witness = _check_conditioning(sys, budget)
     report.add("BCS5", not witness, witness)
@@ -555,7 +498,7 @@ def _check_conditioning(sys: System, budget: int) -> str:
             conditioned = ConditionedMeasure(sys.points_with_local_state(s_a), sys.prior)
             pts = conditioned.carrier
             if tuple(override.carrier) != pts:
-                return f"carrier mismatch at {_state_str(s_a)}"
+                return f"carrier mismatch at {seq_str(s_a)}"
             n = len(pts)
             pairs = itertools.product(range(1 << min(n, 7)), repeat=2)
             count = 0
@@ -567,7 +510,7 @@ def _check_conditioning(sys: System, budget: int) -> str:
                 b = frozenset(pts[i] for i in range(n) if mask_b >> i & 1)
                 if override.compare(a, b) != conditioned.compare(a, b):
                     return (
-                        f"measure at {_state_str(s_a)} is not the conditioned prior "
+                        f"measure at {seq_str(s_a)} is not the conditioned prior "
                         f"(masks {mask_a:#x}, {mask_b:#x})"
                     )
     base = unwrap(sys.prior)

@@ -18,19 +18,20 @@ from .formulas import (
     TRUE,
     And,
     Atom,
+    BeliefChangeError,
     Extension,
     Formula,
     Not,
     Vocabulary,
     formula_of_extension,
+    seq_str,
 )
-from .plausibility import Ordering, PreferentialMeasure
+from .plausibility import Ordering, PreferentialMeasure, transitive_closure
 from .reports import Report
 from .systems import LocalState, Run, System
-from .revision import _seq_str
 
 
-class UpdateError(Exception):
+class UpdateError(BeliefChangeError):
     pass
 
 
@@ -47,20 +48,15 @@ class DistancePoset:
     @staticmethod
     def build(elements: Iterable[Hashable], strict: Iterable[Tuple[Hashable, Hashable]]) -> "DistancePoset":
         elements = tuple(dict.fromkeys(itertools.chain([ZERO], elements)))
-        pairs = set(strict)
-        pairs.update((ZERO, e) for e in elements if e != ZERO)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(pairs), repeat=2):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-        for a, b in pairs:
-            if a == b:
-                raise UpdateError("distance order contains a cycle")
-            if a not in elements or b not in elements:
-                raise UpdateError(f"order mentions unknown label {a!r} or {b!r}")
+        strict = list(strict)
+        for label in itertools.chain.from_iterable(strict):
+            if label not in elements:
+                raise UpdateError(f"order mentions unknown label {label!r}")
+        pairs = transitive_closure(
+            set(strict) | {(ZERO, e) for e in elements if e != ZERO}
+        )
+        if any(a == b for a, b in pairs):
+            raise UpdateError("distance order contains a cycle")
         return DistancePoset(elements, frozenset(pairs))
 
     @staticmethod
@@ -199,86 +195,58 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
         frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
         for mask in range(1 << len(worlds))
     ]
-    report = Report("km")
+    describe = vocab.extension_str
 
-    def describe(e: Extension) -> str:
-        return "{" + ",".join(vocab.world_str(w) for w in sorted(e)) + "}"
-
-    witness = ""
-    for mu, phi in itertools.product(subsets, repeat=2):
-        if not op(mu, phi) <= phi:
-            witness = f"update {describe(mu)} by {describe(phi)} leaves the observation"
-            break
-    report.add("U1", not witness, witness)
-
-    witness = ""
-    for mu, phi in itertools.product(subsets, repeat=2):
-        if mu <= phi and op(mu, phi) != mu:
-            witness = f"update of {describe(mu)} by implied {describe(phi)} changed beliefs"
-            break
-    report.add("U2", not witness, witness)
-
-    witness = ""
-    for mu, phi in itertools.product(subsets, repeat=2):
-        if (not op(mu, phi)) != (not mu or not phi):
-            witness = f"emptiness mismatch for {describe(mu)} by {describe(phi)}"
-            break
-    report.add("U3", not witness, witness)
-
-    # extension invariance is built into the semantic signature; exercise it
-    # through syntactically different formulas with equal extensions
-    witness = ""
-    for mu, phi in itertools.product(subsets[:8], repeat=2):
+    def u4(mu: Extension, phi: Extension) -> str:
+        # extension invariance is built into the semantic signature;
+        # exercise it through syntactically different formulas with equal
+        # extensions
         f = formula_of_extension(phi, vocab)
         variant = vocab.extension(Not(Not(f))) & frozenset(worlds)
         if op(mu, phi) != op(mu, variant):
-            witness = f"syntax leaked for {describe(mu)} by {describe(phi)}"
-            break
-    report.add("U4", not witness, witness)
+            return f"syntax leaked for {describe(mu)} by {describe(phi)}"
+        return ""
 
-    witness = ""
-    for mu, phi, psi in itertools.product(subsets, repeat=3):
-        if not op(mu, phi) & psi <= op(mu, phi & psi):
-            witness = (
-                f"narrowing {describe(mu)} by {describe(phi)} then {describe(psi)} "
-                "lost worlds"
-            )
-            break
-    report.add("U5", not witness, witness)
-
-    witness = ""
-    for mu, phi, psi in itertools.product(subsets, repeat=3):
-        if op(mu, phi) <= psi and op(mu, psi) <= phi and op(mu, phi) != op(mu, psi):
-            witness = (
-                f"mutually entailing updates of {describe(mu)} by {describe(phi)}, "
-                f"{describe(psi)} differ"
-            )
-            break
-    report.add("U6", not witness, witness)
-
-    witness = ""
-    for w in worlds:
-        mu = frozenset([w])
-        for phi, psi in itertools.product(subsets, repeat=2):
-            if not op(mu, phi) & op(mu, psi) <= op(mu, phi | psi):
-                witness = (
-                    f"complete belief {describe(mu)}: updates by {describe(phi)} and "
-                    f"{describe(psi)} disagree with their disjunction"
-                )
-                break
-        if witness:
-            break
-    report.add("U7", not witness, witness)
-
-    witness = ""
-    for mu1, mu2, phi in itertools.product(subsets, repeat=3):
-        if op(mu1 | mu2, phi) != op(mu1, phi) | op(mu2, phi):
-            witness = (
-                f"update of {describe(mu1)} | {describe(mu2)} by {describe(phi)} "
-                "is not the union of the parts"
-            )
-            break
-    report.add("U8", not witness, witness)
+    report = Report("km")
+    report.add_first("U1", (
+        f"update {describe(mu)} by {describe(phi)} leaves the observation"
+        for mu, phi in itertools.product(subsets, repeat=2) if not op(mu, phi) <= phi
+    ))
+    report.add_first("U2", (
+        f"update of {describe(mu)} by implied {describe(phi)} changed beliefs"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if mu <= phi and op(mu, phi) != mu
+    ))
+    report.add_first("U3", (
+        f"emptiness mismatch for {describe(mu)} by {describe(phi)}"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if (not op(mu, phi)) != (not mu or not phi)
+    ))
+    report.add_first("U4", itertools.starmap(u4, itertools.product(subsets[:8], repeat=2)))
+    report.add_first("U5", (
+        f"narrowing {describe(mu)} by {describe(phi)} then {describe(psi)} lost worlds"
+        for mu, phi, psi in itertools.product(subsets, repeat=3)
+        if not op(mu, phi) & psi <= op(mu, phi & psi)
+    ))
+    report.add_first("U6", (
+        f"mutually entailing updates of {describe(mu)} by {describe(phi)}, "
+        f"{describe(psi)} differ"
+        for mu, phi, psi in itertools.product(subsets, repeat=3)
+        if op(mu, phi) <= psi and op(mu, psi) <= phi and op(mu, phi) != op(mu, psi)
+    ))
+    report.add_first("U7", (
+        f"complete belief {describe(mu)}: updates by {describe(phi)} and "
+        f"{describe(psi)} disagree with their disjunction"
+        for mu in (frozenset([w]) for w in worlds)
+        for phi, psi in itertools.product(subsets, repeat=2)
+        if not op(mu, phi) & op(mu, psi) <= op(mu, phi | psi)
+    ))
+    report.add_first("U8", (
+        f"update of {describe(mu1)} | {describe(mu2)} by {describe(phi)} "
+        "is not the union of the parts"
+        for mu1, mu2, phi in itertools.product(subsets, repeat=3)
+        if op(mu1 | mu2, phi) != op(mu1, phi) | op(mu2, phi)
+    ))
     return report
 
 
@@ -314,10 +282,6 @@ class LexPrior(PreferentialMeasure):
             prec=self.order.prec,  # key-level: keys are environment sequences
             class_key=lambda run: run.envs,
         )
-
-
-def lex_prior(structure: UpdateStructure, runs: Sequence[Run]) -> LexPrior:
-    return LexPrior(runs, structure)
 
 
 def system_from_update(
@@ -412,27 +376,23 @@ def check_update_correspondence(
         sequences = [()]
         for k in range(1, sys.horizon):
             sequences += list(itertools.product(menu, repeat=k))
-    witness = ""
-    checked = 0
-    for seq in sequences:
-        seq = tuple(seq)
-        if len(seq) >= sys.horizon:
-            continue
-        here = states(sys, seq, structure)
-        for psi in menu:
-            checked += 1
-            stepped = states(sys, seq + (psi,), structure)
-            expected = min_u(structure, here, structure.extension(psi))
-            if stepped != expected:
-                witness = (
-                    f"after {_seq_str(seq)} then {psi}: states "
-                    f"{{{','.join(sys.vocab.world_str(w) for w in sorted(stepped))}}} != "
-                    f"minimal change {{{','.join(sys.vocab.world_str(w) for w in sorted(expected))}}}"
-                )
-                break
-        if witness:
-            break
-    report.add("STATES-STEP", not witness, witness)
+    describe = sys.vocab.extension_str
+
+    def mismatches():
+        for seq in map(tuple, sequences):
+            if len(seq) >= sys.horizon:
+                continue
+            here = states(sys, seq, structure)
+            for psi in menu:
+                stepped = states(sys, seq + (psi,), structure)
+                expected = min_u(structure, here, structure.extension(psi))
+                if stepped != expected:
+                    yield (
+                        f"after {seq_str(seq)} then {psi}: states {describe(stepped)} "
+                        f"!= minimal change {describe(expected)}"
+                    )
+
+    report.add_first("STATES-STEP", mismatches())
     return report
 
 
@@ -458,28 +418,28 @@ def check_correctness_preservation(
     information about the change, beliefs stay correct one step later."""
     structure = _structure_of(sys, structure)
     report = Report("correctness")
-    witness = ""
-    seen = set()
-    for run in sys.runs:
-        for m in range(sys.horizon):
-            key = (run.envs[: m + 2], run.obs[: m + 1])
-            if key in seen:
-                continue
-            seen.add(key)
-            s_a = run.local_state(m)
-            if run.envs[m] not in states(sys, s_a, structure):
-                continue
-            if not sufficient_information(structure, run.envs[m], run.envs[m + 1], run.obs[m]):
-                continue
-            if run.envs[m + 1] not in states(sys, run.local_state(m + 1), structure):
-                witness = (
-                    f"correct beliefs plus a sufficient observation {run.obs[m]} "
-                    f"went wrong at time {m + 1}"
-                )
-                break
-        if witness:
-            break
-    report.add("PRESERVED", not witness, witness)
+
+    def violations():
+        seen = set()
+        for run in sys.runs:
+            for m in range(sys.horizon):
+                key = (run.envs[: m + 2], run.obs[: m + 1])
+                if key in seen:
+                    continue
+                seen.add(key)
+                if run.envs[m] not in states(sys, run.local_state(m), structure):
+                    continue
+                if not sufficient_information(
+                    structure, run.envs[m], run.envs[m + 1], run.obs[m]
+                ):
+                    continue
+                if run.envs[m + 1] not in states(sys, run.local_state(m + 1), structure):
+                    yield (
+                        f"correct beliefs plus a sufficient observation {run.obs[m]} "
+                        f"went wrong at time {m + 1}"
+                    )
+
+    report.add_first("PRESERVED", violations())
     return report
 
 
@@ -511,15 +471,12 @@ def validate_upd(
     rng = random.Random(seed)
     report = Report("upd")
 
-    witness = ""
-    if len(sys.universe) != len(set(sys.universe)):
-        witness = "duplicate environment states"
-    for run in sys.runs:
-        bad = [w for w in run.envs if w not in structure.universe]
-        if bad:
-            witness = f"run visits world {vocab.world_str(bad[0])} outside the structure"
-            break
-    report.add("UPD1", not witness, witness)
+    universe = structure.universe
+    report.add_first("UPD1", (
+        f"run visits world {vocab.world_str(w)} outside the structure"
+        for run in sys.runs
+        for w in run.envs if w not in universe
+    ))
 
     report.add("UPD2", *_check_upd2(sys, structure, budget, rng))
     report.add("UPD3", *_check_upd3(sys, structure))
@@ -578,7 +535,7 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: rando
         got = prior.at_least(ra, rb)
         want = _prefix_dominance(sys, structure, sa, sb)
         if got != want:
-            return False, f"events {_seq_str(sa)} vs {_seq_str(sb)}: measure {got}, cells {want}"
+            return False, f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
     return True, ""
 
 
@@ -654,7 +611,7 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int, rng: rando
         rhs = sys.prior.at_least(event(fa, obs, False), event(fb, obs, False))
         if lhs != rhs:
             return False, (
-                f"formulas {_seq_str(fa)} vs {_seq_str(fb)} observing {_seq_str(obs)}"
+                f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
             )
     return True, ""
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +254,36 @@ def test_horizon_override(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "trace", "--scenario", str(path), "--horizon", "0")
     assert code == 2
+
+
+def test_preference_cycle_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cycle.scn"
+    path.write_text(
+        "vocab p\nhorizon 1\nprior preference\n  1 < 0\n  0 < 1\nmenu true, p\n"
+    )
+    code, out, err = run_cli(capsys, "check-bcs", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: preference order contains a cycle\n"
+
+
+def test_unknown_order_label_names_the_written_label(tmp_path):
+    path = tmp_path / "label.scn"
+    path.write_text(
+        "vocab p\nhorizon 1\nprior lexicographic\ndistance table\n"
+        "  0 1 a\n  1 0 a\norder a < b\nmenu true, p\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    errors = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beliefchange.cli", "check-km", "--scenario", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1] == "error: line 7: order mentions unknown label 'b'\n"
