@@ -151,6 +151,8 @@ def _dispatch(args, out: List[str]) -> int:
     if cmd == "check-agm":
         if scenario.prior_kind != "ranked":
             raise UsageError("check-agm needs a ranked prior")
+        if scenario.circuit is not None:
+            raise UsageError("check-agm needs a world ranking; a circuit scenario has none")
         op = operator_from_ranking(scenario.ranks, scenario.vocab)
         best = min(scenario.ranks.values())
         belief = frozenset(w for w, r in scenario.ranks.items() if r == best)

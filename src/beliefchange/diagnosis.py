@@ -218,10 +218,8 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
     universe = sorted(sys.universe)
     fault_sets = circuit.all_fault_sets()
 
-    filter_bad = ""
-    surprise_bad = ""
-    disjoint_bad = ""
-    cardinality_bad = ""
+    # (prefix, diagnoses before its last observation, after it, filtered)
+    cases = []
     seen = set()
     for run in sys.runs:
         for m in range(sys.horizon):
@@ -231,45 +229,44 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
             seen.add(prefix)
             before = diag(sys, circuit, prefix[:-1])
             after = diag(sys, circuit, prefix)
-            new_obs = prefix[-1]
             surviving = frozenset(
-                f for f in before if fault_consistent_with(circuit, universe, f, new_obs)
+                f for f in before if fault_consistent_with(circuit, universe, f, prefix[-1])
             )
-            if surviving:
-                if after != surviving and not filter_bad:
-                    filter_bad = f"at {seq_str(prefix)}: filtering mismatch"
-            else:
-                consistent = [
-                    f
-                    for f in fault_sets
-                    if all(
-                        fault_consistent_with(circuit, universe, f, o) for o in prefix
-                    )
-                ]
-                least = min((len(f) for f in consistent), default=None)
-                expected = frozenset(f for f in consistent if len(f) == least)
-                if after != expected and not surprise_bad:
-                    surprise_bad = f"at {seq_str(prefix)}: surprise mismatch"
-                if before & after and not disjoint_bad:
-                    disjoint_bad = f"at {seq_str(prefix)}: explanations survived a surprise"
-            if before and after and not (before & after):
-                if min(len(f) for f in after) <= min(len(f) for f in before):
-                    if not cardinality_bad:
-                        cardinality_bad = (
-                            f"at {seq_str(prefix)}: fault cardinality did not grow"
-                        )
-    report.add("FILTER", not filter_bad, filter_bad)
-    report.add("SURPRISE", not surprise_bad, surprise_bad)
-    report.add("DISJOINT", not disjoint_bad, disjoint_bad)
-    report.add("CARDINALITY", not cardinality_bad, cardinality_bad)
+            cases.append((prefix, before, after, surviving))
 
-    persistence_bad = ""
-    for run in sys.runs:
-        fault0 = circuit.fault_set(run.envs[0])
-        if any(circuit.fault_set(s) != fault0 for s in run.envs[1:]):
-            persistence_bad = "a run changes its fault set over time"
-            break
-    report.add("PERSISTENCE", not persistence_bad, persistence_bad)
+    def minimal_consistent(prefix) -> FrozenSet[FrozenSet[str]]:
+        consistent = [
+            f
+            for f in fault_sets
+            if all(fault_consistent_with(circuit, universe, f, o) for o in prefix)
+        ]
+        least = min((len(f) for f in consistent), default=None)
+        return frozenset(f for f in consistent if len(f) == least)
+
+    report.add_first("FILTER", (
+        f"at {seq_str(prefix)}: filtering mismatch"
+        for prefix, _, after, surviving in cases if surviving and after != surviving
+    ))
+    report.add_first("SURPRISE", (
+        f"at {seq_str(prefix)}: surprise mismatch"
+        for prefix, _, after, surviving in cases
+        if not surviving and after != minimal_consistent(prefix)
+    ))
+    report.add_first("DISJOINT", (
+        f"at {seq_str(prefix)}: explanations survived a surprise"
+        for prefix, before, after, surviving in cases if not surviving and before & after
+    ))
+    report.add_first("CARDINALITY", (
+        f"at {seq_str(prefix)}: fault cardinality did not grow"
+        for prefix, before, after, _ in cases
+        if before and after and not (before & after)
+        and min(len(f) for f in after) <= min(len(f) for f in before)
+    ))
+    report.add_first("PERSISTENCE", (
+        "a run changes its fault set over time"
+        for run in sys.runs
+        if len({circuit.fault_set(s) for s in run.envs}) > 1
+    ))
     return report
 
 

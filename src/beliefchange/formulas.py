@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Extension = frozenset
 
@@ -159,19 +159,6 @@ def disj(parts: Sequence[Formula]) -> Formula:
     for p in parts[1:]:
         out = Or(out, p)
     return out
-
-
-def atoms_of(formula: Formula) -> Iterator[Atom]:
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            yield f
-        elif isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, _Binary):
-            stack.append(f.left)
-            stack.append(f.right)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ class Report:
         """The counterexample search every checker shares: FAIL with the
         first non-empty witness, PASS if there is none.
 
+        Every checker records its verdicts here, so every FAIL witness is
+        the first counterexample in that checker's fixed visiting order.
         Reading stops at that first witness, so a lazy search does no work
         beyond the case that refutes the property.
         """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     FALSE,
@@ -400,41 +400,51 @@ def check_agm_epistemic(
     def ext(f: Formula) -> Extension:
         return vocab.extension(f) & sys.universe
 
-    results = {}
-    for name in ("R1'", "R2'", "R3'", "R4'", "R5'", "R6'", "R7'", "R8'", "R9'"):
-        results[name] = ""
-
+    # every epistemic_bel the postulates share, computed once
+    singles = []  # (tag, state, phi, beliefs at state, beliefs after phi)
+    doubles = []  # (tag, state, phi, psi, beliefs after phi, after phi & psi)
     for state in sequences:
         bel_here = epistemic_bel(sys, state)
         for phi in probes:
             after = epistemic_bel(sys, state + (phi,))
             tag = f"E={seq_str(state)}, input {phi}"
-            if not results["R1'"] and not after <= vocab.all_worlds():
-                results["R1'"] = tag
-            if not results["R2'"] and not after <= ext(phi):
-                results["R2'"] = tag
-            if not results["R3'"] and not after >= bel_here & ext(phi):
-                results["R3'"] = tag
-            if not results["R4'"] and bel_here & ext(phi) and not after <= bel_here & ext(phi):
-                results["R4'"] = tag
-            if not results["R5'"] and (not after) != (not ext(phi)):
-                results["R5'"] = tag
-            if not results["R6'"]:
-                if epistemic_bel(sys, state + (Not(Not(phi)),)) != after:
-                    results["R6'"] = tag
+            singles.append((tag, state, phi, bel_here, after))
             for psi in probes:
                 both = epistemic_bel(sys, state + (And(phi, psi),))
-                tag2 = f"{tag}, then {psi}"
-                if not results["R7'"] and not both >= after & ext(psi):
-                    results["R7'"] = tag2
-                if not results["R8'"] and after & ext(psi) and not both <= after & ext(psi):
-                    results["R8'"] = tag2
-                if not results["R9'"] and ext(And(phi, psi)):
-                    stepped = epistemic_bel(sys, state + (phi, psi))
-                    if stepped != both:
-                        results["R9'"] = tag2
-    for name, witness in results.items():
-        report.add(name, not witness, witness)
+                doubles.append((f"{tag}, then {psi}", state, phi, psi, after, both))
+
+    report.add_first("R1'", (
+        tag for tag, _, _, _, after in singles if not after <= vocab.all_worlds()
+    ))
+    report.add_first("R2'", (
+        tag for tag, _, phi, _, after in singles if not after <= ext(phi)
+    ))
+    report.add_first("R3'", (
+        tag for tag, _, phi, bel_here, after in singles
+        if not after >= bel_here & ext(phi)
+    ))
+    report.add_first("R4'", (
+        tag for tag, _, phi, bel_here, after in singles
+        if bel_here & ext(phi) and not after <= bel_here & ext(phi)
+    ))
+    report.add_first("R5'", (
+        tag for tag, _, phi, _, after in singles if (not after) != (not ext(phi))
+    ))
+    report.add_first("R6'", (
+        tag for tag, state, phi, _, after in singles
+        if epistemic_bel(sys, state + (Not(Not(phi)),)) != after
+    ))
+    report.add_first("R7'", (
+        tag for tag, _, _, psi, after, both in doubles if not both >= after & ext(psi)
+    ))
+    report.add_first("R8'", (
+        tag for tag, _, _, psi, after, both in doubles
+        if after & ext(psi) and not both <= after & ext(psi)
+    ))
+    report.add_first("R9'", (
+        tag for tag, state, phi, psi, _, both in doubles
+        if ext(And(phi, psi)) and epistemic_bel(sys, state + (phi, psi)) != both
+    ))
     return report
 
 
@@ -473,7 +483,7 @@ def validate_rev(
         for run in sys.runs
         for m in range(1, sys.horizon + 1) if run.envs[m] != run.envs[0]
     ))
-    report.add("REV2", *_check_ranked(sys, budget))
+    report.add_first("REV2", _check_ranked(sys, budget))
 
     ranked = isinstance(unwrap(sys.prior), RankedMeasure)
 
@@ -493,11 +503,11 @@ def validate_rev(
     if obs_sequences is None:
         obs_sequences = _default_obs_sequences(sys, max_len)
 
-    rev4_witness, rev4p_witness = _check_observation_neutrality(
-        sys, formula_probes, obs_sequences, budget
+    rev4, rev4p = itertools.tee(
+        _check_observation_neutrality(sys, formula_probes, obs_sequences, budget)
     )
-    report.add("REV4", not rev4_witness, rev4_witness)
-    report.add("REV4'", not rev4p_witness, rev4p_witness)
+    report.add_first("REV4", (tag for tag, _ in rev4))
+    report.add_first("REV4'", (tag for tag, positive in rev4p if positive))
     report.note(
         f"observation-neutrality quantified over {len(list(formula_probes))} probes "
         f"and {len(list(obs_sequences))} observation sequences (the menu stands in "
@@ -526,30 +536,20 @@ def _default_obs_sequences(sys: System, max_len: int) -> List[Tuple[Formula, ...
     return sequences
 
 
-def _check_ranked(sys: System, budget: int) -> Tuple[bool, str]:
-    base = unwrap(sys.prior)
-    if isinstance(base, RankedMeasure):
-        return True, ""
-    runs = list(sys.runs)
-    count = 0
-    for r1, r2 in itertools.combinations(runs, 2):
-        count += 1
-        if count > budget:
-            break
-        if sys.prior.compare(frozenset([r1]), frozenset([r2])) is Ordering.INCOMPARABLE:
-            return False, "incomparable singleton runs exist (prior is not total)"
+def _check_ranked(sys: System, budget: int) -> Iterator[str]:
+    if isinstance(unwrap(sys.prior), RankedMeasure):
+        return
+    prior = sys.prior
+    budget = max(budget, 0)  # a negative budget checks nothing, as zero does
+    for r1, r2 in itertools.islice(itertools.combinations(sys.runs, 2), budget):
+        if prior.compare(frozenset([r1]), frozenset([r2])) is Ordering.INCOMPARABLE:
+            yield "incomparable singleton runs exist (prior is not total)"
     # totality also requires the union law; spot-check it
-    count = 0
-    for r1, r2 in itertools.combinations(runs, 2):
-        count += 1
-        if count > min(budget, 2000):
-            break
+    for r1, r2 in itertools.islice(itertools.combinations(sys.runs, 2), min(budget, 2000)):
         a, b = frozenset([r1]), frozenset([r2])
-        union = a | b
-        top = a if sys.prior.at_least(a, b) else b
-        if sys.prior.compare(union, top) is not Ordering.EQUAL:
-            return False, "union does not take the maximum of its parts"
-    return True, ""
+        top = a if prior.at_least(a, b) else b
+        if prior.compare(a | b, top) is not Ordering.EQUAL:
+            yield "union does not take the maximum of its parts"
 
 
 def _event_value(sys: System, event: frozenset, ranked: bool):
@@ -575,8 +575,9 @@ def _check_observation_neutrality(
     probes: Sequence[Formula],
     obs_sequences: Sequence[Sequence[Formula]],
     budget: int,
-) -> Tuple[str, str]:
-    """Shared sweep for the strong and weak forms.
+) -> Iterator[Tuple[str, bool]]:
+    """Shared sweep for the strong and weak forms: yields each mismatch
+    with whether its conditional side has positive plausibility.
 
     The conditional side evaluates each probe at the time of the last
     observation (the reading conditioning actually uses); the conjunction
@@ -585,8 +586,6 @@ def _check_observation_neutrality(
     """
     vocab = sys.vocab
     ranked = isinstance(unwrap(sys.prior), RankedMeasure)
-    rev4 = ""
-    rev4p = ""
     spent = 0
     for seq in obs_sequences:
         seq = tuple(seq)
@@ -607,15 +606,11 @@ def _check_observation_neutrality(
         for f, g in itertools.product(probes, repeat=2):
             spent += 1
             if spent > budget:
-                return rev4, rev4p
+                return
             lhs = _value_at_least(sys, cond_vals[f], cond_vals[g], ranked)
             rhs = _value_at_least(sys, conj_vals[f], conj_vals[g], ranked)
             if lhs != rhs:
-                tag = f"probes ({f}, {g}) after observing {seq_str(seq)}"
-                if not rev4:
-                    rev4 = tag
-                if not rev4p and _value_positive(sys, cond_vals[f], ranked):
-                    rev4p = tag
-        if rev4 and rev4p:
-            break
-    return rev4, rev4p
+                yield (
+                    f"probes ({f}, {g}) after observing {seq_str(seq)}",
+                    _value_positive(sys, cond_vals[f], ranked),
+                )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .formulas import (
     FALSE,
@@ -189,7 +189,7 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
     # requirement, and off-time observations break strong neutrality
     report.add("REV2", rev["REV2"].passed, rev["REV2"].witness)
     report.add("REV4", rev["REV4"].passed, rev["REV4"].witness)
-    report.add("PRIOR-ISO", *_check_prior_isomorphism(st, budget))
+    report.add_first("PRIOR-ISO", _check_prior_isomorphism(st, budget))
     return report
 
 
@@ -205,7 +205,7 @@ def _star_probes(st: StatifiedSystem) -> List[Formula]:
     return list(dict.fromkeys(probes))
 
 
-def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Tuple[bool, str]:
+def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     """Run-set comparisons must be identical on both sides of the bijection.
 
     Exhaustive over all subset pairs while they fit the budget; larger
@@ -225,18 +225,15 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Tuple[bool, st
         )
     else:
         rng = random.Random(0)
-
-        def sampled():
-            for _ in range(max(64, int(budget ** 0.5))):
-                yield (
-                    frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
-                    frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
-                )
-
-        pairs = sampled()
+        pairs = (
+            (
+                frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
+                frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
+            )
+            for _ in range(max(64, int(budget ** 0.5)))
+        )
     for a_star, b_star in pairs:
         a = frozenset(st.to_source[r] for r in a_star)
         b = frozenset(st.to_source[r] for r in b_star)
         if st.inner.prior.compare(a_star, b_star) is not st.source.prior.compare(a, b):
-            return False, f"subset pair of sizes ({len(a_star)}, {len(b_star)}) compares differently"
-    return True, ""
+            yield f"subset pair of sizes ({len(a_star)}, {len(b_star)}) compares differently"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -106,10 +106,6 @@ class System:
         for run in self.runs:
             for m in range(self.horizon + 1):
                 yield (run, m)
-
-    def local_states(self) -> List[LocalState]:
-        seen = dict.fromkeys(run.local_state(m) for run in self.runs for m in range(self.horizon + 1))
-        return list(seen)
 
     def points_with_local_state(self, s_a: LocalState) -> Tuple[Point, ...]:
         m = len(s_a)
@@ -345,12 +341,19 @@ def check_prior_local_rule(sys: System, max_points: int = 12) -> Report:
     real test when per-state measures are supplied directly.  Ranked priors
     get a vectorised sweep over subset bitmasks; other priors fall back to
     explicit comparisons under a tighter size bound.
+
+    The sweep stops at the first local state that breaks the rule, so a
+    local state past it that exceeds the size bound raises no
+    :class:`BudgetError`.
     """
     report = Report("prior-local-rule")
-    base = unwrap(sys.prior)
-    ranked = isinstance(base, RankedMeasure)
+    report.add_first("LOCAL-RULE", _local_rule_failures(sys, max_points))
+    return report
+
+
+def _local_rule_failures(sys: System, max_points: int) -> Iterator[str]:
+    ranked = isinstance(unwrap(sys.prior), RankedMeasure)
     seen = set()
-    failures = []
     for run in sys.runs:
         for m in range(sys.horizon):
             s_next = run.local_state(m + 1)
@@ -377,9 +380,7 @@ def check_prior_local_rule(sys: System, max_points: int = 12) -> Report:
             else:
                 bad = _local_rule_generic(nxt, prev_points, next_measure, prev_measure)
             if bad is not None:
-                failures.append(f"local state {seq_str(s_next)}: {bad}")
-    report.add("LOCAL-RULE", not failures, failures[0] if failures else "")
-    return report
+                yield f"local state {seq_str(s_next)}: {bad}"
 
 
 def _minrank_table(ranks: Sequence[float], big: float):
@@ -472,6 +473,15 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
         ]
         return f"learn({wrong[0]}) true without being observed" if wrong else ""
 
+    def bcs4(run: Run, m: int) -> str:
+        try:
+            ext = sys.vocab.extension(run.obs[m - 1])
+        except FormulaError:
+            return ""  # outside the language: BCS2 reports it
+        if run.envs[m] in ext:
+            return ""
+        return f"observation {run.obs[m-1]} false at time {m} in run {_run_str(sys, run)}"
+
     report = Report("bcs")
     report.add_first("BCS1", map(bcs1, sys.runs))
     report.add_first("BCS2", map(bcs2, sys.runs))
@@ -479,46 +489,36 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
         bcs3(run, m) for run in sys.runs for m in range(sys.horizon + 1)
     ))
     report.add_first("BCS4", (
-        f"observation {run.obs[m-1]} false at time {m} in run {_run_str(sys, run)}"
-        for run in sys.runs
-        for m in range(1, sys.horizon + 1)
-        if run.envs[m] not in sys.vocab.extension(run.obs[m - 1])
+        bcs4(run, m) for run in sys.runs for m in range(1, sys.horizon + 1)
     ))
-
-    witness = _check_conditioning(sys, budget)
-    report.add("BCS5", not witness, witness)
+    report.add_first("BCS5", _check_conditioning(sys, budget))
     return report
 
 
-def _check_conditioning(sys: System, budget: int) -> str:
+def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
     """The per-point measures must be exactly the prior conditioned on the
     local state; checked over subset pairs within budget."""
-    if sys.point_measures:
-        for s_a, override in sys.point_measures.items():
-            conditioned = ConditionedMeasure(sys.points_with_local_state(s_a), sys.prior)
-            pts = conditioned.carrier
-            if tuple(override.carrier) != pts:
-                return f"carrier mismatch at {seq_str(s_a)}"
-            n = len(pts)
-            pairs = itertools.product(range(1 << min(n, 7)), repeat=2)
-            count = 0
-            for mask_a, mask_b in pairs:
-                count += 1
-                if count > budget:
-                    break
-                a = frozenset(pts[i] for i in range(n) if mask_a >> i & 1)
-                b = frozenset(pts[i] for i in range(n) if mask_b >> i & 1)
-                if override.compare(a, b) != conditioned.compare(a, b):
-                    return (
-                        f"measure at {seq_str(s_a)} is not the conditioned prior "
-                        f"(masks {mask_a:#x}, {mask_b:#x})"
-                    )
+    for s_a, override in (sys.point_measures or {}).items():
+        conditioned = ConditionedMeasure(sys.points_with_local_state(s_a), sys.prior)
+        pts = conditioned.carrier
+        if tuple(override.carrier) != pts:
+            yield f"carrier mismatch at {seq_str(s_a)}"
+            continue
+        n = len(pts)
+        pairs = itertools.product(range(1 << min(n, 7)), repeat=2)
+        for mask_a, mask_b in itertools.islice(pairs, max(budget, 0)):
+            a = frozenset(pts[i] for i in range(n) if mask_a >> i & 1)
+            b = frozenset(pts[i] for i in range(n) if mask_b >> i & 1)
+            if override.compare(a, b) != conditioned.compare(a, b):
+                yield (
+                    f"measure at {seq_str(s_a)} is not the conditioned prior "
+                    f"(masks {mask_a:#x}, {mask_b:#x})"
+                )
     base = unwrap(sys.prior)
     if len(base.carrier) <= 6 and not is_qualitative(base, budget=budget):
-        return "prior is not qualitative"
+        yield "prior is not qualitative"
     if len(base.carrier) <= 10 and not check_monotonicity(base, budget=budget):
-        return "prior violates monotonicity under union"
-    return ""
+        yield "prior violates monotonicity under union"
 
 
 def _run_str(sys: System, run: Run) -> str:

@@ -9,10 +9,11 @@ explains new observations by the latest possible change.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -478,9 +479,10 @@ def validate_upd(
         for w in run.envs if w not in universe
     ))
 
-    report.add("UPD2", *_check_upd2(sys, structure, budget, rng))
-    report.add("UPD3", *_check_upd3(sys, structure))
-    report.add("UPD4", *_check_upd4(sys, structure, budget, rng))
+    # UPD2 and UPD4 draw their samples from the one rng, in this order
+    report.add_first("UPD2", _check_upd2(sys, structure, budget, rng))
+    report.add_first("UPD3", _check_upd3(sys, structure))
+    report.add_first("UPD4", _check_upd4(sys, structure, budget, rng))
     report.note(
         "observation neutrality quantified over menu sequences up to the budget "
         "(the menu stands in for the full language)"
@@ -491,7 +493,7 @@ def validate_upd(
     return report
 
 
-def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: random.Random):
+def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: random.Random) -> Iterator[str]:
     order = LexRunOrder(structure)
     prior = sys.prior
     worlds = structure.worlds
@@ -516,27 +518,25 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: rando
             lt = order.prec(cb, ca)  # cell b preferred -> a strictly below
             gt = order.prec(ca, cb)
             if lt and got is not Ordering.LESS:
-                return False, f"cells {ca} vs {cb}: expected strictly below, got {got.value}"
-            if gt and got is not Ordering.GREATER:
-                return False, f"cells {ca} vs {cb}: expected strictly above, got {got.value}"
-            if not lt and not gt and got in (Ordering.LESS, Ordering.GREATER):
-                return False, f"cells {ca} vs {cb}: unexpected strict comparison {got.value}"
+                yield f"cells {ca} vs {cb}: expected strictly below, got {got.value}"
+            elif gt and got is not Ordering.GREATER:
+                yield f"cells {ca} vs {cb}: expected strictly above, got {got.value}"
+            elif not lt and not gt and got in (Ordering.LESS, Ordering.GREATER):
+                yield f"cells {ca} vs {cb}: unexpected strict comparison {got.value}"
     # prefix-definedness: event comparisons agree with the cell-dominance
     # criterion
     menu = list(sys.menu)
     seqs = [seq for k in (1, 2) for seq in itertools.product(menu, repeat=k) if k <= sys.horizon + 1]
     if len(seqs) ** 2 > budget:
         seqs = seqs[: max(2, int(budget ** 0.5))]
+    event = functools.cache(functools.partial(_formula_prefix_event, sys))
     for sa, sb in itertools.product(seqs, repeat=2):
         if len(sa) != len(sb):
             continue
-        ra = _formula_prefix_event(sys, sa)
-        rb = _formula_prefix_event(sys, sb)
-        got = prior.at_least(ra, rb)
+        got = prior.at_least(event(sa), event(sb))
         want = _prefix_dominance(sys, structure, sa, sb)
         if got != want:
-            return False, f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
-    return True, ""
+            yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
 
 
 def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> frozenset:
@@ -567,21 +567,18 @@ def _prefix_dominance(sys, structure, sa, sb) -> bool:
     return True
 
 
-def _check_upd3(sys: System, structure: UpdateStructure):
+def _check_upd3(sys: System, structure: UpdateStructure) -> Iterator[str]:
     n = len(structure.worlds)
     length = min(sys.horizon + 1, 3 if n > 3 else 4)
     present = {r.envs[:length] for r in sys.runs}
-    for prefix in itertools.product(structure.worlds, repeat=length):
-        if prefix not in present:
-            return False, (
-                "state sequence "
-                + ",".join(sys.vocab.world_str(w) for w in prefix)
-                + " has no run"
-            )
-    return True, ""
+    return (
+        "state sequence " + ",".join(sys.vocab.world_str(w) for w in prefix) + " has no run"
+        for prefix in itertools.product(structure.worlds, repeat=length)
+        if prefix not in present
+    )
 
 
-def _check_upd4(sys: System, structure: UpdateStructure, budget: int, rng: random.Random):
+def _check_upd4(sys: System, structure: UpdateStructure, budget: int, rng: random.Random) -> Iterator[str]:
     """Biconditional between observed events and their conjunction-only
     counterparts, over sampled formula/observation sequences."""
     menu = list(sys.menu)
@@ -596,24 +593,12 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int, rng: rando
                     instances.append((obs, fa, fb))
     if len(instances) > budget:
         instances = [instances[rng.randrange(len(instances))] for _ in range(budget)]
-    events: Dict[tuple, frozenset] = {}
-
-    def event(formulas, obs, observed: bool) -> frozenset:
-        key = (formulas, obs, observed)
-        cached = events.get(key)
-        if cached is None:
-            cached = _upd4_event(sys, formulas, obs, observed)
-            events[key] = cached
-        return cached
-
+    event = functools.cache(functools.partial(_upd4_event, sys))
     for obs, fa, fb in instances:
         lhs = sys.prior.at_least(event(fa, obs, True), event(fb, obs, True))
         rhs = sys.prior.at_least(event(fa, obs, False), event(fb, obs, False))
         if lhs != rhs:
-            return False, (
-                f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
-            )
-    return True, ""
+            yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
 
 
 def _upd4_event(sys: System, formulas, obs, observed: bool) -> frozenset:

@@ -287,3 +287,10 @@ def test_unknown_order_label_names_the_written_label(tmp_path):
         assert proc.returncode == 2
         errors.append(proc.stderr)
     assert errors[0] == errors[1] == "error: line 7: order mentions unknown label 'b'\n"
+
+
+def test_check_agm_on_a_circuit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check-agm", "--scenario", DIAG)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: check-agm")

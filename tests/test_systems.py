@@ -315,3 +315,19 @@ def test_validate_bcs_catches_non_conditioning_measure(revsys):
     )
     report = validate_bcs(sys_)
     assert not report["BCS5"].passed
+
+
+def test_validate_bcs_reports_an_observation_outside_the_vocabulary(revsys):
+    stray = Run((w("11"),) * 3, (Atom("zz"), TRUE))
+    runs = revsys.runs + (stray,)
+    sys_ = System(
+        vocab=PQ,
+        runs=runs,
+        prior=RankedMeasure(runs, {r: RANKS[r.envs[0]] for r in runs}),
+        horizon=2,
+        menu=revsys.menu,
+    )
+    report = validate_bcs(sys_)
+    assert not report["BCS2"].passed
+    assert "zz" in report["BCS2"].witness
+    assert report["BCS4"].passed

@@ -1,0 +1,287 @@
+"""Exact FAIL witnesses of the checkers, on hand-built failing inputs.
+
+Each witness is the first counterexample in its checker's fixed visiting
+order, so these strings pin both the order and the budgets and samples
+that cut it short.
+"""
+import pytest
+
+from beliefchange.diagnosis import Circuit, Gate, build_diag_system, check_prop_diag
+from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary
+from beliefchange.plausibility import INF, CustomMeasure, Ordering, RankedMeasure
+from beliefchange.revision import check_agm_epistemic, system_from_ranking, validate_rev
+from beliefchange.synthesis import statify, verify_statification
+from beliefchange.systems import Run, System, check_prior_local_rule, validate_bcs
+from beliefchange.update import (
+    DistancePoset,
+    LexPrior,
+    UpdateStructure,
+    hamming_structure,
+    system_from_update,
+    validate_upd,
+)
+
+PQ = Vocabulary(["p", "q"])
+w = PQ.world_from_str
+P_ = Atom("p")
+Q_ = Atom("q")
+RANKS = {w("11"): 0, w("10"): 1, w("01"): 1, w("00"): 2}
+HAMMING = hamming_structure(PQ)
+
+
+@pytest.fixture(scope="module")
+def revsys():
+    return system_from_ranking(PQ, RANKS, [TRUE, P_, Q_, Not(Q_)], horizon=2)
+
+
+@pytest.fixture(scope="module")
+def updsys():
+    return system_from_update(HAMMING, 2, (TRUE, P_, Not(Q_)))
+
+
+def with_prior(sys_, prior, runs=None, **fields):
+    runs = sys_.runs if runs is None else runs
+    return System(
+        sys_.vocab, runs, prior, sys_.horizon, universe=sys_.universe, menu=sys_.menu, **fields
+    )
+
+
+# ---------------------------------------------------------------------------
+# revision conditions
+
+
+def test_rev2_rev4_on_a_partial_prior(updsys):
+    report = validate_rev(updsys)
+    assert report["REV2"].witness == "incomparable singleton runs exist (prior is not total)"
+    assert report["REV4"].witness == "probes (false, !p) after observing <p, true>"
+    assert report["REV4'"].witness == "probes (q, !p) after observing <p, true>"
+
+
+def test_rev4_budget_cuts_the_sweep(updsys):
+    report = validate_rev(updsys, budget=230)
+    assert report["REV4"].witness == "probes (false, !p) after observing <p, true>"
+    assert report["REV4'"].passed
+
+
+def _equal_except(sys_, decide):
+    """``sys_`` under a prior where run sets compare EQUAL unless ``decide``
+    returns an ordering."""
+    return with_prior(sys_, CustomMeasure(sys_.runs, lambda a, b: decide(a, b) or Ordering.EQUAL))
+
+
+def test_rev2_incomparable_pair_respects_budget(revsys):
+    runs = revsys.runs
+    ends = {frozenset([runs[0]]), frozenset([runs[-1]])}
+    sys_ = _equal_except(revsys, lambda a, b: Ordering.INCOMPARABLE if {a, b} == ends else None)
+    # (first run, last run) is pair number len(runs) - 1 in the visiting order
+    assert validate_rev(sys_, budget=len(runs) - 2)["REV2"].passed
+    assert (
+        validate_rev(sys_, budget=len(runs) - 1)["REV2"].witness
+        == "incomparable singleton runs exist (prior is not total)"
+    )
+
+
+def test_rev2_union_law_respects_budget(revsys):
+    runs = revsys.runs
+    union = frozenset([runs[0], runs[-1]])
+
+    def decide(a, b):
+        if a == union and len(b) == 1:
+            return Ordering.GREATER
+        if b == union and len(a) == 1:
+            return Ordering.LESS
+        return None
+
+    sys_ = _equal_except(revsys, decide)
+    assert validate_rev(sys_, budget=len(runs) - 2)["REV2"].passed
+    assert (
+        validate_rev(sys_, budget=len(runs) - 1)["REV2"].witness
+        == "union does not take the maximum of its parts"
+    )
+
+
+# ---------------------------------------------------------------------------
+# update conditions
+
+
+def test_upd2_against_a_foreign_distance(updsys):
+    flat = UpdateStructure(
+        PQ,
+        PQ.worlds(),
+        {(a, b): 1 for a in PQ.worlds() for b in PQ.worlds() if a != b},
+        DistancePoset.naturals(2),
+    )
+    report = validate_upd(updsys, structure=flat)
+    assert report["UPD2"].witness == "cells (0, 1) vs (0, 3): unexpected strict comparison >"
+
+
+def _dropped(updsys, keep):
+    runs = tuple(r for r in updsys.runs if keep(r))
+    return with_prior(updsys, LexPrior(runs, HAMMING), runs)
+
+
+def test_upd3_missing_state_sequence(updsys):
+    sys_ = _dropped(updsys, lambda r: r.envs[:2] != (w("00"), w("11")))
+    assert validate_upd(sys_)["UPD3"].witness == "state sequence 00,11,00 has no run"
+
+
+@pytest.fixture(scope="module")
+def no_p_at_11(updsys):
+    # observing p never happens at world 11, so observing it is informative
+    return _dropped(updsys, lambda r: not (r.envs[1] == w("11") and r.obs[0] == P_))
+
+
+def test_upd4_informative_observation(no_p_at_11):
+    report = validate_upd(no_p_at_11)
+    assert report["UPD4"].witness == "formulas <true, true, !q> vs <true, true, true> observing <p>"
+    assert report["UPD2"].passed
+
+
+@pytest.mark.parametrize(
+    "budget, witness",
+    [
+        (10, "formulas <true, !q, !q> vs <true, true, true> observing <p>"),
+        (30, "formulas <true, !q, p> vs <true, true, true> observing <p>"),
+        (50, ""),
+        (400, "formulas <p, !q, !q> vs <p, true, true> observing <p>"),
+    ],
+)
+def test_upd4_sampled_witness_follows_the_shared_rng(no_p_at_11, budget, witness):
+    # UPD2 samples cell pairs from the same generator first, so these pin
+    # the order of every draw
+    report = validate_upd(no_p_at_11, budget=budget)
+    assert report["UPD2"].passed
+    assert report["UPD4"].witness == witness
+
+
+# ---------------------------------------------------------------------------
+# statification
+
+
+def _tampered_twin(sys_):
+    st = statify(sys_)
+    runs = list(st.inner.runs)
+    to_source = dict(st.to_source)
+    to_source[runs[0]], to_source[runs[-1]] = to_source[runs[-1]], to_source[runs[0]]
+    st.to_source = to_source  # the twin's prior still reads the true bijection
+    return st
+
+
+def test_prior_iso_exhaustive_witness():
+    st = _tampered_twin(system_from_update(HAMMING, 1, (TRUE, P_)))
+    report = verify_statification(st)
+    assert report["PRIOR-ISO"].witness == "subset pair of sizes (2, 4) compares differently"
+
+
+def test_prior_iso_sampled_witness(updsys):
+    report = verify_statification(_tampered_twin(updsys))
+    assert report["PRIOR-ISO"].witness == "subset pair of sizes (4, 6) compares differently"
+
+
+# ---------------------------------------------------------------------------
+# belief change systems and the local rule
+
+
+def _flipped_override(sys_):
+    s_a = (P_,)
+    pts = sys_.points_with_local_state(s_a)
+    ranks = {(r, t): 2 - min(RANKS[r.envs[0]], 2) for r, t in pts}
+    return with_prior(sys_, sys_.prior, point_measures={s_a: RankedMeasure(pts, ranks)})
+
+
+def test_local_rule_witness(revsys):
+    report = check_prior_local_rule(_flipped_override(revsys))
+    assert report["LOCAL-RULE"].witness == "local state <p>: subset masks (0x1, 0x8) disagree"
+
+
+def test_local_rule_stops_before_a_later_oversized_state(revsys):
+    # runs observing p first come first, so the failing state <p> (6 points)
+    # is visited before <true> (10 points, past max_points)
+    runs = tuple(sorted(revsys.runs, key=lambda r: r.obs[0] != P_))
+    sys_ = _flipped_override(with_prior(revsys, revsys.prior, runs))
+    report = check_prior_local_rule(sys_, max_points=6)
+    assert report["LOCAL-RULE"].witness == "local state <p>: subset masks (0x1, 0x8) disagree"
+
+
+def test_bcs5_override_witness(revsys):
+    report = validate_bcs(_flipped_override(revsys))
+    assert (
+        report["BCS5"].witness
+        == "measure at <p> is not the conditioned prior (masks 0x1, 0x8)"
+    )
+
+
+def test_bcs5_carrier_witness(revsys):
+    pts = revsys.points_with_local_state((P_,))
+    short = RankedMeasure(pts[1:], {p: 0 for p in pts[1:]})
+    report = validate_bcs(with_prior(revsys, revsys.prior, point_measures={(P_,): short}))
+    assert report["BCS5"].witness == "carrier mismatch at <p>"
+
+
+def test_bcs5_prior_axiom_witness():
+    runs = tuple(Run((x, x), (TRUE,)) for x in (w("11"), w("10"), w("01")))
+
+    def by_size(a, b):
+        if len(a) == len(b):
+            return Ordering.EQUAL
+        return Ordering.GREATER if len(a) > len(b) else Ordering.LESS
+
+    sys_ = System(PQ, runs, CustomMeasure(runs, by_size), 1, menu=(TRUE,))
+    assert validate_bcs(sys_)["BCS5"].witness == "prior is not qualitative"
+
+
+# ---------------------------------------------------------------------------
+# epistemic revision postulates
+
+
+def test_epistemic_r5_with_a_bottom_world():
+    ranks = dict(RANKS)
+    ranks[w("00")] = INF
+    sys_ = system_from_ranking(PQ, ranks, [TRUE, P_, Q_, Not(Q_)], horizon=2)
+    report = check_agm_epistemic(sys_, probes=[And(Not(P_), Not(Q_)), P_, Q_])
+    assert report["R5'"].witness == "E=<>, input !p & !q"
+    assert [r.name for r in report.failures()] == ["R5'"]
+
+
+def test_epistemic_r3_r4_with_an_initial_override(revsys):
+    pts = revsys.points_with_local_state(())
+    prefers_00 = RankedMeasure(pts, {(r, t): 0 if r.envs[0] == w("00") else 1 for r, t in pts})
+    report = check_agm_epistemic(
+        with_prior(revsys, revsys.prior, point_measures={(): prefers_00})
+    )
+    assert report["R3'"].witness == "E=<>, input true"
+    assert report["R4'"].witness == "E=<>, input true"
+    assert [r.name for r in report.failures()] == ["R3'", "R4'"]
+
+
+# ---------------------------------------------------------------------------
+# diagnosis
+
+
+CHAIN = Circuit(
+    [Gate("c1", "AND", ("l1", "l2"), "l3"), Gate("c2", "NOT", ("l3",), "l4")],
+    ["l1", "l2", "l4"],
+)
+
+
+@pytest.fixture(scope="module")
+def chain_sys():
+    return build_diag_system(CHAIN, [{"l1": True, "l2": True}])
+
+
+def test_diagnosis_surprise_under_a_swapped_prior(chain_sys):
+    # the double fault outranks both single faults
+    rank = {frozenset(): 0, frozenset({"c1"}): 2, frozenset({"c2"}): 2, frozenset({"c1", "c2"}): 1}
+    prior = RankedMeasure(chain_sys.runs, {r: rank[CHAIN.fault_set(r.envs[0])] for r in chain_sys.runs})
+    report = check_prop_diag(with_prior(chain_sys, prior), CHAIN)
+    assert report["SURPRISE"].witness == "at <h_l1 & h_l2 & h_l4>: surprise mismatch"
+    assert [r.name for r in report.failures()] == ["SURPRISE"]
+
+
+def test_diagnosis_persistence_with_a_changing_fault(chain_sys):
+    faulty = next(r for r in chain_sys.runs if CHAIN.fault_set(r.envs[0]))
+    healthy = next(r for r in chain_sys.runs if not CHAIN.fault_set(r.envs[0]))
+    runs = chain_sys.runs + (Run((healthy.envs[0], faulty.envs[1]), faulty.obs),)
+    prior = RankedMeasure(runs, {r: len(CHAIN.fault_set(r.envs[0])) for r in runs})
+    report = check_prop_diag(with_prior(chain_sys, prior, runs), CHAIN)
+    assert report["PERSISTENCE"].witness == "a run changes its fault set over time"
