@@ -14,7 +14,7 @@ from typing import List, Optional
 from .diagnosis import check_prop_diag, diag, revision_report
 from .formulas import BeliefChangeError, formula_of_extension, print_formula
 from .reports import Report
-from .revision import check_agm, operator_from_ranking, validate_rev
+from .revision import check_agm, min_rank_worlds, operator_from_ranking, validate_rev
 from .scenario import Scenario, build_system, load_scenario
 from .synthesis import statify, verify_statification
 from .systems import bel, validate_bcs
@@ -61,6 +61,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 0:
+            parser.error(f"argument --budget: must not be negative: {args.budget}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     out: List[str] = []
@@ -154,8 +156,7 @@ def _dispatch(args, out: List[str]) -> int:
         if scenario.circuit is not None:
             raise UsageError("check-agm needs a world ranking; a circuit scenario has none")
         op = operator_from_ranking(scenario.ranks, scenario.vocab)
-        best = min(scenario.ranks.values())
-        belief = frozenset(w for w, r in scenario.ranks.items() if r == best)
+        belief = min_rank_worlds(scenario.ranks, scenario.ranks)
         return _emit(check_agm(op, belief), args, out)
 
     if cmd == "check-km":

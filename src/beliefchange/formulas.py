@@ -325,6 +325,61 @@ def formula_of_extension(worlds: Iterable[int], vocab: Vocabulary) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Operator tables over world masks
+
+
+class OperatorTable:
+    """A binary operator on extensions, tabulated on int world masks.
+
+    Bit i of a mask stands for ``worlds[i]``; a world the operator returns
+    outside that list gets the next free bit, so such an output stays
+    distinct and fails every inclusion in a mask of the listed worlds.
+    ``row(a)[b]`` is the mask of ``op(ext(a), ext(b))``, evaluated on first
+    lookup and remembered: each distinct pair of arguments costs one call,
+    so the operator must be deterministic.
+    """
+
+    def __init__(self, op, worlds: Iterable[int]):
+        self.op = op
+        self.worlds = list(worlds)
+        self._bits = {w: 1 << i for i, w in enumerate(self.worlds)}
+        self._rows: dict = {}
+
+    def mask(self, worlds: Iterable[int]) -> int:
+        bits, out = self._bits, 0
+        for w in worlds:
+            bit = bits.get(w)
+            if bit is None:
+                bit = bits[w] = 1 << len(self.worlds)
+                self.worlds.append(w)
+            out |= bit
+        return out
+
+    def ext(self, mask: int) -> Extension:
+        return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
+
+    def row(self, a: int) -> "_OperatorRow":
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = _OperatorRow(self, self.ext(a))
+        return row
+
+
+class _OperatorRow(dict):
+    """One first argument's results, keyed by the second argument's mask."""
+
+    def __init__(self, table: OperatorTable, first: Extension):
+        super().__init__()
+        self.table = table
+        self.first = first
+
+    def __missing__(self, b: int) -> int:
+        table = self.table
+        out = self[b] = table.mask(table.op(self.first, table.ext(b)))
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Timestamping
 
 

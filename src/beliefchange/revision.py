@@ -21,6 +21,7 @@ from .formulas import (
     Extension,
     Formula,
     Not,
+    OperatorTable,
     Vocabulary,
     seq_str,
 )
@@ -57,7 +58,8 @@ class RevisionOperator:
 EpistemicState = Tuple[Formula, ...]
 
 
-def _min_rank_worlds(ranks: Mapping[int, float], worlds: Iterable[int]) -> Extension:
+def min_rank_worlds(ranks: Mapping[int, float], worlds: Iterable[int]) -> Extension:
+    """The lowest-ranked of the given worlds; none if all rank INF."""
     candidates = [(ranks.get(w, INF), w) for w in worlds]
     best = min((r for r, _ in candidates), default=INF)
     if best == INF:
@@ -73,21 +75,26 @@ def revise_from_ranking(
     The belief extension must be exactly the rank-minimal worlds; this is
     the coherence condition tying the ranking to the belief set.
     """
-    minimal = _min_rank_worlds(ranks, ranks.keys())
-    if frozenset(belief) != minimal:
-        raise RevisionError(
-            "belief extension does not equal the rank-minimal worlds of the ranking"
-        )
-    return _min_rank_worlds(ranks, observed)
+    return _ranked_reviser(ranks)(belief, observed)
+
+
+def _ranked_reviser(ranks: Mapping[int, float]) -> Callable[[Extension, Extension], Extension]:
+    minimal = min_rank_worlds(ranks, ranks.keys())
+
+    def revise(belief: Extension, observed: Extension) -> Extension:
+        if frozenset(belief) != minimal:
+            raise RevisionError(
+                "belief extension does not equal the rank-minimal worlds of the ranking"
+            )
+        return min_rank_worlds(ranks, observed)
+
+    return revise
 
 
 def operator_from_ranking(ranks: Mapping[int, float], vocab: Vocabulary) -> RevisionOperator:
-    ranks = dict(ranks)
-
-    def apply(belief: Extension, observed: Extension) -> Extension:
-        return revise_from_ranking(ranks, belief, observed)
-
-    return RevisionOperator(apply, vocab, provenance="from-ranking")
+    """Min-rank revision under ``ranks``; the rank-minimal belief it demands
+    is found once, not on every call."""
+    return RevisionOperator(_ranked_reviser(dict(ranks)), vocab, provenance="from-ranking")
 
 
 # ---------------------------------------------------------------------------
@@ -106,61 +113,71 @@ def check_agm(
     extension.  R6 is inherently syntactic; with extensions as inputs it
     is spot-checked through pairs of distinct parses of equivalent
     formulas, which necessarily collapse to the same argument.
+
+    Extensions are int masks, bit w standing for world w, visited in the
+    ``sorted`` order of their worlds.  The operator is evaluated once per
+    distinct input, through an :class:`OperatorTable` filled as the sweeps
+    reach each input (a conjunction of two pool inputs need not be in the
+    pool), so it must be deterministic.
     """
     vocab = op.vocab
-    belief = frozenset(belief)
     if formulas is None:
         pool = extension_representatives(vocab)
     else:
         pool = [(f, Not(Not(f))) for f in formulas]
-    exts = sorted({vocab.extension(f) for f, _ in pool}, key=sorted)
-    describe = vocab.extension_str
+    table = OperatorTable(op, vocab.worlds())
+    exts = [
+        table.mask(ext) for ext in sorted({vocab.extension(f) for f, _ in pool}, key=sorted)
+    ]
+    every = table.mask(vocab.all_worlds())
+    belief = table.mask(belief)
+    revise = table.row(belief)  # revise[phi]: mask of the revision by phi
+
+    def describe(mask: int) -> str:
+        return vocab.extension_str(table.ext(mask))
 
     def r6(f: Formula, variant: Formula) -> str:
-        if vocab.extension(f) != vocab.extension(variant):
+        phi, phi_variant = vocab.extension(f), vocab.extension(variant)
+        if phi != phi_variant:
             return f"parses of {f} and {variant} disagree"
-        if op(belief, vocab.extension(f)) != op(belief, vocab.extension(variant)):
+        if revise[table.mask(phi)] != revise[table.mask(phi_variant)]:
             return f"syntax of {f} leaked into the result"
-        return ""
-
-    def r8(ext_phi: Extension, ext_psi: Extension) -> str:
-        narrowed = op(belief, ext_phi) & ext_psi
-        if narrowed and not op(belief, ext_phi & ext_psi) <= narrowed:
-            return (
-                f"conjunctive revision {describe(ext_phi)} & {describe(ext_psi)} "
-                "added worlds beyond the narrowed result"
-            )
         return ""
 
     report = Report("agm")
     report.add_first("R1", (
-        f"output not an extension for input {describe(ext)}"
-        for ext in exts if not op(belief, ext) <= vocab.all_worlds()
+        f"output not an extension for input {describe(phi)}"
+        for phi in exts if revise[phi] & ~every
     ))
     report.add_first("R2", (
-        f"revision by {describe(ext)} leaves its extension"
-        for ext in exts if not op(belief, ext) <= ext
+        f"revision by {describe(phi)} leaves its extension"
+        for phi in exts if revise[phi] & ~phi
     ))
     report.add_first("R3", (
-        f"revision by {describe(ext)} loses part of the belief overlap"
-        for ext in exts if not op(belief, ext) >= belief & ext
+        f"revision by {describe(phi)} loses part of the belief overlap"
+        for phi in exts if belief & phi & ~revise[phi]
     ))
     report.add_first("R4", (
-        f"consistent revision by {describe(ext)} adds foreign worlds"
-        for ext in exts if belief & ext and not op(belief, ext) <= belief & ext
+        f"consistent revision by {describe(phi)} adds foreign worlds"
+        for phi in exts if belief & phi and revise[phi] & ~(belief & phi)
     ))
     report.add_first("R5", (
-        f"emptiness mismatch for input {describe(ext)}"
-        for ext in exts if (not op(belief, ext)) != (not ext)
+        f"emptiness mismatch for input {describe(phi)}"
+        for phi in exts if (not revise[phi]) != (not phi)
     ))
     report.add_first("R6", itertools.starmap(r6, pool))
     report.add_first("R7", (
-        f"conjunctive revision {describe(ext_phi)} & {describe(ext_psi)} "
+        f"conjunctive revision {describe(phi)} & {describe(psi)} "
         "dropped compatible worlds"
-        for ext_phi, ext_psi in itertools.product(exts, repeat=2)
-        if not op(belief, ext_phi & ext_psi) >= op(belief, ext_phi) & ext_psi
+        for phi, psi in itertools.product(exts, repeat=2)
+        if revise[phi] & psi & ~revise[phi & psi]
     ))
-    report.add_first("R8", itertools.starmap(r8, itertools.product(exts, repeat=2)))
+    report.add_first("R8", (
+        f"conjunctive revision {describe(phi)} & {describe(psi)} "
+        "added worlds beyond the narrowed result"
+        for phi, psi in itertools.product(exts, repeat=2)
+        if revise[phi] & psi and revise[phi & psi] & ~(revise[phi] & psi)
+    ))
     return report
 
 
@@ -307,7 +324,7 @@ def revision_from_system(sys: System, validate: bool = True) -> RevisionOperator
     def apply(belief: Extension, observed: Extension) -> Extension:
         if frozenset(belief) != initial:
             raise RevisionError("operator is induced at the system's initial belief only")
-        return _min_rank_worlds(ranks, observed)
+        return min_rank_worlds(ranks, observed)
 
     return RevisionOperator(apply, sys.vocab, provenance="from-system")
 
@@ -329,7 +346,7 @@ def revise_at_state(sys: System, s_a: LocalState, observed: Formula) -> Extensio
     target = past & sys.vocab.extension(observed)
     if not target:
         return frozenset()
-    return _min_rank_worlds(characteristic_world_ranks(sys), target)
+    return min_rank_worlds(characteristic_world_ranks(sys), target)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +366,7 @@ def epistemic_bel(sys: System, state: Sequence[Formula]) -> Extension:
     _, suffix_ext = _consistent_suffix(sys, state)
     if not suffix_ext:
         return frozenset()
-    return _min_rank_worlds(characteristic_world_ranks(sys), suffix_ext)
+    return min_rank_worlds(characteristic_world_ranks(sys), suffix_ext)
 
 
 def longest_consistent_suffix(sys: System, state: Sequence[Formula]) -> Tuple[Formula, ...]:

@@ -22,7 +22,7 @@ from .formulas import (
     print_formula,
 )
 from .plausibility import PreferentialMeasure
-from .revision import static_system, system_from_ranking
+from .revision import min_rank_worlds, static_system, system_from_ranking
 from .systems import System
 from .update import (
     DistancePoset,
@@ -298,9 +298,7 @@ def _validate(s: Scenario):
         except UpdateError as exc:
             raise ScenarioError(str(exc))
     if s.belief is not None and s.prior_kind == "ranked":
-        best = min(s.ranks.values())
-        minimal = frozenset(w for w, r in s.ranks.items() if r == best)
-        if s.vocab.extension(s.belief) != minimal:
+        if s.vocab.extension(s.belief) != min_rank_worlds(s.ranks, s.ranks):
             raise ScenarioError(
                 "belief formula must denote exactly the rank-minimal worlds"
             )

@@ -23,6 +23,7 @@ from .formulas import (
     Extension,
     Formula,
     Not,
+    OperatorTable,
     Vocabulary,
     formula_of_extension,
     seq_str,
@@ -190,64 +191,103 @@ def update_operator(structure: UpdateStructure):
 def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
     """Semantic renditions of the eight update postulates, exhaustive over
     all extension pairs of the given world set (the completeness-restricted
-    one only for singleton beliefs)."""
-    worlds = tuple(sorted(worlds))
-    subsets = [
-        frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
-        for mask in range(1 << len(worlds))
-    ]
-    describe = vocab.extension_str
+    one only for singleton beliefs).
 
-    def u4(mu: Extension, phi: Extension) -> str:
+    Extensions are int masks, bit i standing for the i-th world in sorted
+    order, and every sweep visits them in mask order.  The operator is
+    evaluated once per distinct (belief, observation) pair, through an
+    :class:`OperatorTable` filled as the sweeps reach each pair, so it must
+    be deterministic.
+    """
+    worlds = tuple(sorted(worlds))
+    table = OperatorTable(op, worlds)
+    subsets = range(1 << len(worlds))
+    upd = [table.row(mu) for mu in subsets]  # upd[mu][phi]: mask of the update
+
+    def describe(mask: int) -> str:
+        return vocab.extension_str(table.ext(mask))
+
+    def u4(mu: int, phi: int) -> str:
         # extension invariance is built into the semantic signature;
         # exercise it through syntactically different formulas with equal
         # extensions
-        f = formula_of_extension(phi, vocab)
-        variant = vocab.extension(Not(Not(f))) & frozenset(worlds)
-        if op(mu, phi) != op(mu, variant):
+        f = formula_of_extension(table.ext(phi), vocab)
+        variant = table.mask(vocab.extension(Not(Not(f))) & frozenset(worlds))
+        if upd[mu][phi] != upd[mu][variant]:
             return f"syntax leaked for {describe(mu)} by {describe(phi)}"
         return ""
+
+    below = [[psi for psi in subsets if not psi & ~phi] for phi in subsets]
+    above = [[psi for psi in subsets if not phi & ~psi] for phi in subsets]
+
+    def u5() -> Iterator[str]:
+        for mu in subsets:
+            row = upd[mu]
+            for phi in subsets:
+                kept = row[phi]
+                # kept inside phi: psi matters only through phi & psi, and
+                # psi = phi & psi is the first psi to give each value
+                for psi in below[phi] if not kept & ~phi else subsets:
+                    if kept & psi & ~row[phi & psi]:
+                        yield (
+                            f"narrowing {describe(mu)} by {describe(phi)} then "
+                            f"{describe(psi)} lost worlds"
+                        )
+
+    def u6() -> Iterator[str]:
+        for mu in subsets:
+            row = upd[mu]
+            for phi in subsets:
+                kept = row[phi]
+                # only a psi that contains the update by phi can fail; an
+                # update with a world outside the set is in none
+                for psi in above[kept] if kept < len(subsets) else ():
+                    if not row[psi] & ~phi and row[psi] != kept:
+                        yield (
+                            f"mutually entailing updates of {describe(mu)} by "
+                            f"{describe(phi)}, {describe(psi)} differ"
+                        )
+
+    def u8() -> Iterator[str]:
+        # the test is symmetric in mu1 and mu2, so a failure with
+        # mu2 < mu1 has its mirror image earlier in the sweep
+        for mu1 in subsets:
+            row1 = upd[mu1]
+            for mu2 in subsets[mu1:]:
+                row12, row2 = upd[mu1 | mu2], upd[mu2]
+                for phi in subsets:
+                    if row12[phi] != row1[phi] | row2[phi]:
+                        yield (
+                            f"update of {describe(mu1)} | {describe(mu2)} by "
+                            f"{describe(phi)} is not the union of the parts"
+                        )
 
     report = Report("km")
     report.add_first("U1", (
         f"update {describe(mu)} by {describe(phi)} leaves the observation"
-        for mu, phi in itertools.product(subsets, repeat=2) if not op(mu, phi) <= phi
+        for mu, phi in itertools.product(subsets, repeat=2) if upd[mu][phi] & ~phi
     ))
     report.add_first("U2", (
         f"update of {describe(mu)} by implied {describe(phi)} changed beliefs"
         for mu, phi in itertools.product(subsets, repeat=2)
-        if mu <= phi and op(mu, phi) != mu
+        if not mu & ~phi and upd[mu][phi] != mu
     ))
     report.add_first("U3", (
         f"emptiness mismatch for {describe(mu)} by {describe(phi)}"
         for mu, phi in itertools.product(subsets, repeat=2)
-        if (not op(mu, phi)) != (not mu or not phi)
+        if (not upd[mu][phi]) != (not mu or not phi)
     ))
     report.add_first("U4", itertools.starmap(u4, itertools.product(subsets[:8], repeat=2)))
-    report.add_first("U5", (
-        f"narrowing {describe(mu)} by {describe(phi)} then {describe(psi)} lost worlds"
-        for mu, phi, psi in itertools.product(subsets, repeat=3)
-        if not op(mu, phi) & psi <= op(mu, phi & psi)
-    ))
-    report.add_first("U6", (
-        f"mutually entailing updates of {describe(mu)} by {describe(phi)}, "
-        f"{describe(psi)} differ"
-        for mu, phi, psi in itertools.product(subsets, repeat=3)
-        if op(mu, phi) <= psi and op(mu, psi) <= phi and op(mu, phi) != op(mu, psi)
-    ))
+    report.add_first("U5", u5())
+    report.add_first("U6", u6())
     report.add_first("U7", (
         f"complete belief {describe(mu)}: updates by {describe(phi)} and "
         f"{describe(psi)} disagree with their disjunction"
-        for mu in (frozenset([w]) for w in worlds)
+        for mu in (1 << i for i in range(len(worlds)))
         for phi, psi in itertools.product(subsets, repeat=2)
-        if not op(mu, phi) & op(mu, psi) <= op(mu, phi | psi)
+        if upd[mu][phi] & upd[mu][psi] & ~upd[mu][phi | psi]
     ))
-    report.add_first("U8", (
-        f"update of {describe(mu1)} | {describe(mu2)} by {describe(phi)} "
-        "is not the union of the parts"
-        for mu1, mu2, phi in itertools.product(subsets, repeat=3)
-        if op(mu1 | mu2, phi) != op(mu1, phi) | op(mu2, phi)
-    ))
+    report.add_first("U8", u8())
     return report
 
 

@@ -58,6 +58,7 @@ from beliefchange.update import (
 )
 
 PQ = Vocabulary(["p", "q"])
+PQR = Vocabulary(["p", "q", "r"])
 P_ = Atom("p")
 Q_ = Atom("q")
 REPS = [f for f, _ in extension_representatives(PQ)]
@@ -343,3 +344,22 @@ def test_criterion_11_klm_closure():
         report = check_klm_closure(structure)
         assert report.all_passed, report.to_text()
     _report("criterion-11 klm-closure", started)
+
+
+def test_criterion_12_three_proposition_sweeps():
+    """The postulate sweeps of criteria 1 and 2 over three propositions (8
+    worlds, 256 extensions): U1-U8 on bit-flip distances, with 256^3
+    triples for U5, U6 and U8, and R1-R8 for 64 seeded random rankings,
+    over all 256x256 extension pairs."""
+    started = time.time()
+    structure = hamming_structure(PQR)
+    report = check_km(update_operator(structure), structure.worlds, PQR)
+    assert report.all_passed, report.to_text()
+    for seed in range(64):
+        rng = random.Random(seed)
+        table = {w: rng.randrange(4) for w in PQR.worlds()}
+        best = min(table.values())
+        belief = frozenset(w for w in PQR.worlds() if table[w] == best)
+        report = check_agm(operator_from_ranking(table, PQR), belief)
+        assert report.all_passed, f"ranking {table}: {report.to_text()}"
+    _report("criterion-12 three-proposition-sweeps", started, bound=60.0)

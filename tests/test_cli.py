@@ -294,3 +294,11 @@ def test_check_agm_on_a_circuit_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: check-agm")
+
+
+@pytest.mark.parametrize("command", ["check-upd", "statify"])
+def test_negative_budget_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--scenario", SMALL_UPDATE, "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget: must not be negative: -1" in err

@@ -4,20 +4,31 @@ Each witness is the first counterexample in its checker's fixed visiting
 order, so these strings pin both the order and the budgets and samples
 that cut it short.
 """
+from collections import Counter
+
 import pytest
 
 from beliefchange.diagnosis import Circuit, Gate, build_diag_system, check_prop_diag
 from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary
 from beliefchange.plausibility import INF, CustomMeasure, Ordering, RankedMeasure
-from beliefchange.revision import check_agm_epistemic, system_from_ranking, validate_rev
+from beliefchange.revision import (
+    RevisionOperator,
+    check_agm,
+    check_agm_epistemic,
+    operator_from_ranking,
+    system_from_ranking,
+    validate_rev,
+)
 from beliefchange.synthesis import statify, verify_statification
 from beliefchange.systems import Run, System, check_prior_local_rule, validate_bcs
 from beliefchange.update import (
     DistancePoset,
     LexPrior,
     UpdateStructure,
+    check_km,
     hamming_structure,
     system_from_update,
+    update_operator,
     validate_upd,
 )
 
@@ -285,3 +296,145 @@ def test_diagnosis_persistence_with_a_changing_fault(chain_sys):
     prior = RankedMeasure(runs, {r: len(CHAIN.fault_set(r.envs[0])) for r in runs})
     report = check_prop_diag(with_prior(chain_sys, prior, runs), CHAIN)
     assert report["PERSISTENCE"].witness == "a run changes its fault set over time"
+
+
+# ---------------------------------------------------------------------------
+# postulate suites: every R1-R8 and U1-U8 that a deterministic operator can
+# break.  R6 cannot be broken by one: both parses of each probe denote the
+# same extension, so a deterministic operator answers them alike.
+
+
+def failures(report):
+    return {r.name: r.witness for r in report if not r.passed}
+
+
+def _second(ext):
+    """The second-smallest world of a set; a smaller set stays as it is."""
+    s = sorted(ext)
+    return frozenset(s[1:2] or s)
+
+
+K = frozenset({w("11")})
+AGM_BREAKERS = {
+    "outside the vocabulary": (lambda k, e: e | {4}, {
+        "R1": "output not an extension for input {}",
+        "R2": "revision by {} leaves its extension",
+        "R4": "consistent revision by {00,01,10,11} adds foreign worlds",
+        "R5": "emptiness mismatch for input {}",
+        "R8": "conjunctive revision {00} & {00} added worlds beyond the narrowed result",
+    }),
+    "input ignored": (lambda k, e: k, {
+        "R2": "revision by {} leaves its extension",
+        "R5": "emptiness mismatch for input {}",
+    }),
+    "overlap dropped": (lambda k, e: (e - k) or e, {
+        "R3": "revision by {00,01,10,11} loses part of the belief overlap",
+        "R4": "consistent revision by {00,01,10,11} adds foreign worlds",
+    }),
+    "singletons emptied": (lambda k, e: e if len(e) > 1 else frozenset(), {
+        "R3": "revision by {11} loses part of the belief overlap",
+        "R4": "consistent revision by {00,01,10,11} adds foreign worlds",
+        "R5": "emptiness mismatch for input {00}",
+        "R7": "conjunctive revision {00,01} & {00} dropped compatible worlds",
+    }),
+    "maximum of three or more": (lambda k, e: frozenset([max(e)]) if len(e) >= 3 else e, {
+        "R4": "consistent revision by {00,11} adds foreign worlds",
+        "R8": "conjunctive revision {00,01,10} & {00,10} added worlds beyond the narrowed result",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGM_BREAKERS))
+def test_agm_witnesses(name):
+    apply, expected = AGM_BREAKERS[name]
+    assert failures(check_agm(RevisionOperator(apply, PQ), K)) == expected
+
+
+def test_agm_witness_from_an_intersection_outside_the_pool():
+    # {01,11} & {10,11} = {11} is no extension of the pool
+    op = RevisionOperator(lambda k, e: e if len(e) > 1 else frozenset(), PQ)
+    assert failures(check_agm(op, K, formulas=[P_, Q_])) == {
+        "R4": "consistent revision by {01,11} adds foreign worlds",
+        "R7": "conjunctive revision {01,11} & {10,11} dropped compatible worlds",
+    }
+
+
+def _global_min(mu, phi):
+    """Minimal change measured from the belief set as a whole."""
+    if not mu or not phi:
+        return frozenset()
+    best = min(HAMMING.d(a, b) for a in mu for b in phi)
+    return frozenset(b for b in phi if any(HAMMING.d(a, b) == best for a in mu))
+
+
+KM_BREAKERS = {
+    "beliefs kept": (lambda mu, phi: mu, {
+        "U1": "update {00} by {} leaves the observation",
+        "U3": "emptiness mismatch for {00} by {}",
+    }),
+    "world outside the set added": (lambda mu, phi: phi | {7}, {
+        "U1": "update {} by {} leaves the observation",
+        "U2": "update of {} by implied {} changed beliefs",
+        "U3": "emptiness mismatch for {} by {}",
+    }),
+    # outside worlds must stay distinct: {101} differs from {100,101}
+    "outside world per belief size": (lambda mu, phi: frozenset([100 + len(mu)]), {
+        "U1": "update {} by {} leaves the observation",
+        "U2": "update of {} by implied {} changed beliefs",
+        "U3": "emptiness mismatch for {} by {}",
+        "U8": "update of {} | {00} by {} is not the union of the parts",
+    }),
+    "observation echoed": (lambda mu, phi: phi, {
+        "U2": "update of {} by implied {00} changed beliefs",
+        "U3": "emptiness mismatch for {} by {00}",
+    }),
+    "second-smallest world": (lambda mu, phi: _second(phi) if mu else frozenset(), {
+        "U2": "update of {00} by implied {00,01} changed beliefs",
+        "U5": "narrowing {00} by {00,01,10} then {01,10} lost worlds",
+        "U6": "mutually entailing updates of {00} by {01,10}, {00,01,10} differ",
+        "U7": "complete belief {00}: updates by {00,10} and {01,10} disagree with their disjunction",
+    }),
+    "global minimisation": (_global_min, {
+        "U8": "update of {00} | {01} by {01,10} is not the union of the parts",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KM_BREAKERS))
+def test_km_witnesses(name):
+    op, expected = KM_BREAKERS[name]
+    assert failures(check_km(op, HAMMING.worlds, PQ)) == expected
+
+
+def test_km_u4_with_a_world_outside_the_vocabulary():
+    # world 101 has no formula over p q; its canonical formula denotes 01
+    assert failures(check_km(lambda mu, phi: phi, [0, 1, 5], PQ)) == {
+        "U2": "update of {} by implied {00} changed beliefs",
+        "U3": "emptiness mismatch for {} by {00}",
+        "U4": "syntax leaked for {} by {101}",
+    }
+
+
+def _counting(op):
+    calls = Counter()
+
+    def counted(*args):
+        calls[tuple(frozenset(a) for a in args)] += 1
+        return op(*args)
+
+    return counted, calls
+
+
+def test_check_km_calls_the_operator_once_per_pair():
+    op, calls = _counting(update_operator(HAMMING))
+    assert check_km(op, HAMMING.worlds, PQ).all_passed
+    assert len(calls) == 256
+    assert set(calls.values()) == {1}
+
+
+def test_check_agm_calls_the_operator_once_per_input():
+    ranks = {w("11"): 0, w("10"): 1, w("01"): 1, w("00"): 2}
+    apply, calls = _counting(operator_from_ranking(ranks, PQ).apply)
+    assert check_agm(RevisionOperator(apply, PQ), K).all_passed
+    assert len(calls) == 16
+    assert set(calls.values()) == {1}
