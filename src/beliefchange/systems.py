@@ -9,7 +9,6 @@ a plausibility measure over the points the agent considers possible.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -330,17 +329,17 @@ def runs_with_observations(sys: System, observations: Sequence[Formula]) -> froz
 # Conditioning consistency (the step-to-step local rule)
 
 
-def check_prior_local_rule(sys: System, max_points: int = 12) -> Report:
-    """Verify the step-to-step conditioning rule: for every reachable local
-    state at time m+1 and all subset pairs (A, B) of its points, A is at
-    most as plausible as B exactly when the time-m predecessor sets compare
-    the same way under the time-m measure.
+def check_prior_local_rule(sys: System, max_points: int = 8) -> Report:
+    """Verify the step-to-step conditioning rule: for every step from a
+    time-m local state to a time-m+1 one and all subset pairs (A, B) of the
+    later state's points, A is at most as plausible as B exactly when the
+    time-m predecessor sets compare the same way under the time-m measure.
 
-    For measures obtained by conditioning one prior both sides reduce to the
-    same prior comparison, so this is a consistency self-check; it becomes a
-    real test when per-state measures are supplied directly.  Ranked priors
-    get a vectorised sweep over subset bitmasks; other priors fall back to
-    explicit comparisons under a tighter size bound.
+    A measure obtained by conditioning the prior (BCS5) satisfies the rule
+    by construction, since both sides reduce to the same prior comparison.
+    So only the steps into or out of a local state with an entry in
+    ``point_measures`` are swept; a swept state with more than
+    ``max_points`` points raises :class:`BudgetError`.
 
     The sweep stops at the first local state that breaks the rule, so a
     local state past it that exceeds the size bound raises no
@@ -348,86 +347,58 @@ def check_prior_local_rule(sys: System, max_points: int = 12) -> Report:
     """
     report = Report("prior-local-rule")
     report.add_first("LOCAL-RULE", _local_rule_failures(sys, max_points))
+    report.note("steps without a point-measure override hold by construction: not swept")
     return report
 
 
 def _local_rule_failures(sys: System, max_points: int) -> Iterator[str]:
-    ranked = isinstance(unwrap(sys.prior), RankedMeasure)
+    overrides = sys.point_measures or {}
     seen = set()
     for run in sys.runs:
         for m in range(sys.horizon):
-            s_next = run.local_state(m + 1)
-            if s_next in seen:
+            s_prev, s_next = run.local_state(m), run.local_state(m + 1)
+            if s_next in seen or (s_prev not in overrides and s_next not in overrides):
                 continue
             seen.add(s_next)
             nxt = sys.points_with_local_state(s_next)
-            n = len(nxt)
-            prev_measure = sys.plaus_at(run.local_state(m))
-            next_measure = sys.plaus_at(s_next)
-            prev_points = tuple((r, m) for r, _ in nxt)
-            fast = (
-                ranked
-                and isinstance(next_measure, ConditionedMeasure)
-                and isinstance(prev_measure, ConditionedMeasure)
-            )
-            limit = max_points if fast else min(max_points, 8)
-            if n > limit:
+            if len(nxt) > max_points:
                 raise BudgetError(
-                    f"{n} points share local state at time {m + 1}; limit is {limit}"
+                    f"{len(nxt)} points share local state {seq_str(s_next)}; "
+                    f"limit is {max_points}"
                 )
-            if fast:
-                bad = _local_rule_ranked(sys, nxt, prev_points)
-            else:
-                bad = _local_rule_generic(nxt, prev_points, next_measure, prev_measure)
-            if bad is not None:
-                yield f"local state {seq_str(s_next)}: {bad}"
+            masks = _first_disagreement(
+                sys.plaus_at(s_next),
+                nxt,
+                sys.plaus_at(s_prev),
+                tuple((r, m) for r, _ in nxt),
+                lambda order: order in (Ordering.LESS, Ordering.EQUAL),
+            )
+            if masks is not None:
+                a, b = masks
+                yield f"local state {seq_str(s_next)}: subset masks ({a:#x}, {b:#x}) disagree"
 
 
-def _minrank_table(ranks: Sequence[float], big: float):
-    import numpy as np
+def _first_disagreement(
+    left: PlausibilityMeasure,
+    left_points: Sequence[Point],
+    right: PlausibilityMeasure,
+    right_points: Sequence[Point],
+    relation,
+) -> Optional[Tuple[int, int]]:
+    """The first pair of subset masks (a, b), in row-major order, on which
+    ``relation`` of the two measures' verdicts differs: ``left`` compares the
+    subsets the masks pick from ``left_points``, ``right`` those picked from
+    ``right_points`` (of the same length).  None if there is no such pair."""
 
-    n = len(ranks)
-    table = np.empty(1 << n)
-    table[0] = big + 1.0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        lowrank = ranks[low.bit_length() - 1]
-        table[mask] = lowrank if not rest else min(table[rest], lowrank)
-    return table
+    def verdicts(measure, points):
+        n = len(points)
+        sets = [frozenset(points[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        return (relation(measure.compare(a, b)) for a in sets for b in sets)
 
-
-def _local_rule_ranked(sys: System, nxt, prev_points) -> Optional[str]:
-    import numpy as np
-
-    ranks_next = [element_rank(sys.prior, r) for r, _ in nxt]
-    ranks_prev = [element_rank(sys.prior, r) for r, _ in prev_points]
-    finite = [r for r in ranks_next + ranks_prev if r != float("inf")]
-    big = (max(finite) + 1.0) if finite else 1.0
-    mn = _minrank_table([min(r, big) for r in ranks_next], big)
-    mp = _minrank_table([min(r, big) for r in ranks_prev], big)
-    le_next = mn[:, None] >= mn[None, :]  # Pl(A) <= Pl(B) iff min rank of A >= of B
-    le_prev = mp[:, None] >= mp[None, :]
-    mismatch = le_next != le_prev
-    if mismatch.any():
-        flat = int(np.argmax(mismatch))
-        a, b = divmod(flat, mn.shape[0])
-        return f"subset masks ({a:#x}, {b:#x}) disagree"
-    return None
-
-
-def _local_rule_generic(nxt, prev_points, next_measure, prev_measure) -> Optional[str]:
-    n = len(nxt)
-    for mask_a in range(1 << n):
-        a_next = frozenset(nxt[i] for i in range(n) if mask_a >> i & 1)
-        a_prev = frozenset(prev_points[i] for i in range(n) if mask_a >> i & 1)
-        for mask_b in range(1 << n):
-            b_next = frozenset(nxt[i] for i in range(n) if mask_b >> i & 1)
-            b_prev = frozenset(prev_points[i] for i in range(n) if mask_b >> i & 1)
-            le_next = next_measure.compare(a_next, b_next) in (Ordering.LESS, Ordering.EQUAL)
-            le_prev = prev_measure.compare(a_prev, b_prev) in (Ordering.LESS, Ordering.EQUAL)
-            if le_next != le_prev:
-                return f"subset masks ({mask_a:#x}, {mask_b:#x}) disagree"
+    pairs = zip(verdicts(left, left_points), verdicts(right, right_points))
+    for index, (left_verdict, right_verdict) in enumerate(pairs):
+        if left_verdict != right_verdict:
+            return divmod(index, 1 << len(left_points))
     return None
 
 
@@ -497,23 +468,23 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
 
 def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
     """The per-point measures must be exactly the prior conditioned on the
-    local state; checked over subset pairs within budget."""
+    local state, over every subset pair; an override whose 4^n subset pairs
+    exceed ``budget`` raises :class:`BudgetError`."""
     for s_a, override in (sys.point_measures or {}).items():
         conditioned = ConditionedMeasure(sys.points_with_local_state(s_a), sys.prior)
         pts = conditioned.carrier
         if tuple(override.carrier) != pts:
             yield f"carrier mismatch at {seq_str(s_a)}"
             continue
-        n = len(pts)
-        pairs = itertools.product(range(1 << min(n, 7)), repeat=2)
-        for mask_a, mask_b in itertools.islice(pairs, max(budget, 0)):
-            a = frozenset(pts[i] for i in range(n) if mask_a >> i & 1)
-            b = frozenset(pts[i] for i in range(n) if mask_b >> i & 1)
-            if override.compare(a, b) != conditioned.compare(a, b):
-                yield (
-                    f"measure at {seq_str(s_a)} is not the conditioned prior "
-                    f"(masks {mask_a:#x}, {mask_b:#x})"
-                )
+        if 4 ** len(pts) > budget:
+            raise BudgetError(
+                f"{len(pts)} points share local state {seq_str(s_a)}: "
+                f"{4 ** len(pts)} subset pairs exceed the budget of {budget}"
+            )
+        masks = _first_disagreement(override, pts, conditioned, pts, lambda order: order)
+        if masks is not None:
+            a, b = masks
+            yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
     base = unwrap(sys.prior)
     if len(base.carrier) <= 6 and not is_qualitative(base, budget=budget):
         yield "prior is not qualitative"

@@ -40,7 +40,7 @@ from beliefchange.revision import (
 )
 from beliefchange.scenario import build_system, load_scenario_text
 from beliefchange.synthesis import belief_correspondence, statify, verify_statification
-from beliefchange.systems import bel, check_prior_local_rule, validate_bcs
+from beliefchange.systems import System, bel, check_prior_local_rule, validate_bcs
 from beliefchange.update import (
     DistancePoset,
     UpdateStructure,
@@ -147,7 +147,9 @@ def _criterion4_cases():
 def test_criterion_4_update_correspondence():
     """States after each observation equal the pointwise minimal change of
     the previous states, exhaustively over attainable sequences and menu
-    formulas, for structures up to four worlds and horizon three."""
+    formulas, for structures up to four worlds and horizon three; and the
+    states are what conditioning the prior believes, on every sequence up
+    to the full horizon."""
     started = time.time()
     for structure, horizon, menu in _criterion4_cases():
         sys_ = system_from_update(structure, horizon, menu)
@@ -156,27 +158,69 @@ def test_criterion_4_update_correspondence():
             sequences += list(itertools.product(sys_.menu, repeat=k))
         report = check_update_correspondence(sys_, structure, sequences)
         assert report.all_passed, report.to_text()
+        for seq in sequences + list(itertools.product(sys_.menu, repeat=horizon)):
+            assert bel(sys_, seq) == states(sys_, seq, structure), seq
         assert validate_upd(sys_, budget=1200).all_passed
     _report("criterion-4 update-correspondence", started, bound=120.0)
 
 
+def _rank_overrides(sys_, world_rank):
+    """Per-state measures rebuilt from the world ranks, independently of the
+    system's prior, for every local state with at most 8 points."""
+    states = dict.fromkeys(r.local_state(m) for r in sys_.runs for m in range(sys_.horizon + 1))
+    overrides = {}
+    for s_a in states:
+        pts = sys_.points_with_local_state(s_a)
+        if len(pts) <= 8:
+            overrides[s_a] = RankedMeasure(pts, {(r, t): world_rank[r.envs[0]] for r, t in pts})
+    return overrides
+
+
+def _with_overrides(sys_, overrides):
+    return System(
+        sys_.vocab,
+        sys_.runs,
+        sys_.prior,
+        sys_.horizon,
+        universe=sys_.universe,
+        menu=sys_.menu,
+        point_measures=overrides,
+    )
+
+
 def test_criterion_5_conditioning_local_rule():
     """The step-to-step conditioning rule holds exhaustively on every
-    constructed system small enough for full subset enumeration."""
+    constructed system small enough for full subset enumeration, with the
+    ranked systems' per-state measures supplied directly; flipping one
+    state's ranks breaks it."""
     started = time.time()
-    systems = []
-    systems.append(system_from_ranking(PQ, {0: 2, 1: 1, 2: 1, 3: 0}, [TRUE, P_, Q_, Not(Q_)], 2))
-    systems.append(system_from_ranking(PQ, {0: 0, 1: 0, 2: 1, 3: 2}, [TRUE, P_], 2))
     single = Vocabulary(["p"])
     complete = [world_formula(w, single) for w in single.worlds()]
-    systems.append(system_from_update(hamming_structure(single), 1, complete))
     preference = load_scenario_text(
         "vocab p q\nhorizon 1\nprior preference\n  11 < 10\n  11 < 01\nmenu true\n"
     )
-    systems.append(build_system(preference))
+    systems = [
+        system_from_update(hamming_structure(single), 1, complete),
+        build_system(preference),
+    ]
+    ranked = [
+        ({0: 2, 1: 1, 2: 1, 3: 0}, [TRUE, P_, Q_, Not(Q_)]),
+        ({0: 0, 1: 0, 2: 1, 3: 2}, [TRUE, P_]),
+    ]
+    for world_rank, menu in ranked:
+        sys_ = system_from_ranking(PQ, world_rank, menu, 2)
+        systems.append(_with_overrides(sys_, _rank_overrides(sys_, world_rank)))
     for sys_ in systems:
-        report = check_prior_local_rule(sys_, max_points=12)
+        report = check_prior_local_rule(sys_)
         assert report.all_passed, report.to_text()
+
+    world_rank, menu = ranked[0]
+    sys_ = system_from_ranking(PQ, world_rank, menu, 2)
+    overrides = _rank_overrides(sys_, world_rank)
+    pts = overrides[(P_,)].carrier
+    overrides[(P_,)] = RankedMeasure(pts, {(r, t): 2 - world_rank[r.envs[0]] for r, t in pts})
+    report = check_prior_local_rule(_with_overrides(sys_, overrides))
+    assert report["LOCAL-RULE"].witness == "local state <p>: subset masks (0x1, 0x8) disagree"
     _report("criterion-5 conditioning-local-rule", started)
 
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,8 +250,20 @@ def test_local_rule_on_small_update_system():
 
 
 def test_local_rule_budget_error(updsys):
-    with pytest.raises(BudgetError):
-        check_prior_local_rule(updsys, max_points=2)
+    # only a state with an override is swept; <true> has more than 2 points
+    s_a = (TRUE,)
+    override = condition_prior(updsys, s_a)
+    sys_ = System(
+        vocab=updsys.vocab,
+        runs=updsys.runs,
+        prior=updsys.prior,
+        horizon=updsys.horizon,
+        menu=updsys.menu,
+        point_measures={s_a: override},
+    )
+    assert len(override.carrier) > 2
+    with pytest.raises(BudgetError, match="local state <true>"):
+        check_prior_local_rule(sys_, max_points=2)
 
 
 def test_local_rule_singleton_run_system():
@@ -274,6 +289,37 @@ def test_local_rule_catches_inconsistent_override(revsys):
         point_measures={s_a: override},
     )
     assert not check_prior_local_rule(sys_).all_passed
+
+
+NUMPY_FREE = """
+import importlib, pkgutil, sys
+import beliefchange
+for module in pkgutil.iter_modules(beliefchange.__path__):
+    importlib.import_module("beliefchange." + module.name)
+from beliefchange.formulas import TRUE, Atom, Not, Vocabulary
+from beliefchange.plausibility import RankedMeasure
+from beliefchange.revision import system_from_ranking
+from beliefchange.systems import System, check_prior_local_rule, validate_bcs
+PQ = Vocabulary(["p", "q"])
+ranks = {0: 2, 1: 1, 2: 1, 3: 0}
+sys_ = system_from_ranking(PQ, ranks, [TRUE, Atom("p"), Atom("q"), Not(Atom("q"))], 2)
+pts = sys_.points_with_local_state((Atom("p"),))
+override = RankedMeasure(pts, {(r, t): ranks[r.envs[0]] for r, t in pts})
+sys_ = System(PQ, sys_.runs, sys_.prior, 2, menu=sys_.menu, point_measures={(Atom("p"),): override})
+assert check_prior_local_rule(sys_).all_passed and validate_bcs(sys_).all_passed
+print("numpy" in sys.modules)
+"""
+
+
+def test_checkers_do_not_import_numpy():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from beliefchange.revision import (
     validate_rev,
 )
 from beliefchange.synthesis import statify, verify_statification
-from beliefchange.systems import Run, System, check_prior_local_rule, validate_bcs
+from beliefchange.systems import BudgetError, Run, System, check_prior_local_rule, validate_bcs
 from beliefchange.update import (
     DistancePoset,
     LexPrior,
@@ -220,6 +220,29 @@ def test_bcs5_override_witness(revsys):
         report["BCS5"].witness
         == "measure at <p> is not the conditioned prior (masks 0x1, 0x8)"
     )
+
+
+def _late_point_override(sys_):
+    # <true> has 10 points; only the last one's rank differs from conditioning
+    s_a = (TRUE,)
+    pts = sys_.points_with_local_state(s_a)
+    ranks = {(r, t): RANKS[r.envs[0]] for r, t in pts}
+    assert ranks[pts[-1]] == 0
+    ranks[pts[-1]] = 5
+    return with_prior(sys_, sys_.prior, point_measures={s_a: RankedMeasure(pts, ranks)})
+
+
+def test_bcs5_sweeps_every_point_of_an_override(revsys):
+    report = validate_bcs(_late_point_override(revsys), budget=10**7)
+    assert (
+        report["BCS5"].witness
+        == "measure at <true> is not the conditioned prior (masks 0x1, 0x200)"
+    )
+
+
+def test_bcs5_oversized_override_raises(revsys):
+    with pytest.raises(BudgetError, match="local state <true>"):
+        validate_bcs(_late_point_override(revsys))
 
 
 def test_bcs5_carrier_witness(revsys):
