@@ -11,6 +11,11 @@ subsets of its carrier compare.  Three concrete kinds are provided:
   beaten by some element of A that B - A does not beat back;
 * custom - an arbitrary comparison callable, constrained only by the
   pointedness and monotonicity invariants.
+
+A measure read off another one through a carrier map (runs through their
+environment sequence or initial world, points through their run) is a
+mapped measure: a set compares as its image does, so elements with one
+image are order-equivalent.
 """
 from __future__ import annotations
 
@@ -116,10 +121,6 @@ class PreferentialMeasure(PlausibilityMeasure):
     """Dominance lift of a strict partial order on carrier elements.
 
     ``prec(x, y)`` means x is strictly preferred to (more normal than) y.
-    When ``class_key`` is given, ``prec`` is read at the level of keys
-    (elements sharing a key are order-equivalent and never prefer each
-    other); set comparisons then collapse to key classes whenever that is
-    sound, which keeps large carriers tractable.
     """
 
     def __init__(
@@ -127,59 +128,36 @@ class PreferentialMeasure(PlausibilityMeasure):
         carrier: Sequence[Hashable],
         pairs: Optional[Iterable[Tuple[Hashable, Hashable]]] = None,
         prec: Optional[Callable[[Hashable, Hashable], bool]] = None,
-        class_key: Optional[Callable[[Hashable], Hashable]] = None,
     ):
         self.carrier = tuple(carrier)
         if (pairs is None) == (prec is None):
             raise PlausibilityError("exactly one of pairs/prec must be given")
+        self.pairs: Optional[frozenset] = None
         if pairs is not None:
-            if class_key is not None:
-                raise PlausibilityError("explicit pairs are element-level; drop class_key")
-            closed = transitive_closure(set(pairs))
+            closed = frozenset(transitive_closure(set(pairs)))
             for x, y in closed:
                 if x == y:
                     raise PlausibilityError("preference order contains a cycle")
-            self.pairs: Optional[frozenset] = frozenset(closed)
-            self._key_prec = lambda x, y: (x, y) in self.pairs
-        else:
-            self.pairs = None
-            self._key_prec = prec
-        self.class_key = class_key
+            self.pairs = closed
+            prec = lambda x, y: (x, y) in closed
+        self.prec = prec
 
-    def prec(self, x, y) -> bool:
-        """Element-level strict preference."""
-        if self.class_key is None:
-            return self._key_prec(x, y)
-        return self._key_prec(self.class_key(x), self.class_key(y))
-
-    @staticmethod
-    def _dominates(a: frozenset, b: frozenset, prec) -> bool:
+    def _dominates(self, a: frozenset, b: frozenset) -> bool:
         """Pl(a) >= Pl(b) under the dominance rule."""
         b_minus_a = b - a
         if not b_minus_a:
             return True
         if not a:
             return False
+        prec = self.prec
         anchors = [x for x in a if not any(prec(r, x) for r in b_minus_a)]
         return all(any(prec(x, r) for x in anchors) for r in b_minus_a)
 
     def compare(self, a, b) -> Ordering:
         a, b = frozenset(a), frozenset(b)
         self._check_elements(a | b)
-        prec = self._key_prec
-        if self.class_key is not None:
-            key = self.class_key
-            ka, kb = frozenset(map(key, a)), frozenset(map(key, b))
-            # Collapsing to key classes is sound only if no class of one
-            # side's difference also appears inside the other set.
-            if not (ka & frozenset(map(key, b - a))) and not (
-                kb & frozenset(map(key, a - b))
-            ):
-                a, b = ka, kb
-            else:
-                prec = self.prec
-        ge_ab = self._dominates(a, b, prec)
-        ge_ba = self._dominates(b, a, prec)
+        ge_ab = self._dominates(a, b)
+        ge_ba = self._dominates(b, a)
         if ge_ab and ge_ba:
             return Ordering.EQUAL
         if ge_ab:
@@ -207,10 +185,11 @@ class CustomMeasure(PlausibilityMeasure):
 
 
 class MappedMeasure(PlausibilityMeasure):
-    """Image of a base measure under a carrier bijection.
+    """Image of a base measure under a map from this carrier into its own.
 
-    Comparisons delegate to the base measure on mapped sets, so the image
-    is order-isomorphic to the base by construction.
+    Comparisons delegate to the base measure on the image sets.  The map
+    need not be a bijection: elements with one image are order-equivalent,
+    and a bijection makes the image order-isomorphic to the base.
     """
 
     def __init__(self, carrier: Sequence[Hashable], base: PlausibilityMeasure, to_base: Callable):

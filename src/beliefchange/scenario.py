@@ -21,7 +21,7 @@ from .formulas import (
     parse_formula,
     print_formula,
 )
-from .plausibility import PreferentialMeasure
+from .plausibility import MappedMeasure, PreferentialMeasure
 from .revision import min_rank_worlds, static_system, system_from_ranking
 from .systems import System
 from .update import (
@@ -328,21 +328,16 @@ def build_system(scenario: Scenario) -> System:
 
 
 def _system_from_preference(scenario: Scenario) -> System:
-    """Static runs as in the ranked case, with a dominance prior keyed by
-    the (world-level) preference pairs."""
+    """Static runs as in the ranked case, under the world-level preference
+    order read through run -> initial world: runs from one world are
+    order-equivalent."""
     vocab = scenario.vocab
-    closed = PreferentialMeasure(
-        tuple(vocab.worlds()), pairs=scenario.preference_pairs
-    ).pairs
+    worlds = PreferentialMeasure(tuple(vocab.worlds()), pairs=scenario.preference_pairs)
     return static_system(
         vocab,
         scenario.menu,
         scenario.horizon,
-        lambda runs: PreferentialMeasure(
-            runs,
-            prec=lambda wa, wb: (wa, wb) in closed,
-            class_key=lambda run: run.envs[0],
-        ),
+        lambda runs: MappedMeasure(runs, worlds, lambda run: run.envs[0]),
     )
 
 

@@ -10,6 +10,7 @@ a plausibility measure over the points the agent considers possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .formulas import (
@@ -22,6 +23,7 @@ from .formulas import (
     seq_str,
 )
 from .plausibility import (
+    MappedMeasure,
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
@@ -95,7 +97,7 @@ class System:
         for run in self.runs:
             if run.horizon != self.horizon:
                 raise RunSystemError("all runs must share the system horizon")
-        self._conditioned: Dict[LocalState, "ConditionedMeasure"] = {}
+        self._conditioned: Dict[LocalState, PlausibilityMeasure] = {}
         self._bel_cache: Dict[LocalState, Extension] = {}
         self._cond_cache: Dict[tuple, bool] = {}
 
@@ -117,9 +119,14 @@ class System:
             return self.point_measures[s_a]
         cached = self._conditioned.get(s_a)
         if cached is None:
-            cached = ConditionedMeasure(self.points_with_local_state(s_a), self.prior)
+            cached = _conditioned_prior(self, s_a)
             self._conditioned[s_a] = cached
         return cached
+
+
+def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
+    """The prior read through point -> run on the points of a local state."""
+    return MappedMeasure(sys.points_with_local_state(s_a), sys.prior, itemgetter(0))
 
 
 def indistinguishable(sys: System, p1: Point, p2: Point) -> bool:
@@ -127,25 +134,6 @@ def indistinguishable(sys: System, p1: Point, p2: Point) -> bool:
     r1, m1 = p1
     r2, m2 = p2
     return r1.local_state(m1) == r2.local_state(m2)
-
-
-class ConditionedMeasure(PlausibilityMeasure):
-    """Point-level measure induced by restricting the prior to a local state.
-
-    The carrier holds the points the agent considers possible; comparisons
-    delegate to the prior on the underlying run sets.
-    """
-
-    def __init__(self, points: Sequence[Point], prior: PlausibilityMeasure):
-        self.carrier = tuple(points)
-        self.prior = prior
-
-    def compare(self, a, b) -> Ordering:
-        a, b = frozenset(a), frozenset(b)
-        self._check_elements(a | b)
-        runs_a = frozenset(run for run, _ in a)
-        runs_b = frozenset(run for run, _ in b)
-        return self.prior.compare(runs_a, runs_b)
 
 
 def condition_prior(sys: System, s_a: LocalState) -> PlausibilityMeasure:
@@ -172,22 +160,20 @@ def bel(sys: System, s_a: LocalState) -> Extension:
     result: Extension
     if not points:
         result = frozenset()
+    elif isinstance(unwrap(measure), RankedMeasure):
+        result = _bel_min_rank(points, measure)
     else:
-        base = unwrap(measure.prior) if isinstance(measure, ConditionedMeasure) else None
-        if isinstance(base, RankedMeasure):
-            result = _bel_min_rank(sys, points, measure)
-        else:
-            result = _bel_generic(points, measure)
+        result = _bel_generic(points, measure)
     sys._bel_cache[s_a] = result
     return result
 
 
-def _bel_min_rank(sys: System, points, measure: ConditionedMeasure) -> Extension:
-    ranks = {run: element_rank(measure.prior, run) for run, _ in points}
+def _bel_min_rank(points, measure: PlausibilityMeasure) -> Extension:
+    ranks = {point: element_rank(measure, point) for point in points}
     best = min(ranks.values())
     if best == float("inf"):
         return frozenset()
-    return frozenset(run.envs[m] for run, m in points if ranks[run] == best)
+    return frozenset(run.envs[m] for (run, m), rank in ranks.items() if rank == best)
 
 
 def _bel_generic(points, measure) -> Extension:
@@ -471,7 +457,7 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
     local state, over every subset pair; an override whose 4^n subset pairs
     exceed ``budget`` raises :class:`BudgetError`."""
     for s_a, override in (sys.point_measures or {}).items():
-        conditioned = ConditionedMeasure(sys.points_with_local_state(s_a), sys.prior)
+        conditioned = _conditioned_prior(sys, s_a)
         pts = conditioned.carrier
         if tuple(override.carrier) != pts:
             yield f"carrier mismatch at {seq_str(s_a)}"

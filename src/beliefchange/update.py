@@ -13,6 +13,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
@@ -28,7 +29,7 @@ from .formulas import (
     formula_of_extension,
     seq_str,
 )
-from .plausibility import Ordering, PreferentialMeasure, transitive_closure
+from .plausibility import MappedMeasure, Ordering, PreferentialMeasure, transitive_closure
 from .reports import Report
 from .systems import LocalState, Run, System
 
@@ -312,17 +313,15 @@ class LexRunOrder:
         return False
 
 
-class LexPrior(PreferentialMeasure):
-    """Preferential prior over runs keyed by their environment sequences."""
+class LexPrior(MappedMeasure):
+    """Preferential prior over runs: the first-divergence order on their
+    environment sequences, read through run -> environment sequence."""
 
     def __init__(self, runs: Sequence[Run], structure: UpdateStructure):
-        self.order = LexRunOrder(structure)
         self.structure = structure
-        super().__init__(
-            runs,
-            prec=self.order.prec,  # key-level: keys are environment sequences
-            class_key=lambda run: run.envs,
-        )
+        cells = tuple(dict.fromkeys(run.envs for run in runs))
+        order = PreferentialMeasure(cells, prec=LexRunOrder(structure).prec)
+        super().__init__(runs, order, attrgetter("envs"))
 
 
 def system_from_update(

@@ -256,6 +256,19 @@ def test_horizon_override(tmp_path, capsys):
     assert code == 2
 
 
+def test_total_preference_passes_rev2(tmp_path, capsys):
+    # a total world order makes a total prior: runs from one world are
+    # order-equivalent, not incomparable
+    path = tmp_path / "total.scn"
+    path.write_text(
+        "vocab p q\nhorizon 1\nprior preference\n  11 < 10\n  10 < 01\n  01 < 00\n"
+        "menu true, p, q\n"
+    )
+    code, out, _ = run_cli(capsys, "check-rev", "--scenario", str(path))
+    assert code == 0, out
+    assert "REV2 PASS" in out
+
+
 def test_preference_cycle_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cycle.scn"
     path.write_text(

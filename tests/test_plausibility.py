@@ -6,6 +6,7 @@ from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary, formula_of_e
 from beliefchange.plausibility import (
     INF,
     CustomMeasure,
+    MappedMeasure,
     Ordering,
     PlausibilityError,
     PlausibilityStructure,
@@ -144,15 +145,17 @@ def test_preference_cycle_rejected():
         from_preference("ab", [("a", "b"), ("b", "a")])
 
 
-def test_preferential_class_key_quotient_matches_element_level():
-    # elements 0..5 in three classes; order on class keys only
+def test_mapped_measure_compares_image_sets_under_a_key_map():
+    # elements 0..5 in three key classes; the order is on keys only, and
+    # elements sharing a key are order-equivalent
     carrier = tuple(range(6))
     key = lambda x: x % 3
-    key_prec = lambda ka, kb: (ka, kb) in {(0, 1), (0, 2), (1, 2)}
-    quick = PreferentialMeasure(carrier, prec=key_prec, class_key=key)
-    slow = PreferentialMeasure(carrier, prec=lambda x, y: key_prec(key(x), key(y)))
+    keys = PreferentialMeasure(range(3), pairs=[(0, 1), (0, 2), (1, 2)])
+    mapped = MappedMeasure(carrier, keys, key)
     for a, b in itertools.product(subsets(carrier), repeat=2):
-        assert quick.compare(a, b) is slow.compare(a, b)
+        want = keys.compare(frozenset(map(key, a)), frozenset(map(key, b)))
+        assert mapped.compare(a, b) is want, (sorted(a), sorted(b))
+    assert mapped.compare([0], [3]) is Ordering.EQUAL
 
 
 # ---------------------------------------------------------------------------

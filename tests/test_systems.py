@@ -235,8 +235,24 @@ def test_bel_bottom_carrier_is_empty():
 # the step-to-step conditioning rule
 
 
+def _conditioned_override(sys_, s_a):
+    """``sys_`` with the conditioned prior at ``s_a`` supplied as an
+    override, so the local rule sweeps the steps into and out of it."""
+    override = condition_prior(sys_, s_a)
+    return System(
+        vocab=sys_.vocab,
+        runs=sys_.runs,
+        prior=sys_.prior,
+        horizon=sys_.horizon,
+        menu=sys_.menu,
+        point_measures={s_a: override},
+    )
+
+
 def test_local_rule_on_revision_system(revsys):
-    assert check_prior_local_rule(revsys).all_passed
+    sys_ = _conditioned_override(revsys, (P_,))
+    assert len(sys_.plaus_at((P_,)).carrier) == 6
+    assert check_prior_local_rule(sys_).all_passed
 
 
 def test_local_rule_on_small_update_system():
@@ -245,23 +261,15 @@ def test_local_rule_on_small_update_system():
 
     vocab = Vocabulary(["p"])
     complete = [world_formula(x, vocab) for x in vocab.worlds()]
-    sys_ = system_from_update(hamming_structure(vocab), 1, complete)
+    sys_ = _conditioned_override(system_from_update(hamming_structure(vocab), 1, complete), ())
+    assert len(sys_.plaus_at(()).carrier) == 8
     assert check_prior_local_rule(sys_, max_points=8).all_passed
 
 
 def test_local_rule_budget_error(updsys):
     # only a state with an override is swept; <true> has more than 2 points
-    s_a = (TRUE,)
-    override = condition_prior(updsys, s_a)
-    sys_ = System(
-        vocab=updsys.vocab,
-        runs=updsys.runs,
-        prior=updsys.prior,
-        horizon=updsys.horizon,
-        menu=updsys.menu,
-        point_measures={s_a: override},
-    )
-    assert len(override.carrier) > 2
+    sys_ = _conditioned_override(updsys, (TRUE,))
+    assert len(sys_.plaus_at((TRUE,)).carrier) > 2
     with pytest.raises(BudgetError, match="local state <true>"):
         check_prior_local_rule(sys_, max_points=2)
 
@@ -269,6 +277,8 @@ def test_local_rule_budget_error(updsys):
 def test_local_rule_singleton_run_system():
     run = Run((w("11"), w("11")), (TRUE,))
     sys_ = System(PQ, (run,), RankedMeasure([run], {run: 0}), 1, menu=(TRUE,))
+    sys_ = _conditioned_override(sys_, (TRUE,))
+    assert len(sys_.plaus_at((TRUE,)).carrier) == 1
     assert check_prior_local_rule(sys_).all_passed
 
 

@@ -12,6 +12,7 @@ from beliefchange.formulas import (
     Vocabulary,
     world_formula,
 )
+from beliefchange.plausibility import Ordering
 from beliefchange.systems import bel, validate_bcs
 from beliefchange.update import (
     DistancePoset,
@@ -231,6 +232,15 @@ def test_lex_prior_first_divergence_wins():
     assert not order.prec(drift_early, big_late)
     # different initial states never compare
     assert not order.prec((w("00"), w("00")), (w("11"), w("11")))
+
+
+def test_lex_prior_runs_sharing_a_history_are_equal():
+    # the prior reads a run only through its environment sequence, so runs
+    # that differ only in what they observe are order-equivalent
+    sys_ = system_from_update(HAMMING, 2, (TRUE, P_, Not(Q_)))
+    runs = sys_.runs
+    assert runs[0].envs == runs[1].envs and runs[0].obs != runs[1].obs
+    assert sys_.prior.compare([runs[0]], [runs[1]]) is Ordering.EQUAL
 
 
 def test_lex_prior_cells_match_hand_table():

@@ -20,7 +20,14 @@ from beliefchange.revision import (
     validate_rev,
 )
 from beliefchange.synthesis import statify, verify_statification
-from beliefchange.systems import BudgetError, Run, System, check_prior_local_rule, validate_bcs
+from beliefchange.systems import (
+    BudgetError,
+    Run,
+    System,
+    check_prior_local_rule,
+    condition_prior,
+    validate_bcs,
+)
 from beliefchange.update import (
     DistancePoset,
     LexPrior,
@@ -219,6 +226,28 @@ def test_bcs5_override_witness(revsys):
     assert (
         report["BCS5"].witness
         == "measure at <p> is not the conditioned prior (masks 0x1, 0x8)"
+    )
+
+
+@pytest.fixture(scope="module")
+def reversed_update_override():
+    # the conditioned prior at <true> with every comparison turned around
+    sys_ = system_from_update(hamming_structure(Vocabulary(["p"])), 1, (TRUE, P_))
+    m = condition_prior(sys_, (TRUE,))
+    flipped = CustomMeasure(m.carrier, lambda a, b: m.compare(b, a))
+    return with_prior(sys_, sys_.prior, point_measures={(TRUE,): flipped})
+
+
+def test_local_rule_witness_on_a_reversed_update_override(reversed_update_override):
+    report = check_prior_local_rule(reversed_update_override)
+    assert report["LOCAL-RULE"].witness == "local state <true>: subset masks (0x0, 0x1) disagree"
+
+
+def test_bcs5_witness_on_a_reversed_update_override(reversed_update_override):
+    report = validate_bcs(reversed_update_override)
+    assert (
+        report["BCS5"].witness
+        == "measure at <true> is not the conditioned prior (masks 0x0, 0x1)"
     )
 
 
