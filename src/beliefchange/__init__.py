@@ -27,6 +27,7 @@ from .formulas import (
 )
 from .plausibility import (
     CustomMeasure,
+    Mask,
     Ordering,
     PlausibilityMeasure,
     PlausibilityStructure,

@@ -9,7 +9,8 @@ as "11").  An extension is a frozenset of world indices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 Extension = frozenset
@@ -50,7 +51,8 @@ class TimestampError(FormulaError):
 
 class Formula:
     """Base class; subclasses are frozen dataclasses, so formulas hash and
-    compare structurally."""
+    compare structurally.  Each node keeps its hash once computed, in a
+    slot that takes no part in comparison."""
 
     __slots__ = ()
 
@@ -66,10 +68,15 @@ class Formula:
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy computes its hash afresh
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Const(Formula):
     value: bool
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return "TRUE" if self.value else "FALSE"
@@ -79,10 +86,11 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Atom(Formula):
     name: str
     time: Optional[int] = None
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> str:
@@ -93,9 +101,10 @@ class Atom(Formula):
         return f"Atom({self.key})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Not(Formula):
     sub: Formula
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Not({self.sub!r})"
@@ -105,40 +114,65 @@ class _Binary(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class And(_Binary):
     left: Formula
     right: Formula
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"And({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Or(_Binary):
     left: Formula
     right: Formula
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Or({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Implies(_Binary):
     left: Formula
     right: Formula
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Implies({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Iff(_Binary):
     left: Formula
     right: Formula
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Iff({self.left!r}, {self.right!r})"
+
+
+def _keep_hash(cls) -> None:
+    """Give a node class the generated dataclass hash of its fields,
+    computed once per node: a lookup keyed by a formula would otherwise
+    hash its whole tree again."""
+    names = cls.__match_args__
+    key = attrgetter(*names) if len(names) > 1 else lambda node: (getattr(node, names[0]),)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(key(self))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+
+
+for _node in (Const, Atom, Not, And, Or, Implies, Iff):
+    _keep_hash(_node)
 
 
 def conj(parts: Sequence[Formula]) -> Formula:

@@ -24,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formulas import (
     TRUE,
@@ -40,6 +41,24 @@ from .formulas import (
 from .reports import Report
 
 INF = math.inf
+# masks kept by each memo of mask images; the checkers ask about the same
+# events again and again (README, "Run systems")
+MEMO_MASKS = 4096
+
+
+class Mask(int):
+    """A set of carrier elements as an int: bit i stands for ``carrier[i]``.
+
+    Its ``len`` is the number of elements it holds, as for any other event;
+    ``&``, ``|`` and ``~`` give plain ints, so a result is wrapped again
+    before it is compared.
+    """
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+
+Event = Union[Mask, Iterable[Hashable]]  # a carrier mask, or the elements themselves
 
 
 class PlausibilityError(BeliefChangeError):
@@ -54,37 +73,83 @@ class Ordering(Enum):
 
 
 class PlausibilityMeasure:
-    """Base class: a comparison oracle over subsets of a finite carrier."""
+    """Base class: a comparison oracle over subsets of a finite carrier.
+
+    An event is a ``Mask`` or an iterable of carrier elements; ``compare``
+    turns each into a carrier mask once and hands the two masks to the
+    kind's ``_compare``.
+    """
 
     carrier: Tuple[Hashable, ...]
 
-    def compare(self, a: Iterable[Hashable], b: Iterable[Hashable]) -> Ordering:
+    def compare(self, a: Event, b: Event) -> Ordering:
+        return self._compare(self.mask(a), self.mask(b))
+
+    def _compare(self, a: int, b: int) -> Ordering:
         raise NotImplementedError
 
-    def at_least(self, a, b) -> bool:
+    def at_least(self, a: Event, b: Event) -> bool:
         """Pl(a) >= Pl(b)."""
         return self.compare(a, b) in (Ordering.GREATER, Ordering.EQUAL)
 
-    def more_plausible(self, a, b) -> bool:
+    def more_plausible(self, a: Event, b: Event) -> bool:
         """Pl(a) > Pl(b)."""
         return self.compare(a, b) is Ordering.GREATER
 
-    def is_bottom(self, a) -> bool:
-        return self.compare(a, ()) is Ordering.EQUAL
+    def is_bottom(self, a: Event) -> bool:
+        return self.compare(a, Mask()) is Ordering.EQUAL
 
-    def _check_elements(self, a: frozenset):
-        extra = a - self._carrier_set
-        if extra:
-            sample = ", ".join(sorted(map(repr, extra))[:3])
-            raise PlausibilityError(f"elements outside carrier: {sample}")
+    @cached_property
+    def index(self) -> Dict[Hashable, int]:
+        """Carrier position of each element."""
+        return {e: i for i, e in enumerate(self.carrier)}
 
-    @property
-    def _carrier_set(self) -> frozenset:
-        cached = getattr(self, "_carrier_cache", None)
-        if cached is None:
-            cached = frozenset(self.carrier)
-            self._carrier_cache = cached
-        return cached
+    def mask(self, event: Event) -> int:
+        """The carrier mask of an event."""
+        if type(event) is Mask:
+            if event < 0 or event.bit_length() > len(self.carrier):
+                raise PlausibilityError(
+                    f"mask {event:#x} has bits outside a carrier of {len(self.carrier)}"
+                )
+            return event
+        if isinstance(event, int):
+            raise PlausibilityError(f"an int event must be a Mask, got {event!r}")
+        event = tuple(event)
+        index = self.index
+        try:
+            return mask_of([index[e] for e in event])
+        except KeyError:
+            extra = set(event) - index.keys()
+        sample = ", ".join(sorted(map(repr, extra))[:3])
+        raise PlausibilityError(f"elements outside carrier: {sample}")
+
+    def elements(self, mask: int) -> frozenset:
+        carrier = self.carrier
+        return frozenset(carrier[i] for i in bits(mask))
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """The int with exactly the given bits set."""
+    indices = list(indices)
+    if not indices:
+        return 0
+    buf = bytearray((max(indices) >> 3) + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def bits(mask: int) -> List[int]:
+    """Positions of the set bits of a mask, ascending."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1] if mask else []
+    digits = bin(mask)[:1:-1]  # least significant first, without "0b"
+    find, out = digits.find, []
+    i = find("1")
+    while i >= 0:
+        out.append(i)
+        i = find("1", i + 1)
+    return out
 
 
 class RankedMeasure(PlausibilityMeasure):
@@ -105,13 +170,26 @@ class RankedMeasure(PlausibilityMeasure):
                 raise PlausibilityError(f"rank of {e!r} must be a natural number or infinity")
         self.ranks = dict(ranks)
 
-    def rank_of(self, a: Iterable[Hashable]) -> float:
-        return min((self.ranks[e] for e in a), default=INF)
+    @cached_property
+    def _levels(self) -> List[Tuple[float, int]]:
+        """(rank, mask of the elements with that rank), finite ranks ascending."""
+        by_rank: Dict[float, List[int]] = {}
+        for i, e in enumerate(self.carrier):
+            by_rank.setdefault(self.ranks[e], []).append(i)
+        return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
-    def compare(self, a, b) -> Ordering:
-        a, b = frozenset(a), frozenset(b)
-        self._check_elements(a | b)
-        ra, rb = self.rank_of(a), self.rank_of(b)
+    def rank_of(self, a: Event) -> float:
+        """The lowest rank whose elements meet the event."""
+        return self._rank(self.mask(a))
+
+    def _rank(self, a: int) -> float:
+        for rank, level in self._levels:
+            if level & a:
+                return rank
+        return INF
+
+    def _compare(self, a: int, b: int) -> Ordering:
+        ra, rb = self._rank(a), self._rank(b)
         if ra == rb:
             return Ordering.EQUAL
         return Ordering.GREATER if ra < rb else Ordering.LESS
@@ -142,20 +220,47 @@ class PreferentialMeasure(PlausibilityMeasure):
             prec = lambda x, y: (x, y) in closed
         self.prec = prec
 
-    def _dominates(self, a: frozenset, b: frozenset) -> bool:
-        """Pl(a) >= Pl(b) under the dominance rule."""
-        b_minus_a = b - a
-        if not b_minus_a:
+    @cached_property
+    def _below(self) -> Callable[[int], int]:
+        """Mask -> mask of the elements that some element of it beats.  The
+        per-element rows come from ``pairs`` all at once, or each from one
+        sweep of ``prec`` over the carrier when it is first needed."""
+        carrier, prec = self.carrier, self.prec
+        rows: List[Optional[int]] = [None] * len(carrier)
+        if self.pairs is not None:
+            beats: List[List[int]] = [[] for _ in carrier]
+            index = self.index
+            for x, y in self.pairs:
+                if x in index and y in index:
+                    beats[index[x]].append(index[y])
+            rows = [mask_of(row) for row in beats]
+
+        @lru_cache(maxsize=MEMO_MASKS)
+        def below(mask: int) -> int:
+            out = 0
+            for i in bits(mask):
+                row = rows[i]
+                if row is None:
+                    x = carrier[i]
+                    row = rows[i] = mask_of([j for j, y in enumerate(carrier) if prec(x, y)])
+                out |= row
+            return out
+
+        return below
+
+    def _dominates(self, a: int, b: int) -> bool:
+        """Pl(a) >= Pl(b) under the dominance rule: every element of b - a is
+        beaten by an element of a that nothing in b - a beats."""
+        rest = b & ~a
+        if not rest:
             return True
         if not a:
             return False
-        prec = self.prec
-        anchors = [x for x in a if not any(prec(r, x) for r in b_minus_a)]
-        return all(any(prec(x, r) for x in anchors) for r in b_minus_a)
+        below = self._below
+        anchors = a & ~below(rest)
+        return not rest & ~below(anchors)
 
-    def compare(self, a, b) -> Ordering:
-        a, b = frozenset(a), frozenset(b)
-        self._check_elements(a | b)
+    def _compare(self, a: int, b: int) -> Ordering:
         ge_ab = self._dominates(a, b)
         ge_ba = self._dominates(b, a)
         if ge_ab and ge_ba:
@@ -178,10 +283,8 @@ class CustomMeasure(PlausibilityMeasure):
         self.carrier = tuple(carrier)
         self.compare_fn = compare_fn
 
-    def compare(self, a, b) -> Ordering:
-        a, b = frozenset(a), frozenset(b)
-        self._check_elements(a | b)
-        return self.compare_fn(a, b)
+    def _compare(self, a: int, b: int) -> Ordering:
+        return self.compare_fn(self.elements(a), self.elements(b))
 
 
 class MappedMeasure(PlausibilityMeasure):
@@ -190,6 +293,10 @@ class MappedMeasure(PlausibilityMeasure):
     Comparisons delegate to the base measure on the image sets.  The map
     need not be a bijection: elements with one image are order-equivalent,
     and a bijection makes the image order-isomorphic to the base.
+
+    A chain of mapped measures is followed to the first measure that is not
+    one, once: masks go there through one index image, and the images of
+    recently seen masks are kept.
     """
 
     def __init__(self, carrier: Sequence[Hashable], base: PlausibilityMeasure, to_base: Callable):
@@ -197,12 +304,40 @@ class MappedMeasure(PlausibilityMeasure):
         self.base = base
         self.to_base = to_base
 
-    def compare(self, a, b) -> Ordering:
-        a, b = frozenset(a), frozenset(b)
-        self._check_elements(a | b)
-        return self.base.compare(
-            frozenset(map(self.to_base, a)), frozenset(map(self.to_base, b))
-        )
+    @cached_property
+    def _target(self) -> Tuple[PlausibilityMeasure, Optional[List[int]]]:
+        """The measure at the end of the chain, and the position there of each
+        carrier element (None when it is the same position)."""
+        base, index = self.base, self.base.index
+        targets = list(map(self.to_base, self.carrier))
+        if not all(t in index for t in targets):
+            base.mask(targets)  # raises, naming the elements outside its carrier
+        image = [index[t] for t in targets]
+        if isinstance(base, MappedMeasure):
+            root, base_image = base._target
+            if base_image is not None:
+                image = [base_image[j] for j in image]
+        else:
+            root = base
+        if image == list(range(len(root.carrier))):
+            image = None
+        return root, image
+
+    @cached_property
+    def _to_root(self) -> Callable[[int], int]:
+        image = self._target[1]
+        if image is None:
+            return lambda mask: mask
+
+        @lru_cache(maxsize=MEMO_MASKS)
+        def to_root(mask: int) -> int:
+            return mask_of([image[i] for i in bits(mask)])
+
+        return to_root
+
+    def _compare(self, a: int, b: int) -> Ordering:
+        to_root = self._to_root
+        return self._target[0]._compare(to_root(a), to_root(b))
 
 
 def unwrap(measure: PlausibilityMeasure) -> PlausibilityMeasure:
@@ -245,13 +380,14 @@ def from_preference(
 # Axioms
 
 
-def _decode_triple(code: int, n: int):
-    groups = ([], [], [])
+def _decode_triple(code: int, n: int) -> Tuple[Mask, Mask, Mask]:
+    """Three disjoint carrier masks from a base-4 code: digit i says which
+    of them (if any) holds element i."""
+    groups = [0, 0, 0, 0]
     for i in range(n):
         code, part = divmod(code, 4)
-        if part:
-            groups[part - 1].append(i)
-    return groups
+        groups[part] |= 1 << i
+    return Mask(groups[1]), Mask(groups[2]), Mask(groups[3])
 
 
 def is_qualitative(
@@ -266,8 +402,7 @@ def is_qualitative(
     Exhaustive over disjoint triples while they fit the budget, after which
     triples are sampled deterministically.
     """
-    carrier = measure.carrier
-    n = len(carrier)
+    n = len(measure.carrier)
     total = 4 ** n
     rng = random.Random(seed)
     if budget is None or total <= budget:
@@ -275,15 +410,12 @@ def is_qualitative(
     else:
         codes = (rng.randrange(total) for _ in range(budget))
     for code in codes:
-        ia, ib, ic = _decode_triple(code, n)
-        a = frozenset(carrier[i] for i in ia)
-        b = frozenset(carrier[i] for i in ib)
-        c = frozenset(carrier[i] for i in ic)
+        a, b, c = _decode_triple(code, n)
         if not c and measure.is_bottom(a) and measure.is_bottom(b):
-            if not measure.is_bottom(a | b):
+            if not measure.is_bottom(Mask(a | b)):
                 return False
-        if measure.more_plausible(a | b, c) and measure.more_plausible(a | c, b):
-            if not measure.more_plausible(a, b | c):
+        if measure.more_plausible(Mask(a | b), c) and measure.more_plausible(Mask(a | c), b):
+            if not measure.more_plausible(a, Mask(b | c)):
                 return False
     return True
 
@@ -292,22 +424,21 @@ def check_monotonicity(
     measure: PlausibilityMeasure, budget: Optional[int] = 100_000, seed: int = 0
 ) -> bool:
     """Subsets are never more plausible than their supersets."""
-    carrier = measure.carrier
-    n = len(carrier)
+    n = len(measure.carrier)
     total = 3 ** n  # per element: absent, in B only, or in A and B
     rng = random.Random(seed)
     codes: Iterable[int] = range(total) if budget is None or total <= budget else (
         rng.randrange(total) for _ in range(budget)
     )
     for code in codes:
-        a, b = [], []
+        a = b = 0
         for i in range(n):
             code, part = divmod(code, 3)
             if part >= 1:
-                b.append(carrier[i])
+                b |= 1 << i
             if part == 2:
-                a.append(carrier[i])
-        if measure.compare(frozenset(a), frozenset(b)) not in (Ordering.LESS, Ordering.EQUAL):
+                a |= 1 << i
+        if measure.compare(Mask(a), Mask(b)) not in (Ordering.LESS, Ordering.EQUAL):
             return False
     return True
 

@@ -27,6 +27,7 @@ from .formulas import (
 )
 from .plausibility import (
     INF,
+    Mask,
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
@@ -502,13 +503,9 @@ def validate_rev(
     ))
     report.add_first("REV2", _check_ranked(sys, budget))
 
-    ranked = isinstance(unwrap(sys.prior), RankedMeasure)
-
     def positive(w: int) -> bool:
-        event = frozenset(r for r in sys.runs if r.envs[0] == w)
-        if ranked:
-            return any(element_rank(sys.prior, r) < INF for r in event)
-        return bool(event) and not sys.prior.is_bottom(event)
+        event = sys.index.at[0].get(w, 0)
+        return bool(event) and not sys.index.prior.is_bottom(event)
 
     report.add_first("REV3", (
         f"world {vocab.world_str(w)} has bottom plausibility initially"
@@ -556,35 +553,19 @@ def _default_obs_sequences(sys: System, max_len: int) -> List[Tuple[Formula, ...
 def _check_ranked(sys: System, budget: int) -> Iterator[str]:
     if isinstance(unwrap(sys.prior), RankedMeasure):
         return
-    prior = sys.prior
+    prior = sys.index.prior
     budget = max(budget, 0)  # a negative budget checks nothing, as zero does
-    for r1, r2 in itertools.islice(itertools.combinations(sys.runs, 2), budget):
-        if prior.compare(frozenset([r1]), frozenset([r2])) is Ordering.INCOMPARABLE:
+    singleton_pairs = itertools.combinations(range(len(sys.runs)), 2)
+    for i, j in itertools.islice(singleton_pairs, budget):
+        if prior.compare(Mask(1 << i), Mask(1 << j)) is Ordering.INCOMPARABLE:
             yield "incomparable singleton runs exist (prior is not total)"
     # totality also requires the union law; spot-check it
-    for r1, r2 in itertools.islice(itertools.combinations(sys.runs, 2), min(budget, 2000)):
-        a, b = frozenset([r1]), frozenset([r2])
+    singleton_pairs = itertools.combinations(range(len(sys.runs)), 2)
+    for i, j in itertools.islice(singleton_pairs, min(budget, 2000)):
+        a, b = Mask(1 << i), Mask(1 << j)
         top = a if prior.at_least(a, b) else b
-        if prior.compare(a | b, top) is not Ordering.EQUAL:
+        if prior.compare(Mask(a | b), top) is not Ordering.EQUAL:
             yield "union does not take the maximum of its parts"
-
-
-def _event_value(sys: System, event: frozenset, ranked: bool):
-    if ranked:
-        return min((element_rank(sys.prior, r) for r in event), default=INF)
-    return event
-
-
-def _value_at_least(sys: System, va, vb, ranked: bool) -> bool:
-    if ranked:
-        return va <= vb  # smaller min rank = more plausible
-    return sys.prior.at_least(va, vb)
-
-
-def _value_positive(sys: System, v, ranked: bool) -> bool:
-    if ranked:
-        return v < INF
-    return not sys.prior.is_bottom(v)
 
 
 def _check_observation_neutrality(
@@ -602,7 +583,8 @@ def _check_observation_neutrality(
     timings coincide.
     """
     vocab = sys.vocab
-    ranked = isinstance(unwrap(sys.prior), RankedMeasure)
+    index = sys.index
+    prior = index.prior
     spent = 0
     for seq in obs_sequences:
         seq = tuple(seq)
@@ -611,23 +593,20 @@ def _check_observation_neutrality(
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
         prefix_runs = runs_with_observations(sys, seq)
-        cond_vals = {}
-        conj_vals = {}
+        cond_event = {}
+        conj_event = {}
         for f in probes:
             f_ext = vocab.extension(f)
-            f_conj_ext = f_ext & conj_ext
-            cond_event = frozenset(r for r in prefix_runs if r.envs[m] in f_ext)
-            conj_event = frozenset(r for r in sys.runs if r.envs[0] in f_conj_ext)
-            cond_vals[f] = _event_value(sys, cond_event, ranked)
-            conj_vals[f] = _event_value(sys, conj_event, ranked)
+            cond_event[f] = Mask(prefix_runs & index.env_event(m, f_ext))
+            conj_event[f] = index.env_event(0, f_ext & conj_ext)
         for f, g in itertools.product(probes, repeat=2):
             spent += 1
             if spent > budget:
                 return
-            lhs = _value_at_least(sys, cond_vals[f], cond_vals[g], ranked)
-            rhs = _value_at_least(sys, conj_vals[f], conj_vals[g], ranked)
+            lhs = prior.at_least(cond_event[f], cond_event[g])
+            rhs = prior.at_least(conj_event[f], conj_event[g])
             if lhs != rhs:
                 yield (
                     f"probes ({f}, {g}) after observing {seq_str(seq)}",
-                    _value_positive(sys, cond_vals[f], ranked),
+                    not prior.is_bottom(cond_event[f]),
                 )

@@ -27,7 +27,7 @@ from .formulas import (
     timestamp,
     timestamped_vocabulary,
 )
-from .plausibility import MappedMeasure
+from .plausibility import MappedMeasure, Mask, bits, mask_of
 from .reports import Report
 from .revision import validate_rev
 from .systems import Believes, Run, System, model_check, validate_bcs
@@ -212,28 +212,26 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     systems get deterministic sampling of small subsets (dominance compares
     on arbitrary large sets are quadratic, so sampled sets stay small).
     """
-    runs_star = list(st.inner.runs)
-    n = len(runs_star)
+    n = len(st.inner.runs)
     if 4 ** n <= budget:
-        pairs = (
-            (
-                frozenset(runs_star[i] for i in range(n) if mask_a >> i & 1),
-                frozenset(runs_star[i] for i in range(n) if mask_b >> i & 1),
-            )
-            for mask_a in range(1 << n)
-            for mask_b in range(1 << n)
-        )
+        pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
     else:
         rng = random.Random(0)
         pairs = (
             (
-                frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
-                frozenset(rng.sample(runs_star, rng.randint(0, min(6, n)))),
+                mask_of(rng.sample(range(n), rng.randint(0, min(6, n)))),
+                mask_of(rng.sample(range(n), rng.randint(0, min(6, n)))),
             )
             for _ in range(max(64, int(budget ** 0.5)))
         )
-    for a_star, b_star in pairs:
-        a = frozenset(st.to_source[r] for r in a_star)
-        b = frozenset(st.to_source[r] for r in b_star)
-        if st.inner.prior.compare(a_star, b_star) is not st.source.prior.compare(a, b):
-            yield f"subset pair of sizes ({len(a_star)}, {len(b_star)}) compares differently"
+    position = {run: i for i, run in enumerate(st.source.runs)}
+    to_source = [position[st.to_source[run]] for run in st.inner.runs]
+
+    def image(mask: int) -> Mask:
+        return Mask(mask_of([to_source[i] for i in bits(mask)]))
+
+    star, source = st.inner.index.prior, st.source.index.prior
+    for a, b in pairs:
+        if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
+            sizes = (a.bit_count(), b.bit_count())
+            yield f"subset pair of sizes {sizes} compares differently"

@@ -10,8 +10,9 @@ a plausibility measure over the points the agent considers possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -24,12 +25,15 @@ from .formulas import (
 )
 from .plausibility import (
     MappedMeasure,
+    Mask,
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
+    bits,
     check_monotonicity,
     element_rank,
     is_qualitative,
+    mask_of,
     unwrap,
 )
 from .reports import Report
@@ -109,10 +113,8 @@ class System:
                 yield (run, m)
 
     def points_with_local_state(self, s_a: LocalState) -> Tuple[Point, ...]:
-        m = len(s_a)
-        if m > self.horizon:
-            return ()
-        return tuple((run, m) for run in self.runs if run.local_state(m) == s_a)
+        m, runs = len(s_a), self.runs
+        return tuple((runs[i], m) for i in bits(self.index.observed(s_a)))
 
     def plaus_at(self, s_a: LocalState) -> PlausibilityMeasure:
         if self.point_measures is not None and s_a in self.point_measures:
@@ -122,6 +124,50 @@ class System:
             cached = _conditioned_prior(self, s_a)
             self._conditioned[s_a] = cached
         return cached
+
+    @cached_property
+    def index(self) -> "RunIndex":
+        return RunIndex(self)
+
+
+class RunIndex:
+    """A system's run-set events as int masks: bit i stands for ``runs[i]``.
+
+    Built once per system, on first use: one mask per (time, world) and one
+    per observation prefix.  Every other event is ``&`` and ``|`` of those.
+    """
+
+    def __init__(self, sys: System):
+        at: List[Dict[int, List[int]]] = [{} for _ in range(sys.horizon + 1)]
+        prefix: Dict[LocalState, List[int]] = {}
+        for i, run in enumerate(sys.runs):
+            for m, w in enumerate(run.envs):
+                at[m].setdefault(w, []).append(i)
+                prefix.setdefault(run.obs[:m], []).append(i)
+        self.full = (1 << len(sys.runs)) - 1
+        self.at = [{w: Mask(mask_of(ids)) for w, ids in row.items()} for row in at]
+        # observation prefixes, in the order the runs first reach them
+        self.prefix = {s_a: Mask(mask_of(ids)) for s_a, ids in prefix.items()}
+        # the prior read on these masks
+        self.prior = sys.prior
+        if tuple(sys.prior.carrier) != sys.runs:
+            self.prior = MappedMeasure(sys.runs, sys.prior, lambda run: run)
+        self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
+
+    def observed(self, s_a: Sequence[Formula]) -> Mask:
+        """Runs whose observation sequence starts with ``s_a``."""
+        return self.prefix.get(tuple(s_a), Mask(0))
+
+    def env_event(self, time: int, ext: Extension) -> Mask:
+        """Runs whose environment world at ``time`` lies in ``ext``."""
+        key = (time, ext)
+        event = self._env_events.get(key)
+        if event is None:
+            row, event = self.at[time], 0
+            for w in ext:
+                event |= row.get(w, 0)
+            event = self._env_events[key] = Mask(event)
+        return event
 
 
 def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
@@ -177,16 +223,16 @@ def _bel_min_rank(points, measure: PlausibilityMeasure) -> Extension:
 
 
 def _bel_generic(points, measure) -> Extension:
-    all_points = frozenset(points)
-    if measure.is_bottom(all_points):
+    full = Mask((1 << len(points)) - 1)
+    if measure.is_bottom(full):
         return frozenset()
-    by_world: Dict[int, set] = {}
-    for run, t in points:
-        by_world.setdefault(run.envs[t], set()).add((run, t))
+    by_world: Dict[int, List[int]] = {}
+    for i, (run, t) in enumerate(points):
+        by_world.setdefault(run.envs[t], []).append(i)
     out = set()
-    for w, holders in by_world.items():
-        rest = all_points - holders
-        if measure.compare(frozenset(rest), frozenset(holders)) is not Ordering.GREATER:
+    for w, positions in by_world.items():
+        holders = mask_of(positions)
+        if measure.compare(Mask(full & ~holders), Mask(holders)) is not Ordering.GREATER:
             out.add(w)
     return frozenset(out)
 
@@ -279,36 +325,36 @@ def model_check(sys: System, point: Point, formula) -> bool:
         if cached is not None:
             return cached
         measure = sys.plaus_at(s_a)
-        carrier = frozenset(measure.carrier)
-        ante = _satisfying_points(sys, carrier, formula.antecedent)
+        points = measure.carrier
+        ante = _satisfying_points(sys, points, (1 << len(points)) - 1, formula.antecedent)
         if measure.is_bottom(ante):
             result = True
         else:
-            good = _satisfying_points(sys, ante, formula.consequent)
-            result = measure.compare(good, ante - good) is Ordering.GREATER
+            good = _satisfying_points(sys, points, ante, formula.consequent)
+            result = measure.compare(good, Mask(ante & ~good)) is Ordering.GREATER
         sys._cond_cache[key] = result
         return result
     raise RunSystemError(f"unknown formula node {formula!r}")
 
 
-def _satisfying_points(sys: System, points: frozenset, formula) -> frozenset:
+def _satisfying_points(sys: System, points: Sequence[Point], within: int, formula) -> Mask:
+    """The mask of the points picked by ``within`` at which the formula holds."""
     if isinstance(formula, Formula):
         ext = sys.vocab.extension(formula)
-        return frozenset(p for p in points if p[0].envs[p[1]] in ext)
-    return frozenset(p for p in points if model_check(sys, p, formula))
+        holds = lambda p: p[0].envs[p[1]] in ext
+    else:
+        holds = lambda p: model_check(sys, p, formula)
+    return Mask(mask_of([i for i in bits(within) if holds(points[i])]))
 
 
 # ---------------------------------------------------------------------------
 # Run-set events
 
 
-def runs_with_observations(sys: System, observations: Sequence[Formula]) -> frozenset:
-    """Runs whose observation sequence starts with the given formulas."""
-    m = len(observations)
-    if m > sys.horizon:
-        return frozenset()
-    target = tuple(observations)
-    return frozenset(r for r in sys.runs if r.obs[:m] == target)
+def runs_with_observations(sys: System, observations: Sequence[Formula]) -> Mask:
+    """Mask of the runs whose observation sequence starts with the given
+    formulas."""
+    return sys.index.observed(observations)
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +385,58 @@ def check_prior_local_rule(sys: System, max_points: int = 8) -> Report:
 
 def _local_rule_failures(sys: System, max_points: int) -> Iterator[str]:
     overrides = sys.point_measures or {}
-    seen = set()
-    for run in sys.runs:
-        for m in range(sys.horizon):
-            s_prev, s_next = run.local_state(m), run.local_state(m + 1)
-            if s_next in seen or (s_prev not in overrides and s_next not in overrides):
-                continue
-            seen.add(s_next)
-            nxt = sys.points_with_local_state(s_next)
-            if len(nxt) > max_points:
-                raise BudgetError(
-                    f"{len(nxt)} points share local state {seq_str(s_next)}; "
-                    f"limit is {max_points}"
-                )
-            masks = _first_disagreement(
-                sys.plaus_at(s_next),
-                nxt,
-                sys.plaus_at(s_prev),
-                tuple((r, m) for r, _ in nxt),
-                lambda order: order in (Ordering.LESS, Ordering.EQUAL),
+    for s_next in sys.index.prefix:
+        if not s_next:
+            continue
+        s_prev = s_next[:-1]
+        if s_prev not in overrides and s_next not in overrides:
+            continue
+        nxt = sys.points_with_local_state(s_next)
+        if len(nxt) > max_points:
+            raise BudgetError(
+                f"{len(nxt)} points share local state {seq_str(s_next)}; "
+                f"limit is {max_points}"
             )
-            if masks is not None:
-                a, b = masks
-                yield f"local state {seq_str(s_next)}: subset masks ({a:#x}, {b:#x}) disagree"
+        later, earlier = sys.plaus_at(s_next), sys.plaus_at(s_prev)
+        m = len(s_prev)
+        # subset k of the later points, as each measure's carrier mask
+        later_masks, earlier_masks = [0], [0]
+        for (run, _) in nxt:
+            bit, earlier_bit = later.mask([(run, m + 1)]), earlier.mask([(run, m)])
+            later_masks += [k | bit for k in later_masks]
+            earlier_masks += [k | earlier_bit for k in earlier_masks]
+        masks = _first_disagreement(
+            later,
+            later_masks,
+            earlier,
+            earlier_masks,
+            lambda order: order in (Ordering.LESS, Ordering.EQUAL),
+        )
+        if masks is not None:
+            a, b = masks
+            yield f"local state {seq_str(s_next)}: subset masks ({a:#x}, {b:#x}) disagree"
 
 
 def _first_disagreement(
     left: PlausibilityMeasure,
-    left_points: Sequence[Point],
+    left_masks: Sequence[int],
     right: PlausibilityMeasure,
-    right_points: Sequence[Point],
+    right_masks: Sequence[int],
     relation,
 ) -> Optional[Tuple[int, int]]:
-    """The first pair of subset masks (a, b), in row-major order, on which
-    ``relation`` of the two measures' verdicts differs: ``left`` compares the
-    subsets the masks pick from ``left_points``, ``right`` those picked from
-    ``right_points`` (of the same length).  None if there is no such pair."""
+    """The first pair of subset numbers (a, b), in row-major order, on which
+    ``relation`` of the two measures' verdicts differs: ``left`` compares
+    ``left_masks[a]`` with ``left_masks[b]``, ``right`` the same entries of
+    ``right_masks`` (of the same length).  None if there is no such pair."""
 
-    def verdicts(measure, points):
-        n = len(points)
-        sets = [frozenset(points[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-        return (relation(measure.compare(a, b)) for a in sets for b in sets)
+    def verdicts(measure, masks):
+        compare, masks = measure.compare, [Mask(k) for k in masks]
+        return (relation(compare(a, b)) for a in masks for b in masks)
 
-    pairs = zip(verdicts(left, left_points), verdicts(right, right_points))
+    pairs = zip(verdicts(left, left_masks), verdicts(right, right_masks))
     for index, (left_verdict, right_verdict) in enumerate(pairs):
         if left_verdict != right_verdict:
-            return divmod(index, 1 << len(left_points))
+            return divmod(index, len(left_masks))
     return None
 
 
@@ -467,7 +519,8 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
                 f"{len(pts)} points share local state {seq_str(s_a)}: "
                 f"{4 ** len(pts)} subset pairs exceed the budget of {budget}"
             )
-        masks = _first_disagreement(override, pts, conditioned, pts, lambda order: order)
+        subsets = range(1 << len(pts))
+        masks = _first_disagreement(override, subsets, conditioned, subsets, lambda order: order)
         if masks is not None:
             a, b = masks
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -29,7 +29,7 @@ from .formulas import (
     formula_of_extension,
     seq_str,
 )
-from .plausibility import MappedMeasure, Ordering, PreferentialMeasure, transitive_closure
+from .plausibility import MappedMeasure, Mask, Ordering, PreferentialMeasure, transitive_closure
 from .reports import Report
 from .systems import LocalState, Run, System
 
@@ -534,23 +534,21 @@ def validate_upd(
 
 def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: random.Random) -> Iterator[str]:
     order = LexRunOrder(structure)
-    prior = sys.prior
+    index = sys.index
+    prior = index.prior
     worlds = structure.worlds
 
     # consistency with the distance: cell comparisons follow the
     # first-divergence rule
     lengths = range(2, min(sys.horizon + 1, 3) + 1)
     for n in lengths:
-        groups: Dict[Tuple[int, ...], set] = {}
-        for r in sys.runs:
-            groups.setdefault(r.envs[:n], set()).add(r)
         cells = list(itertools.product(worlds, repeat=n))
+        groups = {cell: _cell_event(index, cell) for cell in cells}
         pairs = list(itertools.combinations(cells, 2))
         if len(pairs) > budget:
             pairs = [pairs[rng.randrange(len(pairs))] for _ in range(budget)]
         for ca, cb in pairs:
-            runs_a = frozenset(groups.get(ca, ()))
-            runs_b = frozenset(groups.get(cb, ()))
+            runs_a, runs_b = groups[ca], groups[cb]
             if not runs_a or not runs_b:
                 continue
             got = prior.compare(runs_a, runs_b)
@@ -578,11 +576,21 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int, rng: rando
             yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
 
 
-def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> frozenset:
-    exts = [sys.vocab.extension(f) for f in formulas]
-    return frozenset(
-        r for r in sys.runs if all(r.envs[i] in exts[i] for i in range(len(exts)))
-    )
+def _cell_event(index, cell: Sequence[int]) -> Mask:
+    """Runs whose environment sequence starts with the cell."""
+    event = index.full
+    for t, w in enumerate(cell):
+        event &= index.at[t].get(w, 0)
+    return Mask(event)
+
+
+def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> Mask:
+    """Runs whose environment world at each time i satisfies formulas[i]."""
+    index = sys.index
+    event = index.full
+    for i, f in enumerate(formulas):
+        event &= index.env_event(i, sys.vocab.extension(f))
+    return Mask(event)
 
 
 def _prefix_dominance(sys, structure, sa, sb) -> bool:
@@ -609,11 +617,10 @@ def _prefix_dominance(sys, structure, sa, sb) -> bool:
 def _check_upd3(sys: System, structure: UpdateStructure) -> Iterator[str]:
     n = len(structure.worlds)
     length = min(sys.horizon + 1, 3 if n > 3 else 4)
-    present = {r.envs[:length] for r in sys.runs}
     return (
         "state sequence " + ",".join(sys.vocab.world_str(w) for w in prefix) + " has no run"
         for prefix in itertools.product(structure.worlds, repeat=length)
-        if prefix not in present
+        if not _cell_event(sys.index, prefix)
     )
 
 
@@ -633,30 +640,23 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int, rng: rando
     if len(instances) > budget:
         instances = [instances[rng.randrange(len(instances))] for _ in range(budget)]
     event = functools.cache(functools.partial(_upd4_event, sys))
+    prior = sys.index.prior
     for obs, fa, fb in instances:
-        lhs = sys.prior.at_least(event(fa, obs, True), event(fb, obs, True))
-        rhs = sys.prior.at_least(event(fa, obs, False), event(fb, obs, False))
+        lhs = prior.at_least(event(fa, obs, True), event(fb, obs, True))
+        rhs = prior.at_least(event(fa, obs, False), event(fb, obs, False))
         if lhs != rhs:
             yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
 
 
-def _upd4_event(sys: System, formulas, obs, observed: bool) -> frozenset:
-    exts = [sys.vocab.extension(f) for f in formulas]
+def _upd4_event(sys: System, formulas, obs, observed: bool) -> Mask:
+    """Runs meeting the formulas, time by time, that observed ``obs`` (or,
+    with ``observed`` false, where ``obs`` was merely true at times 1..)."""
+    event = _formula_prefix_event(sys, formulas)
     if observed:
-        target = tuple(obs)
-        return frozenset(
-            r
-            for r in sys.runs
-            if r.obs[: len(target)] == target
-            and all(r.envs[i] in exts[i] for i in range(len(exts)))
-        )
-    obs_exts = [sys.vocab.extension(o) for o in obs]
-    return frozenset(
-        r
-        for r in sys.runs
-        if all(r.envs[i] in exts[i] for i in range(len(exts)))
-        and all(r.envs[i + 1] in obs_exts[i] for i in range(len(obs_exts)))
-    )
+        return Mask(event & sys.index.observed(obs))
+    for i, o in enumerate(obs):
+        event &= sys.index.env_event(i + 1, sys.vocab.extension(o))
+    return Mask(event)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from beliefchange.formulas import (
     world_formula,
 )
 from beliefchange.plausibility import (
+    MappedMeasure,
     PlausibilityStructure,
+    PreferentialMeasure,
     RankedMeasure,
     check_klm_closure,
     extension_representatives,
@@ -43,6 +45,7 @@ from beliefchange.synthesis import belief_correspondence, statify, verify_statif
 from beliefchange.systems import System, bel, check_prior_local_rule, validate_bcs
 from beliefchange.update import (
     DistancePoset,
+    LexRunOrder,
     UpdateStructure,
     borrowed_car,
     check_correctness_preservation,
@@ -188,20 +191,35 @@ def _with_overrides(sys_, overrides):
     )
 
 
+def _reversed_pair_override(sys_, s_a, cells, pairs, key):
+    """``sys_`` with the measure at ``s_a`` rebuilt as the dominance lift of
+    the strict ``pairs`` on cells, read through ``key``, with the first
+    pair reversed."""
+    (x, y), *rest = pairs
+    order = PreferentialMeasure(cells, pairs=[(y, x)] + rest)
+    pts = sys_.points_with_local_state(s_a)
+    return _with_overrides(sys_, {s_a: MappedMeasure(pts, order, key)})
+
+
 def test_criterion_5_conditioning_local_rule():
     """The step-to-step conditioning rule holds exhaustively on every
-    constructed system small enough for full subset enumeration, with the
-    ranked systems' per-state measures supplied directly; flipping one
-    state's ranks breaks it."""
+    constructed system small enough for full subset enumeration, with a
+    per-state measure supplied directly on each: the update and preference
+    systems get their own conditioned prior back at <true>, the ranked
+    systems measures rebuilt from the world ranks.  Reversing one pair of
+    an order, or flipping one state's ranks, breaks the rule."""
     started = time.time()
     single = Vocabulary(["p"])
     complete = [world_formula(w, single) for w in single.worlds()]
-    preference = load_scenario_text(
+    scenario = load_scenario_text(
         "vocab p q\nhorizon 1\nprior preference\n  11 < 10\n  11 < 01\nmenu true\n"
     )
+    structure = hamming_structure(single)
+    update_sys = system_from_update(structure, 1, complete)
+    preference_sys = build_system(scenario)
     systems = [
-        system_from_update(hamming_structure(single), 1, complete),
-        build_system(preference),
+        _with_overrides(sys_, {(TRUE,): sys_.plaus_at((TRUE,))})
+        for sys_ in (update_sys, preference_sys)
     ]
     ranked = [
         ({0: 2, 1: 1, 2: 1, 3: 0}, [TRUE, P_, Q_, Not(Q_)]),
@@ -213,6 +231,19 @@ def test_criterion_5_conditioning_local_rule():
     for sys_ in systems:
         report = check_prior_local_rule(sys_)
         assert report.all_passed, report.to_text()
+
+    cells = tuple(dict.fromkeys(r.envs for r in update_sys.runs))
+    lex = LexRunOrder(structure)
+    lex_pairs = [(a, b) for a in cells for b in cells if lex.prec(a, b)]
+    flipped = _reversed_pair_override(update_sys, (TRUE,), cells, lex_pairs, lambda p: p[0].envs)
+    report = check_prior_local_rule(flipped)
+    assert report["LOCAL-RULE"].witness == "local state <true>: subset masks (0x1, 0x2) disagree"
+    flipped = _reversed_pair_override(
+        preference_sys, (TRUE,), tuple(PQ.worlds()), scenario.preference_pairs,
+        lambda p: p[0].envs[0],
+    )
+    report = check_prior_local_rule(flipped)
+    assert report["LOCAL-RULE"].witness == "local state <true>: subset masks (0x2, 0x4) disagree"
 
     world_rank, menu = ranked[0]
     sys_ = system_from_ranking(PQ, world_rank, menu, 2)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,19 @@ def test_check_upd_on_small_update_scenario(capsys):
     )
     assert code == 0
     assert "UPD2 PASS" in out
+
+
+def test_check_upd_on_borrowed_car_in_both_formats(capsys):
+    # the 26,244-run system: every run-set event is built from run masks
+    started = time.time()
+    code, out, _ = run_cli(capsys, "check-upd", "--scenario", CAR)
+    assert code == 0
+    assert out.splitlines()[:4] == ["UPD1 PASS", "UPD2 PASS", "UPD3 PASS", "UPD4 PASS"]
+    code, out, _ = run_cli(capsys, "check-upd", "--scenario", CAR, "--format", "machine")
+    assert code == 0
+    assert out.splitlines() == [f"upd\tUPD{i}\tPASS\t" for i in range(1, 5)]
+    elapsed = time.time() - started
+    assert elapsed < 60, f"check-upd on borrowed_car took {elapsed:.1f}s in both formats"
 
 
 def test_statify_reports_expected_profile(capsys):

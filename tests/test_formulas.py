@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from beliefchange.formulas import (
     TRUE,
     And,
     Atom,
+    Formula,
     FormulaError,
     Iff,
     Implies,
@@ -275,3 +278,36 @@ def test_vocabulary_rejects_bad_input():
         Vocabulary(["true"])
     with pytest.raises(FormulaError):
         Vocabulary([f"x{i}" for i in range(17)])
+
+
+# ---------------------------------------------------------------------------
+# hashing
+
+
+def _nodes(f):
+    yield f
+    for name in f.__match_args__:
+        child = getattr(f, name)
+        if isinstance(child, Formula):
+            yield from _nodes(child)
+
+
+def test_formula_nodes_keep_the_generated_dataclass_hash():
+    # a frozen dataclass hashes the tuple of its fields; the kept hash must
+    # be that value, so set and dict orders do not move
+    f = And(parse_formula("!p & q | p -> q <-> p", PQ), Or(TRUE, Not(Atom("p", 2))))
+    kinds = set()
+    for node in _nodes(f):
+        fields = tuple(getattr(node, name) for name in node.__match_args__)
+        assert hash(node) == hash(fields)
+        assert node._hash == hash(fields)
+        kinds.add(type(node).__name__)
+    assert kinds == {"And", "Or", "Not", "Atom", "Iff", "Implies", "Const"}
+
+
+def test_formula_copies_compute_their_own_hash():
+    f = parse_formula("p & !q", PQ)
+    hash(f)
+    for copy_ in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copy_ == f and copy_._hash is None
+        assert hash(copy_) == hash(f)

@@ -1,0 +1,266 @@
+"""Run-set events and measure comparisons on int masks, checked against the
+frozenset scans and the set-level comparison rules they replace.
+
+The references here are brute force on purpose: each event is a scan over
+``sys.runs`` and each comparison is worked out on element sets.
+"""
+import itertools
+import random
+
+import pytest
+
+from beliefchange.diagnosis import build_diag_system, parse_circuit
+from beliefchange.formulas import TRUE, Atom, Not, Vocabulary
+from beliefchange.plausibility import (
+    INF,
+    CustomMeasure,
+    MappedMeasure,
+    Mask,
+    Ordering,
+    PlausibilityError,
+    PreferentialMeasure,
+    RankedMeasure,
+    transitive_closure,
+)
+from beliefchange.revision import system_from_ranking
+from beliefchange.scenario import build_system, load_scenario_text
+from beliefchange.synthesis import statify
+from beliefchange.systems import System, runs_with_observations
+from beliefchange.update import (
+    _cell_event,
+    _formula_prefix_event,
+    _upd4_event,
+    hamming_structure,
+    random_structure,
+    system_from_update,
+)
+
+PQ = Vocabulary(["p", "q"])
+P_ = Atom("p")
+Q_ = Atom("q")
+
+THREE_GATE = """
+gate c1 AND l1 l2 -> l4
+gate c2 OR l2 l3 -> l5
+gate c3 XOR l4 l5 -> l6
+observe l1 l2 l3 l6
+test l1=1 l2=1 l3=0
+test l1=0 l2=1 l3=1
+"""
+
+
+def _systems():
+    preference = load_scenario_text(
+        "vocab p q\nhorizon 2\nprior preference\n  11 < 10\n  11 < 01\n  10 < 00\n"
+        "menu true, p, !q\n"
+    )
+    update = system_from_update(hamming_structure(PQ), 2, [TRUE, P_, Not(Q_)])
+    ranked = system_from_ranking(PQ, {0: 2, 1: 1, 2: 1, 3: 0}, [TRUE, P_, Q_, Not(Q_)], 2)
+    return {
+        "update": update,
+        "update-random": system_from_update(random_structure(PQ, random.Random(3)), 2, [TRUE, P_]),
+        "ranked": ranked,
+        # runs numbered in another order than the prior's carrier
+        "ranked-reordered": System(
+            PQ, ranked.runs[::-1], ranked.prior, ranked.horizon, menu=ranked.menu
+        ),
+        "preference": build_system(preference),
+        "statified": statify(update).inner,
+        "diagnosis": build_diag_system(*parse_circuit(THREE_GATE)),
+    }
+
+
+SYSTEMS = _systems()
+
+
+@pytest.fixture(params=sorted(SYSTEMS))
+def system(request):
+    return SYSTEMS[request.param]
+
+
+def runs_of(sys_, mask):
+    return frozenset(r for i, r in enumerate(sys_.runs) if mask >> i & 1)
+
+
+def formula_pool(sys_):
+    return list(dict.fromkeys([TRUE, Not(TRUE)] + list(sys_.menu)))
+
+
+# ---------------------------------------------------------------------------
+# events
+
+
+def test_observation_prefix_events_match_the_scan(system):
+    prefixes = [()] + [seq for k in (1, 2, 3) for seq in itertools.product(system.menu, repeat=k)]
+    for seq in prefixes[:200]:
+        want = frozenset(
+            r for r in system.runs if len(seq) <= system.horizon and r.obs[: len(seq)] == seq
+        )
+        assert runs_of(system, runs_with_observations(system, seq)) == want
+        points = tuple((r, len(seq)) for r in system.runs if r.local_state(len(seq)) == seq)
+        assert system.points_with_local_state(seq) == points
+
+
+def test_environment_events_match_the_scan(system):
+    index = system.index
+    for t in range(system.horizon + 1):
+        for w in system.universe:
+            want = frozenset(r for r in system.runs if r.envs[t] == w)
+            assert runs_of(system, index.at[t].get(w, 0)) == want
+        for f in formula_pool(system):
+            ext = system.vocab.extension(f)
+            want = frozenset(r for r in system.runs if r.envs[t] in ext)
+            assert runs_of(system, index.env_event(t, ext)) == want
+
+
+def test_formula_prefix_and_neutrality_events_match_the_scan(system):
+    pool = formula_pool(system)[:4]
+    ext = system.vocab.extension
+    for k in (1, 2):
+        for formulas in itertools.product(pool, repeat=k):
+            exts = [ext(f) for f in formulas]
+            meets = lambda r: all(r.envs[i] in exts[i] for i in range(k))
+            want = frozenset(r for r in system.runs if meets(r))
+            assert runs_of(system, _formula_prefix_event(system, formulas)) == want
+            for obs in itertools.product(system.menu[:3], repeat=k - 1):
+                observed = frozenset(r for r in want if r.obs[: len(obs)] == obs)
+                assert runs_of(system, _upd4_event(system, formulas, obs, True)) == observed
+                true_then = frozenset(
+                    r for r in want if all(r.envs[i + 1] in ext(o) for i, o in enumerate(obs))
+                )
+                assert runs_of(system, _upd4_event(system, formulas, obs, False)) == true_then
+
+
+def test_cell_events_match_the_scan(system):
+    worlds = sorted(system.universe)[:4]
+    for n in (1, 2):
+        for cell in itertools.product(worlds, repeat=n):
+            want = frozenset(r for r in system.runs if r.envs[:n] == cell)
+            assert runs_of(system, _cell_event(system.index, cell)) == want
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def _dominates(prec, a, b):
+    """Literal dominance rule on element sets: Pl(a) >= Pl(b)."""
+    rest = b - a
+    return all(
+        any(prec(x, r) and not any(prec(s, x) for s in rest) for x in a) for r in rest
+    )
+
+
+def reference_compare(measure, a, b):
+    """The set-level comparison rule of each measure kind."""
+    if isinstance(measure, MappedMeasure):
+        image = lambda s: frozenset(map(measure.to_base, s))
+        return reference_compare(measure.base, image(a), image(b))
+    if isinstance(measure, RankedMeasure):
+        ra = min((measure.ranks[e] for e in a), default=INF)
+        rb = min((measure.ranks[e] for e in b), default=INF)
+        if ra == rb:
+            return Ordering.EQUAL
+        return Ordering.GREATER if ra < rb else Ordering.LESS
+    if isinstance(measure, PreferentialMeasure):
+        ge, le = _dominates(measure.prec, a, b), _dominates(measure.prec, b, a)
+        return {
+            (True, True): Ordering.EQUAL,
+            (True, False): Ordering.GREATER,
+            (False, True): Ordering.LESS,
+            (False, False): Ordering.INCOMPARABLE,
+        }[(ge, le)]
+    return measure.compare_fn(a, b)
+
+
+def seeded_pairs(n, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [rng.choice([0, 1, 2, 3, rng.randint(0, n)]) for _ in range(2)]
+        yield tuple(frozenset(rng.sample(range(n), min(k, n))) for k in sizes)
+
+
+def assert_masks_agree(measure, count=150, seed=0):
+    carrier = measure.carrier
+    for ia, ib in seeded_pairs(len(carrier), count, seed):
+        a = frozenset(carrier[i] for i in ia)
+        b = frozenset(carrier[i] for i in ib)
+        ma, mb = Mask(sum(1 << i for i in ia)), Mask(sum(1 << i for i in ib))
+        want = reference_compare(measure, a, b)
+        assert measure.compare(ma, mb) is want, (sorted(ia), sorted(ib))
+        assert measure.compare(a, b) is want
+        assert (len(ma), len(mb)) == (len(a), len(b))
+        assert measure.at_least(ma, mb) == (want in (Ordering.GREATER, Ordering.EQUAL))
+        assert measure.is_bottom(ma) == (reference_compare(measure, a, frozenset()) is Ordering.EQUAL)
+
+
+def test_prior_compares_masks_as_element_sets(system):
+    assert_masks_agree(system.prior)
+    assert_masks_agree(system.index.prior, seed=1)
+
+
+def test_conditioned_measures_compare_masks_as_element_sets(system):
+    for s_a in list(system.index.prefix)[:12]:
+        assert_masks_agree(system.plaus_at(s_a), count=40, seed=len(s_a))
+
+
+def test_preference_from_pairs_equals_preference_from_prec():
+    carrier = tuple(range(7))
+    rng = random.Random(5)
+    for _ in range(6):
+        pairs = {(a, b) for a, b in itertools.combinations(carrier, 2) if rng.random() < 0.3}
+        closed = transitive_closure(pairs)
+        from_pairs = PreferentialMeasure(carrier, pairs=pairs)
+        from_prec = PreferentialMeasure(carrier, prec=lambda x, y: (x, y) in closed)
+        masks = [Mask(k) for k in range(1 << len(carrier))]
+        for ma, mb in itertools.product(masks, repeat=2):
+            assert from_pairs.compare(ma, mb) is from_prec.compare(ma, mb)
+        assert_masks_agree(from_pairs, count=60)
+        # an order given by a callable need not be transitive
+        assert_masks_agree(PreferentialMeasure(carrier, prec=lambda x, y: (x, y) in pairs))
+
+
+def test_custom_and_mapped_measures_compare_masks_as_element_sets():
+    carrier = tuple("abcdef")
+    by_size = CustomMeasure(
+        carrier, lambda a, b: Ordering.EQUAL if len(a) == len(b) else
+        (Ordering.GREATER if len(a) > len(b) else Ordering.LESS),
+    )
+    assert_masks_agree(by_size)
+    ranked = RankedMeasure(carrier, {e: i % 3 for i, e in enumerate(carrier)})
+    keys = MappedMeasure(range(12), ranked, lambda i: carrier[i % 6])
+    assert_masks_agree(keys)
+    # a chain of two maps, the first onto a reordering of the second's carrier
+    chain = MappedMeasure(tuple(reversed(range(12))), keys, lambda i: i)
+    assert_masks_agree(chain)
+
+
+def test_elements_outside_the_carrier_raise(system):
+    stray = object()
+    for measure in (system.prior, system.plaus_at(())):
+        inside = measure.carrier[:1]
+        with pytest.raises(PlausibilityError, match="elements outside carrier"):
+            measure.compare(inside, [stray])
+        with pytest.raises(PlausibilityError, match="elements outside carrier"):
+            measure.at_least([stray], inside)
+        # a mask with a bit past the carrier, a negative one, or a bare int
+        past = Mask(1 << len(measure.carrier))
+        for bad in (past, Mask(-1)):
+            with pytest.raises(PlausibilityError, match="bits outside a carrier"):
+                measure.compare(bad, Mask(1))
+            with pytest.raises(PlausibilityError, match="bits outside a carrier"):
+                measure.is_bottom(bad)
+        with pytest.raises(PlausibilityError, match="must be a Mask"):
+            measure.compare(1, Mask(1))
+
+
+def test_prec_rows_are_built_only_for_compared_elements():
+    calls = []
+
+    def prec(x, y):
+        calls.append((x, y))
+        return x < y
+
+    order = PreferentialMeasure(tuple(range(64)), prec=prec)
+    assert order.compare(Mask(1 << 3), Mask(1 << 40)) is Ordering.GREATER
+    assert len(calls) == 2 * 64  # the rows of elements 3 and 40 only
