@@ -8,6 +8,7 @@ and ranks runs by how many gates they fault: fewer faults, more plausible.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -97,6 +98,17 @@ class Circuit:
         self.vocab = Vocabulary(
             [f"f_{g.gid}" for g in self.gates] + [f"h_{l}" for l in self.lines]
         )
+        # fault propositions come first, so a world's fault set is read off
+        # its high bits: one frozenset per fault assignment, shared by worlds
+        ids = [g.gid for g in self.gates]
+        top = len(ids) - 1
+        self._fault_sets = tuple(
+            frozenset(g for i, g in enumerate(ids) if high >> (top - i) & 1)
+            for high in range(1 << len(ids))
+        )
+        # one observation formula per observed reading: the observed bits
+        self._observed_bits = self.vocab.world_of({f"h_{l}": True for l in self.observed})
+        self._readings: Dict[int, Formula] = {}
 
     def _check_acyclic(self):
         depth: Dict[str, int] = {l: 0 for l in self.lines if l not in self.driven}
@@ -114,27 +126,23 @@ class Circuit:
     # -- state helpers -------------------------------------------------------
 
     def fault_set(self, world: int) -> FrozenSet[str]:
-        return frozenset(
-            g.gid for g in self.gates if self.vocab.truth(world, f"f_{g.gid}")
-        )
+        return self._fault_sets[world >> len(self.lines)]
 
     def line_value(self, world: int, line: str) -> bool:
         return self.vocab.truth(world, f"h_{line}")
 
     def io_formula(self, world: int) -> Formula:
-        """Conjunction of observed line literals, in declaration order."""
-        literals = []
-        for line in self.observed:
-            atom = Atom(f"h_{line}")
-            literals.append(atom if self.line_value(world, line) else Not(atom))
-        return conj(literals)
-
-    def all_fault_sets(self) -> List[FrozenSet[str]]:
-        out = []
-        ids = [g.gid for g in self.gates]
-        for mask in range(1 << len(ids)):
-            out.append(frozenset(g for i, g in enumerate(ids) if mask >> i & 1))
-        return out
+        """Conjunction of observed line literals, in declaration order; worlds
+        with one observed reading share one formula object."""
+        reading = world & self._observed_bits
+        formula = self._readings.get(reading)
+        if formula is None:
+            literals = []
+            for line in self.observed:
+                atom = Atom(f"h_{line}")
+                literals.append(atom if self.line_value(world, line) else Not(atom))
+            formula = self._readings[reading] = conj(literals)
+        return formula
 
 
 def consistent_states(circuit: Circuit) -> List[int]:
@@ -173,22 +181,21 @@ def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> 
     def matches(world: int, test: Mapping[str, bool]) -> bool:
         return all(circuit.line_value(world, l) == bool(v) for l, v in test.items())
 
-    horizon = len(tests)
     runs: List[Run] = []
+    ranks: Dict[Run, int] = {}
     for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
-        steps = [worlds] + [[s for s in worlds if matches(s, t)] for t in tests]
-        for envs in itertools.product(*steps):
-            obs = tuple(circuit.io_formula(envs[m]) for m in range(1, horizon + 1))
-            runs.append(Run(tuple(envs), obs))
-    prior = RankedMeasure(
-        runs, {r: len(circuit.fault_set(r.envs[0])) for r in runs}
-    )
+        steps = [[s for s in worlds if matches(s, t)] for t in tests]
+        for envs in itertools.product(worlds, *steps):
+            run = Run(envs, tuple(map(circuit.io_formula, envs[1:])))
+            runs.append(run)
+            ranks[run] = len(fault)
+    prior = RankedMeasure(runs, ranks)
     menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
     return System(
         vocab=circuit.vocab,
         runs=tuple(runs),
         prior=prior,
-        horizon=horizon,
+        horizon=len(tests),
         universe=frozenset(universe),
         menu=menu,
     )
@@ -200,9 +207,16 @@ def diag(sys: System, circuit: Circuit, s_a: LocalState) -> FrozenSet[FrozenSet[
     return frozenset(circuit.fault_set(w) for w in bel(sys, tuple(s_a)))
 
 
-def fault_consistent_with(circuit: Circuit, universe: Iterable[int], fault: FrozenSet[str], observation: Formula) -> bool:
+def consistent_faults(
+    circuit: Circuit, universe: Iterable[int], observation: Formula
+) -> FrozenSet[FrozenSet[str]]:
+    """The fault sets of the worlds of ``universe`` where the observation holds."""
     ext = circuit.vocab.extension(observation)
-    return any(w in ext and circuit.fault_set(w) == fault for w in universe)
+    return frozenset(circuit.fault_set(w) for w in universe if w in ext)
+
+
+def fault_consistent_with(circuit: Circuit, universe: Iterable[int], fault: FrozenSet[str], observation: Formula) -> bool:
+    return fault in consistent_faults(circuit, universe, observation)
 
 
 def check_prop_diag(sys: System, circuit: Circuit) -> Report:
@@ -216,7 +230,7 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
     """
     report = Report("diagnosis")
     universe = sorted(sys.universe)
-    fault_sets = circuit.all_fault_sets()
+    consistent = functools.cache(lambda o: consistent_faults(circuit, universe, o))
 
     # (prefix, diagnoses before its last observation, after it, filtered)
     cases = []
@@ -229,19 +243,13 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
             seen.add(prefix)
             before = diag(sys, circuit, prefix[:-1])
             after = diag(sys, circuit, prefix)
-            surviving = frozenset(
-                f for f in before if fault_consistent_with(circuit, universe, f, prefix[-1])
-            )
+            surviving = before & consistent(prefix[-1])
             cases.append((prefix, before, after, surviving))
 
     def minimal_consistent(prefix) -> FrozenSet[FrozenSet[str]]:
-        consistent = [
-            f
-            for f in fault_sets
-            if all(fault_consistent_with(circuit, universe, f, o) for o in prefix)
-        ]
-        least = min((len(f) for f in consistent), default=None)
-        return frozenset(f for f in consistent if len(f) == least)
+        faults = frozenset.intersection(*map(consistent, prefix))
+        least = min((len(f) for f in faults), default=None)
+        return frozenset(f for f in faults if len(f) == least)
 
     report.add_first("FILTER", (
         f"at {seq_str(prefix)}: filtering mismatch"
@@ -302,13 +310,7 @@ def fault_projection(sys: System, circuit: Circuit) -> System:
     def project_obs(observation: Formula) -> Formula:
         cached = obs_cache.get(observation)
         if cached is None:
-            compatible = sorted(
-                {
-                    fault_world(circuit.fault_set(w))
-                    for w in universe
-                    if w in sys.vocab.extension(observation)
-                }
-            )
+            compatible = map(fault_world, consistent_faults(circuit, universe, observation))
             cached = formula_of_extension(frozenset(compatible), fault_vocab)
             obs_cache[observation] = cached
         return cached

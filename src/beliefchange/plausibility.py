@@ -299,20 +299,33 @@ class MappedMeasure(PlausibilityMeasure):
     recently seen masks are kept.
     """
 
-    def __init__(self, carrier: Sequence[Hashable], base: PlausibilityMeasure, to_base: Callable):
+    def __init__(
+        self,
+        carrier: Sequence[Hashable],
+        base: PlausibilityMeasure,
+        to_base: Callable,
+        positions: Optional[Sequence[int]] = None,
+    ):
+        """``positions``, when the caller has them, are the base-carrier
+        positions of ``to_base`` of each element, so no element is looked up."""
         self.carrier = tuple(carrier)
         self.base = base
         self.to_base = to_base
+        self._positions = positions
 
     @cached_property
     def _target(self) -> Tuple[PlausibilityMeasure, Optional[List[int]]]:
         """The measure at the end of the chain, and the position there of each
         carrier element (None when it is the same position)."""
-        base, index = self.base, self.base.index
-        targets = list(map(self.to_base, self.carrier))
-        if not all(t in index for t in targets):
-            base.mask(targets)  # raises, naming the elements outside its carrier
-        image = [index[t] for t in targets]
+        base = self.base
+        if self._positions is not None:
+            image = list(self._positions)
+        else:
+            index = base.index
+            targets = list(map(self.to_base, self.carrier))
+            if not all(t in index for t in targets):
+                base.mask(targets)  # raises, naming the elements outside its carrier
+            image = [index[t] for t in targets]
         if isinstance(base, MappedMeasure):
             root, base_image = base._target
             if base_image is not None:
@@ -354,6 +367,23 @@ def element_rank(measure: PlausibilityMeasure, element) -> float:
         element = measure.to_base(element)
         measure = measure.base
     return measure.ranks[element]
+
+
+def least_ranked(measure: PlausibilityMeasure) -> List[int]:
+    """Carrier positions of the elements of least finite rank under a ranked
+    measure, read by index through any MappedMeasure chain in front of it
+    (the chain's image, then the level masks); empty when every element
+    has infinite rank."""
+    root, image = measure._target if isinstance(measure, MappedMeasure) else (measure, None)
+    for _, level in root._levels:
+        if image is None:
+            hits = bits(level)
+        else:
+            members = set(bits(level))
+            hits = [i for i, j in enumerate(image) if j in members]
+        if hits:
+            return hits
+    return []
 
 
 def transitive_closure(pairs: set) -> set:

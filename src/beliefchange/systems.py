@@ -31,8 +31,8 @@ from .plausibility import (
     RankedMeasure,
     bits,
     check_monotonicity,
-    element_rank,
     is_qualitative,
+    least_ranked,
     mask_of,
     unwrap,
 )
@@ -171,8 +171,12 @@ class RunIndex:
 
 
 def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
-    """The prior read through point -> run on the points of a local state."""
-    return MappedMeasure(sys.points_with_local_state(s_a), sys.prior, itemgetter(0))
+    """The prior read through point -> run on the points of a local state;
+    the run numbers are the positions in the run-numbered prior."""
+    m, runs, index = len(s_a), sys.runs, sys.index
+    ids = bits(index.observed(s_a))
+    points = tuple((runs[i], m) for i in ids)
+    return MappedMeasure(points, index.prior, itemgetter(0), positions=ids)
 
 
 def indistinguishable(sys: System, p1: Point, p2: Point) -> bool:
@@ -215,11 +219,7 @@ def bel(sys: System, s_a: LocalState) -> Extension:
 
 
 def _bel_min_rank(points, measure: PlausibilityMeasure) -> Extension:
-    ranks = {point: element_rank(measure, point) for point in points}
-    best = min(ranks.values())
-    if best == float("inf"):
-        return frozenset()
-    return frozenset(run.envs[m] for (run, m), rank in ranks.items() if rank == best)
+    return frozenset(points[i][0].envs[points[i][1]] for i in least_ranked(measure))
 
 
 def _bel_generic(points, measure) -> Extension:
@@ -444,6 +444,11 @@ def _first_disagreement(
 # Belief change system validation
 
 
+# BCS5 checks the prior's own axioms only on carriers up to these sizes
+QUALITATIVE_MAX_ELEMENTS = 6
+MONOTONE_MAX_ELEMENTS = 10
+
+
 def validate_bcs(sys: System, budget: int = 20_000) -> Report:
     """Check the five conditions that make a system a belief change system:
     environment-determined propositions, observation-sequence local states,
@@ -471,7 +476,18 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
             return f"observation not in the environment language: {exc}"
         return ""
 
+    # learn(o) depends on a point only through its last observation (none
+    # at time 0), so BCS3 is decided at the first point with each one
+    bcs3_verdicts: Dict[Optional[Formula], str] = {}
+
     def bcs3(run: Run, m: int) -> str:
+        last = run.obs[m - 1] if m else None
+        verdict = bcs3_verdicts.get(last)
+        if verdict is None:
+            verdict = bcs3_verdicts[last] = learn_failure(run, m)
+        return verdict
+
+    def learn_failure(run: Run, m: int) -> str:
         if m == 0:
             wrong = [o for o in menu if model_check(sys, (run, 0), Learn(o))]
             return f"learn({wrong[0]}) true at time 0" if wrong else ""
@@ -501,6 +517,15 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
         bcs4(run, m) for run in sys.runs for m in range(1, sys.horizon + 1)
     ))
     report.add_first("BCS5", _check_conditioning(sys, budget))
+    size = len(unwrap(sys.prior).carrier)
+    for axiom, limit in (
+        ("qualitativeness", QUALITATIVE_MAX_ELEMENTS),
+        ("monotonicity", MONOTONE_MAX_ELEMENTS),
+    ):
+        if size > limit:
+            report.note(
+                f"BCS5: prior {axiom} not checked: its carrier has {size} elements, over {limit}"
+            )
     return report
 
 
@@ -525,9 +550,9 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
             a, b = masks
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
     base = unwrap(sys.prior)
-    if len(base.carrier) <= 6 and not is_qualitative(base, budget=budget):
+    if len(base.carrier) <= QUALITATIVE_MAX_ELEMENTS and not is_qualitative(base, budget=budget):
         yield "prior is not qualitative"
-    if len(base.carrier) <= 10 and not check_monotonicity(base, budget=budget):
+    if len(base.carrier) <= MONOTONE_MAX_ELEMENTS and not check_monotonicity(base, budget=budget):
         yield "prior violates monotonicity under union"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -329,3 +330,25 @@ def test_negative_budget_is_a_usage_error(capsys, command):
     assert code == 2
     assert out == ""
     assert "--budget: must not be negative: -1" in err
+
+
+# sha256 of the --format machine stdout, with the exit code: a change made
+# only for speed must leave every record byte for byte as it was
+GOLDEN = [
+    ("diagnose", DIAG, 0, "6a4c6ed1f445df36590492aa5794011de5828975fd03c3eef852542ffd00a8a6"),
+    ("check-bcs", DIAG, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
+    ("check-rev", DIAG, 1, "e14704a4ac5949db6ac3ee6e3fcd1830cc6ea1403bab5274cbf9b5bbe0857c05"),
+    ("check-bcs", RANKED, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
+    ("check-bcs", SMALL_UPDATE, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,scenario,exit_code,digest",
+    GOLDEN,
+    ids=[f"{c}-{os.path.basename(s)}" for c, s, _, _ in GOLDEN],
+)
+def test_machine_output_is_golden(capsys, command, scenario, exit_code, digest):
+    code, out, _ = run_cli(capsys, command, "--scenario", scenario, "--format", "machine")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

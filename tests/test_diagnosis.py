@@ -1,3 +1,7 @@
+import itertools
+import os
+import random
+
 import pytest
 
 from beliefchange.diagnosis import (
@@ -13,9 +17,10 @@ from beliefchange.diagnosis import (
     parse_circuit,
     revision_report,
 )
-from beliefchange.formulas import Atom, Not
+from beliefchange.formulas import Atom, Not, conj
 from beliefchange.revision import validate_rev
-from beliefchange.systems import bel, validate_bcs
+from beliefchange.scenario import load_scenario
+from beliefchange.systems import Run, bel, validate_bcs
 
 AND_GATE = Circuit([Gate("c1", "AND", ("l1", "l2"), "l3")])
 
@@ -225,3 +230,80 @@ def test_three_gate_cardinality_growth(three):
     after = diag(sys_, circuit, (bad1,))
     assert not (before & after)
     assert min(len(f) for f in after) > min(len(f) for f in before)
+
+
+# ---------------------------------------------------------------------------
+# construction at reading granularity, against a per-step reference
+
+DIAG_SCENARIO = os.path.join(
+    os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios", "diag_three_gates.scn"
+)
+
+
+def _random_three_gate(seed):
+    """The wiring of diag_three_gates.scn with random gate kinds and two
+    random test vectors."""
+    rng = random.Random(seed)
+    kinds = [rng.choice(("AND", "OR", "XOR")) for _ in range(3)]
+    lines = [f"gate c1 {kinds[0]} l1 l2 -> l4", f"gate c2 {kinds[1]} l2 l3 -> l5",
+             f"gate c3 {kinds[2]} l4 l5 -> l6", "observe l1 l2 l3 l6"]
+    for _ in range(2):
+        lines.append("test " + " ".join(f"l{i}={rng.randint(0, 1)}" for i in (1, 2, 3)))
+    return parse_circuit("\n".join(lines))
+
+
+def _reference_diag_system(circuit, tests):
+    """Runs, prior ranks and menu as built one step at a time: a fresh
+    observation conjunction per step and a fault set per run, both read off
+    the vocabulary."""
+    vocab = circuit.vocab
+
+    def faults(world):
+        return frozenset(g.gid for g in circuit.gates if vocab.truth(world, f"f_{g.gid}"))
+
+    def reading(world):
+        return conj([
+            Atom(f"h_{l}") if vocab.truth(world, f"h_{l}") else Not(Atom(f"h_{l}"))
+            for l in circuit.observed
+        ])
+
+    by_fault = {}
+    for world in consistent_states(circuit):
+        by_fault.setdefault(faults(world), []).append(world)
+    runs = []
+    for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
+        steps = [worlds] + [
+            [s for s in worlds if all(vocab.truth(s, f"h_{l}") == v for l, v in t.items())]
+            for t in tests
+        ]
+        for envs in itertools.product(*steps):
+            runs.append(Run(envs, tuple(reading(envs[m]) for m in range(1, len(tests) + 1))))
+    ranks = {r: len(faults(r.envs[0])) for r in runs}
+    menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
+    return runs, ranks, menu
+
+
+def _circuit_cases():
+    scenario = load_scenario(DIAG_SCENARIO)
+    cases = [pytest.param((scenario.circuit, scenario.tests), id="diag_three_gates")]
+    for seed in (11, 12, 13):
+        cases.append(pytest.param(_random_three_gate(seed), id=f"random-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("case", _circuit_cases())
+def test_build_diag_system_matches_the_per_step_reference(case):
+    circuit, tests = case
+    sys_ = build_diag_system(circuit, tests)
+    runs, ranks, menu = _reference_diag_system(circuit, tests)
+    assert list(sys_.runs) == runs
+    assert sys_.prior.ranks == ranks
+    assert [sys_.prior.ranks[r] for r in sys_.runs] == [ranks[r] for r in runs]
+    assert sys_.menu == menu
+    # steps with equal readings share one formula object
+    observed = [o for r in sys_.runs for o in r.obs]
+    assert len({id(o) for o in observed}) == len(set(observed)) == len(menu)
+    for world in circuit.vocab.worlds():
+        assert circuit.fault_set(world) == frozenset(
+            g.gid for g in circuit.gates if circuit.vocab.truth(world, f"f_{g.gid}")
+        )

@@ -5,6 +5,7 @@ The references here are brute force on purpose: each event is a scan over
 ``sys.runs`` and each comparison is worked out on element sets.
 """
 import itertools
+import os
 import random
 
 import pytest
@@ -20,12 +21,14 @@ from beliefchange.plausibility import (
     PlausibilityError,
     PreferentialMeasure,
     RankedMeasure,
+    element_rank,
+    least_ranked,
     transitive_closure,
 )
 from beliefchange.revision import system_from_ranking
-from beliefchange.scenario import build_system, load_scenario_text
+from beliefchange.scenario import build_system, load_scenario, load_scenario_text
 from beliefchange.synthesis import statify
-from beliefchange.systems import System, runs_with_observations
+from beliefchange.systems import System, bel, runs_with_observations
 from beliefchange.update import (
     _cell_event,
     _formula_prefix_event,
@@ -35,6 +38,7 @@ from beliefchange.update import (
     system_from_update,
 )
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
 PQ = Vocabulary(["p", "q"])
 P_ = Atom("p")
 Q_ = Atom("q")
@@ -264,3 +268,46 @@ def test_prec_rows_are_built_only_for_compared_elements():
     order = PreferentialMeasure(tuple(range(64)), prec=prec)
     assert order.compare(Mask(1 << 3), Mask(1 << 40)) is Ordering.GREATER
     assert len(calls) == 2 * 64  # the rows of elements 3 and 40 only
+
+
+# ---------------------------------------------------------------------------
+# least-ranked points, read by index
+
+
+def _element_rank_reference(measure):
+    ranks = [element_rank(measure, e) for e in measure.carrier]
+    best = min(ranks, default=INF)
+    return [i for i, r in enumerate(ranks) if r == best] if best != INF else []
+
+
+def _ranked_systems():
+    out = {
+        name: build_system(load_scenario(os.path.join(SCENARIOS, name)))
+        for name in ("ranked_basic.scn", "diag_three_gates.scn")
+    }
+    out["ranked-reordered"] = SYSTEMS["ranked-reordered"]
+    return out
+
+
+RANKED_SYSTEMS = _ranked_systems()
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_SYSTEMS))
+def test_least_ranked_points_match_element_rank(name):
+    sys_ = RANKED_SYSTEMS[name]
+    for s_a in sys_.index.prefix:
+        measure = sys_.plaus_at(s_a)
+        want = _element_rank_reference(measure)
+        assert least_ranked(measure) == want
+        points = measure.carrier
+        assert bel(sys_, s_a) == frozenset(points[i][0].envs[points[i][1]] for i in want)
+
+
+def test_least_ranked_with_infinite_ranks():
+    ranked = RankedMeasure("abcd", {"a": INF, "b": 2, "c": 1, "d": 1})
+    assert least_ranked(ranked) == _element_rank_reference(ranked) == [2, 3]
+    middle = MappedMeasure("wxyz", ranked, {"w": "a", "x": "a", "y": "b", "z": "c"}.get)
+    chain = MappedMeasure("xyz", middle, {"x": "w", "y": "x", "z": "y"}.get)
+    assert least_ranked(chain) == _element_rank_reference(chain) == [2]
+    unreachable = MappedMeasure("uv", ranked, lambda e: "a")
+    assert least_ranked(unreachable) == _element_rank_reference(unreachable) == []

@@ -7,7 +7,9 @@ import pytest
 
 from beliefchange.formulas import TRUE, And, Atom, Not, Or, Vocabulary
 from beliefchange.plausibility import RankedMeasure
+from beliefchange import systems
 from beliefchange.revision import system_from_ranking
+from beliefchange.scenario import build_system, load_scenario
 from beliefchange.systems import (
     Believes,
     BudgetError,
@@ -387,3 +389,35 @@ def test_validate_bcs_reports_an_observation_outside_the_vocabulary(revsys):
     assert not report["BCS2"].passed
     assert "zz" in report["BCS2"].witness
     assert report["BCS4"].passed
+
+
+# ---------------------------------------------------------------------------
+# BCS3 is decided once per last observation
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
+
+
+@pytest.mark.parametrize("name", ["diag_three_gates.scn", "small_update.scn"])
+def test_bcs3_model_checks_once_per_last_observation(monkeypatch, name):
+    sys_ = build_system(load_scenario(os.path.join(SCENARIOS, name)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return model_check(*args)
+
+    monkeypatch.setattr(systems, "model_check", counting)
+    report = validate_bcs(sys_)
+    assert report["BCS3"].passed
+    last_observations = {o for r in sys_.runs for o in r.obs}
+    assert 0 < len(calls) <= (len(last_observations) + 1) * (len(sys_.menu) + 1)
+
+
+def test_bcs3_still_catches_a_learn_atom_true_at_time_zero(monkeypatch, revsys):
+    def broken(sys_, point, formula):
+        if isinstance(formula, Learn) and formula.observed == TRUE:
+            return True
+        return model_check(sys_, point, formula)
+
+    monkeypatch.setattr(systems, "model_check", broken)
+    assert validate_bcs(revsys)["BCS3"].witness == "learn(true) true at time 0"

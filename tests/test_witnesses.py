@@ -281,16 +281,38 @@ def test_bcs5_carrier_witness(revsys):
     assert report["BCS5"].witness == "carrier mismatch at <p>"
 
 
-def test_bcs5_prior_axiom_witness():
-    runs = tuple(Run((x, x), (TRUE,)) for x in (w("11"), w("10"), w("01")))
+def _by_size_system(n):
+    """Runs ordered by set size alone: monotone, but not qualitative."""
+    worlds = [w("11"), w("10"), w("01"), w("00")]
+    runs = tuple(Run((worlds[i % 4], worlds[i // 4 % 4]), (TRUE,)) for i in range(n))
 
     def by_size(a, b):
         if len(a) == len(b):
             return Ordering.EQUAL
         return Ordering.GREATER if len(a) > len(b) else Ordering.LESS
 
-    sys_ = System(PQ, runs, CustomMeasure(runs, by_size), 1, menu=(TRUE,))
-    assert validate_bcs(sys_)["BCS5"].witness == "prior is not qualitative"
+    return System(PQ, runs, CustomMeasure(runs, by_size), 1, menu=(TRUE,))
+
+
+def test_bcs5_prior_axiom_witness():
+    report = validate_bcs(_by_size_system(3))
+    assert report["BCS5"].witness == "prior is not qualitative"
+    assert report.notes == []
+
+
+def test_bcs5_notes_the_prior_axioms_it_skips():
+    report = validate_bcs(_by_size_system(7))
+    assert report["BCS5"].passed
+    assert report.notes == [
+        "BCS5: prior qualitativeness not checked: its carrier has 7 elements, over 6"
+    ]
+    assert "# BCS5: prior qualitativeness not checked" in report.to_text()
+    assert "not checked" not in report.to_machine()
+    report = validate_bcs(_by_size_system(11))
+    assert [note.split(":")[1] for note in report.notes] == [
+        " prior qualitativeness not checked",
+        " prior monotonicity not checked",
+    ]
 
 
 # ---------------------------------------------------------------------------
