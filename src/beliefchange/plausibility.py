@@ -178,10 +178,6 @@ class RankedMeasure(PlausibilityMeasure):
             by_rank.setdefault(self.ranks[e], []).append(i)
         return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
-    def rank_of(self, a: Event) -> float:
-        """The lowest rank whose elements meet the event."""
-        return self._rank(self.mask(a))
-
     def _rank(self, a: int) -> float:
         for rank, level in self._levels:
             if level & a:
@@ -201,39 +197,17 @@ class PreferentialMeasure(PlausibilityMeasure):
     ``prec(x, y)`` means x is strictly preferred to (more normal than) y.
     """
 
-    def __init__(
-        self,
-        carrier: Sequence[Hashable],
-        pairs: Optional[Iterable[Tuple[Hashable, Hashable]]] = None,
-        prec: Optional[Callable[[Hashable, Hashable], bool]] = None,
-    ):
+    def __init__(self, carrier: Sequence[Hashable], prec: Callable[[Hashable, Hashable], bool]):
         self.carrier = tuple(carrier)
-        if (pairs is None) == (prec is None):
-            raise PlausibilityError("exactly one of pairs/prec must be given")
-        self.pairs: Optional[frozenset] = None
-        if pairs is not None:
-            closed = frozenset(transitive_closure(set(pairs)))
-            for x, y in closed:
-                if x == y:
-                    raise PlausibilityError("preference order contains a cycle")
-            self.pairs = closed
-            prec = lambda x, y: (x, y) in closed
         self.prec = prec
 
     @cached_property
     def _below(self) -> Callable[[int], int]:
-        """Mask -> mask of the elements that some element of it beats.  The
-        per-element rows come from ``pairs`` all at once, or each from one
-        sweep of ``prec`` over the carrier when it is first needed."""
+        """Mask -> mask of the elements that some element of it beats.  Each
+        element's row comes from one sweep of ``prec`` over the carrier when
+        it is first needed."""
         carrier, prec = self.carrier, self.prec
         rows: List[Optional[int]] = [None] * len(carrier)
-        if self.pairs is not None:
-            beats: List[List[int]] = [[] for _ in carrier]
-            index = self.index
-            for x, y in self.pairs:
-                if x in index and y in index:
-                    beats[index[x]].append(index[y])
-            rows = [mask_of(row) for row in beats]
 
         @lru_cache(maxsize=MEMO_MASKS)
         def below(mask: int) -> int:
@@ -290,6 +264,7 @@ class CustomMeasure(PlausibilityMeasure):
 class MappedMeasure(PlausibilityMeasure):
     """Image of a base measure under a map from this carrier into its own.
 
+    ``image[i]`` is the base-carrier position of ``carrier[i]``.
     Comparisons delegate to the base measure on the image sets.  The map
     need not be a bijection: elements with one image are order-equivalent,
     and a bijection makes the image order-isomorphic to the base.
@@ -300,32 +275,22 @@ class MappedMeasure(PlausibilityMeasure):
     """
 
     def __init__(
-        self,
-        carrier: Sequence[Hashable],
-        base: PlausibilityMeasure,
-        to_base: Callable,
-        positions: Optional[Sequence[int]] = None,
+        self, carrier: Sequence[Hashable], base: PlausibilityMeasure, image: Sequence[int]
     ):
-        """``positions``, when the caller has them, are the base-carrier
-        positions of ``to_base`` of each element, so no element is looked up."""
         self.carrier = tuple(carrier)
         self.base = base
-        self.to_base = to_base
-        self._positions = positions
+        self.image = list(image)
+        n, size = len(self.carrier), len(base.carrier)
+        if len(self.image) != n:
+            raise PlausibilityError(f"an image of {len(self.image)} positions for a carrier of {n}")
+        if self.image and not 0 <= min(self.image) <= max(self.image) < size:
+            raise PlausibilityError(f"image positions outside a base carrier of {size}")
 
     @cached_property
     def _target(self) -> Tuple[PlausibilityMeasure, Optional[List[int]]]:
         """The measure at the end of the chain, and the position there of each
         carrier element (None when it is the same position)."""
-        base = self.base
-        if self._positions is not None:
-            image = list(self._positions)
-        else:
-            index = base.index
-            targets = list(map(self.to_base, self.carrier))
-            if not all(t in index for t in targets):
-                base.mask(targets)  # raises, naming the elements outside its carrier
-            image = [index[t] for t in targets]
+        base, image = self.base, self.image
         if isinstance(base, MappedMeasure):
             root, base_image = base._target
             if base_image is not None:
@@ -360,13 +325,16 @@ def unwrap(measure: PlausibilityMeasure) -> PlausibilityMeasure:
     return measure
 
 
-def element_rank(measure: PlausibilityMeasure, element) -> float:
-    """Rank of one element under a ranked measure, through any MappedMeasure
-    delegation in front of it."""
-    while isinstance(measure, MappedMeasure):
-        element = measure.to_base(element)
-        measure = measure.base
-    return measure.ranks[element]
+def rank_of(measure: PlausibilityMeasure, event: Event) -> float:
+    """The lowest rank meeting an event under a ranked measure, read by
+    index through any MappedMeasure chain in front of it; infinity when no
+    element of finite rank is in the event."""
+    mask = measure.mask(event)
+    if isinstance(measure, MappedMeasure):
+        measure, mask = measure._target[0], measure._to_root(mask)
+    if not isinstance(measure, RankedMeasure):
+        raise PlausibilityError("rank_of needs a ranked measure")
+    return measure._rank(mask)
 
 
 def least_ranked(measure: PlausibilityMeasure) -> List[int]:
@@ -402,8 +370,12 @@ def transitive_closure(pairs: set) -> set:
 def from_preference(
     carrier: Sequence[Hashable], pairs: Iterable[Tuple[Hashable, Hashable]]
 ) -> PreferentialMeasure:
-    """Lift a strict preference order (x before y = x preferred) to a measure."""
-    return PreferentialMeasure(carrier, pairs=pairs)
+    """Lift a strict preference order (x before y = x preferred) to a measure,
+    closing it under transitivity; a cycle raises :class:`PlausibilityError`."""
+    closed = frozenset(transitive_closure(set(pairs)))
+    if any(x == y for x, y in closed):
+        raise PlausibilityError("preference order contains a cycle")
+    return PreferentialMeasure(carrier, lambda x, y: (x, y) in closed)
 
 
 # ---------------------------------------------------------------------------

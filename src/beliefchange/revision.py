@@ -31,8 +31,8 @@ from .plausibility import (
     Ordering,
     PlausibilityMeasure,
     RankedMeasure,
-    element_rank,
     extension_representatives,
+    rank_of,
     unwrap,
 )
 from .reports import Report
@@ -292,15 +292,10 @@ def characteristic_world_ranks(sys: System) -> Dict[int, float]:
     cached = getattr(sys, "_char_ranks", None)
     if cached is not None:
         return cached
-    base = unwrap(sys.prior)
-    if not isinstance(base, RankedMeasure):
+    if not isinstance(unwrap(sys.prior), RankedMeasure):
         raise RevisionError("characteristic ranking needs a ranked prior")
-    ranks: Dict[int, float] = {w: INF for w in sys.universe}
-    for run in sys.runs:
-        r = element_rank(sys.prior, run)
-        w = run.envs[0]
-        if r < ranks[w]:
-            ranks[w] = r
+    index = sys.index
+    ranks = {w: rank_of(index.prior, index.at[0].get(w, Mask(0))) for w in sys.universe}
     sys._char_ranks = ranks
     return ranks
 

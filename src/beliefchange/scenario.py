@@ -21,7 +21,7 @@ from .formulas import (
     parse_formula,
     print_formula,
 )
-from .plausibility import MappedMeasure, PreferentialMeasure
+from .plausibility import MappedMeasure, from_preference
 from .revision import min_rank_worlds, static_system, system_from_ranking
 from .systems import System
 from .update import (
@@ -329,15 +329,15 @@ def build_system(scenario: Scenario) -> System:
 
 def _system_from_preference(scenario: Scenario) -> System:
     """Static runs as in the ranked case, under the world-level preference
-    order read through run -> initial world: runs from one world are
-    order-equivalent."""
+    order read through run -> initial world (a world is its own position
+    in the carrier): runs from one world are order-equivalent."""
     vocab = scenario.vocab
-    worlds = PreferentialMeasure(tuple(vocab.worlds()), pairs=scenario.preference_pairs)
+    worlds = from_preference(tuple(vocab.worlds()), scenario.preference_pairs)
     return static_system(
         vocab,
         scenario.menu,
         scenario.horizon,
-        lambda runs: MappedMeasure(runs, worlds, lambda run: run.envs[0]),
+        lambda runs: MappedMeasure(runs, worlds, [run.envs[0] for run in runs]),
     )
 
 

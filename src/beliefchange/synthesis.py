@@ -31,7 +31,7 @@ from .plausibility import MappedMeasure, Mask, bits, mask_of
 from .reports import Report
 from .revision import validate_rev
 from .systems import Believes, Run, System, model_check, validate_bcs
-from .update import LexPrior, validate_upd
+from .update import LexPrior, _check_upd3, _check_upd4
 
 
 class SynthesisError(BeliefChangeError):
@@ -90,7 +90,8 @@ def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
         from_source[run] = run_star
         runs_star.append(run_star)
 
-    prior_star = MappedMeasure(runs_star, sys.prior, to_source.__getitem__)
+    # twin run i is source run i
+    prior_star = MappedMeasure(runs_star, sys.index.prior, range(len(runs_star)))
     universe_star = frozenset(
         _encode_env_sequence(sys, vocab_star, envs)
         for envs in itertools.product(sorted(sys.universe), repeat=sys.horizon + 1)
@@ -163,7 +164,14 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
     bcs = validate_bcs(inner)
     report.add("BCS", bcs.all_passed, "; ".join(r.text_line() for r in bcs.failures()))
 
-    upd = validate_upd(st.source) if _has_structure(st.source) else None
+    upd = None
+    if isinstance(st.source.prior, LexPrior):
+        # validate_upd's UPD3 and UPD4 at its default budget; UPD4 draws the
+        # sample validate_upd draws whenever UPD2 samples nothing first (as
+        # on every structure of at most 4 worlds)
+        source, structure, upd = st.source, st.source.prior.structure, Report("upd")
+        upd.add_first("UPD3", _check_upd3(source, structure))
+        upd.add_first("UPD4", _check_upd4(source, structure, 4000, random.Random(0)))
     probes = _star_probes(st)
     rev = validate_rev(
         inner,
@@ -191,10 +199,6 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
     report.add("REV4", rev["REV4"].passed, rev["REV4"].witness)
     report.add_first("PRIOR-ISO", _check_prior_isomorphism(st, budget))
     return report
-
-
-def _has_structure(sys: System) -> bool:
-    return isinstance(sys.prior, LexPrior)
 
 
 def _star_probes(st: StatifiedSystem) -> List[Formula]:

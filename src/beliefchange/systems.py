@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -107,11 +106,6 @@ class System:
 
     # -- basic structure -----------------------------------------------------
 
-    def points(self) -> Iterable[Point]:
-        for run in self.runs:
-            for m in range(self.horizon + 1):
-                yield (run, m)
-
     def points_with_local_state(self, s_a: LocalState) -> Tuple[Point, ...]:
         m, runs = len(s_a), self.runs
         return tuple((runs[i], m) for i in bits(self.index.observed(s_a)))
@@ -151,7 +145,9 @@ class RunIndex:
         # the prior read on these masks
         self.prior = sys.prior
         if tuple(sys.prior.carrier) != sys.runs:
-            self.prior = MappedMeasure(sys.runs, sys.prior, lambda run: run)
+            # a run outside the prior's carrier gets -1, which MappedMeasure rejects
+            image = [sys.prior.index.get(run, -1) for run in sys.runs]
+            self.prior = MappedMeasure(sys.runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
@@ -175,8 +171,7 @@ def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
     the run numbers are the positions in the run-numbered prior."""
     m, runs, index = len(s_a), sys.runs, sys.index
     ids = bits(index.observed(s_a))
-    points = tuple((runs[i], m) for i in ids)
-    return MappedMeasure(points, index.prior, itemgetter(0), positions=ids)
+    return MappedMeasure(tuple((runs[i], m) for i in ids), index.prior, ids)
 
 
 def indistinguishable(sys: System, p1: Point, p2: Point) -> bool:

@@ -13,8 +13,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -319,9 +318,10 @@ class LexPrior(MappedMeasure):
 
     def __init__(self, runs: Sequence[Run], structure: UpdateStructure):
         self.structure = structure
-        cells = tuple(dict.fromkeys(run.envs for run in runs))
-        order = PreferentialMeasure(cells, prec=LexRunOrder(structure).prec)
-        super().__init__(runs, order, attrgetter("envs"))
+        cells: Dict[Tuple[int, ...], int] = {}  # sequence -> its cell number
+        image = [cells.setdefault(run.envs, len(cells)) for run in runs]
+        order = PreferentialMeasure(tuple(cells), LexRunOrder(structure).prec)
+        super().__init__(runs, order, image)
 
 
 def system_from_update(

@@ -22,7 +22,6 @@ from beliefchange.formulas import (
 from beliefchange.plausibility import (
     MappedMeasure,
     PlausibilityStructure,
-    PreferentialMeasure,
     RankedMeasure,
     check_klm_closure,
     extension_representatives,
@@ -196,9 +195,10 @@ def _reversed_pair_override(sys_, s_a, cells, pairs, key):
     the strict ``pairs`` on cells, read through ``key``, with the first
     pair reversed."""
     (x, y), *rest = pairs
-    order = PreferentialMeasure(cells, pairs=[(y, x)] + rest)
+    order = from_preference(cells, [(y, x)] + rest)
     pts = sys_.points_with_local_state(s_a)
-    return _with_overrides(sys_, {s_a: MappedMeasure(pts, order, key)})
+    image = [order.index[key(p)] for p in pts]
+    return _with_overrides(sys_, {s_a: MappedMeasure(pts, order, image)})
 
 
 def test_criterion_5_conditioning_local_rule():

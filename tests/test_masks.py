@@ -21,11 +21,12 @@ from beliefchange.plausibility import (
     PlausibilityError,
     PreferentialMeasure,
     RankedMeasure,
-    element_rank,
+    from_preference,
     least_ranked,
+    rank_of,
     transitive_closure,
 )
-from beliefchange.revision import system_from_ranking
+from beliefchange.revision import characteristic_world_ranks, system_from_ranking
 from beliefchange.scenario import build_system, load_scenario, load_scenario_text
 from beliefchange.synthesis import statify
 from beliefchange.systems import System, bel, runs_with_observations
@@ -155,10 +156,15 @@ def _dominates(prec, a, b):
     )
 
 
+def to_base(measure, element):
+    """One hop of a mapped measure: the base element an element maps to."""
+    return measure.base.carrier[measure.image[measure.index[element]]]
+
+
 def reference_compare(measure, a, b):
     """The set-level comparison rule of each measure kind."""
     if isinstance(measure, MappedMeasure):
-        image = lambda s: frozenset(map(measure.to_base, s))
+        image = lambda s: frozenset(to_base(measure, e) for e in s)
         return reference_compare(measure.base, image(a), image(b))
     if isinstance(measure, RankedMeasure):
         ra = min((measure.ranks[e] for e in a), default=INF)
@@ -214,7 +220,7 @@ def test_preference_from_pairs_equals_preference_from_prec():
     for _ in range(6):
         pairs = {(a, b) for a, b in itertools.combinations(carrier, 2) if rng.random() < 0.3}
         closed = transitive_closure(pairs)
-        from_pairs = PreferentialMeasure(carrier, pairs=pairs)
+        from_pairs = from_preference(carrier, pairs)
         from_prec = PreferentialMeasure(carrier, prec=lambda x, y: (x, y) in closed)
         masks = [Mask(k) for k in range(1 << len(carrier))]
         for ma, mb in itertools.product(masks, repeat=2):
@@ -232,10 +238,10 @@ def test_custom_and_mapped_measures_compare_masks_as_element_sets():
     )
     assert_masks_agree(by_size)
     ranked = RankedMeasure(carrier, {e: i % 3 for i, e in enumerate(carrier)})
-    keys = MappedMeasure(range(12), ranked, lambda i: carrier[i % 6])
+    keys = MappedMeasure(range(12), ranked, [i % 6 for i in range(12)])
     assert_masks_agree(keys)
     # a chain of two maps, the first onto a reordering of the second's carrier
-    chain = MappedMeasure(tuple(reversed(range(12))), keys, lambda i: i)
+    chain = MappedMeasure(tuple(reversed(range(12))), keys, [11 - i for i in range(12)])
     assert_masks_agree(chain)
 
 
@@ -258,6 +264,14 @@ def test_elements_outside_the_carrier_raise(system):
             measure.compare(1, Mask(1))
 
 
+def test_a_run_outside_the_prior_carrier_raises():
+    ranked = SYSTEMS["ranked"]
+    prior = RankedMeasure(ranked.runs[1:], ranked.prior.ranks)
+    sys_ = System(PQ, ranked.runs[::-1], prior, ranked.horizon, menu=ranked.menu)
+    with pytest.raises(PlausibilityError, match="outside a base carrier"):
+        sys_.index
+
+
 def test_prec_rows_are_built_only_for_compared_elements():
     calls = []
 
@@ -274,9 +288,18 @@ def test_prec_rows_are_built_only_for_compared_elements():
 # least-ranked points, read by index
 
 
+def _element_rank(measure, element):
+    """Rank of one element under a ranked measure, walking any mapped chain
+    in front of it one hop at a time."""
+    while isinstance(measure, MappedMeasure):
+        element, measure = to_base(measure, element), measure.base
+    return measure.ranks[element]
+
+
 def _element_rank_reference(measure):
-    ranks = [element_rank(measure, e) for e in measure.carrier]
+    ranks = [_element_rank(measure, e) for e in measure.carrier]
     best = min(ranks, default=INF)
+    assert rank_of(measure, Mask((1 << len(ranks)) - 1)) == best
     return [i for i, r in enumerate(ranks) if r == best] if best != INF else []
 
 
@@ -306,8 +329,19 @@ def test_least_ranked_points_match_element_rank(name):
 def test_least_ranked_with_infinite_ranks():
     ranked = RankedMeasure("abcd", {"a": INF, "b": 2, "c": 1, "d": 1})
     assert least_ranked(ranked) == _element_rank_reference(ranked) == [2, 3]
-    middle = MappedMeasure("wxyz", ranked, {"w": "a", "x": "a", "y": "b", "z": "c"}.get)
-    chain = MappedMeasure("xyz", middle, {"x": "w", "y": "x", "z": "y"}.get)
+    middle = MappedMeasure("wxyz", ranked, [0, 0, 1, 2])  # w, x -> a; y -> b; z -> c
+    chain = MappedMeasure("xyz", middle, [0, 1, 2])  # x -> w, y -> x, z -> y
     assert least_ranked(chain) == _element_rank_reference(chain) == [2]
-    unreachable = MappedMeasure("uv", ranked, lambda e: "a")
+    assert rank_of(chain, "xy") == INF
+    unreachable = MappedMeasure("uv", ranked, [0, 0])
     assert least_ranked(unreachable) == _element_rank_reference(unreachable) == []
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_SYSTEMS))
+def test_characteristic_world_ranks_are_the_best_run_rank_per_world(name):
+    sys_ = RANKED_SYSTEMS[name]
+    want = {w: INF for w in sys_.universe}
+    for run in sys_.runs:
+        w = run.envs[0]
+        want[w] = min(want[w], sys_.prior.ranks[run])
+    assert characteristic_world_ranks(sys_) == want

@@ -10,7 +10,6 @@ from beliefchange.plausibility import (
     Ordering,
     PlausibilityError,
     PlausibilityStructure,
-    PreferentialMeasure,
     RankedMeasure,
     believes,
     check_klm_closure,
@@ -20,6 +19,8 @@ from beliefchange.plausibility import (
     from_preference,
     is_qualitative,
     preferential_conditional_holds,
+    rank_of,
+    transitive_closure,
 )
 
 PQ = Vocabulary(["p", "q"])
@@ -64,7 +65,7 @@ def test_ranked_lower_rank_more_plausible():
 def test_ranked_union_takes_min_rank():
     m = RankedMeasure("abcd", {"a": 0, "b": 1, "c": 2, "d": 1})
     for a, b in itertools.product(subsets("abcd"), repeat=2):
-        assert m.rank_of(a | b) == min(m.rank_of(a), m.rank_of(b))
+        assert rank_of(m, a | b) == min(rank_of(m, a), rank_of(m, b))
         assert m.compare(a, b) is not Ordering.INCOMPARABLE  # total
 
 
@@ -118,7 +119,7 @@ def test_preferential_matches_dominance_oracle_exhaustively():
     ]
     for pairs in order_sets:
         m = from_preference(carrier, pairs)
-        closed = m.pairs
+        closed = transitive_closure(pairs)
         for a, b in itertools.product(subsets(carrier), repeat=2):
             ge = dominance_oracle(closed, a, b)
             le = dominance_oracle(closed, b, a)
@@ -150,12 +151,21 @@ def test_mapped_measure_compares_image_sets_under_a_key_map():
     # elements sharing a key are order-equivalent
     carrier = tuple(range(6))
     key = lambda x: x % 3
-    keys = PreferentialMeasure(range(3), pairs=[(0, 1), (0, 2), (1, 2)])
-    mapped = MappedMeasure(carrier, keys, key)
+    keys = from_preference(range(3), [(0, 1), (0, 2), (1, 2)])
+    mapped = MappedMeasure(carrier, keys, [key(x) for x in carrier])
     for a, b in itertools.product(subsets(carrier), repeat=2):
         want = keys.compare(frozenset(map(key, a)), frozenset(map(key, b)))
         assert mapped.compare(a, b) is want, (sorted(a), sorted(b))
     assert mapped.compare([0], [3]) is Ordering.EQUAL
+
+
+def test_mapped_measure_rejects_a_bad_image():
+    keys = from_preference(range(3), [(0, 1)])
+    with pytest.raises(PlausibilityError, match="image of 2 positions for a carrier of 3"):
+        MappedMeasure("abc", keys, [0, 1])
+    for bad in (3, -1):
+        with pytest.raises(PlausibilityError, match="outside a base carrier of 3"):
+            MappedMeasure("abc", keys, [0, bad, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from beliefchange.synthesis import (
     statify,
     verify_statification,
 )
+from beliefchange import update
 from beliefchange.systems import bel
-from beliefchange.update import hamming_structure, system_from_update
+from beliefchange.update import hamming_structure, system_from_update, validate_upd
 
 PQ = Vocabulary(["p", "q"])
 P_ = Atom("p")
@@ -95,6 +96,17 @@ def test_verification_report(twin):
     assert not by_name["REV2"].passed and by_name["REV2"].witness
     # off-time observations cannot be made: strong neutrality fails
     assert not by_name["REV4"].passed and "@" in by_name["REV4"].witness
+
+
+
+def test_verification_runs_only_the_update_checks_it_reports(twin, monkeypatch):
+    calls = []
+    check_upd2 = update._check_upd2
+    monkeypatch.setattr(update, "_check_upd2", lambda *args: calls.append(1) or check_upd2(*args))
+    verify_statification(twin)
+    assert calls == []
+    validate_upd(twin.source)
+    assert calls == [1]  # the counter sees a call that does happen
 
 
 def test_belief_correspondence_exhaustive(twin):

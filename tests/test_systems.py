@@ -51,12 +51,17 @@ def updsys():
     return system_from_update(hamming_structure(PQ), 2, [TRUE, P_, Not(Q_)])
 
 
+def points_of(sys_):
+    """Every point of a system, run by run and time by time."""
+    return ((run, m) for run in sys_.runs for m in range(sys_.horizon + 1))
+
+
 # ---------------------------------------------------------------------------
 # indistinguishability
 
 
 def test_indistinguishable_reflexive(revsys):
-    for point in itertools.islice(revsys.points(), 50):
+    for point in itertools.islice(points_of(revsys), 50):
         assert indistinguishable(revsys, point, point)
 
 
@@ -72,7 +77,7 @@ def test_indistinguishable_shared_prefix(revsys):
 
 
 def test_synchrony_and_perfect_recall(revsys):
-    points = list(revsys.points())
+    points = list(points_of(revsys))
     for p1, p2 in itertools.product(points[:40], points[:40]):
         if indistinguishable(revsys, p1, p2):
             assert p1[1] == p2[1]
@@ -113,7 +118,7 @@ def test_condition_prior_filters_by_first_observation(revsys):
 
 
 def test_knowledge_implies_truth(revsys):
-    for point in itertools.islice(revsys.points(), 60):
+    for point in itertools.islice(points_of(revsys), 60):
         for f in (P_, Q_, And(P_, Q_)):
             if model_check(revsys, point, Knows(f)):
                 assert model_check(revsys, point, f)
@@ -162,7 +167,7 @@ def _kpt_pool():
 
 def test_knowledge_is_s5(revsys):
     pool = _kpt_pool()
-    points = [p for p in revsys.points() if p[1] < revsys.horizon]
+    points = [p for p in points_of(revsys) if p[1] < revsys.horizon]
     for point in points[:25]:
         for f in pool:
             kf = model_check(revsys, point, Knows(f))
@@ -179,7 +184,7 @@ def test_knowledge_is_s5(revsys):
 
 def test_knowledge_belief_interaction(revsys):
     pool = _kpt_pool()
-    points = [p for p in revsys.points() if p[1] < revsys.horizon]
+    points = [p for p in points_of(revsys) if p[1] < revsys.horizon]
     for point in points[:25]:
         for f in pool:
             if model_check(revsys, point, Knows(f)):
