@@ -99,6 +99,11 @@ class PlausibilityMeasure:
     def is_bottom(self, a: Event) -> bool:
         return self.compare(a, Mask()) is Ordering.EQUAL
 
+    def root_mask(self, mask: int) -> int:
+        """The image of a carrier mask in the measure at the end of its
+        MappedMeasure chain (see :func:`root_of`): the mask itself here."""
+        return mask
+
     @cached_property
     def index(self) -> Dict[Hashable, int]:
         """Carrier position of each element."""
@@ -302,39 +307,46 @@ class MappedMeasure(PlausibilityMeasure):
         return root, image
 
     @cached_property
-    def _to_root(self) -> Callable[[int], int]:
+    def root_mask(self) -> Callable[[int], int]:
+        """The image of a carrier mask in the chain's root; recently seen
+        masks keep theirs."""
         image = self._target[1]
         if image is None:
             return lambda mask: mask
 
         @lru_cache(maxsize=MEMO_MASKS)
-        def to_root(mask: int) -> int:
+        def root_mask(mask: int) -> int:
             return mask_of([image[i] for i in bits(mask)])
 
-        return to_root
+        return root_mask
 
     def _compare(self, a: int, b: int) -> Ordering:
-        to_root = self._to_root
-        return self._target[0]._compare(to_root(a), to_root(b))
+        root_mask = self.root_mask
+        return self._target[0]._compare(root_mask(a), root_mask(b))
 
 
-def unwrap(measure: PlausibilityMeasure) -> PlausibilityMeasure:
-    """Follow MappedMeasure delegation down to the underlying measure."""
-    while isinstance(measure, MappedMeasure):
-        measure = measure.base
-    return measure
+def root_of(measure: PlausibilityMeasure) -> Tuple[PlausibilityMeasure, Optional[List[int]]]:
+    """The measure at the end of a MappedMeasure chain, and the position
+    there of each carrier element (None when it is the same position).
+
+    A mapped measure compares two events as its root compares their
+    images, so events with one root image (``measure.root_mask``) compare
+    alike against anything.
+    """
+    if isinstance(measure, MappedMeasure):
+        return measure._target
+    return measure, None
 
 
 def rank_of(measure: PlausibilityMeasure, event: Event) -> float:
     """The lowest rank meeting an event under a ranked measure, read by
     index through any MappedMeasure chain in front of it; infinity when no
     element of finite rank is in the event."""
-    mask = measure.mask(event)
-    if isinstance(measure, MappedMeasure):
-        measure, mask = measure._target[0], measure._to_root(mask)
-    if not isinstance(measure, RankedMeasure):
+    mask = measure.root_mask(measure.mask(event))
+    root = root_of(measure)[0]
+    if not isinstance(root, RankedMeasure):
         raise PlausibilityError("rank_of needs a ranked measure")
-    return measure._rank(mask)
+    return root._rank(mask)
 
 
 def least_ranked(measure: PlausibilityMeasure) -> List[int]:
@@ -342,7 +354,7 @@ def least_ranked(measure: PlausibilityMeasure) -> List[int]:
     measure, read by index through any MappedMeasure chain in front of it
     (the chain's image, then the level masks); empty when every element
     has infinite rank."""
-    root, image = measure._target if isinstance(measure, MappedMeasure) else (measure, None)
+    root, image = root_of(measure)
     for _, level in root._levels:
         if image is None:
             hits = bits(level)

@@ -33,7 +33,7 @@ from .plausibility import (
     RankedMeasure,
     extension_representatives,
     rank_of,
-    unwrap,
+    root_of,
 )
 from .reports import Report
 from .systems import LocalState, Run, System, bel, runs_with_observations
@@ -292,7 +292,7 @@ def characteristic_world_ranks(sys: System) -> Dict[int, float]:
     cached = getattr(sys, "_char_ranks", None)
     if cached is not None:
         return cached
-    if not isinstance(unwrap(sys.prior), RankedMeasure):
+    if not isinstance(root_of(sys.prior)[0], RankedMeasure):
         raise RevisionError("characteristic ranking needs a ranked prior")
     index = sys.index
     ranks = {w: rank_of(index.prior, index.at[0].get(w, Mask(0))) for w in sys.universe}
@@ -546,7 +546,7 @@ def _default_obs_sequences(sys: System, max_len: int) -> List[Tuple[Formula, ...
 
 
 def _check_ranked(sys: System, budget: int) -> Iterator[str]:
-    if isinstance(unwrap(sys.prior), RankedMeasure):
+    if isinstance(root_of(sys.prior)[0], RankedMeasure):
         return
     prior = sys.index.prior
     budget = max(budget, 0)  # a negative budget checks nothing, as zero does
@@ -575,11 +575,14 @@ def _check_observation_neutrality(
     The conditional side evaluates each probe at the time of the last
     observation (the reading conditioning actually uses); the conjunction
     side evaluates probe-and-observations at time 0.  Under REV1 the two
-    timings coincide.
+    timings coincide.  A pair of probes whose two sides each have one root
+    image (see :func:`plausibility.root_of`) compares alike by construction,
+    so it counts against the budget without being compared.
     """
     vocab = sys.vocab
     index = sys.index
     prior = index.prior
+    root_mask = prior.root_mask
     spent = 0
     for seq in obs_sequences:
         seq = tuple(seq)
@@ -590,14 +593,18 @@ def _check_observation_neutrality(
         prefix_runs = runs_with_observations(sys, seq)
         cond_event = {}
         conj_event = {}
+        neutral = {}
         for f in probes:
             f_ext = vocab.extension(f)
             cond_event[f] = Mask(prefix_runs & index.env_event(m, f_ext))
             conj_event[f] = index.env_event(0, f_ext & conj_ext)
+            neutral[f] = root_mask(cond_event[f]) == root_mask(conj_event[f])
         for f, g in itertools.product(probes, repeat=2):
             spent += 1
             if spent > budget:
                 return
+            if neutral[f] and neutral[g]:
+                continue
             lhs = prior.at_least(cond_event[f], cond_event[g])
             rhs = prior.at_least(conj_event[f], conj_event[g])
             if lhs != rhs:

@@ -27,7 +27,7 @@ from .formulas import (
     timestamp,
     timestamped_vocabulary,
 )
-from .plausibility import MappedMeasure, Mask, bits, mask_of
+from .plausibility import MappedMeasure, Mask, bits, mask_of, root_of
 from .reports import Report
 from .revision import validate_rev
 from .systems import Believes, Run, System, model_check, validate_bcs
@@ -215,7 +215,20 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     Exhaustive over all subset pairs while they fit the budget; larger
     systems get deterministic sampling of small subsets (dominance compares
     on arbitrary large sets are quadratic, so sampled sets stay small).
+    When both priors read one root and every twin run has the root position
+    of its source run, each pair compares alike by construction and
+    nothing is swept.
     """
+    position = {run: i for i, run in enumerate(st.source.runs)}
+    to_source = [position[st.to_source[run]] for run in st.inner.runs]
+    star, source = st.inner.index.prior, st.source.index.prior
+    (star_root, star_image), (source_root, source_image) = root_of(star), root_of(source)
+    if star_root is source_root:
+        same_position = range(len(star_root.carrier))  # the image None stands for
+        star_image = same_position if star_image is None else star_image
+        source_image = same_position if source_image is None else source_image
+        if all(star_image[i] == source_image[j] for i, j in enumerate(to_source)):
+            return
     n = len(st.inner.runs)
     if 4 ** n <= budget:
         pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
@@ -228,13 +241,10 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
             )
             for _ in range(max(64, int(budget ** 0.5)))
         )
-    position = {run: i for i, run in enumerate(st.source.runs)}
-    to_source = [position[st.to_source[run]] for run in st.inner.runs]
 
     def image(mask: int) -> Mask:
         return Mask(mask_of([to_source[i] for i in bits(mask)]))
 
-    star, source = st.inner.index.prior, st.source.index.prior
     for a, b in pairs:
         if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
             sizes = (a.bit_count(), b.bit_count())

@@ -33,7 +33,7 @@ from .plausibility import (
     is_qualitative,
     least_ranked,
     mask_of,
-    unwrap,
+    root_of,
 )
 from .reports import Report
 
@@ -205,7 +205,7 @@ def bel(sys: System, s_a: LocalState) -> Extension:
     result: Extension
     if not points:
         result = frozenset()
-    elif isinstance(unwrap(measure), RankedMeasure):
+    elif isinstance(root_of(measure)[0], RankedMeasure):
         result = _bel_min_rank(points, measure)
     else:
         result = _bel_generic(points, measure)
@@ -512,7 +512,7 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
         bcs4(run, m) for run in sys.runs for m in range(1, sys.horizon + 1)
     ))
     report.add_first("BCS5", _check_conditioning(sys, budget))
-    size = len(unwrap(sys.prior).carrier)
+    size = len(root_of(sys.prior)[0].carrier)
     for axiom, limit in (
         ("qualitativeness", QUALITATIVE_MAX_ELEMENTS),
         ("monotonicity", MONOTONE_MAX_ELEMENTS),
@@ -544,7 +544,7 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
         if masks is not None:
             a, b = masks
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
-    base = unwrap(sys.prior)
+    base = root_of(sys.prior)[0]
     if len(base.carrier) <= QUALITATIVE_MAX_ELEMENTS and not is_qualitative(base, budget=budget):
         yield "prior is not qualitative"
     if len(base.carrier) <= MONOTONE_MAX_ELEMENTS and not check_monotonicity(base, budget=budget):

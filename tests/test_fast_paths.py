@@ -1,0 +1,307 @@
+"""Each fast path against the slow reference it replaces.
+
+UPD4, REV4/REV4' and PRIOR-ISO skip the pairs whose two sides have one
+root image; the reference sweeps below compare every pair.  ``min_u``
+reads the structure's table of farther worlds; the reference asks the
+distance order directly.
+"""
+import itertools
+import os
+import random
+
+import pytest
+
+from beliefchange import revision, synthesis, update
+from beliefchange.diagnosis import revision_report
+from beliefchange.formulas import TRUE, Atom, Not, Vocabulary, seq_str
+from beliefchange.plausibility import CustomMeasure, Mask, Ordering, PreferentialMeasure, RankedMeasure
+from beliefchange.scenario import build_system, load_scenario
+from beliefchange.synthesis import statify, verify_statification
+from beliefchange.systems import System, runs_with_observations
+from beliefchange.update import (
+    check_km,
+    hamming_structure,
+    min_u,
+    random_structure,
+    system_from_update,
+    validate_upd,
+)
+
+PQ = Vocabulary(["p", "q"])
+PQR = Vocabulary(["p", "q", "r"])
+P_ = Atom("p")
+Q_ = Atom("q")
+MENU = (TRUE, P_, Not(Q_))
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
+
+
+def _scenario_system(name):
+    scenario = load_scenario(os.path.join(SCENARIOS, name))
+    return scenario, build_system(scenario)
+
+
+# ---------------------------------------------------------------------------
+# reference sweeps: every pair compared
+
+
+def upd4_reference(sys_, structure, budget, rng):
+    menu = list(sys_.menu)
+    probes = list(dict.fromkeys(menu))
+    instances = []
+    for k in (0, 1):
+        if k > sys_.horizon - 1:
+            continue
+        for obs in itertools.product(menu, repeat=k):
+            for fa in itertools.product(probes, repeat=k + 2):
+                for fb in itertools.product(probes, repeat=k + 2):
+                    instances.append((obs, fa, fb))
+    if len(instances) > budget:
+        instances = [instances[rng.randrange(len(instances))] for _ in range(budget)]
+    prior = sys_.index.prior
+    for obs, fa, fb in instances:
+        observed = [update._upd4_event(sys_, f, obs, True) for f in (fa, fb)]
+        merely_true = [update._upd4_event(sys_, f, obs, False) for f in (fa, fb)]
+        if prior.at_least(*observed) != prior.at_least(*merely_true):
+            yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
+
+
+def rev4_reference(sys_, probes, obs_sequences, budget):
+    vocab, index = sys_.vocab, sys_.index
+    prior = index.prior
+    spent = 0
+    for seq in map(tuple, obs_sequences):
+        conj_ext = sys_.universe
+        for o in seq:
+            conj_ext = conj_ext & vocab.extension(o)
+        prefix_runs = runs_with_observations(sys_, seq)
+        for f, g in itertools.product(probes, repeat=2):
+            spent += 1
+            if spent > budget:
+                return
+            exts = [vocab.extension(h) for h in (f, g)]
+            cond = [Mask(prefix_runs & index.env_event(len(seq), e)) for e in exts]
+            conj = [index.env_event(0, e & conj_ext) for e in exts]
+            if prior.at_least(*cond) != prior.at_least(*conj):
+                yield (
+                    f"probes ({f}, {g}) after observing {seq_str(seq)}",
+                    not prior.is_bottom(cond[0]),
+                )
+
+
+def prior_iso_reference(st, budget):
+    n = len(st.inner.runs)
+    if 4 ** n <= budget:
+        pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
+    else:
+        rng = random.Random(0)
+
+        def sample():
+            return sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(6, n))))
+
+        pairs = ((sample(), sample()) for _ in range(max(64, int(budget ** 0.5))))
+    position = {run: i for i, run in enumerate(st.source.runs)}
+    to_source = [position[st.to_source[run]] for run in st.inner.runs]
+
+    def image(mask):
+        return Mask(sum(1 << to_source[i] for i in range(n) if mask >> i & 1))
+
+    star, source = st.inner.index.prior, st.source.index.prior
+    for a, b in pairs:
+        if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
+            yield f"subset pair of sizes {(a.bit_count(), b.bit_count())} compares differently"
+
+
+def both_ways(monkeypatch, run):
+    """The report of ``run()`` with the fast checkers, after asserting the
+    reference sweeps give the same machine output."""
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(update, "_check_upd4", upd4_reference)
+        m.setattr(synthesis, "_check_upd4", upd4_reference)
+        m.setattr(revision, "_check_observation_neutrality", rev4_reference)
+        m.setattr(synthesis, "_check_prior_isomorphism", prior_iso_reference)
+        slow = run()
+    assert fast.to_machine() == slow.to_machine()
+    return fast
+
+
+def with_prior(sys_, prior, runs=None):
+    runs = sys_.runs if runs is None else runs
+    return System(sys_.vocab, runs, prior, sys_.horizon, universe=sys_.universe, menu=sys_.menu)
+
+
+def tampered(st):
+    """The twin with the bijection's first and last runs swapped; its prior
+    still reads the true bijection."""
+    runs = st.inner.runs
+    st.to_source = dict(st.to_source)
+    st.to_source[runs[0]], st.to_source[runs[-1]] = st.to_source[runs[-1]], st.to_source[runs[0]]
+    return st
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the three checkers
+
+
+@pytest.fixture(scope="module", params=[(seed, h) for seed in range(3) for h in (1, 2)],
+                ids=lambda p: f"seed{p[0]}-h{p[1]}")
+def random_update_system(request):
+    seed, horizon = request.param
+    return system_from_update(random_structure(PQ, random.Random(seed)), horizon, MENU)
+
+
+def test_random_update_systems(monkeypatch, random_update_system):
+    both_ways(monkeypatch, lambda: validate_upd(random_update_system))
+    both_ways(monkeypatch, lambda: revision.validate_rev(random_update_system))
+
+
+def test_statified_twins(monkeypatch, random_update_system):
+    st = statify(random_update_system)
+    both_ways(monkeypatch, lambda: verify_statification(st))
+
+
+def test_tampered_twins(monkeypatch, random_update_system):
+    st = tampered(statify(random_update_system))
+    both_ways(monkeypatch, lambda: verify_statification(st))
+
+
+def test_tampered_twin_witness_is_swept(monkeypatch):
+    # small enough for the exhaustive sweep, so the swap must show
+    st = tampered(statify(system_from_update(hamming_structure(PQ), 1, (TRUE, P_))))
+    assert not both_ways(monkeypatch, lambda: verify_statification(st))["PRIOR-ISO"].passed
+
+
+def _by_size(runs):
+    # more runs, more plausible: observing is informative whenever it
+    # drops runs
+    def compare(a, b):
+        if len(a) == len(b):
+            return Ordering.EQUAL
+        return Ordering.GREATER if len(a) > len(b) else Ordering.LESS
+
+    return CustomMeasure(runs, compare)
+
+
+def _reversed_ranks(runs):
+    return RankedMeasure(runs, {r: len(runs) - 1 - i for i, r in enumerate(runs)})
+
+
+@pytest.mark.parametrize(
+    "make_prior, upd4_fails, iso_fails", [(_by_size, True, False), (_reversed_ranks, False, True)]
+)
+def test_priors_whose_images_differ(monkeypatch, make_prior, upd4_fails, iso_fails):
+    structure = hamming_structure(PQ)
+    source = system_from_update(structure, 2, MENU)
+    sys_ = with_prior(source, make_prior(source.runs))
+    upd = both_ways(monkeypatch, lambda: validate_upd(sys_, structure=structure))
+    assert upd["UPD4"].passed is not upd4_fails
+    assert not both_ways(monkeypatch, lambda: revision.validate_rev(sys_))["REV4"].passed
+    st = tampered(statify(sys_))
+    assert both_ways(monkeypatch, lambda: verify_statification(st))["PRIOR-ISO"].passed is not iso_fails
+
+
+def test_diagnosis_revision_report(monkeypatch):
+    scenario, sys_ = _scenario_system("diag_three_gates.scn")
+    both_ways(monkeypatch, lambda: revision_report(sys_, scenario.circuit))
+
+
+@pytest.fixture(scope="module")
+def no_p_at_11():
+    # observing p never happens at world 11, so observing it is informative
+    structure = hamming_structure(PQ)
+    full = system_from_update(structure, 2, MENU)
+    w11 = PQ.world_from_str("11")
+    runs = tuple(r for r in full.runs if not (r.envs[1] == w11 and r.obs[0] == P_))
+    return with_prior(full, update.LexPrior(runs, structure), runs)
+
+
+@pytest.mark.parametrize("budget", [10, 30, 50, 400])
+def test_upd4_at_sampled_budgets(monkeypatch, no_p_at_11, budget):
+    both_ways(monkeypatch, lambda: validate_upd(no_p_at_11, budget=budget))
+
+
+@pytest.mark.parametrize("budget", [474, 475])
+def test_rev4_budget_counts_skipped_pairs(monkeypatch, budget):
+    # on this twin the sweep's first mismatch is pair 475, after pairs
+    # the fast path skips
+    _, sys_ = _scenario_system("small_update.scn")
+    st = statify(sys_)
+    probes, seqs = synthesis._star_probes(st), synthesis._timed_obs_sequences(st, 2)
+    report = both_ways(monkeypatch, lambda: revision.validate_rev(st.inner, probes, seqs, budget=budget))
+    assert report["REV4"].passed is (budget == 474)
+
+
+# ---------------------------------------------------------------------------
+# the saved work
+
+
+@pytest.fixture()
+def root_compares(monkeypatch):
+    """Counts the root measure's comparisons on an update system."""
+    calls = []
+    original = PreferentialMeasure._compare
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(PreferentialMeasure, "_compare", counted)
+    return calls
+
+
+def test_small_update_upd4_and_prior_iso_compare_nothing(root_compares):
+    _, sys_ = _scenario_system("small_update.scn")
+    witnesses = list(update._check_upd4(sys_, sys_.prior.structure, 4000, random.Random(0)))
+    assert witnesses == [] and root_compares == []
+    assert list(synthesis._check_prior_isomorphism(statify(sys_), 60_000)) == []
+    assert root_compares == []
+
+
+def test_small_update_twin_rev4_compares_less(root_compares):
+    _, sys_ = _scenario_system("small_update.scn")
+    st = statify(sys_)
+    args = (st.inner, synthesis._star_probes(st), synthesis._timed_obs_sequences(st, 2), 60_000)
+    fast = list(revision._check_observation_neutrality(*args))
+    fast_calls = len(root_compares)
+    root_compares.clear()
+    assert list(rev4_reference(*args)) == fast
+    assert fast_calls < len(root_compares)
+
+
+# ---------------------------------------------------------------------------
+# min_u against the distance order
+
+
+def min_u_reference(structure, origins, candidates):
+    closer = structure.closer
+    return frozenset(
+        w for w in candidates
+        if any(not any(closer(o, v, w) for v in candidates) for o in origins)
+    )
+
+
+def _subsets(worlds):
+    return [
+        frozenset(c) for k in range(len(worlds) + 1) for c in itertools.combinations(worlds, k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQR)] + [random_structure(PQ, random.Random(seed)) for seed in range(20)],
+    ids=["hamming-pqr"] + [f"random-pq-{seed}" for seed in range(20)],
+)
+def test_min_u_matches_the_closer_loop(structure):
+    subsets = _subsets(structure.worlds)
+    for origins, candidates in itertools.product(subsets, repeat=2):
+        assert min_u(structure, origins, candidates) == min_u_reference(structure, origins, candidates)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_check_km_unchanged_by_the_table(seed):
+    structure = random_structure(PQ, random.Random(seed))
+    report = check_km(update.update_operator(structure), structure.worlds, PQ)
+    reference = check_km(
+        lambda belief, observed: min_u_reference(structure, belief, observed), structure.worlds, PQ
+    )
+    assert report.to_machine() == reference.to_machine()
