@@ -23,10 +23,10 @@ from .formulas import (
     formula_of_extension,
     seq_str,
 )
-from .plausibility import RankedMeasure
+from .plausibility import RankedMeasure, union
 from .reports import Report
 from .revision import validate_rev, _default_obs_sequences
-from .systems import LocalState, Run, System, bel
+from .systems import LocalState, Run, System, bel, first_failure
 
 GATE_KINDS = ("AND", "OR", "NOT", "XOR")
 
@@ -182,13 +182,12 @@ def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> 
         return all(circuit.line_value(world, l) == bool(v) for l, v in test.items())
 
     runs: List[Run] = []
-    ranks: Dict[Run, int] = {}
+    ranks: List[int] = []  # one per run, by its fault group
     for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
         steps = [[s for s in worlds if matches(s, t)] for t in tests]
         for envs in itertools.product(worlds, *steps):
-            run = Run(envs, tuple(map(circuit.io_formula, envs[1:])))
-            runs.append(run)
-            ranks[run] = len(fault)
+            runs.append(Run(envs, tuple(map(circuit.io_formula, envs[1:]))))
+        ranks += [len(fault)] * (len(runs) - len(ranks))
     prior = RankedMeasure(runs, ranks)
     menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
     return System(
@@ -234,13 +233,8 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
 
     # (prefix, diagnoses before its last observation, after it, filtered)
     cases = []
-    seen = set()
-    for run in sys.runs:
-        for m in range(sys.horizon):
-            prefix = run.local_state(m + 1)
-            if prefix in seen:
-                continue
-            seen.add(prefix)
+    for prefix in sys.index.prefix:  # in the order the runs first reach them
+        if prefix:
             before = diag(sys, circuit, prefix[:-1])
             after = diag(sys, circuit, prefix)
             surviving = before & consistent(prefix[-1])
@@ -270,10 +264,21 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
         if before and after and not (before & after)
         and min(len(f) for f in after) <= min(len(f) for f in before)
     ))
-    report.add_first("PERSISTENCE", (
-        "a run changes its fault set over time"
-        for run in sys.runs
-        if len({circuit.fault_set(s) for s in run.envs}) > 1
+    # the runs per (time, fault set); a run that keeps its fault set is in
+    # the mask of its time-0 fault set at every time
+    faults_at = []
+    for row in sys.index.at:
+        faults: Dict[FrozenSet[str], int] = {}
+        for w, k in row.items():
+            fault = circuit.fault_set(w)
+            faults[fault] = faults.get(fault, 0) | k
+        faults_at.append(faults)
+    changed = [
+        union(k & ~faults_at[0].get(fault, 0) for fault, k in faults.items())
+        for faults in faults_at
+    ]
+    report.add_first("PERSISTENCE", first_failure(
+        changed, lambda i, m: "a run changes its fault set over time"
     ))
     return report
 
@@ -324,7 +329,7 @@ def fault_projection(sys: System, circuit: Circuit) -> System:
         )
         projected.setdefault(new_run, len(fault))
     runs = tuple(projected)
-    prior = RankedMeasure(runs, {r: projected[r] for r in runs})
+    prior = RankedMeasure(runs, tuple(projected.values()))
     menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
     return System(
         vocab=fault_vocab,

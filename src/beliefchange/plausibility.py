@@ -157,31 +157,53 @@ def bits(mask: int) -> List[int]:
     return out
 
 
+def group_positions(column: Sequence[Hashable]) -> Dict[Hashable, List[int]]:
+    """The positions of each distinct value of ``column``, ascending; values
+    in the order of their first position."""
+    groups: Dict[Hashable, List[int]] = {}
+    for i, value in enumerate(column):
+        ids = groups.get(value)
+        if ids is None:
+            groups[value] = [i]
+        else:
+            ids.append(i)
+    return groups
+
+
+def union(masks: Iterable[int]) -> int:
+    """The union of int masks (0 for none)."""
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
 class RankedMeasure(PlausibilityMeasure):
     """Totally preordered measure given by a rank per element.
 
-    Pl(A) corresponds to the *minimum* rank in A, so Pl(A | B) follows the
-    max-of-plausibilities law for unions; the empty set (and any set of
-    infinite rank) sits at bottom.
+    ``ranks[i]`` is the rank of ``carrier[i]``: a natural number, or
+    infinity for the unreachable.  Pl(A) corresponds to the *minimum* rank
+    in A, so Pl(A | B) follows the max-of-plausibilities law for unions;
+    the empty set (and any set of infinite rank) sits at bottom.
     """
 
-    def __init__(self, carrier: Sequence[Hashable], ranks: Mapping[Hashable, float]):
+    def __init__(self, carrier: Sequence[Hashable], ranks: Sequence[float]):
+        if isinstance(ranks, Mapping):
+            raise PlausibilityError("ranks are positional: ranks[i] is the rank of carrier[i]")
         self.carrier = tuple(carrier)
-        missing = [e for e in self.carrier if e not in ranks]
-        if missing:
-            raise PlausibilityError(f"missing ranks for {len(missing)} carrier elements")
-        for e, r in ranks.items():
+        self.ranks = tuple(ranks)
+        if len(self.ranks) != len(self.carrier):
+            raise PlausibilityError(
+                f"{len(self.ranks)} ranks for a carrier of {len(self.carrier)} elements"
+            )
+        for r in set(self.ranks):
             if r != INF and (r < 0 or int(r) != r):
-                raise PlausibilityError(f"rank of {e!r} must be a natural number or infinity")
-        self.ranks = dict(ranks)
+                raise PlausibilityError(f"rank {r!r} is not a natural number or infinity")
 
     @cached_property
     def _levels(self) -> List[Tuple[float, int]]:
         """(rank, mask of the elements with that rank), finite ranks ascending."""
-        by_rank: Dict[float, List[int]] = {}
-        for i, e in enumerate(self.carrier):
-            by_rank.setdefault(self.ranks[e], []).append(i)
-        return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
+        return rank_levels(self.ranks)
 
     def _rank(self, a: int) -> float:
         for rank, level in self._levels:
@@ -364,6 +386,12 @@ def least_ranked(measure: PlausibilityMeasure) -> List[int]:
         if hits:
             return hits
     return []
+
+
+def rank_levels(ranks: Sequence[float]) -> List[Tuple[float, int]]:
+    """(rank, mask of the positions with that rank), finite ranks ascending."""
+    by_rank = group_positions(ranks)
+    return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
 
 def transitive_closure(pairs: set) -> set:

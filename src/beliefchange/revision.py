@@ -34,9 +34,10 @@ from .plausibility import (
     extension_representatives,
     rank_of,
     root_of,
+    union,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, bel, runs_with_observations
+from .systems import LocalState, Run, System, bel, first_failure, runs_with_observations
 
 
 class RevisionError(BeliefChangeError):
@@ -198,9 +199,7 @@ def system_from_ranking(
         vocab,
         menu,
         horizon,
-        lambda runs: RankedMeasure(
-            runs, {run: world_ranks.get(run.envs[0], INF) for run in runs}
-        ),
+        lambda runs: RankedMeasure(runs, [world_ranks.get(run.envs[0], INF) for run in runs]),
         universe,
     )
 
@@ -490,12 +489,17 @@ def validate_rev(
     vocab = sys.vocab
     report = Report("rev")
 
-    report.add_first("REV1", (
-        f"environment changed from {vocab.world_str(run.envs[0])} to "
-        f"{vocab.world_str(run.envs[m])} at time {m}"
-        for run in sys.runs
-        for m in range(1, sys.horizon + 1) if run.envs[m] != run.envs[0]
-    ))
+    at = sys.index.at
+
+    def rev1(i: int, m: int) -> str:
+        run = sys.runs[i]
+        return (
+            f"environment changed from {vocab.world_str(run.envs[0])} to "
+            f"{vocab.world_str(run.envs[m])} at time {m}"
+        )
+
+    moved = [union(k & ~at[0].get(w, 0) for w, k in row.items()) for row in at]
+    report.add_first("REV1", first_failure(moved, rev1))
     report.add_first("REV2", _check_ranked(sys, budget))
 
     def positive(w: int) -> bool:

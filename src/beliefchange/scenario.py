@@ -262,7 +262,7 @@ def _assemble_circuit(fields, blocks) -> Scenario:
         lineno, text = fields["horizon"]
         if not text.isdigit() or int(text) != horizon:
             raise ScenarioError("circuit horizon is the number of tests", lineno)
-    return Scenario(
+    scenario = Scenario(
         vocab=vocab,
         horizon=horizon,
         prior_kind="ranked",
@@ -271,6 +271,8 @@ def _assemble_circuit(fields, blocks) -> Scenario:
         circuit=circuit,
         tests=tuple(tests),
     )
+    _validate(scenario)
+    return scenario
 
 
 def _parse(text: str, vocab: Vocabulary, lineno: int) -> Formula:

@@ -9,9 +9,10 @@ a plausibility measure over the points the agent considers possible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -30,10 +31,13 @@ from .plausibility import (
     RankedMeasure,
     bits,
     check_monotonicity,
+    group_positions,
     is_qualitative,
     least_ranked,
     mask_of,
+    rank_levels,
     root_of,
+    union,
 )
 from .reports import Report
 
@@ -129,26 +133,62 @@ class RunIndex:
 
     Built once per system, on first use: one mask per (time, world) and one
     per observation prefix.  Every other event is ``&`` and ``|`` of those.
+    Two views are derived from them when first read: the runs per (time,
+    observation) and, under a ranked prior, the prior's rank levels.
     """
 
     def __init__(self, sys: System):
-        at: List[Dict[int, List[int]]] = [{} for _ in range(sys.horizon + 1)]
-        prefix: Dict[LocalState, List[int]] = {}
-        for i, run in enumerate(sys.runs):
-            for m, w in enumerate(run.envs):
-                at[m].setdefault(w, []).append(i)
-                prefix.setdefault(run.obs[:m], []).append(i)
-        self.full = (1 << len(sys.runs)) - 1
-        self.at = [{w: Mask(mask_of(ids)) for w, ids in row.items()} for row in at]
-        # observation prefixes, in the order the runs first reach them
-        self.prefix = {s_a: Mask(mask_of(ids)) for s_a, ids in prefix.items()}
+        runs = sys.runs
+        self.full = (1 << len(runs)) - 1
+        # one time column at a time
+        self.at: List[Dict[int, Mask]] = []
+        for m in range(sys.horizon + 1):
+            by_world = group_positions([run.envs[m] for run in runs])
+            self.at.append({w: Mask(mask_of(ids)) for w, ids in by_world.items()})
+        # observation prefixes, one step at a time, then in the order the
+        # runs first reach them: by first run, then by length
+        groups = [((), list(range(len(runs))))] if runs else []
+        reached = list(groups)
+        for m in range(sys.horizon):
+            step = []
+            for s_a, ids in groups:
+                split = group_positions([runs[i].obs[m] for i in ids])
+                step += [(s_a + (o,), [ids[j] for j in sub]) for o, sub in split.items()]
+            reached += step
+            groups = step
+        reached.sort(key=lambda group: (group[1][0], len(group[0])))
+        self.prefix = {s_a: Mask(mask_of(ids)) for s_a, ids in reached}
         # the prior read on these masks
         self.prior = sys.prior
-        if tuple(sys.prior.carrier) != sys.runs:
+        if tuple(sys.prior.carrier) != runs:
             # a run outside the prior's carrier gets -1, which MappedMeasure rejects
-            image = [sys.prior.index.get(run, -1) for run in sys.runs]
-            self.prior = MappedMeasure(sys.runs, sys.prior, image)
+            image = [sys.prior.index.get(run, -1) for run in runs]
+            self.prior = MappedMeasure(runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
+
+    @cached_property
+    def obs_at(self) -> List[Dict[Formula, Mask]]:
+        """``obs_at[m][o]``: the runs whose observation at time m is ``o``
+        (none at time 0), observations in the order the runs first reach
+        them."""
+        rows: List[Dict[Formula, int]] = [{} for _ in self.at]
+        for s_a, runs in self.prefix.items():
+            if s_a:
+                row = rows[len(s_a)]
+                row[s_a[-1]] = row.get(s_a[-1], 0) | runs
+        return [{o: Mask(runs) for o, runs in row.items()} for row in rows]
+
+    @cached_property
+    def levels(self) -> List[Tuple[float, int]]:
+        """(rank, run mask) per finite rank of a ranked prior, ascending: its
+        root's level masks pulled back through the prior's image."""
+        root, image = root_of(self.prior)
+        if not isinstance(root, RankedMeasure):
+            raise RunSystemError("rank levels need a ranked prior")
+        if image is None:
+            return root._levels
+        ranks = root.ranks
+        return rank_levels([ranks[j] for j in image])
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
         """Runs whose observation sequence starts with ``s_a``."""
@@ -164,6 +204,17 @@ class RunIndex:
                 event |= row.get(w, 0)
             event = self._env_events[key] = Mask(event)
         return event
+
+
+def first_failure(failing: Sequence[int], describe: Callable[[int, int], str]) -> Iterator[str]:
+    """The witness of the first failing point, run-major as the checkers
+    visit points: ``failing[m]`` is the mask of the runs that fail at time
+    m, and ``describe(i, m)`` writes the witness for run i at time m.
+    Yields nothing when no run fails."""
+    every = union(failing)
+    if every:
+        i = _lowest(every)
+        yield describe(i, next(m for m, runs in enumerate(failing) if runs >> i & 1))
 
 
 def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
@@ -195,26 +246,39 @@ def bel(sys: System, s_a: LocalState) -> Extension:
     A world survives iff its characterising formula is not disbelieved at
     the conditioned measure.  Unattainable local states, and states whose
     whole carrier sits at bottom, give the empty extension (the agent
-    believes everything, including falsity).
+    believes everything, including falsity).  Under a ranked prior, with
+    no point-measure override at the state, the survivors are the worlds of
+    the least-ranked runs with the state's observations, read off the run
+    index's rank levels.
     """
     cached = sys._bel_cache.get(s_a)
     if cached is not None:
         return cached
-    measure = sys.plaus_at(s_a)
-    points = measure.carrier
     result: Extension
-    if not points:
-        result = frozenset()
-    elif isinstance(root_of(measure)[0], RankedMeasure):
-        result = _bel_min_rank(points, measure)
+    if s_a not in (sys.point_measures or {}) and isinstance(root_of(sys.prior)[0], RankedMeasure):
+        result = _bel_min_rank(sys.index, s_a)
     else:
-        result = _bel_generic(points, measure)
+        measure = sys.plaus_at(s_a)
+        points = measure.carrier
+        if not points:
+            result = frozenset()
+        elif isinstance(root_of(measure)[0], RankedMeasure):
+            result = frozenset(points[i][0].envs[points[i][1]] for i in least_ranked(measure))
+        else:
+            result = _bel_generic(points, measure)
     sys._bel_cache[s_a] = result
     return result
 
 
-def _bel_min_rank(points, measure: PlausibilityMeasure) -> Extension:
-    return frozenset(points[i][0].envs[points[i][1]] for i in least_ranked(measure))
+def _bel_min_rank(index: RunIndex, s_a: LocalState) -> Extension:
+    """The worlds, at the local state's time, of its least-ranked runs: the
+    first rank level that meets the runs with that observation prefix."""
+    observed = index.observed(s_a)
+    for _, level in index.levels:
+        hits = level & observed
+        if hits:
+            return frozenset(w for w, runs in index.at[len(s_a)].items() if runs & hits)
+    return frozenset()
 
 
 def _bel_generic(points, measure) -> Extension:
@@ -450,32 +514,30 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
     learn-atom semantics, reliable observations, and a conditioning prior.
     """
     menu = sys.menu or tuple(dict.fromkeys(o for r in sys.runs for o in r.obs))
+    vocab, runs, index = sys.vocab, sys.runs, sys.index
+    # each check is decided once per (time, world) or (time, observation)
+    # mask of the index; the witness is written for the first failing point
+    obs_after = list(enumerate(index.obs_at))[1:]
 
-    def bcs1(run: Run) -> str:
-        if len(run.envs) != sys.horizon + 1:
-            return f"run {_run_str(sys, run)} has {len(run.envs)} environment states"
-        bad = [w for w in run.envs if w not in sys.universe]
-        if bad:
-            return f"environment state {sys.vocab.world_str(bad[0])} outside the universe"
-        return ""
+    def bcs1(i: int, m: int) -> str:
+        return f"environment state {vocab.world_str(runs[i].envs[m])} outside the universe"
 
-    def bcs2(run: Run) -> str:
-        if len(run.obs) != sys.horizon:
-            return f"run {_run_str(sys, run)} has {len(run.obs)} observations"
+    @functools.cache
+    def bcs2(o: Formula) -> str:
         try:
-            for o in run.obs:
-                if not isinstance(o, Formula):
-                    raise FormulaError(f"observation {o!r} is not an environment formula")
-                sys.vocab.extension(o)
+            if not isinstance(o, Formula):
+                raise FormulaError(f"observation {o!r} is not an environment formula")
+            vocab.extension(o)
         except FormulaError as exc:
             return f"observation not in the environment language: {exc}"
         return ""
 
     # learn(o) depends on a point only through its last observation (none
-    # at time 0), so BCS3 is decided at the first point with each one
+    # at time 0), so BCS3 is decided at one point with each one
     bcs3_verdicts: Dict[Optional[Formula], str] = {}
 
-    def bcs3(run: Run, m: int) -> str:
+    def bcs3(i: int, m: int) -> str:
+        run = runs[i]
         last = run.obs[m - 1] if m else None
         verdict = bcs3_verdicts.get(last)
         if verdict is None:
@@ -493,24 +555,33 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
         ]
         return f"learn({wrong[0]}) true without being observed" if wrong else ""
 
-    def bcs4(run: Run, m: int) -> str:
-        try:
-            ext = sys.vocab.extension(run.obs[m - 1])
-        except FormulaError:
-            return ""  # outside the language: BCS2 reports it
-        if run.envs[m] in ext:
-            return ""
+    def bcs4_failing() -> List[int]:
+        failing = [0]
+        for m, row in obs_after:
+            false_then = 0
+            for o, k in row.items():
+                try:
+                    ext = vocab.extension(o)
+                except FormulaError:
+                    continue  # outside the language: BCS2 reports it
+                false_then |= k & ~index.env_event(m, ext)
+            failing.append(false_then)
+        return failing
+
+    def bcs4(i: int, m: int) -> str:
+        run = runs[i]
         return f"observation {run.obs[m-1]} false at time {m} in run {_run_str(sys, run)}"
 
     report = Report("bcs")
-    report.add_first("BCS1", map(bcs1, sys.runs))
-    report.add_first("BCS2", map(bcs2, sys.runs))
-    report.add_first("BCS3", (
-        bcs3(run, m) for run in sys.runs for m in range(sys.horizon + 1)
-    ))
-    report.add_first("BCS4", (
-        bcs4(run, m) for run in sys.runs for m in range(1, sys.horizon + 1)
-    ))
+    outside = [union(k for w, k in row.items() if w not in sys.universe) for row in index.at]
+    report.add_first("BCS1", first_failure(outside, bcs1))
+    bcs2_failing = [0] + [union(k for o, k in row.items() if bcs2(o)) for _, row in obs_after]
+    report.add_first("BCS2", first_failure(bcs2_failing, lambda i, m: bcs2(runs[i].obs[m - 1])))
+    bcs3_failing = [index.full if index.full and bcs3(0, 0) else 0] + [
+        union(k for k in row.values() if bcs3(_lowest(k), m)) for m, row in obs_after
+    ]
+    report.add_first("BCS3", first_failure(bcs3_failing, bcs3))
+    report.add_first("BCS4", first_failure(bcs4_failing(), bcs4))
     report.add_first("BCS5", _check_conditioning(sys, budget))
     size = len(root_of(sys.prior)[0].carrier)
     for axiom, limit in (
@@ -549,6 +620,11 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
         yield "prior is not qualitative"
     if len(base.carrier) <= MONOTONE_MAX_ELEMENTS and not check_monotonicity(base, budget=budget):
         yield "prior violates monotonicity under union"
+
+
+def _lowest(mask: int) -> int:
+    """The number of the lowest run in a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _run_str(sys: System, run: Run) -> str:

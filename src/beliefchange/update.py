@@ -28,9 +28,16 @@ from .formulas import (
     formula_of_extension,
     seq_str,
 )
-from .plausibility import MappedMeasure, Mask, Ordering, PreferentialMeasure, transitive_closure
+from .plausibility import (
+    MappedMeasure,
+    Mask,
+    Ordering,
+    PreferentialMeasure,
+    transitive_closure,
+    union,
+)
 from .reports import Report
-from .systems import LocalState, Run, System
+from .systems import LocalState, Run, System, first_failure
 
 
 class UpdateError(BeliefChangeError):
@@ -518,11 +525,10 @@ def validate_upd(
     report = Report("upd")
 
     universe = structure.universe
-    report.add_first("UPD1", (
-        f"run visits world {vocab.world_str(w)} outside the structure"
-        for run in sys.runs
-        for w in run.envs if w not in universe
-    ))
+    outside = [union(k for w, k in row.items() if w not in universe) for row in sys.index.at]
+    report.add_first("UPD1", first_failure(outside, lambda i, m: (
+        f"run visits world {vocab.world_str(sys.runs[i].envs[m])} outside the structure"
+    )))
 
     # UPD2 and UPD4 draw their samples from the one rng, in this order
     report.add_first("UPD2", _check_upd2(sys, structure, budget, rng))

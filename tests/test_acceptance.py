@@ -174,7 +174,7 @@ def _rank_overrides(sys_, world_rank):
     for s_a in states:
         pts = sys_.points_with_local_state(s_a)
         if len(pts) <= 8:
-            overrides[s_a] = RankedMeasure(pts, {(r, t): world_rank[r.envs[0]] for r, t in pts})
+            overrides[s_a] = RankedMeasure(pts, [world_rank[r.envs[0]] for r, t in pts])
     return overrides
 
 
@@ -249,7 +249,7 @@ def test_criterion_5_conditioning_local_rule():
     sys_ = system_from_ranking(PQ, world_rank, menu, 2)
     overrides = _rank_overrides(sys_, world_rank)
     pts = overrides[(P_,)].carrier
-    overrides[(P_,)] = RankedMeasure(pts, {(r, t): 2 - world_rank[r.envs[0]] for r, t in pts})
+    overrides[(P_,)] = RankedMeasure(pts, [2 - world_rank[r.envs[0]] for r, t in pts])
     report = check_prior_local_rule(_with_overrides(sys_, overrides))
     assert report["LOCAL-RULE"].witness == "local state <p>: subset masks (0x1, 0x8) disagree"
     _report("criterion-5 conditioning-local-rule", started)
@@ -401,7 +401,7 @@ def test_criterion_11_klm_closure():
     for vector in [(0, 1, 1, 2), (0, 0, 0, 0), (3, 2, 1, 0), (0, 2, 1, 2)]:
         structures.append(
             PlausibilityStructure(
-                RankedMeasure(carrier, dict(zip(carrier, vector))), labeling, PQ
+                RankedMeasure(carrier, vector), labeling, PQ
             )
         )
     for pairs in [

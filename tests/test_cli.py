@@ -284,6 +284,25 @@ def test_total_preference_passes_rev2(tmp_path, capsys):
     assert "REV2 PASS" in out
 
 
+def test_circuit_with_more_observations_than_tests_is_a_usage_error(tmp_path, capsys):
+    # one test step allows one observation, as a ranked horizon does
+    path = tmp_path / "extra.scn"
+    path.write_text(
+        "circuit\n  gate c1 AND a b -> c\n  test a=1 b=1\n"
+        "observe h_a & h_b & h_c\nobserve h_a & h_b & h_c\n"
+    )
+    for command in ("diagnose", "revise"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: more observations than the horizon allows\n"
+    path.write_text(
+        "vocab p\nhorizon 1\nprior ranked\n  0 1\n  1 0\nmenu true, p\nobserve p\nobserve p\n"
+    )
+    code, _, err = run_cli(capsys, "revise", "--scenario", str(path))
+    assert (code, err) == (2, "error: more observations than the horizon allows\n")
+
+
 def test_preference_cycle_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cycle.scn"
     path.write_text(

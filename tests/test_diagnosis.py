@@ -278,7 +278,7 @@ def _reference_diag_system(circuit, tests):
         ]
         for envs in itertools.product(*steps):
             runs.append(Run(envs, tuple(reading(envs[m]) for m in range(1, len(tests) + 1))))
-    ranks = {r: len(faults(r.envs[0])) for r in runs}
+    ranks = tuple(len(faults(r.envs[0])) for r in runs)
     menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
     return runs, ranks, menu
 
@@ -298,7 +298,7 @@ def test_build_diag_system_matches_the_per_step_reference(case):
     runs, ranks, menu = _reference_diag_system(circuit, tests)
     assert list(sys_.runs) == runs
     assert sys_.prior.ranks == ranks
-    assert [sys_.prior.ranks[r] for r in sys_.runs] == [ranks[r] for r in runs]
+    assert dict(zip(sys_.runs, sys_.prior.ranks)) == dict(zip(runs, ranks))
     assert sys_.menu == menu
     # steps with equal readings share one formula object
     observed = [o for r in sys_.runs for o in r.obs]

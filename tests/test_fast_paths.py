@@ -183,7 +183,7 @@ def _by_size(runs):
 
 
 def _reversed_ranks(runs):
-    return RankedMeasure(runs, {r: len(runs) - 1 - i for i, r in enumerate(runs)})
+    return RankedMeasure(runs, [len(runs) - 1 - i for i, r in enumerate(runs)])
 
 
 @pytest.mark.parametrize(

@@ -167,8 +167,8 @@ def reference_compare(measure, a, b):
         image = lambda s: frozenset(to_base(measure, e) for e in s)
         return reference_compare(measure.base, image(a), image(b))
     if isinstance(measure, RankedMeasure):
-        ra = min((measure.ranks[e] for e in a), default=INF)
-        rb = min((measure.ranks[e] for e in b), default=INF)
+        ra = min((measure.ranks[measure.index[e]] for e in a), default=INF)
+        rb = min((measure.ranks[measure.index[e]] for e in b), default=INF)
         if ra == rb:
             return Ordering.EQUAL
         return Ordering.GREATER if ra < rb else Ordering.LESS
@@ -237,7 +237,7 @@ def test_custom_and_mapped_measures_compare_masks_as_element_sets():
         (Ordering.GREATER if len(a) > len(b) else Ordering.LESS),
     )
     assert_masks_agree(by_size)
-    ranked = RankedMeasure(carrier, {e: i % 3 for i, e in enumerate(carrier)})
+    ranked = RankedMeasure(carrier, [i % 3 for i, e in enumerate(carrier)])
     keys = MappedMeasure(range(12), ranked, [i % 6 for i in range(12)])
     assert_masks_agree(keys)
     # a chain of two maps, the first onto a reordering of the second's carrier
@@ -266,7 +266,7 @@ def test_elements_outside_the_carrier_raise(system):
 
 def test_a_run_outside_the_prior_carrier_raises():
     ranked = SYSTEMS["ranked"]
-    prior = RankedMeasure(ranked.runs[1:], ranked.prior.ranks)
+    prior = RankedMeasure(ranked.runs[1:], ranked.prior.ranks[1:])
     sys_ = System(PQ, ranked.runs[::-1], prior, ranked.horizon, menu=ranked.menu)
     with pytest.raises(PlausibilityError, match="outside a base carrier"):
         sys_.index
@@ -293,7 +293,7 @@ def _element_rank(measure, element):
     in front of it one hop at a time."""
     while isinstance(measure, MappedMeasure):
         element, measure = to_base(measure, element), measure.base
-    return measure.ranks[element]
+    return measure.ranks[measure.index[element]]
 
 
 def _element_rank_reference(measure):
@@ -327,7 +327,7 @@ def test_least_ranked_points_match_element_rank(name):
 
 
 def test_least_ranked_with_infinite_ranks():
-    ranked = RankedMeasure("abcd", {"a": INF, "b": 2, "c": 1, "d": 1})
+    ranked = RankedMeasure("abcd", [INF, 2, 1, 1])
     assert least_ranked(ranked) == _element_rank_reference(ranked) == [2, 3]
     middle = MappedMeasure("wxyz", ranked, [0, 0, 1, 2])  # w, x -> a; y -> b; z -> c
     chain = MappedMeasure("xyz", middle, [0, 1, 2])  # x -> w, y -> x, z -> y
@@ -343,5 +343,5 @@ def test_characteristic_world_ranks_are_the_best_run_rank_per_world(name):
     want = {w: INF for w in sys_.universe}
     for run in sys_.runs:
         w = run.envs[0]
-        want[w] = min(want[w], sys_.prior.ranks[run])
+        want[w] = min(want[w], sys_.prior.ranks[sys_.prior.index[run]])
     assert characteristic_world_ranks(sys_) == want

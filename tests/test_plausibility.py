@@ -49,38 +49,40 @@ def dominance_oracle(order_pairs, a, b):
 
 
 def test_ranked_empty_set_is_bottom():
-    m = RankedMeasure("ab", {"a": 0, "b": 1})
+    m = RankedMeasure("ab", [0, 1])
     assert m.compare(frozenset(), frozenset("a")) is Ordering.LESS
     assert m.is_bottom(frozenset())
     assert not m.is_bottom(frozenset("a"))
 
 
 def test_ranked_lower_rank_more_plausible():
-    m = RankedMeasure("ab", {"a": 0, "b": 1})
+    m = RankedMeasure("ab", [0, 1])
     assert m.compare(frozenset("a"), frozenset("b")) is Ordering.GREATER
     assert m.compare(frozenset("b"), frozenset("a")) is Ordering.LESS
     assert m.compare(frozenset("ab"), frozenset("a")) is Ordering.EQUAL
 
 
 def test_ranked_union_takes_min_rank():
-    m = RankedMeasure("abcd", {"a": 0, "b": 1, "c": 2, "d": 1})
+    m = RankedMeasure("abcd", [0, 1, 2, 1])
     for a, b in itertools.product(subsets("abcd"), repeat=2):
         assert rank_of(m, a | b) == min(rank_of(m, a), rank_of(m, b))
         assert m.compare(a, b) is not Ordering.INCOMPARABLE  # total
 
 
 def test_ranked_infinite_rank_sits_at_bottom():
-    m = RankedMeasure("ab", {"a": 0, "b": INF})
+    m = RankedMeasure("ab", [0, INF])
     assert m.is_bottom(frozenset("b"))
     assert m.compare(frozenset("b"), frozenset()) is Ordering.EQUAL
 
 
 def test_ranked_rejects_bad_ranks_and_foreign_elements():
     with pytest.raises(PlausibilityError):
-        RankedMeasure("ab", {"a": -1, "b": 0})
+        RankedMeasure("ab", [-1, 0])
     with pytest.raises(PlausibilityError):
-        RankedMeasure("ab", {"a": 0})
-    m = RankedMeasure("ab", {"a": 0, "b": 0})
+        RankedMeasure("ab", [0])
+    with pytest.raises(PlausibilityError, match="positional"):
+        RankedMeasure("ab", {"a": 0, "b": 1})
+    m = RankedMeasure("ab", [0, 0])
     with pytest.raises(PlausibilityError):
         m.compare(frozenset("ax"), frozenset("b"))
 
@@ -136,7 +138,7 @@ def test_preferential_matches_dominance_oracle_exhaustively():
 def test_total_preference_agrees_with_ranking_on_all_subsets():
     carrier = "abcd"
     m = from_preference(carrier, [("a", "b"), ("b", "c"), ("c", "d")])
-    r = RankedMeasure(carrier, {"a": 0, "b": 1, "c": 2, "d": 3})
+    r = RankedMeasure(carrier, [0, 1, 2, 3])
     for a, b in itertools.product(subsets(carrier), repeat=2):
         assert m.compare(a, b) is r.compare(a, b)
 
@@ -174,7 +176,7 @@ def test_mapped_measure_rejects_a_bad_image():
 
 def test_monotonicity_holds_for_all_kinds():
     measures = [
-        RankedMeasure("abcd", {"a": 0, "b": 1, "c": 1, "d": 3}),
+        RankedMeasure("abcd", [0, 1, 1, 3]),
         from_preference("abcd", [("a", "b"), ("c", "d")]),
         from_preference("abcd", []),
     ]
@@ -184,7 +186,7 @@ def test_monotonicity_holds_for_all_kinds():
 
 def test_ranked_measures_are_qualitative():
     for ranks in itertools.product(range(3), repeat=4):
-        m = RankedMeasure("abcd", dict(zip("abcd", ranks)))
+        m = RankedMeasure("abcd", ranks)
         assert is_qualitative(m, budget=None)
 
 
@@ -223,7 +225,7 @@ def test_custom_union_of_bottoms_violation_detected():
 
 def ranked_structure(ranks_by_bits, vocab=PQ):
     carrier = tuple(ranks_by_bits)
-    measure = RankedMeasure(carrier, dict(ranks_by_bits))
+    measure = RankedMeasure(carrier, list(ranks_by_bits.values()))
     labeling = {bits: vocab.world_from_str(bits) for bits in carrier}
     return PlausibilityStructure(measure, labeling, vocab)
 

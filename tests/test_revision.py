@@ -201,7 +201,7 @@ def test_validate_rev_catches_changing_environment(ranked_sys):
     sys_ = System(
         vocab=PQ,
         runs=runs,
-        prior=RankedMeasure(runs, {r: RANKS[r.envs[0]] for r in runs}),
+        prior=RankedMeasure(runs, [RANKS[r.envs[0]] for r in runs]),
         horizon=2,
         menu=ranked_sys.menu,
     )
@@ -232,7 +232,7 @@ def test_validate_rev_catches_informative_observations():
                 if o == P_ and world not in PQ.extension(Q_):
                     continue
                 runs.append(Run((world, world), (o,)))
-    prior = RankedMeasure(runs, {r: RANKS[r.envs[0]] for r in runs})
+    prior = RankedMeasure(runs, [RANKS[r.envs[0]] for r in runs])
     sys_ = System(vocab=PQ, runs=tuple(runs), prior=prior, horizon=1, menu=(TRUE, P_))
     report = validate_rev(sys_)
     assert report["REV1"].passed

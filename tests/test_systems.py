@@ -233,7 +233,7 @@ def test_bel_bottom_carrier_is_empty():
 
     vocab = Vocabulary(["p"])
     run = Run((0, 0), (TRUE,))
-    prior = RankedMeasure([run], {run: INF})
+    prior = RankedMeasure([run], [INF])
     sys_ = System(vocab, (run,), prior, 1, menu=(TRUE,))
     assert bel(sys_, ()) == frozenset()
 
@@ -283,7 +283,7 @@ def test_local_rule_budget_error(updsys):
 
 def test_local_rule_singleton_run_system():
     run = Run((w("11"), w("11")), (TRUE,))
-    sys_ = System(PQ, (run,), RankedMeasure([run], {run: 0}), 1, menu=(TRUE,))
+    sys_ = System(PQ, (run,), RankedMeasure([run], [0]), 1, menu=(TRUE,))
     sys_ = _conditioned_override(sys_, (TRUE,))
     assert len(sys_.plaus_at((TRUE,)).carrier) == 1
     assert check_prior_local_rule(sys_).all_passed
@@ -296,7 +296,7 @@ def test_local_rule_catches_inconsistent_override(revsys):
     }
     s_a = (P_,)
     pts = revsys.points_with_local_state(s_a)
-    override = RankedMeasure(pts, {(r, t): flipped[r] for r, t in pts})
+    override = RankedMeasure(pts, [flipped[r] for r, t in pts])
     sys_ = System(
         vocab=revsys.vocab,
         runs=revsys.runs,
@@ -321,7 +321,7 @@ PQ = Vocabulary(["p", "q"])
 ranks = {0: 2, 1: 1, 2: 1, 3: 0}
 sys_ = system_from_ranking(PQ, ranks, [TRUE, Atom("p"), Atom("q"), Not(Atom("q"))], 2)
 pts = sys_.points_with_local_state((Atom("p"),))
-override = RankedMeasure(pts, {(r, t): ranks[r.envs[0]] for r, t in pts})
+override = RankedMeasure(pts, [ranks[r.envs[0]] for r, t in pts])
 sys_ = System(PQ, sys_.runs, sys_.prior, 2, menu=sys_.menu, point_measures={(Atom("p"),): override})
 assert check_prior_local_rule(sys_).all_passed and validate_bcs(sys_).all_passed
 print("numpy" in sys.modules)
@@ -355,7 +355,7 @@ def test_validate_bcs_catches_unreliable_observation(revsys):
         runs=revsys.runs + (bad_run,),
         prior=RankedMeasure(
             revsys.runs + (bad_run,),
-            {r: RANKS[r.envs[0]] for r in revsys.runs + (bad_run,)},
+            [RANKS[r.envs[0]] for r in revsys.runs + (bad_run,)],
         ),
         horizon=2,
         menu=revsys.menu,
@@ -367,7 +367,7 @@ def test_validate_bcs_catches_unreliable_observation(revsys):
 
 def test_validate_bcs_catches_non_conditioning_measure(revsys):
     pts = revsys.points_with_local_state((P_,))
-    constant = RankedMeasure(pts, {p: 0 for p in pts})
+    constant = RankedMeasure(pts, [0 for p in pts])
     sys_ = System(
         vocab=PQ,
         runs=revsys.runs,
@@ -386,7 +386,7 @@ def test_validate_bcs_reports_an_observation_outside_the_vocabulary(revsys):
     sys_ = System(
         vocab=PQ,
         runs=runs,
-        prior=RankedMeasure(runs, {r: RANKS[r.envs[0]] for r in runs}),
+        prior=RankedMeasure(runs, [RANKS[r.envs[0]] for r in runs]),
         horizon=2,
         menu=revsys.menu,
     )

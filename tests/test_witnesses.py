@@ -203,7 +203,7 @@ def test_prior_iso_sampled_witness(updsys):
 def _flipped_override(sys_):
     s_a = (P_,)
     pts = sys_.points_with_local_state(s_a)
-    ranks = {(r, t): 2 - min(RANKS[r.envs[0]], 2) for r, t in pts}
+    ranks = [2 - min(RANKS[r.envs[0]], 2) for r, t in pts]
     return with_prior(sys_, sys_.prior, point_measures={s_a: RankedMeasure(pts, ranks)})
 
 
@@ -255,9 +255,9 @@ def _late_point_override(sys_):
     # <true> has 10 points; only the last one's rank differs from conditioning
     s_a = (TRUE,)
     pts = sys_.points_with_local_state(s_a)
-    ranks = {(r, t): RANKS[r.envs[0]] for r, t in pts}
-    assert ranks[pts[-1]] == 0
-    ranks[pts[-1]] = 5
+    ranks = [RANKS[r.envs[0]] for r, t in pts]
+    assert ranks[-1] == 0
+    ranks[-1] = 5
     return with_prior(sys_, sys_.prior, point_measures={s_a: RankedMeasure(pts, ranks)})
 
 
@@ -276,7 +276,7 @@ def test_bcs5_oversized_override_raises(revsys):
 
 def test_bcs5_carrier_witness(revsys):
     pts = revsys.points_with_local_state((P_,))
-    short = RankedMeasure(pts[1:], {p: 0 for p in pts[1:]})
+    short = RankedMeasure(pts[1:], [0 for p in pts[1:]])
     report = validate_bcs(with_prior(revsys, revsys.prior, point_measures={(P_,): short}))
     assert report["BCS5"].witness == "carrier mismatch at <p>"
 
@@ -330,7 +330,7 @@ def test_epistemic_r5_with_a_bottom_world():
 
 def test_epistemic_r3_r4_with_an_initial_override(revsys):
     pts = revsys.points_with_local_state(())
-    prefers_00 = RankedMeasure(pts, {(r, t): 0 if r.envs[0] == w("00") else 1 for r, t in pts})
+    prefers_00 = RankedMeasure(pts, [0 if r.envs[0] == w("00") else 1 for r, t in pts])
     report = check_agm_epistemic(
         with_prior(revsys, revsys.prior, point_measures={(): prefers_00})
     )
@@ -357,7 +357,7 @@ def chain_sys():
 def test_diagnosis_surprise_under_a_swapped_prior(chain_sys):
     # the double fault outranks both single faults
     rank = {frozenset(): 0, frozenset({"c1"}): 2, frozenset({"c2"}): 2, frozenset({"c1", "c2"}): 1}
-    prior = RankedMeasure(chain_sys.runs, {r: rank[CHAIN.fault_set(r.envs[0])] for r in chain_sys.runs})
+    prior = RankedMeasure(chain_sys.runs, [rank[CHAIN.fault_set(r.envs[0])] for r in chain_sys.runs])
     report = check_prop_diag(with_prior(chain_sys, prior), CHAIN)
     assert report["SURPRISE"].witness == "at <h_l1 & h_l2 & h_l4>: surprise mismatch"
     assert [r.name for r in report.failures()] == ["SURPRISE"]
@@ -367,7 +367,7 @@ def test_diagnosis_persistence_with_a_changing_fault(chain_sys):
     faulty = next(r for r in chain_sys.runs if CHAIN.fault_set(r.envs[0]))
     healthy = next(r for r in chain_sys.runs if not CHAIN.fault_set(r.envs[0]))
     runs = chain_sys.runs + (Run((healthy.envs[0], faulty.envs[1]), faulty.obs),)
-    prior = RankedMeasure(runs, {r: len(CHAIN.fault_set(r.envs[0])) for r in runs})
+    prior = RankedMeasure(runs, [len(CHAIN.fault_set(r.envs[0])) for r in runs])
     report = check_prop_diag(with_prior(chain_sys, prior, runs), CHAIN)
     assert report["PERSISTENCE"].witness == "a run changes its fault set over time"
 
