@@ -207,7 +207,7 @@ class Vocabulary:
     The size cap keeps ``2**n`` world enumerations tractable.
     """
 
-    __slots__ = ("props", "_index", "_ext_cache")
+    __slots__ = ("props", "_index", "_ext_cache", "_minterms")
 
     def __init__(self, props: Sequence[str]):
         props = tuple(props)
@@ -226,6 +226,7 @@ class Vocabulary:
         self.props = props
         self._index = {name: i for i, name in enumerate(props)}
         self._ext_cache: dict = {}
+        self._minterms: dict = {}  # world -> its minterm, see world_formula
 
     def __repr__(self):
         return f"Vocabulary({', '.join(self.props)})"
@@ -334,13 +335,20 @@ def entails(worlds: Iterable[int], formula: Formula, vocab: Vocabulary) -> bool:
 
 
 def world_formula(world: int, vocab: Vocabulary) -> Formula:
-    """The complete conjunction of literals characterising one world."""
-    literals = []
-    for i, name in enumerate(vocab.props):
-        base, _, stamp = name.partition("@")
-        atom = Atom(base, int(stamp)) if stamp else Atom(base)
-        literals.append(atom if vocab.truth(world, name) else Not(atom))
-    return conj(literals)
+    """The complete conjunction of literals characterising one world.
+
+    Built once per vocabulary object and kept on it, so the DNFs over one
+    vocabulary share their minterm nodes and the hashes those keep.
+    """
+    minterm = vocab._minterms.get(world)
+    if minterm is None:
+        literals = []
+        for name in vocab.props:
+            base, _, stamp = name.partition("@")
+            atom = Atom(base, int(stamp)) if stamp else Atom(base)
+            literals.append(atom if vocab.truth(world, name) else Not(atom))
+        minterm = vocab._minterms[world] = conj(literals)
+    return minterm
 
 
 def formula_of_extension(worlds: Iterable[int], vocab: Vocabulary) -> Formula:

@@ -8,6 +8,7 @@ prior induces an operator via its time-0 world ranking.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -121,6 +122,13 @@ def check_agm(
     distinct input, through an :class:`OperatorTable` filled as the sweeps
     reach each input (a conjunction of two pool inputs need not be in the
     pool), so it must be deterministic.
+
+    R7 and R8 read psi only through its key ``psi & (phi | revise[phi])``:
+    that restriction leaves ``phi & psi`` and ``revise[phi] & psi`` as they
+    are.  Each distinct key of a phi is decided once, in the order the pool
+    first reaches it, so the first failing key belongs to the first failing
+    psi, which the witness names, and the operator sees the inputs the full
+    (phi, psi) sweep would show it, in the same order.
     """
     vocab = op.vocab
     if formulas is None:
@@ -137,6 +145,15 @@ def check_agm(
 
     def describe(mask: int) -> str:
         return vocab.extension_str(table.ext(mask))
+
+    @functools.cache
+    def keys(phi: int) -> Dict[int, None]:
+        keep = phi | revise[phi]
+        return dict.fromkeys([psi & keep for psi in exts])
+
+    def first_psi(phi: int, key: int) -> int:
+        keep = phi | revise[phi]
+        return next(psi for psi in exts if psi & keep == key)
 
     def r6(f: Formula, variant: Formula) -> str:
         phi, phi_variant = vocab.extension(f), vocab.extension(variant)
@@ -169,16 +186,16 @@ def check_agm(
     ))
     report.add_first("R6", itertools.starmap(r6, pool))
     report.add_first("R7", (
-        f"conjunctive revision {describe(phi)} & {describe(psi)} "
+        f"conjunctive revision {describe(phi)} & {describe(first_psi(phi, key))} "
         "dropped compatible worlds"
-        for phi, psi in itertools.product(exts, repeat=2)
-        if revise[phi] & psi & ~revise[phi & psi]
+        for phi in exts for key in keys(phi)
+        if revise[phi] & key & ~revise[phi & key]
     ))
     report.add_first("R8", (
-        f"conjunctive revision {describe(phi)} & {describe(psi)} "
+        f"conjunctive revision {describe(phi)} & {describe(first_psi(phi, key))} "
         "added worlds beyond the narrowed result"
-        for phi, psi in itertools.product(exts, repeat=2)
-        if revise[phi] & psi and revise[phi & psi] & ~(revise[phi] & psi)
+        for phi in exts for key in keys(phi)
+        if revise[phi] & key and revise[phi & key] & ~(revise[phi] & key)
     ))
     return report
 

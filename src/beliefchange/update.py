@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -211,24 +212,33 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
     evaluated once per distinct (belief, observation) pair, through an
     :class:`OperatorTable` filled as the sweeps reach each pair, so it must
     be deterministic.
+
+    U4 compares every pair with the pair whose observation is the
+    double negation of its canonical formula, one variant per observation.
+    U8's ordered (mu1, mu2, phi) sweep runs for mu1 = {} alone, which
+    reads every pair in the sweep's order and asks ``upd[{}] <= upd[mu]``.
+    The rest is decided on (mu, singleton) pairs: union decomposition for
+    every pair follows from those by induction on the second belief.  Only
+    a failed decision runs the rest of the ordered sweep, which finds the
+    first witness, so the operator sees the pairs the full sweep shows it,
+    in the same order.
     """
     worlds = tuple(sorted(worlds))
     table = OperatorTable(op, worlds)
     subsets = range(1 << len(worlds))
+    singletons = [1 << i for i in range(len(worlds))]
     upd = [table.row(mu) for mu in subsets]  # upd[mu][phi]: mask of the update
 
     def describe(mask: int) -> str:
         return vocab.extension_str(table.ext(mask))
 
-    def u4(mu: int, phi: int) -> str:
-        # extension invariance is built into the semantic signature;
-        # exercise it through syntactically different formulas with equal
-        # extensions
-        f = formula_of_extension(table.ext(phi), vocab)
-        variant = table.mask(vocab.extension(Not(Not(f))) & frozenset(worlds))
-        if upd[mu][phi] != upd[mu][variant]:
-            return f"syntax leaked for {describe(mu)} by {describe(phi)}"
-        return ""
+    # extension invariance is built into the semantic signature; exercise
+    # it through syntactically different formulas with equal extensions
+    universe = frozenset(worlds)
+    variant = [
+        table.mask(vocab.extension(Not(Not(formula_of_extension(table.ext(phi), vocab)))) & universe)
+        for phi in subsets
+    ]
 
     below = [[psi for psi in subsets if not psi & ~phi] for phi in subsets]
     above = [[psi for psi in subsets if not phi & ~psi] for phi in subsets]
@@ -261,10 +271,10 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
                             f"{describe(phi)}, {describe(psi)} differ"
                         )
 
-    def u8() -> Iterator[str]:
+    def u8(mus: Iterable[int]) -> Iterator[str]:
         # the test is symmetric in mu1 and mu2, so a failure with
         # mu2 < mu1 has its mirror image earlier in the sweep
-        for mu1 in subsets:
+        for mu1 in mus:
             row1 = upd[mu1]
             for mu2 in subsets[mu1:]:
                 row12, row2 = upd[mu1 | mu2], upd[mu2]
@@ -274,6 +284,15 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
                             f"update of {describe(mu1)} | {describe(mu2)} by "
                             f"{describe(phi)} is not the union of the parts"
                         )
+
+    def u8_by_singletons() -> Iterator[str]:
+        yield from u8(subsets[:1])
+        cols = [[row[phi] for phi in subsets] for row in upd]
+        if not all(
+            cols[mu | bit] == list(map(operator.or_, cols[mu], cols[bit]))
+            for mu in subsets[1:] for bit in singletons
+        ):
+            yield from u8(subsets[1:])
 
     report = Report("km")
     report.add_first("U1", (
@@ -290,17 +309,21 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
         for mu, phi in itertools.product(subsets, repeat=2)
         if (not upd[mu][phi]) != (not mu or not phi)
     ))
-    report.add_first("U4", itertools.starmap(u4, itertools.product(subsets[:8], repeat=2)))
+    report.add_first("U4", (
+        f"syntax leaked for {describe(mu)} by {describe(phi)}"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if upd[mu][phi] != upd[mu][variant[phi]]
+    ))
     report.add_first("U5", u5())
     report.add_first("U6", u6())
     report.add_first("U7", (
         f"complete belief {describe(mu)}: updates by {describe(phi)} and "
         f"{describe(psi)} disagree with their disjunction"
-        for mu in (1 << i for i in range(len(worlds)))
+        for mu in singletons
         for phi, psi in itertools.product(subsets, repeat=2)
         if upd[mu][phi] & upd[mu][psi] & ~upd[mu][phi | psi]
     ))
-    report.add_first("U8", u8())
+    report.add_first("U8", u8_by_singletons())
     return report
 
 

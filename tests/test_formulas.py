@@ -237,6 +237,32 @@ def test_formula_of_extension_deterministic():
     assert print_formula(formula_of_extension(ws, PQ)) == "!p & !q | p & !q"
 
 
+def test_minterms_are_built_once_per_vocabulary():
+    vocab = Vocabulary(["p", "q"])
+    minterm = world_formula(w("10"), vocab)
+    assert world_formula(w("10"), vocab) is minterm
+    # every DNF over the vocabulary holds that node, hash already kept
+    assert formula_of_extension(frozenset({w("01"), w("10")}), vocab).right is minterm
+
+
+def test_a_fresh_vocabulary_shares_no_minterm_node():
+    first, fresh = Vocabulary(["p", "q"]), Vocabulary(["p", "q"])
+    for x in first.worlds():
+        ours, theirs = world_formula(x, first), world_formula(x, fresh)
+        assert ours == theirs
+        assert not {id(n) for n in _nodes(ours)} & {id(n) for n in _nodes(theirs)}
+
+
+def test_vocabulary_copies_round_trip_with_their_minterms():
+    vocab = Vocabulary(["p", "q", "r"])
+    minterms = [world_formula(x, vocab) for x in vocab.worlds()]
+    for copy_ in (pickle.loads(pickle.dumps(vocab)), copy.deepcopy(vocab)):
+        assert copy_ == vocab and hash(copy_) == hash(vocab)
+        assert [world_formula(x, copy_) for x in vocab.worlds()] == minterms
+        for x in vocab.worlds():
+            assert extension(world_formula(x, copy_), copy_) == {x}
+
+
 # ---------------------------------------------------------------------------
 # timestamping
 

@@ -512,3 +512,12 @@ def test_check_agm_calls_the_operator_once_per_input():
     assert check_agm(RevisionOperator(apply, PQ), K).all_passed
     assert len(calls) == 16
     assert set(calls.values()) == {1}
+
+
+def test_check_agm_on_three_propositions_calls_the_operator_once_per_input():
+    pqr = Vocabulary(["p", "q", "r"])
+    ranks = {x: bin(x).count("1") for x in pqr.worlds()}
+    apply, calls = _counting(operator_from_ranking(ranks, pqr).apply)
+    assert check_agm(RevisionOperator(apply, pqr), frozenset({0})).all_passed
+    assert len(calls) == 256
+    assert set(calls.values()) == {1}
