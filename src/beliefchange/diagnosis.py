@@ -181,22 +181,27 @@ def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> 
     def matches(world: int, test: Mapping[str, bool]) -> bool:
         return all(circuit.line_value(world, l) == bool(v) for l, v in test.items())
 
+    reading = {world: circuit.io_formula(world) for world in universe}
     runs: List[Run] = []
     ranks: List[int] = []  # one per run, by its fault group
+    menu: Dict[Formula, None] = {}  # in the order the runs first reach them
     for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
+        # the tails after the initial world, shared by the group's runs
         steps = [[s for s in worlds if matches(s, t)] for t in tests]
-        for envs in itertools.product(worlds, *steps):
-            runs.append(Run(envs, tuple(map(circuit.io_formula, envs[1:]))))
+        tails = list(itertools.product(*steps))
+        tail_obs = list(itertools.product(*[[reading[s] for s in step] for step in steps]))
+        for w0 in worlds:
+            runs += [Run((w0,) + envs, obs) for envs, obs in zip(tails, tail_obs)]
         ranks += [len(fault)] * (len(runs) - len(ranks))
+        menu.update(dict.fromkeys(o for obs in tail_obs for o in obs))
     prior = RankedMeasure(runs, ranks)
-    menu = tuple(dict.fromkeys(o for r in runs for o in r.obs))
     return System(
         vocab=circuit.vocab,
         runs=tuple(runs),
         prior=prior,
         horizon=len(tests),
         universe=frozenset(universe),
-        menu=menu,
+        menu=tuple(menu),
     )
 
 

@@ -9,7 +9,9 @@ prior induces an operator via its time-0 world ranking.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -518,6 +520,8 @@ def validate_rev(
     moved = [union(k & ~at[0].get(w, 0) for w, k in row.items()) for row in at]
     report.add_first("REV1", first_failure(moved, rev1))
     report.add_first("REV2", _check_ranked(sys, budget))
+    if isinstance(root_of(sys.prior)[0], RankedMeasure):
+        report.note("REV2 holds by construction: the prior's root is a ranked measure")
 
     def positive(w: int) -> bool:
         event = sys.index.at[0].get(w, 0)
@@ -533,16 +537,24 @@ def validate_rev(
     if obs_sequences is None:
         obs_sequences = _default_obs_sequences(sys, max_len)
 
-    rev4, rev4p = itertools.tee(
-        _check_observation_neutrality(sys, formula_probes, obs_sequences, budget)
-    )
+    sweep = _check_observation_neutrality(sys, formula_probes, obs_sequences, budget)
+    rev4, rev4p = itertools.tee(sweep)
     report.add_first("REV4", (tag for tag, _ in rev4))
     report.add_first("REV4'", (tag for tag, positive in rev4p if positive))
+    n_probes, n_sequences = len(list(formula_probes)), len(list(obs_sequences))
     report.note(
-        f"observation-neutrality quantified over {len(list(formula_probes))} probes "
-        f"and {len(list(obs_sequences))} observation sequences (the menu stands in "
+        f"observation-neutrality quantified over {n_probes} probes "
+        f"and {n_sequences} observation sequences (the menu stands in "
         "for the full language)"
     )
+    # the sweep ran to its end, and it has more pairs than the budget: the
+    # budget stopped it (an unfinished sweep stopped at its witnesses)
+    pairs, checked = n_sequences * n_probes ** 2, max(budget, 0)
+    if inspect.getgeneratorstate(sweep) == inspect.GEN_CLOSED and pairs > checked:
+        report.note(
+            f"REV4 and REV4' stopped at the budget of {budget}: "
+            f"{checked} of {pairs} probe pairs checked"
+        )
     return report
 
 
@@ -598,12 +610,22 @@ def _check_observation_neutrality(
     side evaluates probe-and-observations at time 0.  Under REV1 the two
     timings coincide.  A pair of probes whose two sides each have one root
     image (see :func:`plausibility.root_of`) compares alike by construction,
-    so it counts against the budget without being compared.
+    so it counts against the budget without being compared.  On a ranked
+    root each side's rank is read once per (sequence, probe), and a pair
+    compares two ranks; any other root compares the two events.
     """
     vocab = sys.vocab
     index = sys.index
     prior = index.prior
     root_mask = prior.root_mask
+    if isinstance(root_of(prior)[0], RankedMeasure):
+        # min-rank law: Pl(A) >= Pl(B) iff rank(A) <= rank(B)
+        read, at_least = functools.partial(rank_of, prior), operator.le
+    else:
+        read, at_least = (lambda event: event), prior.at_least
+    probes = list(probes)
+    exts = [vocab.extension(f) for f in probes]
+    pairs = list(itertools.product(range(len(probes)), repeat=2))
     spent = 0
     for seq in obs_sequences:
         seq = tuple(seq)
@@ -612,24 +634,18 @@ def _check_observation_neutrality(
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
         prefix_runs = runs_with_observations(sys, seq)
-        cond_event = {}
-        conj_event = {}
-        neutral = {}
-        for f in probes:
-            f_ext = vocab.extension(f)
-            cond_event[f] = Mask(prefix_runs & index.env_event(m, f_ext))
-            conj_event[f] = index.env_event(0, f_ext & conj_ext)
-            neutral[f] = root_mask(cond_event[f]) == root_mask(conj_event[f])
-        for f, g in itertools.product(probes, repeat=2):
+        cond_event = [Mask(prefix_runs & index.env_event(m, ext)) for ext in exts]
+        conj_event = [index.env_event(0, ext & conj_ext) for ext in exts]
+        neutral = [root_mask(a) == root_mask(b) for a, b in zip(cond_event, conj_event)]
+        cond, conj = list(map(read, cond_event)), list(map(read, conj_event))
+        for i, j in pairs:
             spent += 1
             if spent > budget:
                 return
-            if neutral[f] and neutral[g]:
+            if neutral[i] and neutral[j]:
                 continue
-            lhs = prior.at_least(cond_event[f], cond_event[g])
-            rhs = prior.at_least(conj_event[f], conj_event[g])
-            if lhs != rhs:
+            if at_least(cond[i], cond[j]) != at_least(conj[i], conj[j]):
                 yield (
-                    f"probes ({f}, {g}) after observing {seq_str(seq)}",
-                    not prior.is_bottom(cond_event[f]),
+                    f"probes ({probes[i]}, {probes[j]}) after observing {seq_str(seq)}",
+                    not prior.is_bottom(cond_event[i]),
                 )

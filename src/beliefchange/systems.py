@@ -131,10 +131,14 @@ class System:
 class RunIndex:
     """A system's run-set events as int masks: bit i stands for ``runs[i]``.
 
-    Built once per system, on first use: one mask per (time, world) and one
-    per observation prefix.  Every other event is ``&`` and ``|`` of those.
-    Two views are derived from them when first read: the runs per (time,
-    observation) and, under a ranked prior, the prior's rank levels.
+    Built once per system, on first use: one mask per (time, world) and
+    one per (time, observation), each from one grouping of a time column,
+    and one per observation prefix.  A prefix of length m + 1 is the AND of
+    a prefix of length m with an observation column at time m + 1, kept
+    when non-empty, so the prefixes cost at most the sum over m of
+    |prefixes of length m| * |observations at time m + 1| ANDs.  Every
+    other event is ``&`` and ``|`` of those.  Under a ranked prior, the
+    prior's rank levels are derived from them when first read.
     """
 
     def __init__(self, sys: System):
@@ -145,19 +149,25 @@ class RunIndex:
         for m in range(sys.horizon + 1):
             by_world = group_positions([run.envs[m] for run in runs])
             self.at.append({w: Mask(mask_of(ids)) for w, ids in by_world.items()})
-        # observation prefixes, one step at a time, then in the order the
-        # runs first reach them: by first run, then by length
-        groups = [((), list(range(len(runs))))] if runs else []
-        reached = list(groups)
+        # obs_at[m][o]: the runs whose observation at time m is o (none at
+        # time 0), observations in the order the runs first reach them
+        self.obs_at: List[Dict[Formula, Mask]] = [{}]
         for m in range(sys.horizon):
-            step = []
-            for s_a, ids in groups:
-                split = group_positions([runs[i].obs[m] for i in ids])
-                step += [(s_a + (o,), [ids[j] for j in sub]) for o, sub in split.items()]
-            reached += step
-            groups = step
-        reached.sort(key=lambda group: (group[1][0], len(group[0])))
-        self.prefix = {s_a: Mask(mask_of(ids)) for s_a, ids in reached}
+            by_obs = group_positions([run.obs[m] for run in runs])
+            self.obs_at.append({o: Mask(mask_of(ids)) for o, ids in by_obs.items()})
+        # observation prefixes, one time at a time, then in the order the
+        # runs first reach them: by first run, then by length
+        level = [((), self.full)] if runs else []
+        reached = list(level)
+        for row in self.obs_at[1:]:
+            level = [
+                (s_a + (o,), both)
+                for s_a, mask in level for o, column in row.items()
+                if (both := mask & column)
+            ]
+            reached += level
+        reached.sort(key=lambda group: (_lowest(group[1]), len(group[0])))
+        self.prefix = {s_a: Mask(mask) for s_a, mask in reached}
         # the prior read on these masks
         self.prior = sys.prior
         if tuple(sys.prior.carrier) != runs:
@@ -165,18 +175,6 @@ class RunIndex:
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
-
-    @cached_property
-    def obs_at(self) -> List[Dict[Formula, Mask]]:
-        """``obs_at[m][o]``: the runs whose observation at time m is ``o``
-        (none at time 0), observations in the order the runs first reach
-        them."""
-        rows: List[Dict[Formula, int]] = [{} for _ in self.at]
-        for s_a, runs in self.prefix.items():
-            if s_a:
-                row = rows[len(s_a)]
-                row[s_a[-1]] = row.get(s_a[-1], 0) | runs
-        return [{o: Mask(runs) for o, runs in row.items()} for row in rows]
 
     @cached_property
     def levels(self) -> List[Tuple[float, int]]:

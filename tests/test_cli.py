@@ -160,6 +160,35 @@ def test_diagnose_rev_check_fails_as_expected(capsys):
     assert "REV4' PASS" in out
 
 
+REV2_NOTE = "# REV2 holds by construction: the prior's root is a ranked measure"
+
+
+def test_rev2_on_a_ranked_prior_says_it_holds_by_construction(capsys):
+    for scenario in (RANKED, DIAG):
+        _, out, _ = run_cli(capsys, "check-rev", "--scenario", scenario)
+        assert REV2_NOTE in out.splitlines()
+    _, out, _ = run_cli(capsys, "check-rev", "--scenario", SMALL_UPDATE)
+    assert "REV2 holds by construction" not in out
+
+
+def test_rev4_says_when_the_budget_stopped_it(capsys):
+    # 30 observation sequences by 7 probes: 1,470 probe pairs
+    code, out, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "100")
+    assert code == 0
+    assert "# REV4 and REV4' stopped at the budget of 100: 100 of 1470 probe pairs checked" in out
+    _, machine, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "100",
+                            "--format", "machine")
+    _, full, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--format", "machine")
+    assert machine == full
+    for budget in ("1470", "100000"):
+        _, out, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", budget)
+        assert "stopped at the budget" not in out
+    # 432 probe pairs, both witnesses found before pair 300: the witnesses
+    # stopped the sweep, not the budget
+    code, out, _ = run_cli(capsys, "check-rev", "--scenario", SMALL_UPDATE, "--budget", "300")
+    assert code == 1 and "REV4' FAIL" in out and "stopped at the budget" not in out
+
+
 def test_update_trace_on_car_scenario(capsys):
     code, out, _ = run_cli(capsys, "update", "--scenario", CAR)
     assert code == 0

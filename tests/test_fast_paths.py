@@ -1,7 +1,9 @@
 """Each fast path against the slow reference it replaces.
 
 UPD4, REV4/REV4' and PRIOR-ISO skip the pairs whose two sides have one
-root image; the reference sweeps below compare every pair.  ``min_u``
+root image; the reference sweeps below compare every pair.  On a ranked
+root REV4/REV4' compare ranks read once per probe; the reference compares
+the events with ``at_least``.  ``min_u``
 reads the structure's table of farther worlds; the reference asks the
 distance order directly.
 """
@@ -14,7 +16,15 @@ import pytest
 from beliefchange import revision, synthesis, update
 from beliefchange.diagnosis import revision_report
 from beliefchange.formulas import TRUE, Atom, Not, Vocabulary, seq_str
-from beliefchange.plausibility import CustomMeasure, Mask, Ordering, PreferentialMeasure, RankedMeasure
+from beliefchange.plausibility import (
+    INF,
+    CustomMeasure,
+    MappedMeasure,
+    Mask,
+    Ordering,
+    PreferentialMeasure,
+    RankedMeasure,
+)
 from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import statify, verify_statification
 from beliefchange.systems import System, runs_with_observations
@@ -305,3 +315,69 @@ def test_check_km_unchanged_by_the_table(seed):
         lambda belief, observed: min_u_reference(structure, belief, observed), structure.worlds, PQ
     )
     assert report.to_machine() == reference.to_machine()
+
+
+# ---------------------------------------------------------------------------
+# REV4/REV4' on a ranked root: ranks read once, the same full sweep
+
+
+def _ranked_sweeps():
+    """(system, probes, observation sequences) whose prior has a ranked root."""
+    _, ranked = _scenario_system("ranked_basic.scn")
+    probes = revision._default_probes(ranked)
+    seqs = revision._default_obs_sequences(ranked, 2)
+    cases = {"ranked_basic": (ranked, probes, seqs)}
+    runs = ranked.runs
+    for seed in range(4):
+        rng = random.Random(seed)
+        ranks = [rng.choice([0, 1, 2, 3, INF]) for _ in runs]
+        cases[f"seeded-{seed}"] = (with_prior(ranked, RankedMeasure(runs, ranks)), probes, seqs)
+        # a mapped prior onto five ranked cells, one of them unreachable
+        cells = RankedMeasure(range(5), [rng.choice([0, 1, 2]) for _ in range(4)] + [INF])
+        mapped = MappedMeasure(runs, cells, [rng.randrange(5) for _ in runs])
+        cases[f"mapped-{seed}"] = (with_prior(ranked, mapped), probes, seqs)
+    scenario, diag_sys = _scenario_system("diag_three_gates.scn")
+    fault_probes = [(Atom(f"f_{g.gid}"),) for g in scenario.circuit.gates]
+    cases["diag_three_gates"] = (
+        diag_sys,
+        revision._default_probes(diag_sys),
+        revision._default_obs_sequences(diag_sys, 1) + fault_probes,
+    )
+    return cases
+
+
+RANKED_SWEEPS = _ranked_sweeps()
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_SWEEPS))
+def test_ranked_rev4_yields_the_generic_sweep(name):
+    sys_, probes, seqs = RANKED_SWEEPS[name]
+    pairs = len(seqs) * len(probes) ** 2
+    # whole, then stopped inside a sequence, after one pair, and at once
+    for budget in (pairs, pairs // 2 + 3, 1, 0):
+        args = (sys_, probes, seqs, budget)
+        assert list(revision._check_observation_neutrality(*args)) == list(rev4_reference(*args))
+
+
+def test_diagnosis_rev4_fails_on_fault_probes():
+    # REV4 fails, on readings and on the unobservable fault literals;
+    # REV4' holds, for no mismatch has a positive conditional side
+    sys_, probes, seqs = RANKED_SWEEPS["diag_three_gates"]
+    sweep = list(revision._check_observation_neutrality(sys_, probes, seqs, 100_000))
+    assert any("after observing <f_" in tag for tag, _ in sweep)
+    assert sweep and not any(positive for _, positive in sweep)
+
+
+def test_ranked_rev4_compares_no_events(monkeypatch):
+    sys_, probes, seqs = RANKED_SWEEPS["seeded-0"]
+    calls = []
+    original = RankedMeasure._compare
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(RankedMeasure, "_compare", counted)
+    sweep = list(revision._check_observation_neutrality(sys_, probes, seqs, 100_000))
+    # only each witness's bottom test compares
+    assert sweep and len(calls) == len(sweep)

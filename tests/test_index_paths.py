@@ -22,7 +22,16 @@ from beliefchange.diagnosis import (
     consistent_faults,
     diag,
 )
-from beliefchange.formulas import FALSE, TRUE, Atom, Formula, FormulaError, Vocabulary, seq_str
+from beliefchange.formulas import (
+    FALSE,
+    TRUE,
+    Atom,
+    Formula,
+    FormulaError,
+    Vocabulary,
+    parse_formula,
+    seq_str,
+)
 from beliefchange.plausibility import (
     INF,
     MappedMeasure,
@@ -345,6 +354,22 @@ def test_the_index_matches_the_run_by_run_build(name):
     assert [list(row.items()) for row in index.at] == at
     assert list(index.prefix.items()) == prefix
     assert [list(row.items()) for row in index.obs_at] == reference_obs_at(sys_)
+
+
+def test_equal_observations_group_together():
+    # each run observes its own parse of p and q: equal, but distinct objects
+    p1, p2, q1, q2 = (parse_formula(text) for text in ("p", "p", "q", "q"))
+    assert p1 == p2 and p1 is not p2 and q1 == q2 and q1 is not q2
+    obs = [(p1, q1), (TRUE, q2), (p2, TRUE), (p2, q2), (TRUE, q1)]
+    runs = [Run((w("11"),) * 3, o) for o in obs]
+    sys_ = System(PQ, runs, RankedMeasure(runs, [0, 1, 1, 2, 0]), 2)
+    index = sys_.index
+    _, prefix = reference_index(sys_)
+    assert list(index.prefix.items()) == prefix
+    assert [list(row.items()) for row in index.obs_at] == reference_obs_at(sys_)
+    assert list(index.prefix) == [(), (P_,), (P_, Q_), (TRUE,), (TRUE, Q_), (P_, TRUE)]
+    assert index.obs_at[1] == {P_: 0b01101, TRUE: 0b10010}
+    assert index.obs_at[2] == {Q_: 0b11011, TRUE: 0b00100}
 
 
 RANKED = sorted(name for name in SYSTEMS if "update" not in name)
