@@ -48,11 +48,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help="scenario file (required for most commands)")
     parser.add_argument("--horizon", type=int, default=None, help="override the horizon")
     parser.add_argument("--budget", type=int, default=100_000, help="enumeration cap for checkers")
-    parser.add_argument(
-        "--relaxed-transitions",
-        action="store_true",
-        help="report update postulate verdicts without failing on them",
-    )
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
 
@@ -164,24 +159,18 @@ def _dispatch(args, out: List[str]) -> int:
             raise UsageError("check-km needs a lexicographic prior with a distance block")
         structure = scenario.update_structure()
         report = check_km(update_operator(structure), structure.worlds, scenario.vocab)
-        code = _emit(report, args, out)
-        return 0 if args.relaxed_transitions else code
+        return _emit(report, args, out)
 
     if cmd == "check-rev":
         sys_ = build_system(scenario)
         if scenario.circuit is not None:
-            return _emit(revision_report(sys_, scenario.circuit), args, out)
+            return _emit(revision_report(sys_, scenario.circuit, args.budget), args, out)
         return _emit(validate_rev(sys_, budget=args.budget), args, out)
 
     if cmd == "check-upd":
         if scenario.prior_kind != "lexicographic":
             raise UsageError("check-upd needs a lexicographic prior with a distance block")
-        sys_ = build_system(scenario)
-        report = validate_upd(
-            sys_, budget=args.budget, relaxed=args.relaxed_transitions
-        )
-        code = _emit(report, args, out)
-        return 0 if args.relaxed_transitions else code
+        return _emit(validate_upd(build_system(scenario), budget=args.budget), args, out)
 
     if cmd == "check-bcs":
         sys_ = build_system(scenario)

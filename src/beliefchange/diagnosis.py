@@ -288,17 +288,17 @@ def check_prop_diag(sys: System, circuit: Circuit) -> Report:
     return report
 
 
-def revision_report(sys: System, circuit: Circuit) -> Report:
+def revision_report(sys: System, circuit: Circuit, budget: int = 100_000) -> Report:
     """Revision-condition verdicts for the diagnosis system.
 
     Fault literals are injected as candidate observations: they can never
     actually be observed, which is exactly what separates the strong
     observation-neutrality condition (fails) from its observable-only
-    weakening (holds).
+    weakening (holds).  ``budget`` is :func:`validate_rev`'s.
     """
     fault_probes = [(Atom(f"f_{g.gid}"),) for g in circuit.gates]
     obs_sequences = _default_obs_sequences(sys, 1) + fault_probes
-    return validate_rev(sys, obs_sequences=obs_sequences)
+    return validate_rev(sys, obs_sequences=obs_sequences, budget=budget)
 
 
 def fault_projection(sys: System, circuit: Circuit) -> System:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -432,26 +431,15 @@ def _decode_triple(code: int, n: int) -> Tuple[Mask, Mask, Mask]:
     return Mask(groups[1]), Mask(groups[2]), Mask(groups[3])
 
 
-def is_qualitative(
-    measure: PlausibilityMeasure,
-    budget: Optional[int] = 200_000,
-    seed: int = 0,
-) -> bool:
+def is_qualitative(measure: PlausibilityMeasure) -> bool:
     """Check the two closure axioms behind default reasoning.
 
     For pairwise disjoint A, B, C: if Pl(A|B) > Pl(C) and Pl(A|C) > Pl(B)
     then Pl(A) > Pl(B|C); and a union of two bottom sets stays at bottom.
-    Exhaustive over disjoint triples while they fit the budget, after which
-    triples are sampled deterministically.
+    Exhaustive over the 4^n disjoint triples of an n-element carrier.
     """
     n = len(measure.carrier)
-    total = 4 ** n
-    rng = random.Random(seed)
-    if budget is None or total <= budget:
-        codes: Iterable[int] = range(total)
-    else:
-        codes = (rng.randrange(total) for _ in range(budget))
-    for code in codes:
+    for code in range(4 ** n):
         a, b, c = _decode_triple(code, n)
         if not c and measure.is_bottom(a) and measure.is_bottom(b):
             if not measure.is_bottom(Mask(a | b)):
@@ -462,17 +450,11 @@ def is_qualitative(
     return True
 
 
-def check_monotonicity(
-    measure: PlausibilityMeasure, budget: Optional[int] = 100_000, seed: int = 0
-) -> bool:
-    """Subsets are never more plausible than their supersets."""
+def check_monotonicity(measure: PlausibilityMeasure) -> bool:
+    """Subsets are never more plausible than their supersets; exhaustive
+    over the 3^n nested pairs of an n-element carrier."""
     n = len(measure.carrier)
-    total = 3 ** n  # per element: absent, in B only, or in A and B
-    rng = random.Random(seed)
-    codes: Iterable[int] = range(total) if budget is None or total <= budget else (
-        rng.randrange(total) for _ in range(budget)
-    )
-    for code in codes:
+    for code in range(3 ** n):  # per element: absent, in B only, or in A and B
         a = b = 0
         for i in range(n):
             code, part = divmod(code, 3)

@@ -13,7 +13,6 @@ formulas) is lost.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,10 +26,18 @@ from .formulas import (
     timestamp,
     timestamped_vocabulary,
 )
-from .plausibility import MappedMeasure, Mask, bits, mask_of, root_of
+from .plausibility import (
+    MappedMeasure,
+    Mask,
+    PreferentialMeasure,
+    RankedMeasure,
+    bits,
+    mask_of,
+    root_of,
+)
 from .reports import Report
 from .revision import validate_rev
-from .systems import Believes, Run, System, model_check, validate_bcs
+from .systems import Believes, Run, System, check_budget, model_check, validate_bcs
 from .update import LexPrior, _check_upd3, _check_upd4
 
 
@@ -156,7 +163,9 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
     neutrality carry over as implications from their update-side
     counterparts; rankedness and the strong neutrality condition are
     reported as observed (they fail for genuinely partial priors and
-    off-time observations respectively).
+    off-time observations respectively).  ``budget`` bounds UPD4's parts,
+    REV2, REV4/REV4' and PRIOR-ISO; a part of UPD4 or PRIOR-ISO past it
+    raises :class:`BudgetError`.
     """
     inner = st.inner
     report = Report("statify")
@@ -166,12 +175,10 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
 
     upd = None
     if isinstance(st.source.prior, LexPrior):
-        # validate_upd's UPD3 and UPD4 at its default budget; UPD4 draws the
-        # sample validate_upd draws whenever UPD2 samples nothing first (as
-        # on every structure of at most 4 worlds)
+        # validate_upd's UPD3 and UPD4, the latter at this report's budget
         source, structure, upd = st.source, st.source.prior.structure, Report("upd")
         upd.add_first("UPD3", _check_upd3(source, structure))
-        upd.add_first("UPD4", _check_upd4(source, structure, 4000, random.Random(0)))
+        upd.add_first("UPD4", _check_upd4(source, structure, budget))
     probes = _star_probes(st)
     rev = validate_rev(
         inner,
@@ -212,40 +219,44 @@ def _star_probes(st: StatifiedSystem) -> List[Formula]:
 def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     """Run-set comparisons must be identical on both sides of the bijection.
 
-    Exhaustive over all subset pairs while they fit the budget; larger
-    systems get deterministic sampling of small subsets (dominance compares
-    on arbitrary large sets are quadratic, so sampled sets stay small).
     When both priors read one root and every twin run has the root position
     of its source run, each pair compares alike by construction and
-    nothing is swept.
+    nothing is swept.  Otherwise, when both roots are ranked measures or
+    dominance lifts, each side is fixed by how single runs compare with
+    each other and with the empty set, so the empty set and one run per
+    (twin image, source image) class are compared pairwise.  With any other
+    root every subset pair is compared.  More pairs than the budget raise
+    :class:`BudgetError`.
     """
     position = {run: i for i, run in enumerate(st.source.runs)}
     to_source = [position[st.to_source[run]] for run in st.inner.runs]
     star, source = st.inner.index.prior, st.source.index.prior
     (star_root, star_image), (source_root, source_image) = root_of(star), root_of(source)
-    if star_root is source_root:
-        same_position = range(len(star_root.carrier))  # the image None stands for
-        star_image = same_position if star_image is None else star_image
-        source_image = same_position if source_image is None else source_image
-        if all(star_image[i] == source_image[j] for i, j in enumerate(to_source)):
-            return
+    if star_image is None:  # the same positions
+        star_image = range(len(star_root.carrier))
+    if source_image is None:
+        source_image = range(len(source_root.carrier))
+    if star_root is source_root and all(
+        star_image[i] == source_image[j] for i, j in enumerate(to_source)
+    ):
+        return
     n = len(st.inner.runs)
-    if 4 ** n <= budget:
-        pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
+    fixed_by_single_runs = (RankedMeasure, PreferentialMeasure)
+    if isinstance(star_root, fixed_by_single_runs) and isinstance(source_root, fixed_by_single_runs):
+        first: Dict[Tuple[int, int], int] = {}  # (twin image, source image) -> its first run
+        for i, j in enumerate(to_source):
+            first.setdefault((star_image[i], source_image[j]), i)
+        masks = [0] + [1 << i for i in first.values()]
+        singles = f"pairs of the empty set and {len(masks) - 1} single runs"
+        check_budget("PRIOR-ISO", len(masks) ** 2, singles, budget)
     else:
-        rng = random.Random(0)
-        pairs = (
-            (
-                mask_of(rng.sample(range(n), rng.randint(0, min(6, n)))),
-                mask_of(rng.sample(range(n), rng.randint(0, min(6, n)))),
-            )
-            for _ in range(max(64, int(budget ** 0.5)))
-        )
+        check_budget("PRIOR-ISO", 4 ** n, f"subset pairs of {n} runs", budget)
+        masks = range(1 << n)
 
     def image(mask: int) -> Mask:
         return Mask(mask_of([to_source[i] for i in bits(mask)]))
 
-    for a, b in pairs:
+    for a, b in itertools.product(masks, repeat=2):
         if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
             sizes = (a.bit_count(), b.bit_count())
             yield f"subset pair of sizes {sizes} compares differently"

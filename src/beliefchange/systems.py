@@ -28,6 +28,7 @@ from .plausibility import (
     Mask,
     Ordering,
     PlausibilityMeasure,
+    PreferentialMeasure,
     RankedMeasure,
     bits,
     check_monotonicity,
@@ -52,6 +53,13 @@ class HorizonError(RunSystemError):
 
 class BudgetError(RunSystemError):
     pass
+
+
+def check_budget(check: str, count: int, what: str, budget: int) -> None:
+    """Raise :class:`BudgetError` naming the check when a part of its space
+    holds more instances than the budget."""
+    if count > budget:
+        raise BudgetError(f"{check}: {count} {what} exceed the budget of {budget}")
 
 
 LocalState = Tuple[Formula, ...]
@@ -501,11 +509,6 @@ def _first_disagreement(
 # Belief change system validation
 
 
-# BCS5 checks the prior's own axioms only on carriers up to these sizes
-QUALITATIVE_MAX_ELEMENTS = 6
-MONOTONE_MAX_ELEMENTS = 10
-
-
 def validate_bcs(sys: System, budget: int = 20_000) -> Report:
     """Check the five conditions that make a system a belief change system:
     environment-determined propositions, observation-sequence local states,
@@ -581,42 +584,54 @@ def validate_bcs(sys: System, budget: int = 20_000) -> Report:
     report.add_first("BCS3", first_failure(bcs3_failing, bcs3))
     report.add_first("BCS4", first_failure(bcs4_failing(), bcs4))
     report.add_first("BCS5", _check_conditioning(sys, budget))
-    size = len(root_of(sys.prior)[0].carrier)
-    for axiom, limit in (
-        ("qualitativeness", QUALITATIVE_MAX_ELEMENTS),
-        ("monotonicity", MONOTONE_MAX_ELEMENTS),
-    ):
-        if size > limit:
-            report.note(
-                f"BCS5: prior {axiom} not checked: its carrier has {size} elements, over {limit}"
-            )
+    reason = _axioms_by_construction(root_of(sys.prior)[0])
+    if reason:
+        report.note(f"BCS5: the prior axioms hold by construction: {reason}")
     return report
+
+
+def _axioms_by_construction(root: PlausibilityMeasure) -> str:
+    """Why the root satisfies the prior axioms BCS5 asks about without a
+    sweep, or "" when it does not say.  Ranked measures and dominance lifts
+    of a strict partial order are qualitative and monotone (Friedman and
+    Halpern, "Plausibility measures and default reasoning", J. ACM 2001);
+    this relies on a PreferentialMeasure's ``prec`` being a strict partial
+    order, as ``from_preference`` and ``LexRunOrder.prec`` make it."""
+    if isinstance(root, RankedMeasure):
+        return "the prior's root is a ranked measure"
+    if isinstance(root, PreferentialMeasure):
+        return "the prior's root is the dominance lift of a strict partial order"
+    return ""
 
 
 def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
     """The per-point measures must be exactly the prior conditioned on the
-    local state, over every subset pair; an override whose 4^n subset pairs
-    exceed ``budget`` raises :class:`BudgetError`."""
+    local state, over every subset pair, and the prior's root must be
+    qualitative and monotone: by construction for a ranked or preferential
+    root, by an exhaustive sweep of any other.  An override whose 4^n
+    subset pairs, or a swept root whose 4^n disjoint triples, exceed
+    ``budget`` raises :class:`BudgetError`."""
     for s_a, override in (sys.point_measures or {}).items():
         conditioned = _conditioned_prior(sys, s_a)
         pts = conditioned.carrier
         if tuple(override.carrier) != pts:
             yield f"carrier mismatch at {seq_str(s_a)}"
             continue
-        if 4 ** len(pts) > budget:
-            raise BudgetError(
-                f"{len(pts)} points share local state {seq_str(s_a)}: "
-                f"{4 ** len(pts)} subset pairs exceed the budget of {budget}"
-            )
+        points = f"the {len(pts)} points at local state {seq_str(s_a)}"
+        check_budget("BCS5", 4 ** len(pts), f"subset pairs of {points}", budget)
         subsets = range(1 << len(pts))
         masks = _first_disagreement(override, subsets, conditioned, subsets, lambda order: order)
         if masks is not None:
             a, b = masks
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
     base = root_of(sys.prior)[0]
-    if len(base.carrier) <= QUALITATIVE_MAX_ELEMENTS and not is_qualitative(base, budget=budget):
+    if _axioms_by_construction(base):
+        return
+    n = len(base.carrier)
+    check_budget("BCS5", 4 ** n, f"disjoint triples of the prior's {n} elements", budget)
+    if not is_qualitative(base):
         yield "prior is not qualitative"
-    if len(base.carrier) <= MONOTONE_MAX_ELEMENTS and not check_monotonicity(base, budget=budget):
+    if not check_monotonicity(base):
         yield "prior violates monotonicity under union"
 
 

@@ -189,6 +189,15 @@ def test_rev4_says_when_the_budget_stopped_it(capsys):
     assert code == 1 and "REV4' FAIL" in out and "stopped at the budget" not in out
 
 
+def test_check_rev_on_a_circuit_takes_the_budget(capsys):
+    code, out, _ = run_cli(capsys, "check-rev", "--scenario", DIAG, "--budget", "10")
+    # REV4's first witness is probe pair 25, past the budget
+    assert code == 1 and "REV4 PASS" in out
+    assert "# REV4 and REV4' stopped at the budget of 10: 10 of 4032 probe pairs checked" in out
+    _, out, _ = run_cli(capsys, "check-rev", "--scenario", DIAG)
+    assert "REV4 FAIL" in out and "stopped at the budget" not in out
+
+
 def test_update_trace_on_car_scenario(capsys):
     code, out, _ = run_cli(capsys, "update", "--scenario", CAR)
     assert code == 0
@@ -199,11 +208,16 @@ def test_update_trace_on_car_scenario(capsys):
 
 
 def test_check_upd_on_small_update_scenario(capsys):
+    # the largest part of the sweep is UPD4's 2,187 instances with one
+    # observation: one less is a budget error naming the check
     code, out, _ = run_cli(
-        capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "1500"
+        capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2187"
     )
     assert code == 0
     assert "UPD2 PASS" in out
+    code, _, err = run_cli(capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2186")
+    assert code == 2
+    assert "error: UPD4: 2187 instances with one observation exceed the budget of 2186" in err
 
 
 def test_check_upd_on_borrowed_car_in_both_formats(capsys):
@@ -221,7 +235,7 @@ def test_check_upd_on_borrowed_car_in_both_formats(capsys):
 
 def test_statify_reports_expected_profile(capsys):
     code, out, _ = run_cli(
-        capsys, "statify", "--scenario", SMALL_UPDATE, "--budget", "1500"
+        capsys, "statify", "--scenario", SMALL_UPDATE, "--budget", "2187"
     )
     assert code == 1  # rankedness genuinely fails on the partial prior
     assert "REV1 PASS" in out
@@ -265,10 +279,9 @@ def test_check_km_and_relaxed_mode(capsys):
     code, out, _ = run_cli(capsys, "check-km", "--scenario", SMALL_UPDATE)
     assert code == 0
     assert "U8 PASS" in out
-    code, _, _ = run_cli(
-        capsys, "check-km", "--scenario", SMALL_UPDATE, "--relaxed-transitions"
-    )
-    assert code == 0
+    # the relaxed mode only rewrote exit codes, and is gone
+    code, _, err = run_cli(capsys, "check-km", "--scenario", SMALL_UPDATE, "--relaxed-transitions")
+    assert code == 2 and "unrecognized arguments: --relaxed-transitions" in err
 
 
 def test_check_bcs(capsys):

@@ -3,7 +3,9 @@
 UPD4, REV4/REV4' and PRIOR-ISO skip the pairs whose two sides have one
 root image; the reference sweeps below compare every pair.  On a ranked
 root REV4/REV4' compare ranks read once per probe; the reference compares
-the events with ``at_least``.  ``min_u``
+the events with ``at_least``.  On ranked and preferential roots PRIOR-ISO
+compares only the empty set and one run per image class; the reference
+compares every subset pair, so it runs on small twins only.  ``min_u``
 reads the structure's table of farther worlds; the reference asks the
 distance order directly.
 """
@@ -24,10 +26,11 @@ from beliefchange.plausibility import (
     Ordering,
     PreferentialMeasure,
     RankedMeasure,
+    from_preference,
 )
 from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import statify, verify_statification
-from beliefchange.systems import System, runs_with_observations
+from beliefchange.systems import BudgetError, System, check_budget, runs_with_observations
 from beliefchange.update import (
     check_km,
     hamming_structure,
@@ -54,25 +57,23 @@ def _scenario_system(name):
 # reference sweeps: every pair compared
 
 
-def upd4_reference(sys_, structure, budget, rng):
+def upd4_reference(sys_, structure, budget):
     menu = list(sys_.menu)
     probes = list(dict.fromkeys(menu))
-    instances = []
-    for k in (0, 1):
-        if k > sys_.horizon - 1:
-            continue
-        for obs in itertools.product(menu, repeat=k):
-            for fa in itertools.product(probes, repeat=k + 2):
-                for fb in itertools.product(probes, repeat=k + 2):
-                    instances.append((obs, fa, fb))
-    if len(instances) > budget:
-        instances = [instances[rng.randrange(len(instances))] for _ in range(budget)]
     prior = sys_.index.prior
-    for obs, fa, fb in instances:
-        observed = [update._upd4_event(sys_, f, obs, True) for f in (fa, fb)]
-        merely_true = [update._upd4_event(sys_, f, obs, False) for f in (fa, fb)]
-        if prior.at_least(*observed) != prior.at_least(*merely_true):
-            yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
+    for k in range(min(2, sys_.horizon)):
+        instances = [
+            (obs, fa, fb)
+            for obs in itertools.product(menu, repeat=k)
+            for fa in itertools.product(probes, repeat=k + 2)
+            for fb in itertools.product(probes, repeat=k + 2)
+        ]
+        check_budget("UPD4", len(instances), f"instances with {('no', 'one')[k]} observation", budget)
+        for obs, fa, fb in instances:
+            observed = [update._upd4_event(sys_, f, obs, True) for f in (fa, fb)]
+            merely_true = [update._upd4_event(sys_, f, obs, False) for f in (fa, fb)]
+            if prior.at_least(*observed) != prior.at_least(*merely_true):
+                yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
 
 
 def rev4_reference(sys_, probes, obs_sequences, budget):
@@ -98,17 +99,8 @@ def rev4_reference(sys_, probes, obs_sequences, budget):
                 )
 
 
-def prior_iso_reference(st, budget):
+def prior_iso_reference(st):
     n = len(st.inner.runs)
-    if 4 ** n <= budget:
-        pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
-    else:
-        rng = random.Random(0)
-
-        def sample():
-            return sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(6, n))))
-
-        pairs = ((sample(), sample()) for _ in range(max(64, int(budget ** 0.5))))
     position = {run: i for i, run in enumerate(st.source.runs)}
     to_source = [position[st.to_source[run]] for run in st.inner.runs]
 
@@ -116,20 +108,21 @@ def prior_iso_reference(st, budget):
         return Mask(sum(1 << to_source[i] for i in range(n) if mask >> i & 1))
 
     star, source = st.inner.index.prior, st.source.index.prior
-    for a, b in pairs:
+    for a, b in itertools.product(range(1 << n), repeat=2):
         if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
             yield f"subset pair of sizes {(a.bit_count(), b.bit_count())} compares differently"
 
 
 def both_ways(monkeypatch, run):
     """The report of ``run()`` with the fast checkers, after asserting the
-    reference sweeps give the same machine output."""
+    UPD4 and REV4/REV4' reference sweeps give the same machine output (the
+    PRIOR-ISO reference is too slow for these twins; see
+    ``test_prior_iso_reduction_matches_the_subset_sweep``)."""
     fast = run()
     with monkeypatch.context() as m:
         m.setattr(update, "_check_upd4", upd4_reference)
         m.setattr(synthesis, "_check_upd4", upd4_reference)
         m.setattr(revision, "_check_observation_neutrality", rev4_reference)
-        m.setattr(synthesis, "_check_prior_isomorphism", prior_iso_reference)
         slow = run()
     assert fast.to_machine() == slow.to_machine()
     return fast
@@ -176,9 +169,11 @@ def test_tampered_twins(monkeypatch, random_update_system):
 
 
 def test_tampered_twin_witness_is_swept(monkeypatch):
-    # small enough for the exhaustive sweep, so the swap must show
+    # the swapped runs sit in image classes of their own, so the swap shows
+    # between single runs
     st = tampered(statify(system_from_update(hamming_structure(PQ), 1, (TRUE, P_))))
-    assert not both_ways(monkeypatch, lambda: verify_statification(st))["PRIOR-ISO"].passed
+    report = both_ways(monkeypatch, lambda: verify_statification(st))
+    assert report["PRIOR-ISO"].witness == "subset pair of sizes (1, 1) compares differently"
 
 
 def _by_size(runs):
@@ -197,9 +192,10 @@ def _reversed_ranks(runs):
 
 
 @pytest.mark.parametrize(
-    "make_prior, upd4_fails, iso_fails", [(_by_size, True, False), (_reversed_ranks, False, True)]
+    "make_prior, upd4_fails, iso_fails", [(_by_size, True, None), (_reversed_ranks, False, True)]
 )
 def test_priors_whose_images_differ(monkeypatch, make_prior, upd4_fails, iso_fails):
+    # iso_fails None: BCS5 cannot sweep the custom prior's 256 runs
     structure = hamming_structure(PQ)
     source = system_from_update(structure, 2, MENU)
     sys_ = with_prior(source, make_prior(source.runs))
@@ -207,7 +203,94 @@ def test_priors_whose_images_differ(monkeypatch, make_prior, upd4_fails, iso_fai
     assert upd["UPD4"].passed is not upd4_fails
     assert not both_ways(monkeypatch, lambda: revision.validate_rev(sys_))["REV4"].passed
     st = tampered(statify(sys_))
-    assert both_ways(monkeypatch, lambda: verify_statification(st))["PRIOR-ISO"].passed is not iso_fails
+    if iso_fails is None:
+        with pytest.raises(BudgetError, match="BCS5: .* disjoint triples of the prior's 256"):
+            verify_statification(st)
+        return
+    # the empty set and 256 single runs: 66,049 pairs
+    report = both_ways(monkeypatch, lambda: verify_statification(st, budget=66_049))
+    assert report["PRIOR-ISO"].passed is not iso_fails
+
+
+def _small_prior(kind, runs, rng):
+    """A prior of the given kind over the runs, drawn from the rng."""
+    n = len(runs)
+
+    def ranks(size):
+        return [rng.choice([0, 1, 1, 2, INF]) for _ in range(size)]
+
+    def preference(carrier):
+        order = rng.sample(list(carrier), len(carrier))
+        return from_preference(carrier, [
+            (x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.4
+        ])
+
+    if kind == "ranked":
+        return RankedMeasure(runs, ranks(n))
+    if kind == "preferential":
+        return preference(runs)
+    if kind == "mapped-ranked":
+        return MappedMeasure(runs, RankedMeasure(range(3), ranks(3)), [rng.randrange(3) for _ in runs])
+    if kind == "mapped-preferential":
+        return MappedMeasure(runs, preference(range(3)), [rng.randrange(3) for _ in runs])
+    weights = {run: rng.randrange(3) for run in runs}  # custom: additive weights
+
+    def compare(a, b):
+        va, vb = sum(weights[r] for r in a), sum(weights[r] for r in b)
+        return Ordering.EQUAL if va == vb else Ordering.GREATER if va > vb else Ordering.LESS
+
+    return CustomMeasure(runs, compare)
+
+
+SMALL_KINDS = ["ranked", "preferential", "mapped-ranked", "mapped-preferential", "custom"]
+
+
+def _rebuilt_from_single_runs(st, mode):
+    """A prior on the twin's runs read off how the source prior compares
+    their single source runs: ranks counting the runs above each ("ranked"
+    keeps the source's bottom runs at infinity, "ranked-no-bottom" ranks
+    them last), or the dominance lift of the strictly-above pairs."""
+    source = st.source.index.prior
+    position = {run: i for i, run in enumerate(st.source.runs)}
+    runs = st.inner.runs
+    single = {run: Mask(1 << position[st.to_source[run]]) for run in runs}
+
+    def above(x, y):
+        return source.compare(single[x], single[y]) is Ordering.GREATER
+
+    if mode != "preferential":
+        bottom = INF if mode == "ranked" else len(runs)
+        ranks = [
+            bottom if source.is_bottom(single[y]) else sum(above(x, y) for x in runs) for y in runs
+        ]
+        return RankedMeasure(runs, ranks)
+    return from_preference(runs, [(x, y) for x in runs for y in runs if above(x, y)])
+
+
+@pytest.mark.parametrize("kind", SMALL_KINDS)
+def test_prior_iso_reduction_matches_the_subset_sweep(kind):
+    # twins of 4 and 6 runs with a permuted bijection, whose prior is the
+    # source's image, a prior of its own of any kind, or one rebuilt from
+    # the source's comparisons of single runs (the last two have a root
+    # of their own)
+    single = Vocabulary(["p"])
+    systems = [system_from_update(hamming_structure(single), 1, menu) for menu in ([TRUE], [TRUE, P_])]
+    verdicts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        source = systems[seed % 2]
+        st = statify(with_prior(source, _small_prior(kind, source.runs, rng)))
+        runs = list(st.inner.runs)
+        st.to_source = dict(zip(runs, rng.sample([st.to_source[r] for r in runs], len(runs))))
+        if seed % 3 == 1:
+            st.inner = with_prior(st.inner, _small_prior(rng.choice(SMALL_KINDS), runs, rng))
+        elif seed % 3 == 2:
+            mode = ("ranked", "ranked-no-bottom", "preferential")[seed // 3 % 3]
+            st.inner = with_prior(st.inner, _rebuilt_from_single_runs(st, mode))
+        fast = next(synthesis._check_prior_isomorphism(st, 10**6), "")
+        assert bool(fast) == bool(next(prior_iso_reference(st), "")), seed
+        verdicts.append((seed % 3, not fast))
+    assert len(set(verdicts)) >= 4, verdicts
 
 
 def test_diagnosis_revision_report(monkeypatch):
@@ -226,8 +309,31 @@ def no_p_at_11():
 
 
 @pytest.mark.parametrize("budget", [10, 30, 50, 400])
-def test_upd4_at_sampled_budgets(monkeypatch, no_p_at_11, budget):
-    both_ways(monkeypatch, lambda: validate_upd(no_p_at_11, budget=budget))
+def test_upd4_at_sampled_budgets(no_p_at_11, budget):
+    # budgets the sweep once sampled under: the fast and reference UPD4
+    # sweeps now raise at the same part, the first one past the budget
+    structure = update._structure_of(no_p_at_11, None)
+    part = "81 instances with no observation" if budget < 81 else "2187 instances with one observation"
+    errors = []
+    for check in (update._check_upd4, upd4_reference):
+        with pytest.raises(BudgetError, match=f"UPD4: {part} exceed the budget of {budget}") as raised:
+            list(check(no_p_at_11, structure, budget))
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("budget", [2186, 2187])
+def test_upd4_budget_boundary(monkeypatch, no_p_at_11, budget):
+    # UPD4's part with one observation holds 2,187 instances; the witness
+    # is in it, so one less raises before the witness is reached
+    if budget == 2186:
+        for check in (update._check_upd4, upd4_reference):
+            monkeypatch.setattr(update, "_check_upd4", check)
+            with pytest.raises(BudgetError, match="UPD4: 2187 instances with one observation"):
+                validate_upd(no_p_at_11, budget=budget)
+    else:
+        report = both_ways(monkeypatch, lambda: validate_upd(no_p_at_11, budget=budget))
+        assert not report["UPD4"].passed
 
 
 @pytest.mark.parametrize("budget", [474, 475])
@@ -261,7 +367,7 @@ def root_compares(monkeypatch):
 
 def test_small_update_upd4_and_prior_iso_compare_nothing(root_compares):
     _, sys_ = _scenario_system("small_update.scn")
-    witnesses = list(update._check_upd4(sys_, sys_.prior.structure, 4000, random.Random(0)))
+    witnesses = list(update._check_upd4(sys_, sys_.prior.structure, 4000))
     assert witnesses == [] and root_compares == []
     assert list(synthesis._check_prior_isomorphism(statify(sys_), 60_000)) == []
     assert root_compares == []

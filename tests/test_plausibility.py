@@ -181,13 +181,13 @@ def test_monotonicity_holds_for_all_kinds():
         from_preference("abcd", []),
     ]
     for m in measures:
-        assert check_monotonicity(m, budget=None)
+        assert check_monotonicity(m)
 
 
 def test_ranked_measures_are_qualitative():
     for ranks in itertools.product(range(3), repeat=4):
         m = RankedMeasure("abcd", ranks)
-        assert is_qualitative(m, budget=None)
+        assert is_qualitative(m)
 
 
 def test_preferential_measures_are_qualitative():
@@ -201,7 +201,7 @@ def test_preferential_measures_are_qualitative():
     ]
     for pairs in order_sets:
         m = from_preference("abcd", pairs)
-        assert is_qualitative(m, budget=None)
+        assert is_qualitative(m)
 
 
 def test_custom_union_of_bottoms_violation_detected():
@@ -216,7 +216,7 @@ def test_custom_union_of_bottoms_violation_detected():
     # Pl({a}) = Pl({b}) = bottom but Pl({a,b}) > bottom
     assert m.is_bottom(frozenset("a")) and m.is_bottom(frozenset("b"))
     assert not m.is_bottom(frozenset("ab"))
-    assert not is_qualitative(m, budget=None)
+    assert not is_qualitative(m)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,8 @@ def test_klm_closure_catches_and_violation():
         return Ordering.GREATER if va > vb else Ordering.LESS
 
     m = CustomMeasure(carrier, cmp)
-    assert check_monotonicity(m, budget=None)
-    assert not is_qualitative(m, budget=None)
+    assert check_monotonicity(m)
+    assert not is_qualitative(m)
     s = PlausibilityStructure(m, {b: PQ.world_from_str(b) for b in carrier}, PQ)
     report = check_klm_closure(s)
     assert not report["AND"].passed

@@ -12,7 +12,7 @@ from beliefchange.formulas import (
     Vocabulary,
     world_formula,
 )
-from beliefchange.plausibility import Ordering
+from beliefchange.plausibility import Ordering, check_monotonicity, is_qualitative, root_of
 from beliefchange.systems import bel, validate_bcs
 from beliefchange.update import (
     DistancePoset,
@@ -255,6 +255,36 @@ def test_lex_prior_cells_match_hand_table():
             if a[:i] == b[:i]:
                 expected = structure.d(a[i - 1], a[i]) < structure.d(b[i - 1], b[i])
         assert order.prec(a, b) == expected, (a, b)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lex_run_order_is_a_strict_partial_order(seed):
+    # BCS5 takes the prior axioms by construction on a dominance lift of a
+    # strict partial order
+    structure = random_structure(PQ, random.Random(seed))
+    prec = LexRunOrder(structure).prec
+    cells = list(itertools.product(structure.worlds, repeat=3))
+    beats = {a: {b for b in cells if prec(a, b)} for a in cells}
+    for a in cells:
+        assert a not in beats[a]
+        for b in beats[a]:
+            assert beats[b] <= beats[a], (a, b)
+
+
+P1 = Vocabulary(["p"])
+
+
+@pytest.mark.parametrize(
+    "structure, horizon",
+    [(hamming_structure(P1), h) for h in (1, 2)]
+    + [(random_structure(P1, random.Random(seed)), h) for seed in range(2) for h in (1, 2)]
+    + [(random_structure(PQ, random.Random(seed), worlds=[0, 1, 2]), 1) for seed in range(2)],
+    ids=["hamming-h1", "hamming-h2", "random0-h1", "random0-h2", "random1-h1", "random1-h2",
+         "three-worlds0-h1", "three-worlds1-h1"],
+)
+def test_lex_prior_roots_pass_the_exhaustive_axiom_sweeps(structure, horizon):
+    root = root_of(system_from_update(structure, horizon, [TRUE]).prior)[0]
+    assert is_qualitative(root) and check_monotonicity(root)
 
 
 def test_states_after_observation(updsys):

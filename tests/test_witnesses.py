@@ -1,13 +1,14 @@
 """Exact FAIL witnesses of the checkers, on hand-built failing inputs.
 
 Each witness is the first counterexample in its checker's fixed visiting
-order, so these strings pin both the order and the budgets and samples
-that cut it short.
+order, so these strings pin both the order and the budgets that stop a
+sweep.
 """
 from collections import Counter
 
 import pytest
 
+from beliefchange import update
 from beliefchange.diagnosis import Circuit, Gate, build_diag_system, check_prop_diag
 from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary
 from beliefchange.plausibility import INF, CustomMeasure, Ordering, RankedMeasure
@@ -156,20 +157,28 @@ def test_upd4_informative_observation(no_p_at_11):
 
 
 @pytest.mark.parametrize(
-    "budget, witness",
+    "budget, message",
     [
-        (10, "formulas <true, !q, !q> vs <true, true, true> observing <p>"),
-        (30, "formulas <true, !q, p> vs <true, true, true> observing <p>"),
-        (50, ""),
-        (400, "formulas <p, !q, !q> vs <p, true, true> observing <p>"),
+        (119, "UPD2: 120 pairs of length-2 cells exceed the budget of 119"),
+        (2015, "UPD2: 2016 pairs of length-3 cells exceed the budget of 2015"),
+        (2186, "UPD4: 2187 instances with one observation exceed the budget of 2186"),
     ],
+    ids=["upd2-length-2-cells", "upd2-length-3-cells", "upd4-one-observation"],
 )
-def test_upd4_sampled_witness_follows_the_shared_rng(no_p_at_11, budget, witness):
-    # UPD2 samples cell pairs from the same generator first, so these pin
-    # the order of every draw
-    report = validate_upd(no_p_at_11, budget=budget)
-    assert report["UPD2"].passed
-    assert report["UPD4"].witness == witness
+def test_upd_sweeps_raise_at_the_first_part_past_the_budget(no_p_at_11, budget, message):
+    with pytest.raises(BudgetError) as err:
+        validate_upd(no_p_at_11, budget=budget)
+    assert str(err.value) == message
+
+
+def test_upd2_witness_wins_over_a_later_part_past_the_budget(updsys):
+    # ranked by size, the cells of length 2 already disagree with the
+    # distance; the 2,016 pairs of length 3 come after
+    sys_ = with_prior(updsys, CustomMeasure(updsys.runs, _by_size))
+    witness = next(update._check_upd2(sys_, HAMMING, 120))
+    assert witness == "cells (0, 0) vs (0, 2): expected strictly above, got <"
+    with pytest.raises(BudgetError, match="UPD2: 120 pairs"):
+        next(update._check_upd2(sys_, HAMMING, 119))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +195,23 @@ def _tampered_twin(sys_):
 
 
 def test_prior_iso_exhaustive_witness():
+    # the swapped runs disagree already as single runs
     st = _tampered_twin(system_from_update(HAMMING, 1, (TRUE, P_)))
     report = verify_statification(st)
-    assert report["PRIOR-ISO"].witness == "subset pair of sizes (2, 4) compares differently"
+    assert report["PRIOR-ISO"].witness == "subset pair of sizes (1, 1) compares differently"
 
 
-def test_prior_iso_sampled_witness(updsys):
-    report = verify_statification(_tampered_twin(updsys))
-    assert report["PRIOR-ISO"].witness == "subset pair of sizes (4, 6) compares differently"
+def test_prior_iso_witness_between_single_runs(updsys):
+    # 64 cells plus the two swapped runs' classes, and the empty set: 4,489
+    # pairs, past UPD4's 2,187 instances with one observation
+    st = _tampered_twin(updsys)
+    report = verify_statification(st, budget=4489)
+    assert report["PRIOR-ISO"].witness == "subset pair of sizes (1, 1) compares differently"
+    with pytest.raises(BudgetError) as err:
+        verify_statification(st, budget=4488)
+    assert str(err.value) == (
+        "PRIOR-ISO: 4489 pairs of the empty set and 66 single runs exceed the budget of 4488"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +299,17 @@ def test_bcs5_carrier_witness(revsys):
     assert report["BCS5"].witness == "carrier mismatch at <p>"
 
 
+def _by_size(a, b):
+    """More runs, more plausible: monotone, but not qualitative."""
+    if len(a) == len(b):
+        return Ordering.EQUAL
+    return Ordering.GREATER if len(a) > len(b) else Ordering.LESS
+
+
 def _by_size_system(n):
-    """Runs ordered by set size alone: monotone, but not qualitative."""
     worlds = [w("11"), w("10"), w("01"), w("00")]
     runs = tuple(Run((worlds[i % 4], worlds[i // 4 % 4]), (TRUE,)) for i in range(n))
-
-    def by_size(a, b):
-        if len(a) == len(b):
-            return Ordering.EQUAL
-        return Ordering.GREATER if len(a) > len(b) else Ordering.LESS
-
-    return System(PQ, runs, CustomMeasure(runs, by_size), 1, menu=(TRUE,))
+    return System(PQ, runs, CustomMeasure(runs, _by_size), 1, menu=(TRUE,))
 
 
 def test_bcs5_prior_axiom_witness():
@@ -300,19 +318,24 @@ def test_bcs5_prior_axiom_witness():
     assert report.notes == []
 
 
-def test_bcs5_notes_the_prior_axioms_it_skips():
+def test_bcs5_sweeps_a_custom_prior_or_raises():
+    # 4^7 = 16,384 disjoint triples fit the default budget of 20,000
     report = validate_bcs(_by_size_system(7))
-    assert report["BCS5"].passed
-    assert report.notes == [
-        "BCS5: prior qualitativeness not checked: its carrier has 7 elements, over 6"
-    ]
-    assert "# BCS5: prior qualitativeness not checked" in report.to_text()
-    assert "not checked" not in report.to_machine()
-    report = validate_bcs(_by_size_system(11))
-    assert [note.split(":")[1] for note in report.notes] == [
-        " prior qualitativeness not checked",
-        " prior monotonicity not checked",
-    ]
+    assert report["BCS5"].witness == "prior is not qualitative"
+    assert report.notes == []
+    with pytest.raises(BudgetError) as err:
+        validate_bcs(_by_size_system(8))
+    assert str(err.value) == (
+        "BCS5: 65536 disjoint triples of the prior's 8 elements exceed the budget of 20000"
+    )
+
+
+def test_bcs5_notes_the_prior_axioms_that_hold_by_construction(revsys, updsys):
+    note = "BCS5: the prior axioms hold by construction: the prior's root is "
+    assert validate_bcs(revsys).notes == [note + "a ranked measure"]
+    report = validate_bcs(updsys)
+    assert report.notes == [note + "the dominance lift of a strict partial order"]
+    assert "# " + note in report.to_text() and "construction" not in report.to_machine()
 
 
 # ---------------------------------------------------------------------------
