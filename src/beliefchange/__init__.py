@@ -43,8 +43,8 @@ from .systems import (
     Run,
     System,
     bel,
+    believed,
     check_prior_local_rule,
-    condition_prior,
     indistinguishable,
     model_check,
     validate_bcs,
@@ -56,7 +56,6 @@ from .revision import (
     epistemic_bel,
     operator_from_ranking,
     revise_at_state,
-    revise_from_ranking,
     revision_from_system,
     system_from_ranking,
     system_from_revision,

@@ -370,23 +370,6 @@ def rank_of(measure: PlausibilityMeasure, event: Event) -> float:
     return root._rank(mask)
 
 
-def least_ranked(measure: PlausibilityMeasure) -> List[int]:
-    """Carrier positions of the elements of least finite rank under a ranked
-    measure, read by index through any MappedMeasure chain in front of it
-    (the chain's image, then the level masks); empty when every element
-    has infinite rank."""
-    root, image = root_of(measure)
-    for _, level in root._levels:
-        if image is None:
-            hits = bits(level)
-        else:
-            members = set(bits(level))
-            hits = [i for i, j in enumerate(image) if j in members]
-        if hits:
-            return hits
-    return []
-
-
 def rank_levels(ranks: Sequence[float]) -> List[Tuple[float, int]]:
     """(rank, mask of the positions with that rank), finite ranks ascending."""
     by_rank = group_positions(ranks)

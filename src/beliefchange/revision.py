@@ -3,13 +3,13 @@
 Revision operators act on model sets: a belief set is represented by its
 extension, and revising by an observation keeps the lowest-ranked worlds
 satisfying it.  The constructions here go both ways: an operator induces
-a run system whose conditioning reproduces it, and a system with a ranked
-prior induces an operator via its time-0 world ranking.
+a run system whose conditioning reproduces it, and a system induces an
+operator by conditioning its prior on the runs that start in the input.
 """
 from __future__ import annotations
 
+import collections
 import functools
-import inspect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ from .plausibility import (
     union,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, bel, first_failure, runs_with_observations
+from .systems import LocalState, Run, System, bel, believed, check_budget, first_failure, runs_with_observations
 
 
 class RevisionError(BeliefChangeError):
@@ -70,17 +70,6 @@ def min_rank_worlds(ranks: Mapping[int, float], worlds: Iterable[int]) -> Extens
     if best == INF:
         return frozenset()
     return frozenset(w for r, w in candidates if r == best)
-
-
-def revise_from_ranking(
-    ranks: Mapping[int, float], belief: Extension, observed: Extension
-) -> Extension:
-    """Keep the lowest-ranked worlds of the observation.
-
-    The belief extension must be exactly the rank-minimal worlds; this is
-    the coherence condition tying the ranking to the belief set.
-    """
-    return _ranked_reviser(ranks)(belief, observed)
 
 
 def _ranked_reviser(ranks: Mapping[int, float]) -> Callable[[Extension, Extension], Extension]:
@@ -305,25 +294,12 @@ def system_from_revision(
 # System -> operator
 
 
-def characteristic_world_ranks(sys: System) -> Dict[int, float]:
-    """Rank of each initial world: the best run rank that starts there."""
-    cached = getattr(sys, "_char_ranks", None)
-    if cached is not None:
-        return cached
-    if not isinstance(root_of(sys.prior)[0], RankedMeasure):
-        raise RevisionError("characteristic ranking needs a ranked prior")
-    index = sys.index
-    ranks = {w: rank_of(index.prior, index.at[0].get(w, Mask(0))) for w in sys.universe}
-    sys._char_ranks = ranks
-    return ranks
-
-
 def revision_from_system(sys: System, validate: bool = True) -> RevisionOperator:
-    """Read a revision operator off a static ranked system.
+    """Read a revision operator off a static system.
 
-    The operator conditions the system's run ranking, projected to initial
-    worlds, on the input extension; it is defined for the system's initial
-    belief extension only.
+    Revising by an extension conditions the prior on the runs that start
+    in it and keeps the time-0 worlds :func:`believed` there; the operator
+    is defined for the system's initial belief extension only.
     """
     if validate:
         report = validate_rev(sys)
@@ -332,35 +308,28 @@ def revision_from_system(sys: System, validate: bool = True) -> RevisionOperator
                 "system fails revision validation: "
                 + "; ".join(r.text_line() for r in report.failures())
             )
-    ranks = characteristic_world_ranks(sys)
     initial = bel(sys, ())
 
     def apply(belief: Extension, observed: Extension) -> Extension:
         if frozenset(belief) != initial:
             raise RevisionError("operator is induced at the system's initial belief only")
-        return min_rank_worlds(ranks, observed)
+        return believed(sys, sys.index.env_event(0, observed), 0)
 
     return RevisionOperator(apply, sys.vocab, provenance="from-system")
 
 
 def revise_at_state(sys: System, s_a: LocalState, observed: Formula) -> Extension:
-    """One-step revision from an attainable non-initial state.
-
-    Conditioning the characteristic ranking on past observations plus the
-    new input; when the input contradicts the past there is no global
-    state carrying it, the belief state collapses, and the consistency
-    postulate is unsatisfiable from there.
+    """One-step revision from an attainable non-initial state: the prior
+    conditioned on the runs with the state's observations whose world at
+    the state's time satisfies the input.  When the input contradicts the
+    past no run carries it, the belief state collapses, and the
+    consistency postulate is unsatisfiable from there.
     """
-    s_a = tuple(s_a)
-    if not runs_with_observations(sys, s_a):
+    s_a, m = tuple(s_a), len(s_a)
+    prefix_runs = runs_with_observations(sys, s_a)
+    if not prefix_runs:
         raise RevisionError("local state is not attainable in this system")
-    past = sys.universe
-    for o in s_a:
-        past &= sys.vocab.extension(o)
-    target = past & sys.vocab.extension(observed)
-    if not target:
-        return frozenset()
-    return min_rank_worlds(characteristic_world_ranks(sys), target)
+    return believed(sys, prefix_runs & sys.index.env_event(m, sys.vocab.extension(observed)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +347,7 @@ def epistemic_bel(sys: System, state: Sequence[Formula]) -> Extension:
     if not state:
         return bel(sys, ())
     _, suffix_ext = _consistent_suffix(sys, state)
-    if not suffix_ext:
-        return frozenset()
-    return min_rank_worlds(characteristic_world_ranks(sys), suffix_ext)
+    return believed(sys, sys.index.env_event(0, suffix_ext), 0)
 
 
 def longest_consistent_suffix(sys: System, state: Sequence[Formula]) -> Tuple[Formula, ...]:
@@ -547,14 +514,6 @@ def validate_rev(
         f"and {n_sequences} observation sequences (the menu stands in "
         "for the full language)"
     )
-    # the sweep ran to its end, and it has more pairs than the budget: the
-    # budget stopped it (an unfinished sweep stopped at its witnesses)
-    pairs, checked = n_sequences * n_probes ** 2, max(budget, 0)
-    if inspect.getgeneratorstate(sweep) == inspect.GEN_CLOSED and pairs > checked:
-        report.note(
-            f"REV4 and REV4' stopped at the budget of {budget}: "
-            f"{checked} of {pairs} probe pairs checked"
-        )
     return report
 
 
@@ -610,7 +569,9 @@ def _check_observation_neutrality(
     side evaluates probe-and-observations at time 0.  Under REV1 the two
     timings coincide.  A pair of probes whose two sides each have one root
     image (see :func:`plausibility.root_of`) compares alike by construction,
-    so it counts against the budget without being compared.  On a ranked
+    so it counts against the budget without being compared.  The pairs
+    after the sequences of one length form one part of the budget: a part
+    past it raises :class:`BudgetError` before it is swept.  On a ranked
     root each side's rank is read once per (sequence, probe), and a pair
     compares two ranks; any other root compares the two events.
     """
@@ -626,10 +587,14 @@ def _check_observation_neutrality(
     probes = list(probes)
     exts = [vocab.extension(f) for f in probes]
     pairs = list(itertools.product(range(len(probes)), repeat=2))
-    spent = 0
+    obs_sequences = [tuple(seq) for seq in obs_sequences]
+    parts = collections.Counter(map(len, obs_sequences))
     for seq in obs_sequences:
-        seq = tuple(seq)
         m = len(seq)
+        part = parts.pop(m, 0)
+        if part:
+            what = f"probe pairs after {m}-observation sequences"
+            check_budget("REV4", part * len(pairs), what, budget)
         conj_ext = sys.universe
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
@@ -639,9 +604,6 @@ def _check_observation_neutrality(
         neutral = [root_mask(a) == root_mask(b) for a, b in zip(cond_event, conj_event)]
         cond, conj = list(map(read, cond_event)), list(map(read, conj_event))
         for i, j in pairs:
-            spent += 1
-            if spent > budget:
-                return
             if neutral[i] and neutral[j]:
                 continue
             if at_least(cond[i], cond[j]) != at_least(conj[i], conj[j]):

@@ -163,14 +163,14 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
     neutrality carry over as implications from their update-side
     counterparts; rankedness and the strong neutrality condition are
     reported as observed (they fail for genuinely partial priors and
-    off-time observations respectively).  ``budget`` bounds UPD4's parts,
-    REV2, REV4/REV4' and PRIOR-ISO; a part of UPD4 or PRIOR-ISO past it
-    raises :class:`BudgetError`.
+    off-time observations respectively).  ``budget`` bounds BCS5, UPD4's
+    parts, REV2, REV4/REV4' and PRIOR-ISO; a part of BCS5, UPD4, REV4 or
+    PRIOR-ISO past it raises :class:`BudgetError`.
     """
     inner = st.inner
     report = Report("statify")
 
-    bcs = validate_bcs(inner)
+    bcs = validate_bcs(inner, budget)
     report.add("BCS", bcs.all_passed, "; ".join(r.text_line() for r in bcs.failures()))
 
     upd = None

@@ -34,7 +34,6 @@ from .plausibility import (
     check_monotonicity,
     group_positions,
     is_qualitative,
-    least_ranked,
     mask_of,
     rank_levels,
     root_of,
@@ -238,67 +237,62 @@ def indistinguishable(sys: System, p1: Point, p2: Point) -> bool:
     return r1.local_state(m1) == r2.local_state(m2)
 
 
-def condition_prior(sys: System, s_a: LocalState) -> PlausibilityMeasure:
-    return sys.plaus_at(s_a)
-
-
 # ---------------------------------------------------------------------------
 # Beliefs
 
 
 def bel(sys: System, s_a: LocalState) -> Extension:
-    """Model set of the agent's belief set at a local state.
-
-    A world survives iff its characterising formula is not disbelieved at
-    the conditioned measure.  Unattainable local states, and states whose
-    whole carrier sits at bottom, give the empty extension (the agent
-    believes everything, including falsity).  Under a ranked prior, with
-    no point-measure override at the state, the survivors are the worlds of
-    the least-ranked runs with the state's observations, read off the run
-    index's rank levels.
+    """Model set of the agent's belief set at a local state: the worlds
+    :func:`believed` keeps at the state's time, given the runs with the
+    state's observations.  Unattainable local states, and states whose
+    runs all sit at bottom, give the empty extension (the agent believes
+    everything, including falsity).  A state with an entry in
+    ``point_measures`` is read off that measure's points instead.
     """
     cached = sys._bel_cache.get(s_a)
     if cached is not None:
         return cached
-    result: Extension
-    if s_a not in (sys.point_measures or {}) and isinstance(root_of(sys.prior)[0], RankedMeasure):
-        result = _bel_min_rank(sys.index, s_a)
+    override = (sys.point_measures or {}).get(s_a)
+    if override is None:
+        result = believed(sys, sys.index.observed(s_a), len(s_a))
     else:
-        measure = sys.plaus_at(s_a)
-        points = measure.carrier
-        if not points:
-            result = frozenset()
-        elif isinstance(root_of(measure)[0], RankedMeasure):
-            result = frozenset(points[i][0].envs[points[i][1]] for i in least_ranked(measure))
-        else:
-            result = _bel_generic(points, measure)
+        points = override.carrier
+        by_world = group_positions([run.envs[t] for run, t in points])
+        rows = {w: mask_of(ids) for w, ids in by_world.items()}
+        result = _not_disbelieved(override, (1 << len(points)) - 1, rows)
     sys._bel_cache[s_a] = result
     return result
 
 
-def _bel_min_rank(index: RunIndex, s_a: LocalState) -> Extension:
-    """The worlds, at the local state's time, of its least-ranked runs: the
-    first rank level that meets the runs with that observation prefix."""
-    observed = index.observed(s_a)
+def believed(sys: System, event: int, time: int) -> Extension:
+    """The worlds at ``time`` that the prior, conditioned on the run mask
+    ``event``, does not disbelieve: a world survives when the event's runs
+    outside it are not strictly more plausible than its runs in it.  Empty
+    when the event sits at bottom.
+
+    Under a ranked prior these are the worlds of the event's least-ranked
+    runs: the first of the run index's rank levels that meets the event.
+    """
+    index = sys.index
+    if not isinstance(root_of(index.prior)[0], RankedMeasure):
+        return _not_disbelieved(index.prior, event, index.at[time])
     for _, level in index.levels:
-        hits = level & observed
+        hits = level & event
         if hits:
-            return frozenset(w for w, runs in index.at[len(s_a)].items() if runs & hits)
+            return frozenset(w for w, runs in index.at[time].items() if runs & hits)
     return frozenset()
 
 
-def _bel_generic(points, measure) -> Extension:
-    full = Mask((1 << len(points)) - 1)
-    if measure.is_bottom(full):
+def _not_disbelieved(measure: PlausibilityMeasure, event: int, rows: Dict[int, int]) -> Extension:
+    """The worlds w, of ``rows`` (world -> carrier mask), whose part of
+    ``event`` the rest of the event does not beat under ``measure``."""
+    if measure.is_bottom(Mask(event)):
         return frozenset()
-    by_world: Dict[int, List[int]] = {}
-    for i, (run, t) in enumerate(points):
-        by_world.setdefault(run.envs[t], []).append(i)
-    out = set()
-    for w, positions in by_world.items():
-        holders = mask_of(positions)
-        if measure.compare(Mask(full & ~holders), Mask(holders)) is not Ordering.GREATER:
-            out.add(w)
+    out = []
+    for w, row in rows.items():
+        holders = event & row
+        if holders and not measure.more_plausible(Mask(event & ~holders), Mask(holders)):
+            out.append(w)
     return frozenset(out)
 
 

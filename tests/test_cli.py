@@ -172,29 +172,36 @@ def test_rev2_on_a_ranked_prior_says_it_holds_by_construction(capsys):
 
 
 def test_rev4_says_when_the_budget_stopped_it(capsys):
-    # 30 observation sequences by 7 probes: 1,470 probe pairs
-    code, out, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "100")
-    assert code == 0
-    assert "# REV4 and REV4' stopped at the budget of 100: 100 of 1470 probe pairs checked" in out
-    _, machine, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "100",
+    # 7 probes after 5 one-observation and 25 two-observation sequences:
+    # parts of 245 and 1,225 probe pairs, each swept whole or a budget error
+    code, out, err = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "100")
+    assert code == 2 and out == ""
+    assert "error: REV4: 245 probe pairs after 1-observation sequences exceed the budget of 100" in err
+    code, _, err = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "1224")
+    assert code == 2
+    assert "error: REV4: 1225 probe pairs after 2-observation sequences exceed the budget of 1224" in err
+    _, machine, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", "1225",
                             "--format", "machine")
     _, full, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--format", "machine")
     assert machine == full
-    for budget in ("1470", "100000"):
+    for budget in ("1225", "100000"):
         _, out, _ = run_cli(capsys, "check-rev", "--scenario", RANKED, "--budget", budget)
         assert "stopped at the budget" not in out
-    # 432 probe pairs, both witnesses found before pair 300: the witnesses
-    # stopped the sweep, not the budget
-    code, out, _ = run_cli(capsys, "check-rev", "--scenario", SMALL_UPDATE, "--budget", "300")
-    assert code == 1 and "REV4' FAIL" in out and "stopped at the budget" not in out
+    # 324 probe pairs after the two-observation sequences, which hold the
+    # witnesses: a budget below that part stops before them
+    code, _, err = run_cli(capsys, "check-rev", "--scenario", SMALL_UPDATE, "--budget", "300")
+    assert code == 2
+    assert "error: REV4: 324 probe pairs after 2-observation sequences exceed the budget of 300" in err
+    code, out, _ = run_cli(capsys, "check-rev", "--scenario", SMALL_UPDATE, "--budget", "324")
+    assert code == 1 and "REV4' FAIL" in out
 
 
 def test_check_rev_on_a_circuit_takes_the_budget(capsys):
-    code, out, _ = run_cli(capsys, "check-rev", "--scenario", DIAG, "--budget", "10")
-    # REV4's first witness is probe pair 25, past the budget
-    assert code == 1 and "REV4 PASS" in out
-    assert "# REV4 and REV4' stopped at the budget of 10: 10 of 4032 probe pairs checked" in out
-    _, out, _ = run_cli(capsys, "check-rev", "--scenario", DIAG)
+    # 24 probes after 7 one-observation sequences: one part of 4,032 pairs
+    code, out, err = run_cli(capsys, "check-rev", "--scenario", DIAG, "--budget", "10")
+    assert code == 2 and out == ""
+    assert "error: REV4: 4032 probe pairs after 1-observation sequences exceed the budget of 10" in err
+    _, out, _ = run_cli(capsys, "check-rev", "--scenario", DIAG, "--budget", "4032")
     assert "REV4 FAIL" in out and "stopped at the budget" not in out
 
 

@@ -12,6 +12,7 @@ distance order directly.
 import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -79,16 +80,20 @@ def upd4_reference(sys_, structure, budget):
 def rev4_reference(sys_, probes, obs_sequences, budget):
     vocab, index = sys_.vocab, sys_.index
     prior = index.prior
-    spent = 0
-    for seq in map(tuple, obs_sequences):
+    obs_sequences = [tuple(seq) for seq in obs_sequences]
+    lengths = set()
+    for seq in obs_sequences:
+        if len(seq) not in lengths:
+            lengths.add(len(seq))
+            part = sum(len(other) == len(seq) for other in obs_sequences) * len(probes) ** 2
+            what = f"probe pairs after {len(seq)}-observation sequences"
+            if part > budget:
+                raise BudgetError(f"REV4: {part} {what} exceed the budget of {budget}")
         conj_ext = sys_.universe
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
         prefix_runs = runs_with_observations(sys_, seq)
         for f, g in itertools.product(probes, repeat=2):
-            spent += 1
-            if spent > budget:
-                return
             exts = [vocab.extension(h) for h in (f, g)]
             cond = [Mask(prefix_runs & index.env_event(len(seq), e)) for e in exts]
             conj = [index.env_event(0, e & conj_ext) for e in exts]
@@ -336,15 +341,23 @@ def test_upd4_budget_boundary(monkeypatch, no_p_at_11, budget):
         assert not report["UPD4"].passed
 
 
-@pytest.mark.parametrize("budget", [474, 475])
+@pytest.mark.parametrize("budget", [323, 324])
 def test_rev4_budget_counts_skipped_pairs(monkeypatch, budget):
-    # on this twin the sweep's first mismatch is pair 475, after pairs
-    # the fast path skips
+    # on this twin the nine two-observation sequences by 6 probes make the
+    # largest part, 324 pairs, most of which the fast path skips; the first
+    # mismatch comes after them
     _, sys_ = _scenario_system("small_update.scn")
     st = statify(sys_)
     probes, seqs = synthesis._star_probes(st), synthesis._timed_obs_sequences(st, 2)
-    report = both_ways(monkeypatch, lambda: revision.validate_rev(st.inner, probes, seqs, budget=budget))
-    assert report["REV4"].passed is (budget == 474)
+    run = lambda: revision.validate_rev(st.inner, probes, seqs, budget=budget)
+    if budget == 323:
+        for check in (revision._check_observation_neutrality, rev4_reference):
+            monkeypatch.setattr(revision, "_check_observation_neutrality", check)
+            with pytest.raises(BudgetError, match="REV4: 324 probe pairs after 2-observation"):
+                run()
+    else:
+        report = both_ways(monkeypatch, run)
+        assert report["REV4"].witness == "probes (false, true) after observing <p@2>"
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +471,17 @@ RANKED_SWEEPS = _ranked_sweeps()
 @pytest.mark.parametrize("name", sorted(RANKED_SWEEPS))
 def test_ranked_rev4_yields_the_generic_sweep(name):
     sys_, probes, seqs = RANKED_SWEEPS[name]
-    pairs = len(seqs) * len(probes) ** 2
-    # whole, then stopped inside a sequence, after one pair, and at once
-    for budget in (pairs, pairs // 2 + 3, 1, 0):
-        args = (sys_, probes, seqs, budget)
-        assert list(revision._check_observation_neutrality(*args)) == list(rev4_reference(*args))
+    largest = max(Counter(map(len, seqs)).values()) * len(probes) ** 2
+    # whole, then one pair short of the largest part, and almost nothing
+    for budget in (largest, largest - 1, 1, 0):
+        outcomes = []
+        for sweep in (revision._check_observation_neutrality, rev4_reference):
+            try:
+                outcomes.append(list(sweep(sys_, probes, seqs, budget)))
+            except BudgetError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], list) is (budget == largest)
 
 
 def test_diagnosis_rev4_fails_on_fault_probes():

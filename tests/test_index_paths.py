@@ -36,9 +36,9 @@ from beliefchange.plausibility import (
     INF,
     MappedMeasure,
     Mask,
+    Ordering,
     PlausibilityError,
     RankedMeasure,
-    least_ranked,
     mask_of,
     rank_of,
 )
@@ -237,9 +237,19 @@ def reference_prop_diag(sys_, circuit):
 
 
 def reference_bel(sys_, s_a):
+    """The worlds of the state's points that the conditioned point measure
+    does not disbelieve: the points at a world against the other points."""
     measure = sys_.plaus_at(s_a)
     points = measure.carrier
-    return frozenset(points[i][0].envs[points[i][1]] for i in least_ranked(measure))
+    every = Mask((1 << len(points)) - 1)
+    if measure.is_bottom(every):
+        return frozenset()
+    out = set()
+    for world in {run.envs[t] for run, t in points}:
+        holders = Mask(mask_of([i for i, (run, t) in enumerate(points) if run.envs[t] == world]))
+        if measure.compare(Mask(every & ~holders), holders) is not Ordering.GREATER:
+            out.add(world)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from beliefchange.plausibility import (
     PreferentialMeasure,
     RankedMeasure,
     from_preference,
-    least_ranked,
     rank_of,
     transitive_closure,
 )
-from beliefchange.revision import characteristic_world_ranks, system_from_ranking
+from beliefchange.revision import min_rank_worlds, revision_from_system, system_from_ranking
 from beliefchange.scenario import build_system, load_scenario, load_scenario_text
 from beliefchange.synthesis import statify
-from beliefchange.systems import System, bel, runs_with_observations
+from beliefchange.systems import System, _not_disbelieved, bel, runs_with_observations
 from beliefchange.update import (
     _cell_event,
     _formula_prefix_event,
@@ -285,7 +284,7 @@ def test_prec_rows_are_built_only_for_compared_elements():
 
 
 # ---------------------------------------------------------------------------
-# least-ranked points, read by index
+# least-ranked points and worlds
 
 
 def _element_rank(measure, element):
@@ -317,31 +316,46 @@ RANKED_SYSTEMS = _ranked_systems()
 
 @pytest.mark.parametrize("name", sorted(RANKED_SYSTEMS))
 def test_least_ranked_points_match_element_rank(name):
+    # bel keeps the worlds of a state's points of least element rank
     sys_ = RANKED_SYSTEMS[name]
     for s_a in sys_.index.prefix:
         measure = sys_.plaus_at(s_a)
         want = _element_rank_reference(measure)
-        assert least_ranked(measure) == want
         points = measure.carrier
         assert bel(sys_, s_a) == frozenset(points[i][0].envs[points[i][1]] for i in want)
 
 
+def _survivors(measure):
+    """The carrier positions the comparison rule of ``bel`` keeps when each
+    element stands for a world of its own."""
+    rows = {i: 1 << i for i in range(len(measure.carrier))}
+    return sorted(_not_disbelieved(measure, (1 << len(measure.carrier)) - 1, rows))
+
+
 def test_least_ranked_with_infinite_ranks():
     ranked = RankedMeasure("abcd", [INF, 2, 1, 1])
-    assert least_ranked(ranked) == _element_rank_reference(ranked) == [2, 3]
+    assert _survivors(ranked) == _element_rank_reference(ranked) == [2, 3]
     middle = MappedMeasure("wxyz", ranked, [0, 0, 1, 2])  # w, x -> a; y -> b; z -> c
     chain = MappedMeasure("xyz", middle, [0, 1, 2])  # x -> w, y -> x, z -> y
-    assert least_ranked(chain) == _element_rank_reference(chain) == [2]
+    assert _survivors(chain) == _element_rank_reference(chain) == [2]
     assert rank_of(chain, "xy") == INF
     unreachable = MappedMeasure("uv", ranked, [0, 0])
-    assert least_ranked(unreachable) == _element_rank_reference(unreachable) == []
+    assert _survivors(unreachable) == _element_rank_reference(unreachable) == []
 
 
 @pytest.mark.parametrize("name", sorted(RANKED_SYSTEMS))
 def test_characteristic_world_ranks_are_the_best_run_rank_per_world(name):
+    # a world's rank read through the run index, and the extracted
+    # operator, which conditions the prior, keeps the least of them
     sys_ = RANKED_SYSTEMS[name]
     want = {w: INF for w in sys_.universe}
     for run in sys_.runs:
         w = run.envs[0]
         want[w] = min(want[w], sys_.prior.ranks[sys_.prior.index[run]])
-    assert characteristic_world_ranks(sys_) == want
+    index = sys_.index
+    assert {w: rank_of(index.prior, index.at[0].get(w, Mask(0))) for w in want} == want
+    op, belief = revision_from_system(sys_, validate=False), bel(sys_, ())
+    worlds = sorted(sys_.universe)
+    inputs = [sys_.universe] + [frozenset(worlds[i:i + 2]) for i in range(len(worlds))]
+    for ext in inputs:
+        assert op(belief, ext) == min_rank_worlds(want, ext)

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -12,24 +13,32 @@ from beliefchange.formulas import (
     formula_of_extension,
     parse_formula,
 )
-from beliefchange.plausibility import INF, extension_representatives
+from beliefchange.plausibility import (
+    INF,
+    MappedMeasure,
+    Mask,
+    extension_representatives,
+    from_preference,
+    rank_of,
+)
 from beliefchange.revision import (
     RevisionError,
     RevisionOperator,
-    characteristic_world_ranks,
     check_agm,
     check_agm_epistemic,
     epistemic_bel,
     longest_consistent_suffix,
+    min_rank_worlds,
     operator_from_ranking,
     ranking_from_operator,
     revise_at_state,
-    revise_from_ranking,
     revision_from_system,
+    static_system,
     system_from_ranking,
     system_from_revision,
     validate_rev,
 )
+from beliefchange.scenario import build_system, load_scenario
 from beliefchange.systems import bel
 
 PQ = Vocabulary(["p", "q"])
@@ -53,28 +62,30 @@ def all_extensions(vocab=PQ):
 # ---------------------------------------------------------------------------
 # revising straight from a ranking
 
+REVISE = operator_from_ranking(RANKS, PQ)
+
 
 def test_revise_by_tautology_keeps_beliefs():
-    assert revise_from_ranking(RANKS, K, PQ.all_worlds()) == K
+    assert REVISE(K, PQ.all_worlds()) == K
 
 
 def test_revise_picks_minimal_worlds_of_input():
     # brute-force oracle: minimum rank among the input's worlds
     observed = frozenset({w("10"), w("00")})
     best = min(RANKS[x] for x in observed)
-    assert revise_from_ranking(RANKS, K, observed) == frozenset(
+    assert REVISE(K, observed) == frozenset(
         x for x in observed if RANKS[x] == best
     )
-    assert revise_from_ranking(RANKS, K, observed) == frozenset({w("10")})
+    assert REVISE(K, observed) == frozenset({w("10")})
 
 
 def test_revise_by_contradiction_collapses():
-    assert revise_from_ranking(RANKS, K, frozenset()) == frozenset()
+    assert REVISE(K, frozenset()) == frozenset()
 
 
 def test_revise_rejects_incoherent_belief():
     with pytest.raises(RevisionError):
-        revise_from_ranking(RANKS, frozenset({w("00")}), PQ.all_worlds())
+        REVISE(frozenset({w("00")}), PQ.all_worlds())
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +161,18 @@ def ranked_sys():
 
 
 def test_validate_rev_passes(ranked_sys):
-    report = validate_rev(ranked_sys)
+    # 20 probes after each of the 400 two-observation menu sequences: the
+    # largest part of REV4 holds 160,000 probe pairs
+    report = validate_rev(ranked_sys, budget=160_000)
     assert report.all_passed, report.to_text()
 
 
-def test_revision_from_system_round_trip(ranked_sys):
+def test_revision_from_system_round_trip():
+    # validated at the default budget, which this smaller menu fits
     op = operator_from_ranking(RANKS, PQ)
-    recovered = revision_from_system(ranked_sys)
-    for f in MENU:
-        ext = PQ.extension(f)
-        assert recovered(K, ext) == op(K, ext), str(f)
+    recovered = revision_from_system(system_from_ranking(PQ, RANKS, MENU[16:], horizon=2))
+    for ext in all_extensions():
+        assert recovered(K, ext) == op(K, ext), sorted(ext)
 
 
 def test_revision_from_system_true_gives_initial_beliefs(ranked_sys):
@@ -170,7 +183,6 @@ def test_revision_from_system_true_gives_initial_beliefs(ranked_sys):
 def test_conditioning_is_order_insensitive_at_belief_level(ranked_sys):
     """Beliefs after any attainable observation sequence equal the minimal
     worlds of the sequence's conjunction under the initial world ranking."""
-    ranks = characteristic_world_ranks(ranked_sys)
     menu = [TRUE, P_, Q_, Not(Q_), And(P_, Q_)]
     for seq in itertools.chain(
         itertools.product(menu, repeat=1), itertools.product(menu, repeat=2)
@@ -178,9 +190,9 @@ def test_conditioning_is_order_insensitive_at_belief_level(ranked_sys):
         conj = PQ.all_worlds()
         for o in seq:
             conj &= PQ.extension(o)
-        best = min((ranks[x] for x in conj), default=INF)
+        best = min((RANKS[x] for x in conj), default=INF)
         expected = (
-            frozenset() if best == INF else frozenset(x for x in conj if ranks[x] == best)
+            frozenset() if best == INF else frozenset(x for x in conj if RANKS[x] == best)
         )
         assert bel(ranked_sys, tuple(seq)) == expected, [str(f) for f in seq]
 
@@ -308,3 +320,94 @@ def test_epistemic_r9_instance(ranked_sys):
 def test_epistemic_r2_instance(ranked_sys):
     for f in (P_, Q_, Not(Q_)):
         assert epistemic_bel(ranked_sys, (Q_, f)) <= PQ.extension(f)
+
+
+# ---------------------------------------------------------------------------
+# the conditioning readers, against the min-rank code they replace
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
+
+
+def best_run_ranks(sys_):
+    """Each world's rank: the best rank of a run that starts there."""
+    index = sys_.index
+    return {x: rank_of(index.prior, index.at[0].get(x, Mask(0))) for x in sys_.universe}
+
+
+def reference_revise_at_state(sys_, s_a, observed):
+    target = sys_.universe & sys_.vocab.extension(observed)
+    for o in s_a:
+        target &= sys_.vocab.extension(o)
+    return min_rank_worlds(best_run_ranks(sys_), target)
+
+
+def reference_epistemic_bel(sys_, state):
+    if not state:
+        return bel(sys_, ())
+    ext = sys_.vocab.extension
+    start = len(state) - 1
+    suffix = ext(state[start]) & sys_.universe
+    while suffix and start > 0 and suffix & ext(state[start - 1]):
+        suffix, start = suffix & ext(state[start - 1]), start - 1
+    return min_rank_worlds(best_run_ranks(sys_), suffix)
+
+
+def _reader_systems():
+    ties = {w("11"): 1, w("10"): 0, w("01"): INF, w("00"): 0}
+    return {
+        "ranked": system_from_ranking(PQ, RANKS, MENU, horizon=2),
+        "ranked_basic": build_system(load_scenario(os.path.join(SCENARIOS, "ranked_basic.scn"))),
+        "ties-and-infinite": system_from_ranking(PQ, ties, [TRUE, P_, Q_, Not(P_)], 3),
+    }
+
+
+READER_SYSTEMS = _reader_systems()
+
+
+def test_extracted_operator_is_min_rank_on_every_extension():
+    # the bundled ranked scenario; criterion 3 does the same for every
+    # ranking of p, q
+    scenario = load_scenario(os.path.join(SCENARIOS, "ranked_basic.scn"))
+    sys_ = build_system(scenario)
+    belief = PQ.extension(scenario.belief)
+    op = revision_from_system(sys_)
+    for ext in all_extensions():
+        assert op(belief, ext) == min_rank_worlds(scenario.ranks, ext), sorted(ext)
+
+
+@pytest.mark.parametrize("name", sorted(READER_SYSTEMS))
+def test_epistemic_bel_matches_the_min_rank_reference(name):
+    sys_ = READER_SYSTEMS[name]
+    inputs = list(dict.fromkeys(list(sys_.menu) + [FALSE, Not(Q_)]))
+    for k in range(4):
+        for state in itertools.product(inputs, repeat=k):
+            assert epistemic_bel(sys_, state) == reference_epistemic_bel(sys_, state), state
+
+
+@pytest.mark.parametrize("name", sorted(READER_SYSTEMS))
+def test_revise_at_state_matches_the_min_rank_reference(name):
+    sys_ = READER_SYSTEMS[name]
+    for s_a in sys_.index.prefix:
+        for f in list(sys_.menu) + [FALSE, Not(Q_), And(Not(P_), Q_)]:
+            assert revise_at_state(sys_, s_a, f) == reference_revise_at_state(sys_, s_a, f)
+
+
+def test_a_strict_linear_preference_root_yields_an_operator():
+    # a chain on worlds, read by each run through its initial world: the
+    # readers compare events where a rank reader could not go
+    order = [w("10"), w("11"), w("00"), w("01")]
+    worlds = tuple(PQ.worlds())
+    chain = from_preference(worlds, zip(order, order[1:]))
+    sys_ = static_system(
+        PQ, [TRUE, P_, Q_, Not(Q_)], 2,
+        lambda runs: MappedMeasure(runs, chain, [worlds.index(run.envs[0]) for run in runs]),
+    )
+    ranks = {x: i for i, x in enumerate(order)}
+    belief = frozenset({w("10")})
+    assert bel(sys_, ()) == belief
+    op = revision_from_system(sys_)
+    for ext in all_extensions():
+        assert op(belief, ext) == min_rank_worlds(ranks, ext), sorted(ext)
+    assert revise_at_state(sys_, (Q_,), P_) == frozenset({w("11")})
+    assert epistemic_bel(sys_, (Not(P_), P_, Q_)) == frozenset({w("11")})
+    assert epistemic_bel(sys_, (Q_, Not(P_))) == frozenset({w("01")})

@@ -10,7 +10,7 @@ from beliefchange.formulas import (
     Vocabulary,
     timestamp,
 )
-from beliefchange.plausibility import extension_representatives
+from beliefchange.plausibility import CustomMeasure, RankedMeasure, extension_representatives
 from beliefchange.synthesis import (
     SynthesisError,
     belief_correspondence,
@@ -18,7 +18,7 @@ from beliefchange.synthesis import (
     verify_statification,
 )
 from beliefchange import update
-from beliefchange.systems import bel
+from beliefchange.systems import BudgetError, System, bel
 from beliefchange.update import hamming_structure, system_from_update, validate_upd
 
 PQ = Vocabulary(["p", "q"])
@@ -107,6 +107,22 @@ def test_verification_runs_only_the_update_checks_it_reports(twin, monkeypatch):
     assert calls == []
     validate_upd(twin.source)
     assert calls == [1]  # the counter sees a call that does happen
+
+
+def test_verification_sweeps_bcs5_at_its_budget():
+    # eight runs under a prior with no shortcut: BCS5 sweeps the 4^8 =
+    # 65,536 disjoint triples of the twin's prior when the budget covers them
+    source = system_from_update(hamming_structure(Vocabulary(["p"])), 1, (TRUE, P_, Not(P_)))
+    runs = source.runs
+    ranked = RankedMeasure(runs, [run.envs[0] + run.envs[1] for run in runs])
+    custom = System(
+        source.vocab, runs, CustomMeasure(runs, ranked.compare), 1, menu=source.menu
+    )
+    assert len(runs) == 8
+    report = verify_statification(statify(custom), budget=70_000)
+    assert report["BCS"].passed
+    with pytest.raises(BudgetError, match="BCS5: 65536 disjoint triples .* budget of 60000"):
+        verify_statification(statify(custom), budget=60_000)
 
 
 def test_belief_correspondence_exhaustive(twin):

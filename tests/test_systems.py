@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from beliefchange.formulas import TRUE, And, Atom, Not, Or, Vocabulary
-from beliefchange.plausibility import RankedMeasure
+from beliefchange.plausibility import CustomMeasure, RankedMeasure
 from beliefchange import systems
 from beliefchange.revision import system_from_ranking
 from beliefchange.scenario import build_system, load_scenario
@@ -24,7 +24,6 @@ from beliefchange.systems import (
     System,
     bel,
     check_prior_local_rule,
-    condition_prior,
     indistinguishable,
     model_check,
     validate_bcs,
@@ -90,7 +89,7 @@ def test_synchrony_and_perfect_recall(revsys):
 
 
 def test_condition_prior_empty_prefix_is_all_runs(revsys):
-    m = condition_prior(revsys, ())
+    m = revsys.plaus_at(())
     assert len(m.carrier) == len(revsys.runs)
     runs = frozenset(revsys.runs)
     a = frozenset(list(m.carrier)[:3])
@@ -102,11 +101,11 @@ def test_condition_prior_empty_prefix_is_all_runs(revsys):
 
 def test_condition_prior_unattainable_state_empty(revsys):
     bad = (And(P_, Not(P_)),)
-    assert condition_prior(revsys, bad).carrier == ()
+    assert revsys.plaus_at(bad).carrier == ()
 
 
 def test_condition_prior_filters_by_first_observation(revsys):
-    m = condition_prior(revsys, (Not(Q_),))
+    m = revsys.plaus_at((Not(Q_),))
     assert m.carrier
     for run, t in m.carrier:
         assert t == 1
@@ -220,12 +219,13 @@ def test_bel_depends_only_on_local_state(revsys):
 
 
 def test_bel_generic_path_matches_ranked_path(revsys):
-    # replaying the ranked prior through the dominance fallback must agree
-    from beliefchange.systems import _bel_generic
-
-    for s_a in [(), (P_,), (Not(Q_),), (P_, Q_)]:
-        measure = revsys.plaus_at(s_a)
-        assert _bel_generic(measure.carrier, measure) == bel(revsys, s_a)
+    # the ranked prior replayed through a custom measure is read by the
+    # comparison rule, not by rank levels; both readings must agree
+    prior = revsys.prior
+    replay = CustomMeasure(prior.carrier, prior.compare)
+    generic = System(revsys.vocab, revsys.runs, replay, revsys.horizon, menu=revsys.menu)
+    for s_a in [(), (P_,), (Not(Q_),), (P_, Q_), (P_, Not(P_))]:
+        assert bel(generic, s_a) == bel(revsys, s_a)
 
 
 def test_bel_bottom_carrier_is_empty():
@@ -245,7 +245,7 @@ def test_bel_bottom_carrier_is_empty():
 def _conditioned_override(sys_, s_a):
     """``sys_`` with the conditioned prior at ``s_a`` supplied as an
     override, so the local rule sweeps the steps into and out of it."""
-    override = condition_prior(sys_, s_a)
+    override = sys_.plaus_at(s_a)
     return System(
         vocab=sys_.vocab,
         runs=sys_.runs,

@@ -64,3 +64,15 @@ def test_no_checker_draws_random_samples():
                 ):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def test_readme_library_sketch_runs():
+    # the sketch imports public names only and asserts what it shows, so a
+    # name removed from the package cannot survive in the docs
+    with open(README) as handle:
+        section = handle.read().split("## Library sketch", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library sketch", "exec"), {})

@@ -26,7 +26,6 @@ from beliefchange.systems import (
     Run,
     System,
     check_prior_local_rule,
-    condition_prior,
     validate_bcs,
 )
 from beliefchange.update import (
@@ -77,9 +76,15 @@ def test_rev2_rev4_on_a_partial_prior(updsys):
 
 
 def test_rev4_budget_cuts_the_sweep(updsys):
-    report = validate_rev(updsys, budget=230)
+    # 6 probes after the nine two-observation sequences: the largest part,
+    # 324 probe pairs, holds the witness
+    report = validate_rev(updsys, budget=324)
     assert report["REV4"].witness == "probes (false, !p) after observing <p, true>"
-    assert report["REV4'"].passed
+    assert report["REV4'"].witness == "probes (q, !p) after observing <p, true>"
+    with pytest.raises(BudgetError, match=(
+        "REV4: 324 probe pairs after 2-observation sequences exceed the budget of 323"
+    )):
+        validate_rev(updsys, budget=323)
 
 
 def _equal_except(sys_, decide):
@@ -92,10 +97,11 @@ def test_rev2_incomparable_pair_respects_budget(revsys):
     runs = revsys.runs
     ends = {frozenset([runs[0]]), frozenset([runs[-1]])}
     sys_ = _equal_except(revsys, lambda a, b: Ordering.INCOMPARABLE if {a, b} == ends else None)
-    # (first run, last run) is pair number len(runs) - 1 in the visiting order
-    assert validate_rev(sys_, budget=len(runs) - 2)["REV2"].passed
+    # (first run, last run) is pair number len(runs) - 1 in the visiting
+    # order; no observation sequences, so REV4 takes nothing of the budget
+    assert validate_rev(sys_, obs_sequences=(), budget=len(runs) - 2)["REV2"].passed
     assert (
-        validate_rev(sys_, budget=len(runs) - 1)["REV2"].witness
+        validate_rev(sys_, obs_sequences=(), budget=len(runs) - 1)["REV2"].witness
         == "incomparable singleton runs exist (prior is not total)"
     )
 
@@ -112,9 +118,9 @@ def test_rev2_union_law_respects_budget(revsys):
         return None
 
     sys_ = _equal_except(revsys, decide)
-    assert validate_rev(sys_, budget=len(runs) - 2)["REV2"].passed
+    assert validate_rev(sys_, obs_sequences=(), budget=len(runs) - 2)["REV2"].passed
     assert (
-        validate_rev(sys_, budget=len(runs) - 1)["REV2"].witness
+        validate_rev(sys_, obs_sequences=(), budget=len(runs) - 1)["REV2"].witness
         == "union does not take the maximum of its parts"
     )
 
@@ -251,7 +257,7 @@ def test_bcs5_override_witness(revsys):
 def reversed_update_override():
     # the conditioned prior at <true> with every comparison turned around
     sys_ = system_from_update(hamming_structure(Vocabulary(["p"])), 1, (TRUE, P_))
-    m = condition_prior(sys_, (TRUE,))
+    m = sys_.plaus_at((TRUE,))
     flipped = CustomMeasure(m.carrier, lambda a, b: m.compare(b, a))
     return with_prior(sys_, sys_.prior, point_measures={(TRUE,): flipped})
 
