@@ -9,8 +9,9 @@ and ranks runs by how many gates they fault: fewer faults, more plausible.
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
@@ -23,12 +24,13 @@ from .formulas import (
     formula_of_extension,
     seq_str,
 )
-from .plausibility import RankedMeasure, union
+from .plausibility import RankedMeasure, bits, union
 from .reports import Report
 from .revision import validate_rev, _default_obs_sequences
-from .systems import LocalState, Run, System, bel, first_failure
+from .systems import LocalState, Run, System, bel, expand, first_failure
 
 GATE_KINDS = ("AND", "OR", "NOT", "XOR")
+_GATE_OPS = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor}
 
 
 class DiagnosisError(BeliefChangeError):
@@ -50,15 +52,13 @@ class Gate:
         if self.kind != "NOT" and len(self.inputs) < 2:
             raise DiagnosisError(f"{self.kind} gates need at least two inputs")
 
-    def evaluate(self, values: Mapping[str, bool]) -> bool:
-        bits = [values[i] for i in self.inputs]
-        if self.kind == "AND":
-            return all(bits)
-        if self.kind == "OR":
-            return any(bits)
+    def evaluate(self, values: Mapping[str, int], true: int) -> int:
+        """The output for the input ``values``, world masks (bit w for world
+        w) with ``true`` the mask of every world."""
+        ins = [values[i] for i in self.inputs]
         if self.kind == "NOT":
-            return not bits[0]
-        return sum(bits) % 2 == 1  # XOR as parity
+            return true ^ ins[0]
+        return functools.reduce(_GATE_OPS[self.kind], ins)  # XOR as parity
 
 
 class Circuit:
@@ -108,6 +108,8 @@ class Circuit:
         )
         # one observation formula per observed reading: the observed bits
         self._observed_bits = self.vocab.world_of({f"h_{l}": True for l in self.observed})
+        # the bit position of each line's value proposition
+        self._line_shift = {l: len(self.lines) - 1 - i for i, l in enumerate(self.lines)}
         self._readings: Dict[int, Formula] = {}
 
     def _check_acyclic(self):
@@ -147,19 +149,35 @@ class Circuit:
 
 def consistent_states(circuit: Circuit) -> List[int]:
     """All worlds whose healthy gates compute correctly; persistent faults
-    are a run-level constraint, not a state-level one."""
-    states = []
-    vocab = circuit.vocab
-    for world in vocab.worlds():
-        values = {l: circuit.line_value(world, l) for l in circuit.lines}
-        faults = circuit.fault_set(world)
-        ok = all(
-            g.gid in faults or values[g.output] == g.evaluate(values)
-            for g in circuit.gates
-        )
-        if ok:
-            states.append(world)
-    return states
+    are a run-level constraint, not a state-level one.
+
+    Decided for every world at once: each proposition is read as the mask
+    of the worlds where it holds (bit w for world w), from its bit position
+    in a world."""
+    size = circuit.vocab.size
+    every = (1 << (1 << size)) - 1
+
+    def holds(position: int) -> int:
+        run = 1 << position  # worlds alternate in runs of 2^position
+        return every // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+
+    values = {l: holds(s) for l, s in circuit._line_shift.items()}
+    ok = every
+    for i, g in enumerate(circuit.gates):
+        ok &= holds(size - 1 - i) | ~(values[g.output] ^ g.evaluate(values, every))
+    return bits(ok)
+
+
+def matching_states(circuit: Circuit, worlds: Iterable[int], test: Mapping[str, bool]) -> List[int]:
+    """The worlds, in order, whose lines take the values ``test`` sets."""
+    care = want = 0
+    for line, value in test.items():
+        if line not in circuit._line_shift:
+            raise DiagnosisError(f"test sets unknown line {line!r}")
+        bit = 1 << circuit._line_shift[line]
+        care |= bit
+        want |= bit if value else 0
+    return [w for w in worlds if w & care == want]
 
 
 def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> System:
@@ -178,30 +196,35 @@ def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> 
     for world in universe:
         by_fault.setdefault(circuit.fault_set(world), []).append(world)
 
-    def matches(world: int, test: Mapping[str, bool]) -> bool:
-        return all(circuit.line_value(world, l) == bool(v) for l, v in test.items())
-
     reading = {world: circuit.io_formula(world) for world in universe}
-    runs: List[Run] = []
+    # one block per fault group: an initial world, then per test a world
+    # that matches it, observed through its reading
+    blocks = []
     ranks: List[int] = []  # one per run, by its fault group
     menu: Dict[Formula, None] = {}  # in the order the runs first reach them
     for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
-        # the tails after the initial world, shared by the group's runs
-        steps = [[s for s in worlds if matches(s, t)] for t in tests]
-        tails = list(itertools.product(*steps))
-        tail_obs = list(itertools.product(*[[reading[s] for s in step] for step in steps]))
-        for w0 in worlds:
-            runs += [Run((w0,) + envs, obs) for envs, obs in zip(tails, tail_obs)]
-        ranks += [len(fault)] * (len(runs) - len(ranks))
-        menu.update(dict.fromkeys(o for obs in tail_obs for o in obs))
-    prior = RankedMeasure(runs, ranks)
+        steps = [matching_states(circuit, worlds, t) for t in tests]
+        blocks.append((tuple(((w0,), ()) for w0 in worlds),)
+                      + tuple(tuple(((s,), (reading[s],)) for s in step) for step in steps))
+        ranks += [len(fault)] * (len(worlds) * prod(map(len, steps)))
+        # the readings in the order the group's runs first reach them: step
+        # j's i-th world first shows in run i * (product of later steps' sizes)
+        first: Dict[Formula, Tuple[int, int]] = {}
+        if all(steps):
+            for j, step in enumerate(steps):
+                later = prod(map(len, steps[j + 1:]))
+                for i, s in enumerate(step):
+                    first[reading[s]] = min(first.get(reading[s], (i * later, j)), (i * later, j))
+        menu.update(dict.fromkeys(sorted(first, key=first.__getitem__)))
+    runs = expand(blocks)
     return System(
         vocab=circuit.vocab,
-        runs=tuple(runs),
-        prior=prior,
+        runs=runs,
+        prior=RankedMeasure(runs, ranks),
         horizon=len(tests),
         universe=frozenset(universe),
         menu=tuple(menu),
+        blocks=tuple(blocks),
     )
 
 

@@ -40,7 +40,17 @@ from .plausibility import (
     union,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, bel, believed, check_budget, first_failure, runs_with_observations
+from .systems import (
+    LocalState,
+    Run,
+    System,
+    bel,
+    believed,
+    check_budget,
+    expand,
+    first_failure,
+    runs_with_observations,
+)
 
 
 class RevisionError(BeliefChangeError):
@@ -216,7 +226,7 @@ def static_system(
     vocab: Vocabulary,
     menu: Sequence[Formula],
     horizon: int,
-    make_prior: Callable[[List[Run]], PlausibilityMeasure],
+    make_prior: Callable[[Sequence[Run]], PlausibilityMeasure],
     universe: Optional[frozenset] = None,
 ) -> System:
     """Runs that hold their environment world constant and observe any menu
@@ -232,18 +242,21 @@ def static_system(
         menu = (TRUE,) + menu
     if universe is None:
         universe = vocab.all_worlds()
-    runs = []
+    # one block per world: the world at time 0, then a menu choice per step
+    blocks = []
     for w in sorted(universe):
-        choices = [o for o in menu if w in vocab.extension(o)]
-        for obs in itertools.product(choices, repeat=horizon):
-            runs.append(Run((w,) * (horizon + 1), obs))
+        start = (((w,), ()),)
+        step = tuple(((w,), (o,)) for o in menu if w in vocab.extension(o))
+        blocks.append((start,) + (step,) * horizon)
+    runs = expand(blocks)
     return System(
         vocab=vocab,
-        runs=tuple(runs),
+        runs=runs,
         prior=make_prior(runs),
         horizon=horizon,
         universe=frozenset(universe),
         menu=menu,
+        blocks=tuple(blocks),
     )
 
 
@@ -299,7 +312,10 @@ def revision_from_system(sys: System, validate: bool = True) -> RevisionOperator
 
     Revising by an extension conditions the prior on the runs that start
     in it and keeps the time-0 worlds :func:`believed` there; the operator
-    is defined for the system's initial belief extension only.
+    is defined for the system's initial belief extension only.  With
+    ``validate``, :func:`validate_rev` runs first at its default budget; a
+    system too large for it is validated with ``validate_rev(sys,
+    budget=...)`` and then read with ``validate=False``.
     """
     if validate:
         report = validate_rev(sys)

@@ -10,9 +10,12 @@ a plausibility measure over the points the agent considers possible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import product, repeat, starmap
+from math import prod
+from operator import add
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -64,26 +67,45 @@ def check_budget(check: str, count: int, what: str, budget: int) -> None:
 LocalState = Tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class Run:
-    """One possible history: environment worlds 0..H and observations 1..H."""
+class Run(NamedTuple):
+    """One possible history: environment worlds 0..H and observations 1..H.
+
+    Its shape (one more world than observations, the system's horizon) is
+    checked once per system, by :class:`System`."""
 
     envs: Tuple[int, ...]
     obs: Tuple[Formula, ...]
-
-    def __post_init__(self):
-        if len(self.envs) != len(self.obs) + 1:
-            raise RunSystemError("a run needs exactly one more environment state than observations")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.obs)
 
     def local_state(self, time: int) -> LocalState:
         return self.obs[:time]
 
 
 Point = Tuple[Run, int]
+# A block is a product of factors; a factor lists (envs, obs) segments that
+# cover one span of times, and a run of the block concatenates one segment
+# of each factor.  An explicit run list is one block of one factor.
+Segment = Tuple[Tuple[int, ...], Tuple[Formula, ...]]
+Block = Tuple[Tuple[Segment, ...], ...]
+
+
+def expand(blocks: Sequence[Block]) -> Tuple[Run, ...]:
+    """The runs of ``blocks``, block by block, each block's runs in
+    ``itertools.product`` order of its factors."""
+    runs: List[Run] = []
+    for block in blocks:
+        envs = _concatenations([[segment[0] for segment in factor] for factor in block])
+        obs = _concatenations([[segment[1] for segment in factor] for factor in block])
+        runs += map(tuple.__new__, repeat(Run), zip(envs, obs))
+    return tuple(runs)
+
+
+def _concatenations(factors: List[List[tuple]]) -> List[tuple]:
+    """``a + b + ...`` for each choice of one part per factor, in product
+    order, one factor at a time."""
+    out = factors[0]
+    for parts in factors[1:]:
+        out = list(starmap(add, product(out, parts)))
+    return out
 
 
 @dataclass
@@ -94,6 +116,9 @@ class System:
     full enumeration for ordinary propositional reasoning, a constrained
     subset when the consequence relation carries extra axioms, e.g. circuit
     behaviour).  ``menu`` lists the observation formulas runs draw from.
+    ``blocks``, when given, are product blocks whose :func:`expand` must be
+    exactly ``runs``: the run index is read off them, and only their run
+    counts, run shapes and each block's first and last runs are checked.
     """
 
     vocab: Vocabulary
@@ -103,14 +128,34 @@ class System:
     universe: FrozenSet[int] = None  # type: ignore[assignment]
     menu: Tuple[Formula, ...] = ()
     point_measures: Optional[Dict[LocalState, PlausibilityMeasure]] = None
+    # None stands for one block of one factor, the runs themselves
+    blocks: Optional[Tuple[Block, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.universe is None:
             self.universe = self.vocab.all_worlds()
         self.runs = tuple(self.runs)
-        for run in self.runs:
-            if run.horizon != self.horizon:
-                raise RunSystemError("all runs must share the system horizon")
+        if self.blocks is None:
+            self.blocks = ((self.runs,),)
+        shapes, count = set(), 0
+        for block in self.blocks:
+            shapes |= _block_shapes(block)
+            count += prod(map(len, block))
+        if count != len(self.runs):
+            raise RunSystemError(f"the blocks hold {count} runs, not {len(self.runs)}")
+        if any(len_envs != len_obs + 1 for len_envs, len_obs in shapes):
+            raise RunSystemError("a run needs exactly one more environment state than observations")
+        if any(len_obs != self.horizon for _, len_obs in shapes):
+            raise RunSystemError("all runs must share the system horizon")
+        offset = 0
+        for block in self.blocks:
+            size = prod(map(len, block))
+            for k, i in ((0, offset), (-1, offset + size - 1)) if size else ():
+                parts = [factor[k] for factor in block]
+                run = (sum((envs for envs, _ in parts), ()), sum((obs for _, obs in parts), ()))
+                if self.runs[i] != run:
+                    raise RunSystemError(f"run {i} is not the one its block expands to")
+            offset += size
         self._conditioned: Dict[LocalState, PlausibilityMeasure] = {}
         self._bel_cache: Dict[LocalState, Extension] = {}
         self._cond_cache: Dict[tuple, bool] = {}
@@ -135,12 +180,26 @@ class System:
         return RunIndex(self)
 
 
+def _block_shapes(block: Block) -> set:
+    """The (len envs, len obs) pairs of a block's runs."""
+    shapes = {(0, 0)}
+    for factor in block:
+        lengths = {(len(envs), len(obs)) for envs, obs in factor}
+        shapes = {(e + de, o + do) for e, o in shapes for de, do in lengths}
+    return shapes
+
+
 class RunIndex:
     """A system's run-set events as int masks: bit i stands for ``runs[i]``.
 
     Built once per system, on first use: one mask per (time, world) and
-    one per (time, observation), each from one grouping of a time column,
-    and one per observation prefix.  A prefix of length m + 1 is the AND of
+    one per (time, observation), read off the system's blocks, and one per
+    observation prefix.  Each time column of a factor is grouped once; a
+    group's segment positions become a block mask by stretching each
+    position to the runs it stands for (the product W of the later
+    factors' sizes) and repeating that once per choice of the earlier
+    factors, so an explicit run list (W = 1, one repeat) costs one grouping
+    of each time column.  A prefix of length m + 1 is the AND of
     a prefix of length m with an observation column at time m + 1, kept
     when non-empty, so the prefixes cost at most the sum over m of
     |prefixes of length m| * |observations at time m + 1| ANDs.  Every
@@ -151,17 +210,46 @@ class RunIndex:
     def __init__(self, sys: System):
         runs = sys.runs
         self.full = (1 << len(runs)) - 1
-        # one time column at a time
-        self.at: List[Dict[int, Mask]] = []
-        for m in range(sys.horizon + 1):
-            by_world = group_positions([run.envs[m] for run in runs])
-            self.at.append({w: Mask(mask_of(ids)) for w, ids in by_world.items()})
-        # obs_at[m][o]: the runs whose observation at time m is o (none at
-        # time 0), observations in the order the runs first reach them
-        self.obs_at: List[Dict[Formula, Mask]] = [{}]
-        for m in range(sys.horizon):
-            by_obs = group_positions([run.obs[m] for run in runs])
-            self.obs_at.append({o: Mask(mask_of(ids)) for o, ids in by_obs.items()})
+        # at[m][w]: the runs at world w at time m; obs_at[m][o]: the runs
+        # whose observation at time m is o (none at time 0).  Blocks come in
+        # run order and a factor's groups by first position, so each row
+        # lists its values in the order the runs first reach them.
+        self.at: List[Dict[int, Mask]] = [{} for _ in range(sys.horizon + 1)]
+        self.obs_at: List[Dict[Formula, Mask]] = [{} for _ in range(sys.horizon + 1)]
+        offset = 0
+        for block in sys.blocks:
+            sizes = [len(factor) for factor in block]
+            size = prod(sizes)
+            if not size:
+                continue
+            before, env_time, obs_time = 1, 0, 1
+            for factor, n in zip(block, sizes):
+                width = size // (before * n)
+                span = n * width
+                # stretch a position to its W runs, once per earlier choice
+                spread = ((1 << width) - 1) * (((1 << span * before) - 1) // ((1 << span) - 1))
+                for rows, time, parts in (
+                    (self.at, env_time, [segment[0] for segment in factor]),
+                    (self.obs_at, obs_time, [segment[1] for segment in factor]),
+                ):
+                    for k in range(len(parts[0])):
+                        row = rows[time + k]
+                        for value, ids in group_positions([part[k] for part in parts]).items():
+                            # an explicit list (W = 1, one repeat, offset 0)
+                            # skips all three steps and costs what a scan does
+                            if width > 1:
+                                ids = map(width.__mul__, ids)
+                            mask = mask_of(ids)
+                            if spread > 1:
+                                mask *= spread
+                            if offset:
+                                mask <<= offset
+                            old = row.get(value)
+                            row[value] = Mask(mask if old is None else old | mask)
+                env_time += len(factor[0][0])
+                obs_time += len(factor[0][1])
+                before *= n
+            offset += size
         # observation prefixes, one time at a time, then in the order the
         # runs first reach them: by first run, then by length
         level = [((), self.full)] if runs else []

@@ -462,3 +462,13 @@ def test_machine_output_is_golden(capsys, command, scenario, exit_code, digest):
     code, out, _ = run_cli(capsys, command, "--scenario", scenario, "--format", "machine")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_test_vector_naming_an_unknown_line_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "typo.scn"
+    with open(DIAG) as f:
+        path.write_text(f.read().replace("test l1=1 l2=1 l3=0", "test l1=1 l2=1 l3=0 typo=1"))
+    for command in ("diagnose", "check-rev"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert code == 2
+        assert err == "error: test sets non-input line 'typo'\n"

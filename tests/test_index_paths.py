@@ -8,6 +8,7 @@ conditioned prior.  The tests compare whole report lines
 (``to_machine()``), so a verdict or a witness that moves fails.
 """
 import functools
+import itertools
 import os
 import random
 
@@ -16,18 +17,24 @@ import pytest
 from beliefchange import cli
 from beliefchange.diagnosis import (
     Circuit,
+    DiagnosisError,
     Gate,
     build_diag_system,
     check_prop_diag,
     consistent_faults,
+    consistent_states,
     diag,
+    matching_states,
 )
 from beliefchange.formulas import (
     FALSE,
     TRUE,
+    And,
     Atom,
     Formula,
     FormulaError,
+    Not,
+    Or,
     Vocabulary,
     parse_formula,
     seq_str,
@@ -53,6 +60,7 @@ from beliefchange.systems import (
     _check_conditioning,
     _run_str,
     bel,
+    expand,
     first_failure,
     model_check,
     validate_bcs,
@@ -545,3 +553,214 @@ def test_bel_builds_no_conditioned_measure():
     for s_a in sys_.index.prefix:
         bel(sys_, s_a)
     assert sys_._conditioned == {}
+
+
+# ---------------------------------------------------------------------------
+# product blocks: the runs they expand to and the index read off them
+
+
+def reference_static_runs(sys_):
+    """``static_system``'s runs, one world and one menu sequence at a time."""
+    runs = []
+    for x in sorted(sys_.universe):
+        choices = [o for o in sys_.menu if x in sys_.vocab.extension(o)]
+        for obs in itertools.product(choices, repeat=sys_.horizon):
+            runs.append(Run((x,) * (sys_.horizon + 1), obs))
+    return runs
+
+
+def reference_gate(gate, values):
+    """A gate's output on bool line ``values``."""
+    ins = [values[i] for i in gate.inputs]
+    if gate.kind == "NOT":
+        return not ins[0]
+    return {"AND": all, "OR": any, "XOR": lambda v: sum(v) % 2 == 1}[gate.kind](ins)
+
+
+def reference_consistent_states(circuit):
+    """The worlds whose healthy gates compute their outputs, world by world."""
+    states = []
+    for world in circuit.vocab.worlds():
+        values = {l: circuit.line_value(world, l) for l in circuit.lines}
+        faults = circuit.fault_set(world)
+        if all(g.gid in faults or values[g.output] == reference_gate(g, values) for g in circuit.gates):
+            states.append(world)
+    return states
+
+
+def reference_matching(circuit, worlds, test):
+    return [
+        s for s in worlds if all(circuit.line_value(s, l) == bool(v) for l, v in test.items())
+    ]
+
+
+def reference_diag_runs(circuit, tests):
+    """``build_diag_system``'s runs, ranks and menu, run by run."""
+    universe = reference_consistent_states(circuit)
+    by_fault = {}
+    for world in universe:
+        by_fault.setdefault(circuit.fault_set(world), []).append(world)
+    runs, ranks = [], []
+    for fault, worlds in sorted(by_fault.items(), key=lambda kv: sorted(kv[0])):
+        steps = [reference_matching(circuit, worlds, t) for t in tests]
+        for w0 in worlds:
+            for tail in itertools.product(*steps):
+                runs.append(Run((w0,) + tail, tuple(circuit.io_formula(s) for s in tail)))
+                ranks.append(len(fault))
+    menu = tuple(dict.fromkeys(o for run in runs for o in run.obs))
+    return runs, ranks, menu
+
+
+PQR = Vocabulary(["p", "q", "r"])
+
+
+def seeded_ranking(seed, horizon):
+    """A ranking over ``p q r`` (some worlds unreachable) with a random menu
+    of literals and two-literal clauses, at ``horizon``."""
+    rng = random.Random(seed)
+    ranks = {x: rng.choice([0, 1, 1, 2, 3, INF]) for x in PQR.worlds()}
+    literals = [f(Atom(a)) for a in PQR.props for f in (lambda x: x, Not)]
+    menu = rng.sample(literals, rng.randrange(1, 5))
+    menu += [rng.choice([And, Or])(*rng.sample(literals, 2)) for _ in range(rng.randrange(3))]
+    universe = frozenset(rng.sample(range(8), rng.randrange(5, 9)))
+    return system_from_ranking(PQR, ranks, menu, horizon, universe=universe)
+
+
+THREE_GATE = load_scenario(os.path.join(SCENARIOS, "diag_three_gates.scn")).circuit
+
+
+def seeded_circuit(seed, tests):
+    """The three-gate wiring, or a two-gate chain when there are three
+    tests, with random gate kinds, observed lines and test vectors."""
+    rng = random.Random(seed)
+    kinds = ["AND", "OR", "XOR"]
+    if tests < 3:
+        gates = [Gate(g.gid, rng.choice(kinds), g.inputs, g.output) for g in THREE_GATE.gates]
+    else:
+        second = rng.choice(kinds + ["NOT"])
+        gates = [
+            Gate("c1", rng.choice(kinds), ("l1", "l2"), "l3"),
+            Gate("c2", second, ("l3",) if second == "NOT" else ("l3", "l1"), "l4"),
+        ]
+    circuit = Circuit(gates)
+    circuit = Circuit(gates, rng.sample(circuit.lines, rng.randrange(2, len(circuit.lines) + 1)))
+    vectors = [{l: rng.random() < 0.5 for l in circuit.input_lines} for _ in range(tests)]
+    return circuit, vectors
+
+
+BLOCK_CASES = {
+    **{f"ranking-h{h}-{seed}": ("static", seeded_ranking(seed, h)) for h in range(4) for seed in range(3)},
+    "diag_three_gates": ("diag", (THREE_GATE, [{"l1": 1, "l2": 1, "l3": 0}, {"l1": 0, "l2": 1, "l3": 1}])),
+    **{f"circuit-t{t}-{seed}": ("diag", seeded_circuit(seed, t)) for t in (1, 2, 3) for seed in range(3)},
+}
+
+
+def _block_system(name):
+    kind, made = BLOCK_CASES[name]
+    return made if kind == "static" else build_diag_system(*made)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_blocks_expand_to_the_per_run_loops(name):
+    kind, made = BLOCK_CASES[name]
+    sys_ = _block_system(name)
+    assert all(type(run) is Run for run in sys_.runs)
+    if kind == "static":
+        assert list(sys_.runs) == reference_static_runs(sys_)
+    else:
+        runs, ranks, menu = reference_diag_runs(*made)
+        assert list(sys_.runs) == runs
+        assert list(sys_.prior.ranks) == ranks
+        assert sys_.menu == menu
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_the_block_index_matches_the_run_by_run_build(name):
+    sys_ = _block_system(name)
+    assert sys_.blocks != ((sys_.runs,),)
+    index = sys_.index
+    at, prefix = reference_index(sys_)
+    assert [list(row.items()) for row in index.at] == at
+    assert list(index.prefix.items()) == prefix
+    assert [list(row.items()) for row in index.obs_at] == reference_obs_at(sys_)
+    # the same runs listed explicitly give the same index, order included
+    explicit = System(sys_.vocab, sys_.runs, sys_.prior, sys_.horizon, sys_.universe, sys_.menu)
+    assert explicit.blocks == ((sys_.runs,),)
+    assert explicit.index.at == index.at and explicit.index.obs_at == index.obs_at
+    assert list(explicit.index.prefix.items()) == list(index.prefix.items())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hand_made_blocks_with_wide_segments(seed):
+    """Blocks whose factors span two times, next to an explicit one."""
+    rng = random.Random(seed)
+    worlds, formulas = list(PQ.worlds()), [TRUE, P_, Q_, Not(P_)]
+
+    def segments(n, worlds_per, obs_per):
+        return tuple(
+            (tuple(rng.choices(worlds, k=worlds_per)), tuple(rng.choices(formulas, k=obs_per)))
+            for _ in range(n)
+        )
+
+    blocks = (
+        (segments(3, 2, 1), segments(2, 1, 1)),
+        (segments(4, 3, 2),),
+        (segments(2, 1, 0), segments(2, 1, 1), segments(3, 1, 1)),
+    )
+    runs = expand(blocks)
+    assert len(runs) == 3 * 2 + 4 + 2 * 2 * 3
+    assert list(runs[:6]) == [
+        Run(a[0] + b[0], a[1] + b[1]) for a, b in itertools.product(*blocks[0])
+    ]
+    sys_ = System(PQ, runs, RankedMeasure(runs, [0] * len(runs)), 2, blocks=blocks)
+    at, prefix = reference_index(sys_)
+    assert [list(row.items()) for row in sys_.index.at] == at
+    assert list(sys_.index.prefix.items()) == prefix
+    assert [list(row.items()) for row in sys_.index.obs_at] == reference_obs_at(sys_)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_consistent_and_matching_states_match_the_per_world_reads(seed):
+    circuit, vectors = seeded_circuit(seed, 1 + seed % 3)
+    universe = consistent_states(circuit)
+    assert universe == reference_consistent_states(circuit)
+    by_fault = {}
+    for world in universe:
+        by_fault.setdefault(circuit.fault_set(world), []).append(world)
+    for worlds in [universe] + list(by_fault.values()):
+        for test in vectors:
+            assert matching_states(circuit, worlds, test) == reference_matching(circuit, worlds, test)
+
+
+def test_matching_states_rejects_an_unknown_line():
+    with pytest.raises(DiagnosisError, match="test sets unknown line 'typo'"):
+        matching_states(THREE_GATE, consistent_states(THREE_GATE), {"l1": True, "typo": True})
+
+
+def test_runs_hash_and_print_as_pairs_of_tuples():
+    run = Run((w("11"), w("10")), (P_,))
+    assert hash(run) == hash(((w("11"), w("10")), (P_,)))
+    assert repr(run) == f"Run(envs=(3, 2), obs=({P_!r},))"
+    assert run.local_state(1) == (P_,)
+
+
+def test_run_shapes_are_checked_when_the_system_is_built():
+    ranks = lambda runs: RankedMeasure(runs, [0] * len(runs))
+    good = Run((w("11"),) * 3, (TRUE, TRUE))
+    lopsided = Run((w("11"),) * 3, (TRUE,))  # made without complaint
+    short = Run((w("11"),) * 2, (TRUE,))
+    with pytest.raises(RunSystemError, match="one more environment state than observations"):
+        System(PQ, [good, lopsided, short], ranks([good, lopsided, short]), 2)
+    with pytest.raises(RunSystemError, match="all runs must share the system horizon"):
+        System(PQ, [good, short], ranks([good, short]), 2)
+    # a block with a step of the wrong shape, and blocks that miss a run
+    start, step = (((w("11"),), ()),), (((w("11"),), (TRUE,)),)
+    wide = (((w("11"), w("11")), (TRUE,)),)
+    for blocks, message in (
+        (((start, step, wide),), "one more environment state"),
+        (((start, step),), "share the system horizon"),
+        (((start, step, step), (start, step, step)), "the blocks hold 2 runs, not 1"),
+        (((start, step, (((w("11"),), (P_,)),)),), "run 0 is not the one its block expands to"),
+    ):
+        with pytest.raises(RunSystemError, match=message):
+            System(PQ, [good], ranks([good]), 2, blocks=blocks)

@@ -39,7 +39,7 @@ from beliefchange.revision import (
     validate_rev,
 )
 from beliefchange.scenario import build_system, load_scenario
-from beliefchange.systems import bel
+from beliefchange.systems import BudgetError, bel
 
 PQ = Vocabulary(["p", "q"])
 w = PQ.world_from_str
@@ -171,6 +171,17 @@ def test_revision_from_system_round_trip():
     # validated at the default budget, which this smaller menu fits
     op = operator_from_ranking(RANKS, PQ)
     recovered = revision_from_system(system_from_ranking(PQ, RANKS, MENU[16:], horizon=2))
+    for ext in all_extensions():
+        assert recovered(K, ext) == op(K, ext), sorted(ext)
+
+
+def test_revision_from_system_past_the_default_budget(ranked_sys):
+    # too large for the default budget: validate at a larger one, then read
+    with pytest.raises(BudgetError, match="REV4: 160000 probe pairs .* budget of 100000"):
+        revision_from_system(ranked_sys)
+    assert validate_rev(ranked_sys, budget=160_000).all_passed
+    op = operator_from_ranking(RANKS, PQ)
+    recovered = revision_from_system(ranked_sys, validate=False)
     for ext in all_extensions():
         assert recovered(K, ext) == op(K, ext), sorted(ext)
 
