@@ -220,31 +220,24 @@ class RankedMeasure(PlausibilityMeasure):
 class PreferentialMeasure(PlausibilityMeasure):
     """Dominance lift of a strict partial order on carrier elements.
 
-    ``prec(x, y)`` means x is strictly preferred to (more normal than) y.
+    ``rows[i]`` is the mask of the elements ``carrier[i]`` is strictly
+    preferred to (more normal than): the elements it beats.
     """
 
-    def __init__(self, carrier: Sequence[Hashable], prec: Callable[[Hashable, Hashable], bool]):
+    def __init__(self, carrier: Sequence[Hashable], rows: Sequence[int]):
         self.carrier = tuple(carrier)
-        self.prec = prec
+        self.rows = tuple(rows)
+        if len(self.rows) != len(self.carrier):
+            raise PlausibilityError(f"{len(self.rows)} rows for {len(self.carrier)} carrier elements")
 
     @cached_property
     def _below(self) -> Callable[[int], int]:
-        """Mask -> mask of the elements that some element of it beats.  Each
-        element's row comes from one sweep of ``prec`` over the carrier when
-        it is first needed."""
-        carrier, prec = self.carrier, self.prec
-        rows: List[Optional[int]] = [None] * len(carrier)
+        """Mask -> mask of the elements that some element of it beats."""
+        rows = self.rows
 
         @lru_cache(maxsize=MEMO_MASKS)
         def below(mask: int) -> int:
-            out = 0
-            for i in bits(mask):
-                row = rows[i]
-                if row is None:
-                    x = carrier[i]
-                    row = rows[i] = mask_of([j for j, y in enumerate(carrier) if prec(x, y)])
-                out |= row
-            return out
+            return union(rows[i] for i in bits(mask))
 
         return below
 
@@ -376,17 +369,21 @@ def rank_levels(ranks: Sequence[float]) -> List[Tuple[float, int]]:
     return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
 
-def transitive_closure(pairs: set) -> set:
-    """The smallest transitive relation containing the given pairs."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closed), repeat=2):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
-    return closed
+def strict_closure(carrier: Sequence[Hashable], pairs: Iterable[tuple]) -> Optional[List[int]]:
+    """Rows of the transitive closure of strict pairs over a carrier (bit j of
+    row i: ``carrier[i]`` before ``carrier[j]``), by Warshall's algorithm over
+    the rows; None when it has a cycle, a row holding its own bit."""
+    index = {e: i for i, e in enumerate(carrier)}
+    rows = [0] * len(carrier)
+    try:
+        for x, y in pairs:
+            rows[index[x]] |= 1 << index[y]
+    except KeyError as outside:
+        raise PlausibilityError(f"elements outside carrier: {outside.args[0]!r}") from None
+    for k in range(len(rows)):
+        bit, through = 1 << k, rows[k]
+        rows = [row | through if row & bit else row for row in rows]
+    return None if any(row >> i & 1 for i, row in enumerate(rows)) else rows
 
 
 def from_preference(
@@ -394,10 +391,11 @@ def from_preference(
 ) -> PreferentialMeasure:
     """Lift a strict preference order (x before y = x preferred) to a measure,
     closing it under transitivity; a cycle raises :class:`PlausibilityError`."""
-    closed = frozenset(transitive_closure(set(pairs)))
-    if any(x == y for x, y in closed):
+    carrier = tuple(carrier)
+    rows = strict_closure(carrier, pairs)
+    if rows is None:
         raise PlausibilityError("preference order contains a cycle")
-    return PreferentialMeasure(carrier, lambda x, y: (x, y) in closed)
+    return PreferentialMeasure(carrier, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +512,17 @@ def preferential_conditional_holds(
     ante_ext = vocab.extension(antecedent)
     good_ext = vocab.extension(And(antecedent, consequent))
     impl_ext = vocab.extension(Implies(antecedent, consequent))
-    elements = order.carrier
-    for w1 in elements:
-        if labeling[w1] not in ante_ext:
+    labels, rows = [labeling[e] for e in order.carrier], order.rows
+    for w1, label1 in enumerate(labels):
+        if label1 not in ante_ext:
             continue
         found = False
-        for w2 in elements:
-            if labeling[w2] not in good_ext:
+        for w2, label2 in enumerate(labels):
+            if label2 not in good_ext:
                 continue
-            if w2 != w1 and not order.prec(w2, w1):
+            if w2 != w1 and not rows[w2] >> w1 & 1:
                 continue  # witnesses must be at least as normal as w1
-            if all(labeling[w3] in impl_ext for w3 in elements if order.prec(w3, w2)):
+            if all(label3 in impl_ext for label3, row in zip(labels, rows) if row >> w2 & 1):
                 found = True
                 break
         if not found:

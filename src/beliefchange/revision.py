@@ -33,6 +33,7 @@ from .plausibility import (
     Mask,
     Ordering,
     PlausibilityMeasure,
+    PreferentialMeasure,
     RankedMeasure,
     extension_representatives,
     rank_of,
@@ -545,27 +546,32 @@ def _default_probes(sys: System) -> List[Formula]:
 
 def _default_obs_sequences(sys: System, max_len: int) -> List[Tuple[Formula, ...]]:
     menu = list(sys.menu) or list(dict.fromkeys(o for r in sys.runs for o in r.obs))
-    sequences: List[Tuple[Formula, ...]] = []
-    for k in range(1, min(max_len, sys.horizon) + 1):
-        if len(menu) ** k > 4096:
-            break
-        sequences += list(itertools.product(menu, repeat=k))
-    return sequences
+    lengths = range(1, min(max_len, sys.horizon) + 1)
+    return [seq for k in lengths for seq in itertools.product(menu, repeat=k)]
 
 
 def _check_ranked(sys: System, budget: int) -> Iterator[str]:
-    if isinstance(root_of(sys.prior)[0], RankedMeasure):
+    """REV2, decided on the prior's root (README, "Command line"): a ranked
+    root holds, a preferential one exactly when its order is linear on the
+    root positions the runs reach (their rows, masked to them, hold 0 to
+    n - 1 bits), and any other root is swept over every pair of single runs."""
+    root, image = root_of(sys.index.prior)
+    if isinstance(root, RankedMeasure):
         return
-    prior = sys.index.prior
-    budget = max(budget, 0)  # a negative budget checks nothing, as zero does
-    singleton_pairs = itertools.combinations(range(len(sys.runs)), 2)
-    for i, j in itertools.islice(singleton_pairs, budget):
-        if prior.compare(Mask(1 << i), Mask(1 << j)) is Ordering.INCOMPARABLE:
+    if isinstance(root, PreferentialMeasure):
+        positions = set(range(len(root.carrier)) if image is None else image)
+        reached = sum(1 << i for i in positions)
+        if {(root.rows[i] & reached).bit_count() for i in positions} != set(range(len(positions))):
             yield "incomparable singleton runs exist (prior is not total)"
-    # totality also requires the union law; spot-check it
-    singleton_pairs = itertools.combinations(range(len(sys.runs)), 2)
-    for i, j in itertools.islice(singleton_pairs, min(budget, 2000)):
-        a, b = Mask(1 << i), Mask(1 << j)
+        return
+    prior, n = sys.index.prior, len(sys.runs)
+    check_budget("REV2", n * (n - 1) // 2, "pairs of single runs", budget)
+    singles = [Mask(1 << i) for i in range(n)]
+    for a, b in itertools.combinations(singles, 2):
+        if prior.compare(a, b) is Ordering.INCOMPARABLE:
+            yield "incomparable singleton runs exist (prior is not total)"
+    # totality also requires the union law
+    for a, b in itertools.combinations(singles, 2):
         top = a if prior.at_least(a, b) else b
         if prior.compare(Mask(a | b), top) is not Ordering.EQUAL:
             yield "union does not take the maximum of its parts"

@@ -143,16 +143,12 @@ def _timed_obs_sequences(st: StatifiedSystem, max_len: int) -> List[Tuple[Formul
     """
     menu = list(st.source.menu)
     horizon = st.source.horizon
-    sequences: List[Tuple[Formula, ...]] = []
-    for k in range(1, min(max_len, horizon) + 1):
-        if len(menu) ** k > 2048:
-            break
-        for combo in itertools.product(menu, repeat=k):
-            sequences.append(tuple(timestamp(o, i + 1) for i, o in enumerate(combo)))
-    for o in menu:
-        for wrong_time in range(2, horizon + 1):
-            sequences.append((timestamp(o, wrong_time),))
-    return sequences
+    on_time = [
+        tuple(timestamp(o, i + 1) for i, o in enumerate(combo))
+        for k in range(1, min(max_len, horizon) + 1)
+        for combo in itertools.product(menu, repeat=k)
+    ]
+    return on_time + [(timestamp(o, t),) for o in menu for t in range(2, horizon + 1)]
 
 
 def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:

@@ -508,7 +508,7 @@ def runs_with_observations(sys: System, observations: Sequence[Formula]) -> Mask
 # Conditioning consistency (the step-to-step local rule)
 
 
-def check_prior_local_rule(sys: System, max_points: int = 8) -> Report:
+def check_prior_local_rule(sys: System, budget: int = 100_000) -> Report:
     """Verify the step-to-step conditioning rule: for every step from a
     time-m local state to a time-m+1 one and all subset pairs (A, B) of the
     later state's points, A is at most as plausible as B exactly when the
@@ -517,20 +517,20 @@ def check_prior_local_rule(sys: System, max_points: int = 8) -> Report:
     A measure obtained by conditioning the prior (BCS5) satisfies the rule
     by construction, since both sides reduce to the same prior comparison.
     So only the steps into or out of a local state with an entry in
-    ``point_measures`` are swept; a swept state with more than
-    ``max_points`` points raises :class:`BudgetError`.
+    ``point_measures`` are swept; a swept state whose 4^n subset pairs
+    exceed ``budget`` raises :class:`BudgetError`.
 
     The sweep stops at the first local state that breaks the rule, so a
-    local state past it that exceeds the size bound raises no
+    local state past it that exceeds the budget raises no
     :class:`BudgetError`.
     """
     report = Report("prior-local-rule")
-    report.add_first("LOCAL-RULE", _local_rule_failures(sys, max_points))
+    report.add_first("LOCAL-RULE", _local_rule_failures(sys, budget))
     report.note("steps without a point-measure override hold by construction: not swept")
     return report
 
 
-def _local_rule_failures(sys: System, max_points: int) -> Iterator[str]:
+def _local_rule_failures(sys: System, budget: int) -> Iterator[str]:
     overrides = sys.point_measures or {}
     for s_next in sys.index.prefix:
         if not s_next:
@@ -539,11 +539,8 @@ def _local_rule_failures(sys: System, max_points: int) -> Iterator[str]:
         if s_prev not in overrides and s_next not in overrides:
             continue
         nxt = sys.points_with_local_state(s_next)
-        if len(nxt) > max_points:
-            raise BudgetError(
-                f"{len(nxt)} points share local state {seq_str(s_next)}; "
-                f"limit is {max_points}"
-            )
+        points = f"the {len(nxt)} points at local state {seq_str(s_next)}"
+        check_budget("LOCAL-RULE", 4 ** len(nxt), f"subset pairs of {points}", budget)
         later, earlier = sys.plaus_at(s_next), sys.plaus_at(s_prev)
         m = len(s_prev)
         # subset k of the later points, as each measure's carrier mask
@@ -677,8 +674,8 @@ def _axioms_by_construction(root: PlausibilityMeasure) -> str:
     sweep, or "" when it does not say.  Ranked measures and dominance lifts
     of a strict partial order are qualitative and monotone (Friedman and
     Halpern, "Plausibility measures and default reasoning", J. ACM 2001);
-    this relies on a PreferentialMeasure's ``prec`` being a strict partial
-    order, as ``from_preference`` and ``LexRunOrder.prec`` make it."""
+    this relies on a PreferentialMeasure's rows being a strict partial
+    order, as ``from_preference`` and ``LexPrior`` make them."""
     if isinstance(root, RankedMeasure):
         return "the prior's root is a ranked measure"
     if isinstance(root, PreferentialMeasure):

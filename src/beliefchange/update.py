@@ -34,7 +34,10 @@ from .plausibility import (
     Mask,
     Ordering,
     PreferentialMeasure,
-    transitive_closure,
+    bits,
+    group_positions,
+    mask_of,
+    strict_closure,
     union,
 )
 from .reports import Report
@@ -62,12 +65,11 @@ class DistancePoset:
         for label in itertools.chain.from_iterable(strict):
             if label not in elements:
                 raise UpdateError(f"order mentions unknown label {label!r}")
-        pairs = transitive_closure(
-            set(strict) | {(ZERO, e) for e in elements if e != ZERO}
-        )
-        if any(a == b for a, b in pairs):
+        rows = strict_closure(elements, itertools.chain(strict, ((ZERO, e) for e in elements[1:])))
+        if rows is None:
             raise UpdateError("distance order contains a cycle")
-        return DistancePoset(elements, frozenset(pairs))
+        pairs = frozenset((a, elements[j]) for a, row in zip(elements, rows) for j in bits(row))
+        return DistancePoset(elements, pairs)
 
     @staticmethod
     def naturals(top: int) -> "DistancePoset":
@@ -132,6 +134,10 @@ class UpdateStructure:
     def extension(self, formula: Formula) -> Extension:
         return self.vocab.extension(formula) & self.universe
 
+    def check_worlds(self, worlds: Iterable[int]) -> None:
+        for w in frozenset(worlds) - self.universe:
+            raise UpdateError(f"world {self.vocab.world_str(w)} outside the structure")
+
 
 def hamming_structure(vocab: Vocabulary, worlds: Optional[Sequence[int]] = None) -> UpdateStructure:
     """Bit-flip-count distances; the usual total preset."""
@@ -172,11 +178,7 @@ def min_u(structure: UpdateStructure, origins: Iterable[int], candidates: Iterab
     iff an origin exists from which no candidate is strictly closer."""
     origins = frozenset(origins)
     candidates = frozenset(candidates)
-    outside = (origins | candidates) - structure.universe
-    if outside:
-        raise UpdateError(
-            f"world {structure.vocab.world_str(next(iter(outside)))} outside the structure"
-        )
+    structure.check_worlds(origins | candidates)
     kept = 0  # worlds no candidate beats from some origin
     for w0 in origins:
         row, beaten = structure.farther[w0], 0
@@ -350,14 +352,25 @@ class LexRunOrder:
 
 class LexPrior(MappedMeasure):
     """Preferential prior over runs: the first-divergence order on their
-    environment sequences, read through run -> environment sequence."""
+    environment sequences, read through run -> environment sequence.  Cell
+    c beats exactly the cells that share ``c[:t]`` and then hold a world
+    farther from ``c[t-1]`` than ``c[t]``: rows come from prefix blocks."""
 
     def __init__(self, runs: Sequence[Run], structure: UpdateStructure):
         self.structure = structure
         cells: Dict[Tuple[int, ...], int] = {}  # sequence -> its cell number
         image = [cells.setdefault(run.envs, len(cells)) for run in runs]
-        order = PreferentialMeasure(tuple(cells), LexRunOrder(structure).prec)
-        super().__init__(runs, order, image)
+        structure.check_worlds(itertools.chain.from_iterable(cells))
+        rows = [0] * len(cells)
+        for t in range(1, max(map(len, cells), default=0)):
+            heads = [c[:t + 1] for c in cells]
+            blocks = {h: mask_of(ids) for h, ids in group_positions(heads).items()}
+            beaten = {  # each length-(t+1) head -> the cells its last step beats
+                h: union(blocks.get(h[:-1] + (v,), 0) for v in bits(structure.farther[h[-2]][h[-1]]))
+                for h in blocks if len(h) > t
+            }
+            rows = [row | beaten.get(h, 0) for row, h in zip(rows, heads)]
+        super().__init__(runs, PreferentialMeasure(tuple(cells), rows), image)
 
 
 def system_from_update(

@@ -28,6 +28,7 @@ from beliefchange.plausibility import (
     PreferentialMeasure,
     RankedMeasure,
     from_preference,
+    root_of,
 )
 from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import statify, verify_statification
@@ -506,3 +507,66 @@ def test_ranked_rev4_compares_no_events(monkeypatch):
     sweep = list(revision._check_observation_neutrality(sys_, probes, seqs, 100_000))
     # only each witness's bottom test compares
     assert sweep and len(calls) == len(sweep)
+
+
+# REV2 on a ranked or preferential root: decided on the root positions the
+# runs reach, against the sweep over every pair of single runs
+
+
+def rev2_reference(sys_):
+    prior = sys_.index.prior
+    singles = [Mask(1 << i) for i in range(len(sys_.runs))]
+    pairs = list(itertools.combinations(singles, 2))
+    for a, b in pairs:
+        if prior.compare(a, b) is Ordering.INCOMPARABLE:
+            yield "incomparable singleton runs exist (prior is not total)"
+    for a, b in pairs:
+        top = a if prior.at_least(a, b) else b
+        if prior.compare(Mask(a | b), top) is not Ordering.EQUAL:
+            yield "union does not take the maximum of its parts"
+
+
+def _rev2_prior(kind, runs, rng):
+    """A small prior of the given kind; "linear" and "mapped-linear" are
+    chains, "mapped-partial" a partial order whose runs may reach only a
+    chain of it, "lex" a first-divergence order (runs that differ only in
+    what they observe share a cell)."""
+    chain = lambda carrier: from_preference(carrier, zip(carrier, carrier[1:]))
+    if kind == "linear":
+        return chain(rng.sample(list(runs), len(runs)))
+    if kind == "mapped-linear":
+        return MappedMeasure(runs, chain(rng.sample(range(3), 3)), [rng.randrange(3) for _ in runs])
+    if kind == "mapped-partial":
+        order = from_preference(range(3), [(0, 1)])  # 2 is incomparable to both
+        return MappedMeasure(runs, order, [rng.randrange(rng.choice([2, 3])) for _ in runs])
+    if kind == "lex":
+        return update.LexPrior(runs, random_structure(Vocabulary(["p"]), rng))
+    return _small_prior(kind, runs, rng)
+
+
+REV2_KINDS = SMALL_KINDS + ["linear", "mapped-linear", "mapped-partial", "lex"]
+
+
+@pytest.mark.parametrize("kind", REV2_KINDS)
+def test_rev2_reduction_matches_the_singleton_pair_sweep(kind):
+    single = Vocabulary(["p"])
+    systems = [system_from_update(hamming_structure(single), h, [TRUE, P_]) for h in (1, 2)]
+    verdicts = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        source = systems[seed % 2]
+        runs = source.runs
+        if kind == "lex" and seed % 4 < 2:  # runs from one initial world
+            runs = tuple(r for r in runs if r.envs[0] == 1)
+        prior = _rev2_prior(kind, runs, rng)
+        runs = rng.sample(runs, len(runs))  # numbered apart from the carrier
+        sys_ = with_prior(source, prior, runs)
+        n = len(runs)
+        fast = next(revision._check_ranked(sys_, n * (n - 1) // 2), "")
+        assert fast == next(rev2_reference(sys_), ""), seed
+        verdicts.add(fast)
+        if isinstance(root_of(sys_.prior)[0], (RankedMeasure, PreferentialMeasure)):
+            # decided on the root, whatever the budget
+            assert next(revision._check_ranked(sys_, 0), "") == fast
+    # both verdicts where the order may or may not be linear on the runs
+    assert len(verdicts) == (2 if kind in ("mapped-preferential", "mapped-partial", "lex") else 1)

@@ -23,7 +23,6 @@ from beliefchange.plausibility import (
     RankedMeasure,
     from_preference,
     rank_of,
-    transitive_closure,
 )
 from beliefchange.revision import min_rank_worlds, revision_from_system, system_from_ranking
 from beliefchange.scenario import build_system, load_scenario, load_scenario_text
@@ -33,6 +32,7 @@ from beliefchange.update import (
     _cell_event,
     _formula_prefix_event,
     _upd4_event,
+    LexRunOrder,
     hamming_structure,
     random_structure,
     system_from_update,
@@ -172,7 +172,9 @@ def reference_compare(measure, a, b):
             return Ordering.EQUAL
         return Ordering.GREATER if ra < rb else Ordering.LESS
     if isinstance(measure, PreferentialMeasure):
-        ge, le = _dominates(measure.prec, a, b), _dominates(measure.prec, b, a)
+        index, rows = measure.index, measure.rows
+        prec = lambda x, y: rows[index[x]] >> index[y] & 1
+        ge, le = _dominates(prec, a, b), _dominates(prec, b, a)
         return {
             (True, True): Ordering.EQUAL,
             (True, False): Ordering.GREATER,
@@ -213,20 +215,35 @@ def test_conditioned_measures_compare_masks_as_element_sets(system):
         assert_masks_agree(system.plaus_at(s_a), count=40, seed=len(s_a))
 
 
-def test_preference_from_pairs_equals_preference_from_prec():
+def closed_pairs(pairs):
+    """The transitive closure of a pair set, by a fixpoint over pairs."""
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def rows_of(carrier, pairs):
+    """``rows[i]``: the mask of the elements ``carrier[i]`` comes before."""
+    return [sum(1 << j for j, y in enumerate(carrier) if (x, y) in pairs) for x in carrier]
+
+
+def test_preference_from_pairs_equals_preference_from_rows():
     carrier = tuple(range(7))
     rng = random.Random(5)
     for _ in range(6):
         pairs = {(a, b) for a, b in itertools.combinations(carrier, 2) if rng.random() < 0.3}
-        closed = transitive_closure(pairs)
         from_pairs = from_preference(carrier, pairs)
-        from_prec = PreferentialMeasure(carrier, prec=lambda x, y: (x, y) in closed)
+        assert list(from_pairs.rows) == rows_of(carrier, closed_pairs(pairs))
+        from_rows = PreferentialMeasure(carrier, rows_of(carrier, closed_pairs(pairs)))
         masks = [Mask(k) for k in range(1 << len(carrier))]
         for ma, mb in itertools.product(masks, repeat=2):
-            assert from_pairs.compare(ma, mb) is from_prec.compare(ma, mb)
+            assert from_pairs.compare(ma, mb) is from_rows.compare(ma, mb)
         assert_masks_agree(from_pairs, count=60)
-        # an order given by a callable need not be transitive
-        assert_masks_agree(PreferentialMeasure(carrier, prec=lambda x, y: (x, y) in pairs))
+        # an order given by its rows need not be transitive
+        assert_masks_agree(PreferentialMeasure(carrier, rows_of(carrier, pairs)))
 
 
 def test_custom_and_mapped_measures_compare_masks_as_element_sets():
@@ -271,16 +288,22 @@ def test_a_run_outside_the_prior_carrier_raises():
         sys_.index
 
 
-def test_prec_rows_are_built_only_for_compared_elements():
-    calls = []
+def test_lexicographic_rows_are_built_without_pairwise_comparisons(monkeypatch):
+    # every row of a first-divergence prior comes from prefix blocks; the
+    # pairwise order is only the reference
+    def prec(self, a, b):
+        raise AssertionError("LexRunOrder.prec called while building rows")
 
-    def prec(x, y):
-        calls.append((x, y))
-        return x < y
+    monkeypatch.setattr(LexRunOrder, "prec", prec)
+    sys_ = system_from_update(hamming_structure(PQ), 2, [TRUE, P_, Not(Q_)])
+    order = sys_.prior.base
+    assert len(order.rows) == len(order.carrier) == 64
+    assert order.compare(Mask(1), Mask(1 << 63)) is Ordering.INCOMPARABLE
 
-    order = PreferentialMeasure(tuple(range(64)), prec=prec)
-    assert order.compare(Mask(1 << 3), Mask(1 << 40)) is Ordering.GREATER
-    assert len(calls) == 2 * 64  # the rows of elements 3 and 40 only
+
+def test_preferential_rows_must_cover_the_carrier():
+    with pytest.raises(PlausibilityError, match="2 rows for 3 carrier elements"):
+        PreferentialMeasure("abc", [0, 0])
 
 
 # ---------------------------------------------------------------------------

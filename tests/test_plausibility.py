@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from beliefchange.plausibility import (
     is_qualitative,
     preferential_conditional_holds,
     rank_of,
-    transitive_closure,
+    strict_closure,
 )
 
 PQ = Vocabulary(["p", "q"])
@@ -30,6 +31,20 @@ def subsets(elems):
     elems = tuple(elems)
     for mask in range(1 << len(elems)):
         yield frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+
+
+def pair_closure(pairs):
+    """The smallest transitive relation containing the given pairs: a
+    fixpoint over every pair x pair product."""
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(tuple(closed), repeat=2):
+            if b == c and (a, d) not in closed:
+                closed.add((a, d))
+                changed = True
+    return closed
 
 
 def dominance_oracle(order_pairs, a, b):
@@ -121,7 +136,7 @@ def test_preferential_matches_dominance_oracle_exhaustively():
     ]
     for pairs in order_sets:
         m = from_preference(carrier, pairs)
-        closed = transitive_closure(pairs)
+        closed = pair_closure(pairs)
         for a, b in itertools.product(subsets(carrier), repeat=2):
             ge = dominance_oracle(closed, a, b)
             le = dominance_oracle(closed, b, a)
@@ -144,8 +159,25 @@ def test_total_preference_agrees_with_ranking_on_all_subsets():
 
 
 def test_preference_cycle_rejected():
-    with pytest.raises(PlausibilityError):
+    with pytest.raises(PlausibilityError, match="preference order contains a cycle"):
         from_preference("ab", [("a", "b"), ("b", "a")])
+    with pytest.raises(PlausibilityError, match="preference order contains a cycle"):
+        from_preference("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(PlausibilityError, match="elements outside carrier: 'z'"):
+        from_preference("ab", [("a", "z")])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mask_closure_matches_the_pair_closure(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    pairs = {(a, b) for a in range(n) for b in range(n) if rng.random() < rng.choice([0.1, 0.25, 0.5])}
+    closed = pair_closure(pairs)
+    got = strict_closure(range(n), pairs)
+    if any(a == b for a, b in closed):
+        assert got is None
+    else:
+        assert got == [sum(1 << b for b in range(n) if (a, b) in closed) for a in range(n)]
 
 
 def test_mapped_measure_compares_image_sets_under_a_key_map():

@@ -262,6 +262,23 @@ def test_validate_rev_catches_informative_observations():
     assert not report["REV4"].passed
 
 
+def test_validate_rev_counts_every_menu_sequence():
+    # 65 menu formulas give 65^2 = 4,225 two-observation sequences; all of
+    # them, and the 65 single ones, are swept
+    single = Vocabulary(["p"])
+    menu = [TRUE] + [P_] + [Not(P_)]
+    while len(menu) < 65:
+        menu.append(Not(Not(menu[-2])))
+    sys_ = system_from_ranking(single, {0: 1, 1: 0}, menu, 2)
+    assert len(sys_.menu) == 65
+    report = validate_rev(sys_, formula_probes=[P_, Not(P_)], max_len=2)
+    assert report.all_passed
+    assert report.notes[-1] == (
+        "observation-neutrality quantified over 2 probes and 4290 observation "
+        "sequences (the menu stands in for the full language)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # one-step revision away from the initial state
 

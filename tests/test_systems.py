@@ -270,15 +270,15 @@ def test_local_rule_on_small_update_system():
     complete = [world_formula(x, vocab) for x in vocab.worlds()]
     sys_ = _conditioned_override(system_from_update(hamming_structure(vocab), 1, complete), ())
     assert len(sys_.plaus_at(()).carrier) == 8
-    assert check_prior_local_rule(sys_, max_points=8).all_passed
+    assert check_prior_local_rule(sys_, budget=4 ** 8).all_passed
 
 
 def test_local_rule_budget_error(updsys):
     # only a state with an override is swept; <true> has more than 2 points
     sys_ = _conditioned_override(updsys, (TRUE,))
     assert len(sys_.plaus_at((TRUE,)).carrier) > 2
-    with pytest.raises(BudgetError, match="local state <true>"):
-        check_prior_local_rule(sys_, max_points=2)
+    with pytest.raises(BudgetError, match="LOCAL-RULE: .* subset pairs of the .* points at local state <true>"):
+        check_prior_local_rule(sys_, budget=4 ** 2)
 
 
 def test_local_rule_singleton_run_system():

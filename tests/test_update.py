@@ -13,9 +13,10 @@ from beliefchange.formulas import (
     world_formula,
 )
 from beliefchange.plausibility import Ordering, check_monotonicity, is_qualitative, root_of
-from beliefchange.systems import bel, validate_bcs
+from beliefchange.systems import Run, bel, validate_bcs
 from beliefchange.update import (
     DistancePoset,
+    LexPrior,
     LexRunOrder,
     UpdateError,
     UpdateStructure,
@@ -71,8 +72,17 @@ def test_poset_zero_is_minimum():
 
 
 def test_poset_rejects_cycles():
-    with pytest.raises(UpdateError):
+    with pytest.raises(UpdateError, match="distance order contains a cycle"):
         DistancePoset.build(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(UpdateError, match="distance order contains a cycle"):
+        DistancePoset.build(["a"], [("a", 0)])
+
+
+def test_poset_strict_is_the_closed_order():
+    poset = DistancePoset.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    assert poset.strict == {
+        (0, "a"), (0, "b"), (0, "c"), (0, "d"), ("a", "b"), ("b", "c"), ("a", "c"),
+    }
 
 
 def test_structure_rejects_offdiagonal_zero():
@@ -269,6 +279,56 @@ def test_lex_run_order_is_a_strict_partial_order(seed):
         assert a not in beats[a]
         for b in beats[a]:
             assert beats[b] <= beats[a], (a, b)
+
+
+def prec_rows(prior):
+    """The rows of a lexicographic prior's cells, read off
+    ``LexRunOrder.prec`` pair by pair."""
+    cells, prec = prior.base.carrier, LexRunOrder(prior.structure).prec
+    return [sum(1 << j for j, d in enumerate(cells) if prec(c, d)) for c in cells]
+
+
+def _lex_prior_over_all_cells(structure, horizon):
+    cells = itertools.product(structure.worlds, repeat=horizon + 1)
+    return LexPrior([Run(c, (TRUE,) * horizon) for c in cells], structure)
+
+
+PQR = Vocabulary(["p", "q", "r"])
+ROW_CASES = [
+    (vocab, kind, horizon)
+    for vocab in (Vocabulary(["p"]), PQ)
+    for kind in ("hamming", 0, 1, 2)
+    for horizon in (1, 2, 3)
+] + [(PQR, kind, 2) for kind in ("hamming", 0, 1)]
+
+
+@pytest.mark.parametrize("vocab, kind, horizon", ROW_CASES)
+def test_block_rows_equal_the_prec_rows(vocab, kind, horizon):
+    if kind == "hamming":
+        structure = hamming_structure(vocab)
+    else:
+        structure = random_structure(vocab, random.Random(kind))
+    prior = _lex_prior_over_all_cells(structure, horizon)
+    assert len(prior.base.carrier) == len(structure.worlds) ** (horizon + 1)
+    assert list(prior.base.rows) == prec_rows(prior)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_rows_over_a_scrambled_subset_of_runs(seed):
+    rng = random.Random(seed)
+    structure = random_structure(PQ, rng) if seed else HAMMING
+    runs = list(system_from_update(structure, 2, (TRUE, P_, Not(Q_))).runs)
+    runs = rng.sample(runs, len(runs) // 3)
+    prior = LexPrior(runs, structure)
+    assert prior.base.carrier == tuple(dict.fromkeys(r.envs for r in runs))
+    assert list(prior.base.rows) == prec_rows(prior)
+
+
+def test_lex_prior_rejects_a_world_outside_its_structure():
+    narrow = hamming_structure(PQ, [0, 1, 2])
+    runs = [Run((0, 1), (TRUE,)), Run((0, 3), (TRUE,))]
+    with pytest.raises(UpdateError, match="world 11 outside the structure"):
+        LexPrior(runs, narrow)
 
 
 P1 = Vocabulary(["p"])

@@ -93,17 +93,24 @@ def _equal_except(sys_, decide):
     return with_prior(sys_, CustomMeasure(sys_.runs, lambda a, b: decide(a, b) or Ordering.EQUAL))
 
 
+def _rev2_at_budgets(sys_, witness):
+    # every pair of single runs is swept, so the witness comes at a budget
+    # that covers them all and a smaller one is a budget error; no
+    # observation sequences, so REV4 takes nothing of the budget
+    n = len(sys_.runs)
+    pairs = n * (n - 1) // 2
+    assert validate_rev(sys_, obs_sequences=(), budget=pairs)["REV2"].witness == witness
+    with pytest.raises(BudgetError, match=(
+        f"REV2: {pairs} pairs of single runs exceed the budget of {pairs - 1}"
+    )):
+        validate_rev(sys_, obs_sequences=(), budget=pairs - 1)
+
+
 def test_rev2_incomparable_pair_respects_budget(revsys):
     runs = revsys.runs
     ends = {frozenset([runs[0]]), frozenset([runs[-1]])}
     sys_ = _equal_except(revsys, lambda a, b: Ordering.INCOMPARABLE if {a, b} == ends else None)
-    # (first run, last run) is pair number len(runs) - 1 in the visiting
-    # order; no observation sequences, so REV4 takes nothing of the budget
-    assert validate_rev(sys_, obs_sequences=(), budget=len(runs) - 2)["REV2"].passed
-    assert (
-        validate_rev(sys_, obs_sequences=(), budget=len(runs) - 1)["REV2"].witness
-        == "incomparable singleton runs exist (prior is not total)"
-    )
+    _rev2_at_budgets(sys_, "incomparable singleton runs exist (prior is not total)")
 
 
 def test_rev2_union_law_respects_budget(revsys):
@@ -117,12 +124,7 @@ def test_rev2_union_law_respects_budget(revsys):
             return Ordering.LESS
         return None
 
-    sys_ = _equal_except(revsys, decide)
-    assert validate_rev(sys_, obs_sequences=(), budget=len(runs) - 2)["REV2"].passed
-    assert (
-        validate_rev(sys_, obs_sequences=(), budget=len(runs) - 1)["REV2"].witness
-        == "union does not take the maximum of its parts"
-    )
+    _rev2_at_budgets(_equal_except(revsys, decide), "union does not take the maximum of its parts")
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +240,15 @@ def test_local_rule_witness(revsys):
 
 def test_local_rule_stops_before_a_later_oversized_state(revsys):
     # runs observing p first come first, so the failing state <p> (6 points)
-    # is visited before <true> (10 points, past max_points)
+    # is visited before <true> (10 points, 4^10 subset pairs past the budget)
     runs = tuple(sorted(revsys.runs, key=lambda r: r.obs[0] != P_))
     sys_ = _flipped_override(with_prior(revsys, revsys.prior, runs))
-    report = check_prior_local_rule(sys_, max_points=6)
+    report = check_prior_local_rule(sys_, budget=4 ** 6)
     assert report["LOCAL-RULE"].witness == "local state <p>: subset masks (0x1, 0x8) disagree"
+    with pytest.raises(BudgetError, match=(
+        "LOCAL-RULE: 4096 subset pairs of the 6 points at local state <p> exceed the budget of 4095"
+    )):
+        check_prior_local_rule(sys_, budget=4 ** 6 - 1)
 
 
 def test_bcs5_override_witness(revsys):
