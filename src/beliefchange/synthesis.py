@@ -12,6 +12,7 @@ formulas) is lost.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -84,13 +85,19 @@ def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
         raise SynthesisError("timestamp horizon must cover the system horizon")
     vocab_star = timestamped_vocabulary(sys.vocab, horizon)
 
+    # runs share their environment sequences and their observations, so
+    # each distinct one is encoded or stamped once
+    encode = functools.cache(functools.partial(_encode_env_sequence, sys, vocab_star))
+
+    @functools.cache
+    def stamped(obs: Tuple[Formula, ...]) -> Tuple[Formula, ...]:
+        return tuple(timestamp(o, k + 1) for k, o in enumerate(obs))
+
     to_source: Dict[Run, Run] = {}
     from_source: Dict[Run, Run] = {}
     runs_star: List[Run] = []
     for run in sys.runs:
-        encoded = _encode_env_sequence(sys, vocab_star, run.envs)
-        obs_star = tuple(timestamp(o, k + 1) for k, o in enumerate(run.obs))
-        run_star = Run((encoded,) * (sys.horizon + 1), obs_star)
+        run_star = Run((encode(run.envs),) * (sys.horizon + 1), stamped(run.obs))
         if run_star in to_source:
             raise SynthesisError("run collision while timestamping")
         to_source[run_star] = run
@@ -100,8 +107,7 @@ def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
     # twin run i is source run i
     prior_star = MappedMeasure(runs_star, sys.index.prior, range(len(runs_star)))
     universe_star = frozenset(
-        _encode_env_sequence(sys, vocab_star, envs)
-        for envs in itertools.product(sorted(sys.universe), repeat=sys.horizon + 1)
+        map(encode, itertools.product(sorted(sys.universe), repeat=sys.horizon + 1))
     )
     menu_star = tuple(
         dict.fromkeys(

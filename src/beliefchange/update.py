@@ -14,7 +14,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -37,6 +37,7 @@ from .plausibility import (
     bits,
     group_positions,
     mask_of,
+    root_of,
     strict_closure,
     union,
 )
@@ -548,9 +549,11 @@ def validate_upd(
     UPD3  every sequence of satisfiable formulas is plausibility-positive;
     UPD4  observations add nothing beyond the truth of what was observed.
 
-    UPD2 and UPD4 sweep their whole stated space, part by part; a part with
-    more instances than the budget raises :class:`BudgetError` naming the
-    check when the sweep reaches it, so a witness found earlier still wins.
+    UPD2 and UPD4 decide their whole stated space, part by part, comparing
+    only the pairs whose outcome is not fixed in advance; a part with more
+    instances than the budget, skipped ones included, raises
+    :class:`BudgetError` naming the check when the sweep reaches it, so a
+    witness found earlier still wins.
     The scopes that stay are stated in the text report's note.
     """
     structure = _structure_of(sys, structure)
@@ -575,10 +578,20 @@ def validate_upd(
 
 
 def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterator[str]:
+    """Cell comparisons against the first-divergence rule, then menu-sequence
+    events against the cell-dominance criterion.
+
+    When the initial-world blocks are closed (:func:`_blocks_closed`), two
+    cells with different first worlds compare INCOMPARABLE, as
+    :meth:`LexRunOrder.prec` expects, so only cells with one first world
+    are compared; ``itertools.product`` lists those contiguously, so the
+    pairs keep their ``combinations`` order.  The budget counts every pair.
+    """
     order = LexRunOrder(structure)
     index = sys.index
     prior = index.prior
     worlds = structure.worlds
+    closed = _blocks_closed(index)
 
     # consistency with the distance: cell comparisons follow the
     # first-divergence rule
@@ -586,7 +599,13 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
         cells = list(itertools.product(worlds, repeat=n))
         check_budget("UPD2", len(cells) * (len(cells) - 1) // 2, f"pairs of length-{n} cells", budget)
         groups = {cell: _cell_event(index, cell) for cell in cells}
-        for ca, cb in itertools.combinations(cells, 2):
+        pairs = itertools.combinations(cells, 2)
+        if closed:
+            size = len(worlds) ** (n - 1)  # cells per first world
+            pairs = itertools.chain.from_iterable(
+                itertools.combinations(cells[i:i + size], 2) for i in range(0, len(cells), size)
+            )
+        for ca, cb in pairs:
             runs_a, runs_b = groups[ca], groups[cb]
             if not runs_a or not runs_b:
                 continue
@@ -605,13 +624,34 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     seqs = [seq for k in (1, 2) for seq in itertools.product(menu, repeat=k) if k <= sys.horizon + 1]
     check_budget("UPD2", len(seqs) ** 2, "pairs of menu sequences", budget)
     event = functools.cache(functools.partial(_formula_prefix_event, sys))
+    dominance = {n: _prefix_dominance(structure, n) for n in {len(seq) for seq in seqs}}
     for sa, sb in itertools.product(seqs, repeat=2):
         if len(sa) != len(sb):
             continue
         got = prior.at_least(event(sa), event(sb))
-        want = _prefix_dominance(sys, structure, sa, sb)
+        want = dominance[len(sa)](sa, sb)
         if got != want:
             yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
+
+
+def _blocks_closed(index) -> bool:
+    """Whether runs with different initial worlds never compare strictly:
+    the prior's root is a dominance lift, the root images of the blocks
+    ``index.at[0][w]`` are pairwise disjoint, and the root row of each
+    element of a block's image stays inside that image.  Then no element of
+    one image beats one of another, so two non-empty events from different
+    blocks are INCOMPARABLE (README, "Run systems")."""
+    prior = index.prior
+    root = root_of(prior)[0]
+    if not isinstance(root, PreferentialMeasure):
+        return False
+    seen = 0
+    for block in index.at[0].values():
+        image = prior.root_mask(block)
+        if image & seen or union(root.rows[i] for i in bits(image)) & ~image:
+            return False
+        seen |= image
+    return True
 
 
 def _cell_event(index, cell: Sequence[int]) -> Mask:
@@ -631,25 +671,25 @@ def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> Mask:
     return Mask(event)
 
 
-def _prefix_dominance(sys, structure, sa, sb) -> bool:
+def _prefix_dominance(structure: UpdateStructure, n: int) -> Callable[[Sequence[Formula], Sequence[Formula]], bool]:
+    """The prefix-cell criterion on formula sequences of length n: A's cells
+    dominate B's when every cell of B - A is strictly beaten by some cell of
+    A.  Each sequence's cells are a mask over the length-n cells, and each
+    cell has the mask of the cells that beat it, one ``prec`` per pair."""
     order = LexRunOrder(structure)
-    n = len(sa)
-    exts_a = [structure.extension(f) for f in sa]
-    exts_b = [structure.extension(f) for f in sb]
     cells = list(itertools.product(structure.worlds, repeat=n))
-    cells_a = [c for c in cells if all(c[i] in exts_a[i] for i in range(n))]
-    cells_b = [
-        c
-        for c in cells
-        if all(c[i] in exts_b[i] for i in range(n))
-        and not all(c[i] in exts_a[i] for i in range(n))
-    ]
-    # literal prefix-cell criterion: every cell left over on the other side
-    # is strictly beaten by some cell of this side
-    for cb in cells_b:
-        if not any(order.prec(ca, cb) for ca in cells_a):
-            return False
-    return True
+    beaten_by = [mask_of(i for i, ca in enumerate(cells) if order.prec(ca, cb)) for cb in cells]
+
+    @functools.cache
+    def cell_mask(seq) -> int:
+        exts = [structure.extension(f) for f in seq]
+        return mask_of(i for i, c in enumerate(cells) if all(map(operator.contains, exts, c)))
+
+    def dominates(sa, sb) -> bool:
+        a = cell_mask(sa)
+        return all(beaten_by[i] & a for i in bits(cell_mask(sb) & ~a))
+
+    return dominates
 
 
 def _upd3_length(sys: System, structure: UpdateStructure) -> int:
@@ -674,28 +714,31 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     An instance whose two formula sequences each give an observed event
     with the root image of its merely-true counterpart holds by
     construction (see :func:`plausibility.root_of`), so only the others are compared.
+    Per observation, the sequences that are not so (the live ones) are found
+    once; an observation with none is skipped, and otherwise each pair with
+    a live side is compared, in product order.
     """
     menu = list(sys.menu)
     probes = list(dict.fromkeys(menu))
     event = functools.cache(functools.partial(_upd4_event, sys))
     prior = sys.index.prior
-
-    @functools.cache
-    def neutral(fa, obs) -> bool:
-        return prior.root_mask(event(fa, obs, True)) == prior.root_mask(event(fa, obs, False))
+    root_mask = prior.root_mask
 
     for k in range(min(2, sys.horizon)):
         count = len(menu) ** k * len(probes) ** (2 * k + 4)
         check_budget("UPD4", count, f"instances with {('no', 'one')[k]} observation", budget)
         sequences = list(itertools.product(probes, repeat=k + 2))
         for obs in itertools.product(menu, repeat=k):
-            for fa, fb in itertools.product(sequences, repeat=2):
-                if neutral(fa, obs) and neutral(fb, obs):
-                    continue
-                lhs = prior.at_least(event(fa, obs, True), event(fb, obs, True))
-                rhs = prior.at_least(event(fa, obs, False), event(fb, obs, False))
-                if lhs != rhs:
-                    yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
+            live = [root_mask(event(f, obs, True)) != root_mask(event(f, obs, False)) for f in sequences]
+            live_sequences = list(itertools.compress(sequences, live))
+            if not live_sequences:
+                continue
+            for fa, fa_live in zip(sequences, live):
+                for fb in sequences if fa_live else live_sequences:
+                    lhs = prior.at_least(event(fa, obs, True), event(fb, obs, True))
+                    rhs = prior.at_least(event(fa, obs, False), event(fb, obs, False))
+                    if lhs != rhs:
+                        yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
 
 
 def _upd4_event(sys: System, formulas, obs, observed: bool) -> Mask:

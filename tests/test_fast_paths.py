@@ -1,7 +1,10 @@
 """Each fast path against the slow reference it replaces.
 
 UPD4, REV4/REV4' and PRIOR-ISO skip the pairs whose two sides have one
-root image; the reference sweeps below compare every pair.  On a ranked
+root image; the reference sweeps below compare every pair.  UPD2 skips
+the cells with different first worlds when the initial-world blocks are
+closed; its reference compares every pair of cells and reads the
+cell-dominance criterion off ``prec`` for every pair of cells.  On a ranked
 root REV4/REV4' compare ranks read once per probe; the reference compares
 the events with ``at_least``.  On ranked and preferential roots PRIOR-ISO
 compares only the empty set and one run per image class; the reference
@@ -27,6 +30,7 @@ from beliefchange.plausibility import (
     Ordering,
     PreferentialMeasure,
     RankedMeasure,
+    bits,
     from_preference,
     root_of,
 )
@@ -57,6 +61,61 @@ def _scenario_system(name):
 
 # ---------------------------------------------------------------------------
 # reference sweeps: every pair compared
+
+
+def prefix_dominance_reference(structure, sa, sb):
+    order = update.LexRunOrder(structure)
+    n = len(sa)
+    exts_a = [structure.extension(f) for f in sa]
+    exts_b = [structure.extension(f) for f in sb]
+    cells = list(itertools.product(structure.worlds, repeat=n))
+    cells_a = [c for c in cells if all(c[i] in exts_a[i] for i in range(n))]
+    cells_b = [
+        c
+        for c in cells
+        if all(c[i] in exts_b[i] for i in range(n))
+        and not all(c[i] in exts_a[i] for i in range(n))
+    ]
+    # literal prefix-cell criterion: every cell left over on the other side
+    # is strictly beaten by some cell of this side
+    for cb in cells_b:
+        if not any(order.prec(ca, cb) for ca in cells_a):
+            return False
+    return True
+
+
+def upd2_reference(sys_, structure, budget):
+    order = update.LexRunOrder(structure)
+    index = sys_.index
+    prior = index.prior
+    for n in range(2, min(sys_.horizon + 1, 3) + 1):
+        cells = list(itertools.product(structure.worlds, repeat=n))
+        check_budget("UPD2", len(cells) * (len(cells) - 1) // 2, f"pairs of length-{n} cells", budget)
+        groups = {cell: update._cell_event(index, cell) for cell in cells}
+        for ca, cb in itertools.combinations(cells, 2):
+            runs_a, runs_b = groups[ca], groups[cb]
+            if not runs_a or not runs_b:
+                continue
+            got = prior.compare(runs_a, runs_b)
+            lt = order.prec(cb, ca)
+            gt = order.prec(ca, cb)
+            if lt and got is not Ordering.LESS:
+                yield f"cells {ca} vs {cb}: expected strictly below, got {got.value}"
+            elif gt and got is not Ordering.GREATER:
+                yield f"cells {ca} vs {cb}: expected strictly above, got {got.value}"
+            elif not lt and not gt and got in (Ordering.LESS, Ordering.GREATER):
+                yield f"cells {ca} vs {cb}: unexpected strict comparison {got.value}"
+    menu = list(sys_.menu)
+    seqs = [seq for k in (1, 2) for seq in itertools.product(menu, repeat=k) if k <= sys_.horizon + 1]
+    check_budget("UPD2", len(seqs) ** 2, "pairs of menu sequences", budget)
+    for sa, sb in itertools.product(seqs, repeat=2):
+        if len(sa) != len(sb):
+            continue
+        events = [update._formula_prefix_event(sys_, seq) for seq in (sa, sb)]
+        got = prior.at_least(*events)
+        want = prefix_dominance_reference(structure, sa, sb)
+        if got != want:
+            yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
 
 
 def upd4_reference(sys_, structure, budget):
@@ -121,11 +180,12 @@ def prior_iso_reference(st):
 
 def both_ways(monkeypatch, run):
     """The report of ``run()`` with the fast checkers, after asserting the
-    UPD4 and REV4/REV4' reference sweeps give the same machine output (the
-    PRIOR-ISO reference is too slow for these twins; see
+    UPD2, UPD4 and REV4/REV4' reference sweeps give the same machine output
+    (the PRIOR-ISO reference is too slow for these twins; see
     ``test_prior_iso_reduction_matches_the_subset_sweep``)."""
     fast = run()
     with monkeypatch.context() as m:
+        m.setattr(update, "_check_upd2", upd2_reference)
         m.setattr(update, "_check_upd4", upd4_reference)
         m.setattr(synthesis, "_check_upd4", upd4_reference)
         m.setattr(revision, "_check_observation_neutrality", rev4_reference)
@@ -396,6 +456,68 @@ def test_small_update_twin_rev4_compares_less(root_compares):
     root_compares.clear()
     assert list(rev4_reference(*args)) == fast
     assert fast_calls < len(root_compares)
+
+
+def test_small_update_upd2_compares_within_initial_world_blocks(root_compares):
+    # 24 + 480 same-block cell pairs and 90 sequence pairs, against every
+    # one of the 120 + 2,016 cell pairs
+    _, sys_ = _scenario_system("small_update.scn")
+    structure = sys_.prior.structure
+    assert update._blocks_closed(sys_.index)
+    assert list(update._check_upd2(sys_, structure, 2016)) == []
+    assert len(root_compares) == 594
+    root_compares.clear()
+    assert list(upd2_reference(sys_, structure, 2016)) == []
+    assert len(root_compares) == 2226
+
+
+def test_upd2_rows_across_initial_worlds_take_the_full_sweep(monkeypatch):
+    # the lexicographic rows plus one run from 00 beating every run from
+    # 11: the first witness is a pair of cells with different first worlds
+    structure = hamming_structure(PQ)
+    source = system_from_update(structure, 2, MENU)
+    cells = sorted({run.envs for run in source.runs})
+    lex = update.LexPrior(source.runs, structure).base
+    w00, w11 = PQ.world_from_str("00"), PQ.world_from_str("11")
+    pairs = [(c, cells[j]) for c, row in zip(lex.carrier, lex.rows) for j in bits(row)]
+    pairs += [((w00,) * 3, c) for c in cells if c[0] == w11]
+    root = from_preference(cells, pairs)
+    sys_ = with_prior(source, MappedMeasure(source.runs, root, [cells.index(r.envs) for r in source.runs]))
+    assert not update._blocks_closed(sys_.index)
+    report = both_ways(monkeypatch, lambda: validate_upd(sys_, structure=structure))
+    assert report["UPD2"].witness == "cells (0, 0) vs (3, 0): unexpected strict comparison >"
+
+
+def test_upd4_compares_nothing_for_an_observation_with_no_live_sequence(monkeypatch, no_p_at_11):
+    # only observing p is informative there; a comparison belongs to the
+    # last observation whose events were built
+    structure = no_p_at_11.prior.structure
+    reference = list(upd4_reference(no_p_at_11, structure, 2187))
+    built, compared = [], []
+    event, compare = update._upd4_event, PreferentialMeasure._compare
+    monkeypatch.setattr(update, "_upd4_event", lambda *args: built.append(args[2]) or event(*args))
+    monkeypatch.setattr(
+        PreferentialMeasure, "_compare", lambda *args: compared.append(built[-1]) or compare(*args)
+    )
+    assert list(update._check_upd4(no_p_at_11, structure, 2187)) == reference != []
+    assert list(dict.fromkeys(built)) == [(), (TRUE,), (P_,), (Not(Q_),)]
+    assert compared and set(compared) == {(P_,)}
+
+
+def test_upd4_finds_every_witness_of_the_reference(no_p_at_11):
+    # ranked on the worlds at times 0 and 1, with 11 at time 1 first:
+    # pairs whose second sequence is not live fail too, after the first
+    # witness
+    structure, runs = no_p_at_11.prior.structure, no_p_at_11.runs
+    w = {name: PQ.world_from_str(name) for name in ("00", "10", "11")}
+    ranks = [
+        0 if w1 == w["11"] else 1 if (w0, w1) == (w["00"], w["10"]) else 2
+        for w0 in range(4) for w1 in range(4)
+    ]
+    root = RankedMeasure(range(16), ranks)
+    sys_ = with_prior(no_p_at_11, MappedMeasure(runs, root, [4 * r.envs[0] + r.envs[1] for r in runs]), runs)
+    witnesses = list(update._check_upd4(sys_, structure, 2187))
+    assert len(witnesses) == 234 and witnesses == list(upd4_reference(sys_, structure, 2187))
 
 
 # ---------------------------------------------------------------------------
