@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formulas import (
     TRUE,
@@ -70,6 +70,12 @@ class Ordering(Enum):
     GREATER = ">"
     INCOMPARABLE = "<>"
 
+    def at_least(self) -> bool:
+        return self is Ordering.GREATER or self is Ordering.EQUAL
+
+    def at_most(self) -> bool:
+        return self is Ordering.LESS or self is Ordering.EQUAL
+
 
 class PlausibilityMeasure:
     """Base class: a comparison oracle over subsets of a finite carrier.
@@ -89,7 +95,7 @@ class PlausibilityMeasure:
 
     def at_least(self, a: Event, b: Event) -> bool:
         """Pl(a) >= Pl(b)."""
-        return self.compare(a, b) in (Ordering.GREATER, Ordering.EQUAL)
+        return self.compare(a, b).at_least()
 
     def more_plausible(self, a: Event, b: Event) -> bool:
         """Pl(a) > Pl(b)."""
@@ -177,6 +183,13 @@ def union(masks: Iterable[int]) -> int:
     return out
 
 
+def _rank_order(ra: float, rb: float) -> Ordering:
+    """How two sets whose minimum ranks are ``ra`` and ``rb`` compare."""
+    if ra == rb:
+        return Ordering.EQUAL
+    return Ordering.GREATER if ra < rb else Ordering.LESS
+
+
 class RankedMeasure(PlausibilityMeasure):
     """Totally preordered measure given by a rank per element.
 
@@ -211,10 +224,7 @@ class RankedMeasure(PlausibilityMeasure):
         return INF
 
     def _compare(self, a: int, b: int) -> Ordering:
-        ra, rb = self._rank(a), self._rank(b)
-        if ra == rb:
-            return Ordering.EQUAL
-        return Ordering.GREATER if ra < rb else Ordering.LESS
+        return _rank_order(self._rank(a), self._rank(b))
 
 
 class PreferentialMeasure(PlausibilityMeasure):
@@ -361,6 +371,47 @@ def rank_of(measure: PlausibilityMeasure, event: Event) -> float:
     if not isinstance(root, RankedMeasure):
         raise PlausibilityError("rank_of needs a ranked measure")
     return root._rank(mask)
+
+
+def _reading(measure: PlausibilityMeasure, masks: Sequence[int]) -> Tuple[Callable, List]:
+    """A comparison and one key per carrier mask, such that ``measure``
+    compares two masks as the comparison does their keys: on a ranked root
+    the rank of each root image, on any other root the root image."""
+    root = root_of(measure)[0]
+    root_mask, mask = measure.root_mask, measure.mask
+    keys = [root_mask(mask(Mask(k))) for k in masks]
+    if isinstance(root, RankedMeasure):
+        return _rank_order, [root._rank(k) for k in keys]
+    return root._compare, keys
+
+
+def disagreements(
+    left: PlausibilityMeasure,
+    left_masks: Sequence[int],
+    right: PlausibilityMeasure,
+    right_masks: Sequence[int],
+    relation: Callable[[Ordering], Hashable],
+) -> Iterator[Tuple[int, int]]:
+    """Each entry pair (a, b), in row-major order, on which ``relation`` of
+    ``left``'s verdict on ``(left_masks[a], left_masks[b])`` differs from
+    ``right``'s on the same entries of ``right_masks`` (of the same length).
+
+    Each mask is sent to its measure's root once (:func:`root_of`), and on
+    a ranked root its rank is read once, so a pair compares two root images
+    or two ranks.  When both sides read their keys alike (one root, or two
+    ranked roots), an entry with one key on both sides is neutral: a pair
+    of neutral entries compares alike by construction and is skipped.
+    """
+    left_compare, left_keys = _reading(left, left_masks)
+    right_compare, right_keys = _reading(right, right_masks)
+    entries, shared = range(len(left_keys)), left_compare == right_compare
+    live = [not shared or lk != rk for lk, rk in zip(left_keys, right_keys)]
+    live_entries = list(itertools.compress(entries, live))
+    for a, a_live in zip(entries, live):
+        la, ra = left_keys[a], right_keys[a]
+        for b in entries if a_live else live_entries:
+            if relation(left_compare(la, left_keys[b])) != relation(right_compare(ra, right_keys[b])):
+                yield a, b
 
 
 def rank_levels(ranks: Sequence[float]) -> List[Tuple[float, int]]:

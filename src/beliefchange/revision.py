@@ -11,7 +11,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,8 +34,8 @@ from .plausibility import (
     PlausibilityMeasure,
     PreferentialMeasure,
     RankedMeasure,
+    disagreements,
     extension_representatives,
-    rank_of,
     root_of,
     union,
 )
@@ -586,29 +585,17 @@ def _check_observation_neutrality(
     """Shared sweep for the strong and weak forms: yields each mismatch
     with whether its conditional side has positive plausibility.
 
-    The conditional side evaluates each probe at the time of the last
-    observation (the reading conditioning actually uses); the conjunction
-    side evaluates probe-and-observations at time 0.  Under REV1 the two
-    timings coincide.  A pair of probes whose two sides each have one root
-    image (see :func:`plausibility.root_of`) compares alike by construction,
-    so it counts against the budget without being compared.  The pairs
-    after the sequences of one length form one part of the budget: a part
-    past it raises :class:`BudgetError` before it is swept.  On a ranked
-    root each side's rank is read once per (sequence, probe), and a pair
-    compares two ranks; any other root compares the two events.
+    Each probe gives two events: the conditional one evaluates the probe at
+    the time of the last observation (the reading conditioning actually
+    uses), the conjunction one probe-and-observations at time 0; under
+    REV1 the two timings coincide.  The probe pairs after the sequences of
+    one length form one part of the budget: a part past it raises
+    :class:`BudgetError` before it is swept.
     """
-    vocab = sys.vocab
-    index = sys.index
+    vocab, index = sys.vocab, sys.index
     prior = index.prior
-    root_mask = prior.root_mask
-    if isinstance(root_of(prior)[0], RankedMeasure):
-        # min-rank law: Pl(A) >= Pl(B) iff rank(A) <= rank(B)
-        read, at_least = functools.partial(rank_of, prior), operator.le
-    else:
-        read, at_least = (lambda event: event), prior.at_least
     probes = list(probes)
     exts = [vocab.extension(f) for f in probes]
-    pairs = list(itertools.product(range(len(probes)), repeat=2))
     obs_sequences = [tuple(seq) for seq in obs_sequences]
     parts = collections.Counter(map(len, obs_sequences))
     for seq in obs_sequences:
@@ -616,20 +603,15 @@ def _check_observation_neutrality(
         part = parts.pop(m, 0)
         if part:
             what = f"probe pairs after {m}-observation sequences"
-            check_budget("REV4", part * len(pairs), what, budget)
+            check_budget("REV4", part * len(probes) ** 2, what, budget)
         conj_ext = sys.universe
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
         prefix_runs = runs_with_observations(sys, seq)
         cond_event = [Mask(prefix_runs & index.env_event(m, ext)) for ext in exts]
         conj_event = [index.env_event(0, ext & conj_ext) for ext in exts]
-        neutral = [root_mask(a) == root_mask(b) for a, b in zip(cond_event, conj_event)]
-        cond, conj = list(map(read, cond_event)), list(map(read, conj_event))
-        for i, j in pairs:
-            if neutral[i] and neutral[j]:
-                continue
-            if at_least(cond[i], cond[j]) != at_least(conj[i], conj[j]):
-                yield (
-                    f"probes ({probes[i]}, {probes[j]}) after observing {seq_str(seq)}",
-                    not prior.is_bottom(cond_event[i]),
-                )
+        for i, j in disagreements(prior, cond_event, prior, conj_event, Ordering.at_least):
+            yield (
+                f"probes ({probes[i]}, {probes[j]}) after observing {seq_str(seq)}",
+                not prior.is_bottom(cond_event[i]),
+            )

@@ -29,10 +29,10 @@ from .formulas import (
 )
 from .plausibility import (
     MappedMeasure,
-    Mask,
     PreferentialMeasure,
     RankedMeasure,
     bits,
+    disagreements,
     mask_of,
     root_of,
 )
@@ -255,10 +255,7 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
         check_budget("PRIOR-ISO", 4 ** n, f"subset pairs of {n} runs", budget)
         masks = range(1 << n)
 
-    def image(mask: int) -> Mask:
-        return Mask(mask_of([to_source[i] for i in bits(mask)]))
-
-    for a, b in itertools.product(masks, repeat=2):
-        if star.compare(Mask(a), Mask(b)) is not source.compare(image(a), image(b)):
-            sizes = (a.bit_count(), b.bit_count())
-            yield f"subset pair of sizes {sizes} compares differently"
+    images = [mask_of([to_source[i] for i in bits(mask)]) for mask in masks]
+    for a, b in disagreements(star, masks, source, images, lambda order: order):
+        sizes = (masks[a].bit_count(), masks[b].bit_count())
+        yield f"subset pair of sizes {sizes} compares differently"

@@ -35,6 +35,7 @@ from .plausibility import (
     RankedMeasure,
     bits,
     check_monotonicity,
+    disagreements,
     group_positions,
     is_qualitative,
     mask_of,
@@ -517,7 +518,8 @@ def check_prior_local_rule(sys: System, budget: int = 100_000) -> Report:
     A measure obtained by conditioning the prior (BCS5) satisfies the rule
     by construction, since both sides reduce to the same prior comparison.
     So only the steps into or out of a local state with an entry in
-    ``point_measures`` are swept; a swept state whose 4^n subset pairs
+    ``point_measures`` are swept; a step with an override that is not over
+    its state's points fails, and a swept state whose 4^n subset pairs
     exceed ``budget`` raises :class:`BudgetError`.
 
     The sweep stops at the first local state that breaks the rule, so a
@@ -538,10 +540,17 @@ def _local_rule_failures(sys: System, budget: int) -> Iterator[str]:
         s_prev = s_next[:-1]
         if s_prev not in overrides and s_next not in overrides:
             continue
+        later, earlier = sys.plaus_at(s_next), sys.plaus_at(s_prev)
+        mismatched = [
+            s for s, measure in ((s_prev, earlier), (s_next, later))
+            if set(measure.carrier) != set(sys.points_with_local_state(s))
+        ]
+        if mismatched:
+            yield f"carrier mismatch at {seq_str(mismatched[0])}"
+            continue
         nxt = sys.points_with_local_state(s_next)
         points = f"the {len(nxt)} points at local state {seq_str(s_next)}"
         check_budget("LOCAL-RULE", 4 ** len(nxt), f"subset pairs of {points}", budget)
-        later, earlier = sys.plaus_at(s_next), sys.plaus_at(s_prev)
         m = len(s_prev)
         # subset k of the later points, as each measure's carrier mask
         later_masks, earlier_masks = [0], [0]
@@ -549,39 +558,8 @@ def _local_rule_failures(sys: System, budget: int) -> Iterator[str]:
             bit, earlier_bit = later.mask([(run, m + 1)]), earlier.mask([(run, m)])
             later_masks += [k | bit for k in later_masks]
             earlier_masks += [k | earlier_bit for k in earlier_masks]
-        masks = _first_disagreement(
-            later,
-            later_masks,
-            earlier,
-            earlier_masks,
-            lambda order: order in (Ordering.LESS, Ordering.EQUAL),
-        )
-        if masks is not None:
-            a, b = masks
+        for a, b in disagreements(later, later_masks, earlier, earlier_masks, Ordering.at_most):
             yield f"local state {seq_str(s_next)}: subset masks ({a:#x}, {b:#x}) disagree"
-
-
-def _first_disagreement(
-    left: PlausibilityMeasure,
-    left_masks: Sequence[int],
-    right: PlausibilityMeasure,
-    right_masks: Sequence[int],
-    relation,
-) -> Optional[Tuple[int, int]]:
-    """The first pair of subset numbers (a, b), in row-major order, on which
-    ``relation`` of the two measures' verdicts differs: ``left`` compares
-    ``left_masks[a]`` with ``left_masks[b]``, ``right`` the same entries of
-    ``right_masks`` (of the same length).  None if there is no such pair."""
-
-    def verdicts(measure, masks):
-        compare, masks = measure.compare, [Mask(k) for k in masks]
-        return (relation(compare(a, b)) for a in masks for b in masks)
-
-    pairs = zip(verdicts(left, left_masks), verdicts(right, right_masks))
-    for index, (left_verdict, right_verdict) in enumerate(pairs):
-        if left_verdict != right_verdict:
-            return divmod(index, len(left_masks))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +677,7 @@ def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
         points = f"the {len(pts)} points at local state {seq_str(s_a)}"
         check_budget("BCS5", 4 ** len(pts), f"subset pairs of {points}", budget)
         subsets = range(1 << len(pts))
-        masks = _first_disagreement(override, subsets, conditioned, subsets, lambda order: order)
-        if masks is not None:
-            a, b = masks
+        for a, b in disagreements(override, subsets, conditioned, subsets, lambda order: order):
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
     base = root_of(sys.prior)[0]
     if _axioms_by_construction(base):

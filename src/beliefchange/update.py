@@ -35,6 +35,7 @@ from .plausibility import (
     Ordering,
     PreferentialMeasure,
     bits,
+    disagreements,
     group_positions,
     mask_of,
     root_of,
@@ -709,36 +710,21 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     """Biconditional between observed events and their conjunction-only
     counterparts, over every formula/observation sequence with at most one
     observation; the instances with k observations are one part of the
-    budget.
-
-    An instance whose two formula sequences each give an observed event
-    with the root image of its merely-true counterpart holds by
-    construction (see :func:`plausibility.root_of`), so only the others are compared.
-    Per observation, the sequences that are not so (the live ones) are found
-    once; an observation with none is skipped, and otherwise each pair with
-    a live side is compared, in product order.
+    budget.  All of one observation's events are built before its pairs
+    are compared.
     """
     menu = list(sys.menu)
     probes = list(dict.fromkeys(menu))
-    event = functools.cache(functools.partial(_upd4_event, sys))
     prior = sys.index.prior
-    root_mask = prior.root_mask
-
     for k in range(min(2, sys.horizon)):
         count = len(menu) ** k * len(probes) ** (2 * k + 4)
         check_budget("UPD4", count, f"instances with {('no', 'one')[k]} observation", budget)
         sequences = list(itertools.product(probes, repeat=k + 2))
         for obs in itertools.product(menu, repeat=k):
-            live = [root_mask(event(f, obs, True)) != root_mask(event(f, obs, False)) for f in sequences]
-            live_sequences = list(itertools.compress(sequences, live))
-            if not live_sequences:
-                continue
-            for fa, fa_live in zip(sequences, live):
-                for fb in sequences if fa_live else live_sequences:
-                    lhs = prior.at_least(event(fa, obs, True), event(fb, obs, True))
-                    rhs = prior.at_least(event(fa, obs, False), event(fb, obs, False))
-                    if lhs != rhs:
-                        yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
+            observed = [_upd4_event(sys, f, obs, True) for f in sequences]
+            merely_true = [_upd4_event(sys, f, obs, False) for f in sequences]
+            for a, b in disagreements(prior, observed, prior, merely_true, Ordering.at_least):
+                yield f"formulas {seq_str(sequences[a])} vs {seq_str(sequences[b])} observing {seq_str(obs)}"
 
 
 def _upd4_event(sys: System, formulas, obs, observed: bool) -> Mask:

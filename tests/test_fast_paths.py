@@ -1,16 +1,17 @@
 """Each fast path against the slow reference it replaces.
 
-UPD4, REV4/REV4' and PRIOR-ISO skip the pairs whose two sides have one
-root image; the reference sweeps below compare every pair.  UPD2 skips
-the cells with different first worlds when the initial-world blocks are
-closed; its reference compares every pair of cells and reads the
-cell-dominance criterion off ``prec`` for every pair of cells.  On a ranked
-root REV4/REV4' compare ranks read once per probe; the reference compares
-the events with ``at_least``.  On ranked and preferential roots PRIOR-ISO
-compares only the empty set and one run per image class; the reference
-compares every subset pair, so it runs on small twins only.  ``min_u``
-reads the structure's table of farther worlds; the reference asks the
-distance order directly.
+UPD4, REV4/REV4', PRIOR-ISO, BCS5's override check and LOCAL-RULE search
+through ``disagreements``: it skips the pairs whose two sides have one
+root image and, on a ranked root, compares ranks read once per entry.
+It is checked against the literal row-major sweep, and the reference
+checkers below compare every pair of events.  UPD2
+skips the cells with different first worlds when the initial-world
+blocks are closed; its reference compares every pair of cells and reads
+the cell-dominance criterion off ``prec`` for every pair of cells.  On
+ranked and preferential roots PRIOR-ISO compares only the empty set and
+one run per image class; the reference compares every subset pair, so it
+runs on small twins only.  ``min_u`` reads the structure's table of
+farther worlds; the reference asks the distance order directly.
 """
 import itertools
 import os
@@ -31,6 +32,7 @@ from beliefchange.plausibility import (
     PreferentialMeasure,
     RankedMeasure,
     bits,
+    disagreements,
     from_preference,
     root_of,
 )
@@ -422,21 +424,108 @@ def test_rev4_budget_counts_skipped_pairs(monkeypatch, budget):
 
 
 # ---------------------------------------------------------------------------
+# the shared search against the literal row-major sweep
+
+
+def disagreements_reference(left, left_masks, right, right_masks, relation):
+    n = len(left_masks)
+    return (
+        (a, b)
+        for a, b in itertools.product(range(n), repeat=2)
+        if relation(left.compare(Mask(left_masks[a]), Mask(left_masks[b])))
+        != relation(right.compare(Mask(right_masks[a]), Mask(right_masks[b])))
+    )
+
+
+def _root(kind, size, rng):
+    """A root measure of one kind over ``range(size)``."""
+    if kind == "ranked":
+        return RankedMeasure(range(size), [rng.choice([0, 1, 1, 2, INF]) for _ in range(size)])
+    if kind == "preference":
+        order = rng.sample(range(size), size)
+        return from_preference(range(size), [
+            (x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.4
+        ])
+    weights = [rng.randrange(3) for _ in range(size)]  # custom: additive weights
+
+    def compare(a, b):
+        va, vb = sum(weights[x] for x in a), sum(weights[x] for x in b)
+        return Ordering.EQUAL if va == vb else Ordering.GREATER if va > vb else Ordering.LESS
+
+    return CustomMeasure(range(size), compare)
+
+
+ROOT_KINDS = ["ranked", "preference", "custom"]
+
+
+def _measure_pair(kind, rng):
+    """Two measures over ``range(6)``: roots of one kind (one root shared,
+    or two), or mapped chains onto one shared root (the right side a chain
+    of two with the left side's image) or onto two roots."""
+    if kind in ROOT_KINDS:
+        left = _root(kind, 6, rng)
+        return left, left if rng.random() < 0.5 else _root(kind, 6, rng)
+    image = [rng.randrange(4) for _ in range(6)]
+    if kind == "mapped-shared":
+        root = _root(rng.choice(ROOT_KINDS), 4, rng)
+        perm = rng.sample(range(6), 6)
+        middle = MappedMeasure(range(6), root, [image[perm.index(j)] for j in range(6)])
+        return MappedMeasure(range(6), root, image), MappedMeasure(range(6), middle, perm)
+    roots = [_root(rng.choice(ROOT_KINDS), 4, rng) for _ in range(2)]
+    return MappedMeasure(range(6), roots[0], image), MappedMeasure(range(6), roots[1], image)
+
+
+def _neutral(left, left_masks, right, right_masks):
+    """How many entries have one root image on a shared root."""
+    if root_of(left)[0] is not root_of(right)[0]:
+        return None
+    return sum(left.root_mask(a) == right.root_mask(b) for a, b in zip(left_masks, right_masks))
+
+
+@pytest.mark.parametrize("kind", ROOT_KINDS + ["mapped-shared", "mapped-two-roots"])
+def test_disagreements_match_the_literal_sweep(kind):
+    relations = [lambda order: order, Ordering.at_least, Ordering.at_most]
+    neutral, found = set(), set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        left, right = _measure_pair(kind, rng)
+        left_masks = [0, 63] + [rng.randrange(64) for _ in range(6)]
+        # entries kept on both sides (all neutral on a shared root), redrawn
+        # on the right (mostly none neutral), or both
+        for keep in (1.0, 0.0, 0.5):
+            right_masks = [k if rng.random() < keep else rng.randrange(64) for k in left_masks]
+            count = _neutral(left, left_masks, right, right_masks)
+            if count is not None:
+                neutral.add("all" if count == len(left_masks) else "mixed" if count else "none")
+            for relation in relations:
+                want = list(disagreements_reference(left, left_masks, right, right_masks, relation))
+                assert list(disagreements(left, left_masks, right, right_masks, relation)) == want
+                found.add(bool(want))
+    assert found == {False, True}
+    assert neutral == (set() if kind == "mapped-two-roots" else {"all", "mixed", "none"})
+
+
+# ---------------------------------------------------------------------------
 # the saved work
 
 
-@pytest.fixture()
-def root_compares(monkeypatch):
-    """Counts the root measure's comparisons on an update system."""
+def counted_compares(monkeypatch, kind):
+    """The list each ``kind._compare`` call appends its two masks to."""
     calls = []
-    original = PreferentialMeasure._compare
+    original = kind._compare
 
     def counted(self, a, b):
         calls.append((a, b))
         return original(self, a, b)
 
-    monkeypatch.setattr(PreferentialMeasure, "_compare", counted)
+    monkeypatch.setattr(kind, "_compare", counted)
     return calls
+
+
+@pytest.fixture()
+def root_compares(monkeypatch):
+    """Counts the root measure's comparisons on an update system."""
+    return counted_compares(monkeypatch, PreferentialMeasure)
 
 
 def test_small_update_upd4_and_prior_iso_compare_nothing(root_compares):
@@ -445,6 +534,29 @@ def test_small_update_upd4_and_prior_iso_compare_nothing(root_compares):
     assert witnesses == [] and root_compares == []
     assert list(synthesis._check_prior_isomorphism(statify(sys_), 60_000)) == []
     assert root_compares == []
+
+
+def test_tampered_small_update_prior_iso_compares_less(root_compares):
+    # only the classes of the two swapped runs are live: the witness comes
+    # after 10 root compares, where the sweep over every pair of the
+    # empty set and one run per class makes 140
+    _, sys_ = _scenario_system("small_update.scn")
+    st = tampered(statify(sys_))
+    witness = "subset pair of sizes (1, 1) compares differently"
+    assert next(synthesis._check_prior_isomorphism(st, 60_000)) == witness
+    assert len(root_compares) == 10
+    root_compares.clear()
+    star, source = st.inner.index.prior, st.source.index.prior
+    position = {run: i for i, run in enumerate(st.source.runs)}
+    sources = [1 << position[st.to_source[run]] for run in st.inner.runs]
+    first = {}
+    for i, k in enumerate(sources):
+        first.setdefault((star.root_mask(1 << i), source.root_mask(k)), i)
+    kept = list(first.values())
+    masks, images = [0] + [1 << i for i in kept], [0] + [sources[i] for i in kept]
+    a, b = next(disagreements_reference(star, masks, source, images, lambda order: order))
+    assert (masks[a].bit_count(), masks[b].bit_count()) == (1, 1)
+    assert len(root_compares) == 140
 
 
 def test_small_update_twin_rev4_compares_less(root_compares):
@@ -504,7 +616,7 @@ def test_upd4_compares_nothing_for_an_observation_with_no_live_sequence(monkeypa
     assert compared and set(compared) == {(P_,)}
 
 
-def test_upd4_finds_every_witness_of_the_reference(no_p_at_11):
+def test_upd4_finds_every_witness_of_the_reference(monkeypatch, no_p_at_11):
     # ranked on the worlds at times 0 and 1, with 11 at time 1 first:
     # pairs whose second sequence is not live fail too, after the first
     # witness
@@ -516,7 +628,10 @@ def test_upd4_finds_every_witness_of_the_reference(no_p_at_11):
     ]
     root = RankedMeasure(range(16), ranks)
     sys_ = with_prior(no_p_at_11, MappedMeasure(runs, root, [4 * r.envs[0] + r.envs[1] for r in runs]), runs)
-    witnesses = list(update._check_upd4(sys_, structure, 2187))
+    with monkeypatch.context() as m:
+        calls = counted_compares(m, RankedMeasure)
+        witnesses = list(update._check_upd4(sys_, structure, 2187))
+    assert calls == []  # ranks are read once per event
     assert len(witnesses) == 234 and witnesses == list(upd4_reference(sys_, structure, 2187))
 
 
@@ -618,14 +733,7 @@ def test_diagnosis_rev4_fails_on_fault_probes():
 
 def test_ranked_rev4_compares_no_events(monkeypatch):
     sys_, probes, seqs = RANKED_SWEEPS["seeded-0"]
-    calls = []
-    original = RankedMeasure._compare
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        return original(self, a, b)
-
-    monkeypatch.setattr(RankedMeasure, "_compare", counted)
+    calls = counted_compares(monkeypatch, RankedMeasure)
     sweep = list(revision._check_observation_neutrality(sys_, probes, seqs, 100_000))
     # only each witness's bottom test compares
     assert sweep and len(calls) == len(sweep)

@@ -308,6 +308,24 @@ def test_local_rule_catches_inconsistent_override(revsys):
     assert not check_prior_local_rule(sys_).all_passed
 
 
+def test_local_rule_reports_an_override_over_the_wrong_points():
+    # an override missing the last point of <p, !q> fails as BCS5 does,
+    # before the state's budget check
+    scenario = load_scenario(os.path.join(SCENARIOS, "ranked_basic.scn"))
+    sys_ = build_system(scenario)
+    s_a = (P_, Not(Q_))
+    pts = sys_.points_with_local_state(s_a)
+    short = RankedMeasure(pts[:-1], [0] * (len(pts) - 1))
+    sys_ = System(
+        sys_.vocab, sys_.runs, sys_.prior, sys_.horizon,
+        universe=sys_.universe, menu=sys_.menu, point_measures={s_a: short},
+    )
+    assert validate_bcs(sys_)["BCS5"].witness == "carrier mismatch at <p, !q>"
+    for budget in (100_000, 0):
+        report = check_prior_local_rule(sys_, budget=budget)
+        assert report["LOCAL-RULE"].witness == "carrier mismatch at <p, !q>"
+
+
 NUMPY_FREE = """
 import importlib, pkgutil, sys
 import beliefchange
