@@ -215,7 +215,8 @@ class RankedMeasure(PlausibilityMeasure):
     @cached_property
     def _levels(self) -> List[Tuple[float, int]]:
         """(rank, mask of the elements with that rank), finite ranks ascending."""
-        return rank_levels(self.ranks)
+        by_rank = group_positions(self.ranks)
+        return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
     def _rank(self, a: int) -> float:
         for rank, level in self._levels:
@@ -412,12 +413,6 @@ def disagreements(
         for b in entries if a_live else live_entries:
             if relation(left_compare(la, left_keys[b])) != relation(right_compare(ra, right_keys[b])):
                 yield a, b
-
-
-def rank_levels(ranks: Sequence[float]) -> List[Tuple[float, int]]:
-    """(rank, mask of the positions with that rank), finite ranks ascending."""
-    by_rank = group_positions(ranks)
-    return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
 
 
 def strict_closure(carrier: Sequence[Hashable], pairs: Iterable[tuple]) -> Optional[List[int]]:

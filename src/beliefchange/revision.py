@@ -64,7 +64,6 @@ class RevisionOperator:
 
     apply: Callable[[Extension, Extension], Extension]
     vocab: Vocabulary
-    provenance: str = "external"
 
     def __call__(self, belief: Extension, observed: Extension) -> Extension:
         return self.apply(frozenset(belief), frozenset(observed))
@@ -98,7 +97,7 @@ def _ranked_reviser(ranks: Mapping[int, float]) -> Callable[[Extension, Extensio
 def operator_from_ranking(ranks: Mapping[int, float], vocab: Vocabulary) -> RevisionOperator:
     """Min-rank revision under ``ranks``; the rank-minimal belief it demands
     is found once, not on every call."""
-    return RevisionOperator(_ranked_reviser(dict(ranks)), vocab, provenance="from-ranking")
+    return RevisionOperator(_ranked_reviser(dict(ranks)), vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def revision_from_system(sys: System, validate: bool = True) -> RevisionOperator
             raise RevisionError("operator is induced at the system's initial belief only")
         return believed(sys, sys.index.env_event(0, observed), 0)
 
-    return RevisionOperator(apply, sys.vocab, provenance="from-system")
+    return RevisionOperator(apply, sys.vocab)
 
 
 def revise_at_state(sys: System, s_a: LocalState, observed: Formula) -> Extension:

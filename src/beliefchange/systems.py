@@ -33,13 +33,13 @@ from .plausibility import (
     PlausibilityMeasure,
     PreferentialMeasure,
     RankedMeasure,
+    _reading,
     bits,
     check_monotonicity,
     disagreements,
     group_positions,
     is_qualitative,
     mask_of,
-    rank_levels,
     root_of,
     union,
 )
@@ -204,8 +204,8 @@ class RunIndex:
     a prefix of length m with an observation column at time m + 1, kept
     when non-empty, so the prefixes cost at most the sum over m of
     |prefixes of length m| * |observations at time m + 1| ANDs.  Every
-    other event is ``&`` and ``|`` of those.  Under a ranked prior, the
-    prior's rank levels are derived from them when first read.
+    other event is ``&`` and ``|`` of those.  The root image of each
+    (time, world) mask is built when :meth:`root_blocks` first asks.
     """
 
     def __init__(self, sys: System):
@@ -271,18 +271,16 @@ class RunIndex:
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
+        self._root_blocks: Dict[int, Optional[Dict[int, int]]] = {}
 
-    @cached_property
-    def levels(self) -> List[Tuple[float, int]]:
-        """(rank, run mask) per finite rank of a ranked prior, ascending: its
-        root's level masks pulled back through the prior's image."""
-        root, image = root_of(self.prior)
-        if not isinstance(root, RankedMeasure):
-            raise RunSystemError("rank levels need a ranked prior")
-        if image is None:
-            return root._levels
-        ranks = root.ranks
-        return rank_levels([ranks[j] for j in image])
+    def root_blocks(self, time: int) -> Optional[Dict[int, int]]:
+        """World -> the root image (:func:`root_of`) of its runs at ``time``;
+        None when two worlds' images meet.  Built once per time."""
+        if time not in self._root_blocks:
+            images = {w: self.prior.root_mask(runs) for w, runs in self.at[time].items()}
+            disjoint = sum(map(int.bit_count, images.values())) == union(images.values()).bit_count()
+            self._root_blocks[time] = images if disjoint else None
+        return self._root_blocks[time]
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
         """Runs whose observation sequence starts with ``s_a``."""
@@ -357,32 +355,31 @@ def believed(sys: System, event: int, time: int) -> Extension:
     """The worlds at ``time`` that the prior, conditioned on the run mask
     ``event``, does not disbelieve: a world survives when the event's runs
     outside it are not strictly more plausible than its runs in it.  Empty
-    when the event sits at bottom.
+    when the event is empty or sits at bottom.
 
-    Under a ranked prior these are the worlds of the event's least-ranked
-    runs: the first of the run index's rank levels that meets the event.
+    When the worlds' root images are disjoint (:meth:`RunIndex.root_blocks`)
+    they split the event's root image as the worlds split its runs, so the
+    event is sent to the prior's root once and read there.
     """
+    if not event:
+        return frozenset()
     index = sys.index
-    if not isinstance(root_of(index.prior)[0], RankedMeasure):
+    blocks = index.root_blocks(time)
+    if blocks is None:
         return _not_disbelieved(index.prior, event, index.at[time])
-    for _, level in index.levels:
-        hits = level & event
-        if hits:
-            return frozenset(w for w, runs in index.at[time].items() if runs & hits)
-    return frozenset()
+    return _not_disbelieved(root_of(index.prior)[0], index.prior.root_mask(event), blocks)
 
 
 def _not_disbelieved(measure: PlausibilityMeasure, event: int, rows: Dict[int, int]) -> Extension:
     """The worlds w, of ``rows`` (world -> carrier mask), whose part of
-    ``event`` the rest of the event does not beat under ``measure``."""
+    ``event`` the rest of the event does not beat under ``measure``; each
+    side is read once, as :func:`disagreements` reads its entries."""
     if measure.is_bottom(Mask(event)):
         return frozenset()
-    out = []
-    for w, row in rows.items():
-        holders = event & row
-        if holders and not measure.more_plausible(Mask(event & ~holders), Mask(holders)):
-            out.append(w)
-    return frozenset(out)
+    parts = {w: holders for w, row in rows.items() if (holders := event & row)}
+    compare, keys = _reading(measure, [side for h in parts.values() for side in (event & ~h, h)])
+    beaten = map(compare, keys[::2], keys[1::2])
+    return frozenset(w for w, order in zip(parts, beaten) if order is not Ordering.GREATER)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +548,20 @@ def _local_rule_failures(sys: System, budget: int) -> Iterator[str]:
         nxt = sys.points_with_local_state(s_next)
         points = f"the {len(nxt)} points at local state {seq_str(s_next)}"
         check_budget("LOCAL-RULE", 4 ** len(nxt), f"subset pairs of {points}", budget)
-        m = len(s_prev)
-        # subset k of the later points, as each measure's carrier mask
-        later_masks, earlier_masks = [0], [0]
-        for (run, _) in nxt:
-            bit, earlier_bit = later.mask([(run, m + 1)]), earlier.mask([(run, m)])
-            later_masks += [k | bit for k in later_masks]
-            earlier_masks += [k | earlier_bit for k in earlier_masks]
+        later_masks = _subset_masks(later, nxt)
+        earlier_masks = _subset_masks(earlier, [(run, len(s_prev)) for run, _ in nxt])
         for a, b in disagreements(later, later_masks, earlier, earlier_masks, Ordering.at_most):
             yield f"local state {seq_str(s_next)}: subset masks ({a:#x}, {b:#x}) disagree"
+
+
+def _subset_masks(measure: PlausibilityMeasure, points: Sequence[Point]) -> List[int]:
+    """Entry k: the measure's carrier mask of the points whose positions in
+    ``points`` are the bits of k, whatever order its carrier lists them in."""
+    masks = [0]
+    for point in points:
+        bit = measure.mask([point])
+        masks += [k | bit for k in masks]
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -663,21 +665,21 @@ def _axioms_by_construction(root: PlausibilityMeasure) -> str:
 
 def _check_conditioning(sys: System, budget: int) -> Iterator[str]:
     """The per-point measures must be exactly the prior conditioned on the
-    local state, over every subset pair, and the prior's root must be
-    qualitative and monotone: by construction for a ranked or preferential
+    local state, over its points in any order and every subset pair, and
+    the prior's root must be qualitative and monotone: by construction for a ranked or preferential
     root, by an exhaustive sweep of any other.  An override whose 4^n
     subset pairs, or a swept root whose 4^n disjoint triples, exceed
     ``budget`` raises :class:`BudgetError`."""
     for s_a, override in (sys.point_measures or {}).items():
         conditioned = _conditioned_prior(sys, s_a)
         pts = conditioned.carrier
-        if tuple(override.carrier) != pts:
+        if set(override.carrier) != set(pts):
             yield f"carrier mismatch at {seq_str(s_a)}"
             continue
         points = f"the {len(pts)} points at local state {seq_str(s_a)}"
         check_budget("BCS5", 4 ** len(pts), f"subset pairs of {points}", budget)
-        subsets = range(1 << len(pts))
-        for a, b in disagreements(override, subsets, conditioned, subsets, lambda order: order):
+        masks = _subset_masks(override, pts)  # subset k of pts, on the override
+        for a, b in disagreements(override, masks, conditioned, range(len(masks)), lambda order: order):
             yield f"measure at {seq_str(s_a)} is not the conditioned prior (masks {a:#x}, {b:#x})"
     base = root_of(sys.prior)[0]
     if _axioms_by_construction(base):

@@ -14,7 +14,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .formulas import (
     TRUE,
@@ -435,8 +435,10 @@ def minimal_prefix_cells(
     observations; a prefix cell is strictly below the rest of its event
     exactly when some other cell beats it at the first divergence."""
     cells = _obs_consistent_prefixes(structure, observations)
-    order = LexRunOrder(structure)
-    return [c for c in cells if not any(order.prec(d, c) for d in cells if d != c)]
+    prec = LexRunOrder(structure).prec
+    # cells with different first worlds never compare, and come in blocks
+    blocks = [list(block) for _, block in itertools.groupby(cells, operator.itemgetter(0))]
+    return [c for block in blocks for c in block if not any(prec(d, c) for d in block if d != c)]
 
 
 def states(sys: System, s_a: LocalState, structure: Optional[UpdateStructure] = None) -> Extension:
@@ -579,80 +581,92 @@ def validate_upd(
 
 
 def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterator[str]:
-    """Cell comparisons against the first-divergence rule, then menu-sequence
-    events against the cell-dominance criterion.
+    """Cell pairs against the first-divergence order on the cells
+    (:func:`_cell_order`), then menu-sequence events against its lift.
 
     When the initial-world blocks are closed (:func:`_blocks_closed`), two
-    cells with different first worlds compare INCOMPARABLE, as
-    :meth:`LexRunOrder.prec` expects, so only cells with one first world
-    are compared; ``itertools.product`` lists those contiguously, so the
-    pairs keep their ``combinations`` order.  The budget counts every pair.
+    cells with different first worlds compare INCOMPARABLE, as the order
+    expects, so only cells with one first world are compared;
+    ``itertools.product`` lists those contiguously, so the pairs keep their
+    ``combinations`` order.  The budget counts every pair.
     """
-    order = LexRunOrder(structure)
     index = sys.index
     prior = index.prior
     worlds = structure.worlds
     closed = _blocks_closed(index)
+    order = functools.cache(functools.partial(_cell_order, structure))
 
     # consistency with the distance: cell comparisons follow the
     # first-divergence rule
     for n in range(2, min(sys.horizon + 1, 3) + 1):
-        cells = list(itertools.product(worlds, repeat=n))
-        check_budget("UPD2", len(cells) * (len(cells) - 1) // 2, f"pairs of length-{n} cells", budget)
-        groups = {cell: _cell_event(index, cell) for cell in cells}
-        pairs = itertools.combinations(cells, 2)
+        count = len(worlds) ** n
+        check_budget("UPD2", count * (count - 1) // 2, f"pairs of length-{n} cells", budget)
+        cells, rows = order(n).carrier, order(n).rows
+        groups = [_cell_event(index, cell) for cell in cells]
+        pairs = itertools.combinations(range(count), 2)
         if closed:
-            size = len(worlds) ** (n - 1)  # cells per first world
+            size = count // len(worlds)  # cells per first world
             pairs = itertools.chain.from_iterable(
-                itertools.combinations(cells[i:i + size], 2) for i in range(0, len(cells), size)
+                itertools.combinations(range(i, i + size), 2) for i in range(0, count, size)
             )
-        for ca, cb in pairs:
-            runs_a, runs_b = groups[ca], groups[cb]
+        for i, j in pairs:
+            runs_a, runs_b = groups[i], groups[j]
             if not runs_a or not runs_b:
                 continue
             got = prior.compare(runs_a, runs_b)
-            lt = order.prec(cb, ca)  # cell b preferred -> a strictly below
-            gt = order.prec(ca, cb)
+            lt = rows[j] >> i & 1  # cell b preferred -> a strictly below
+            gt = rows[i] >> j & 1
             if lt and got is not Ordering.LESS:
-                yield f"cells {ca} vs {cb}: expected strictly below, got {got.value}"
+                yield f"cells {cells[i]} vs {cells[j]}: expected strictly below, got {got.value}"
             elif gt and got is not Ordering.GREATER:
-                yield f"cells {ca} vs {cb}: expected strictly above, got {got.value}"
+                yield f"cells {cells[i]} vs {cells[j]}: expected strictly above, got {got.value}"
             elif not lt and not gt and got in (Ordering.LESS, Ordering.GREATER):
-                yield f"cells {ca} vs {cb}: unexpected strict comparison {got.value}"
-    # prefix-definedness: event comparisons agree with the cell-dominance
-    # criterion
+                yield f"cells {cells[i]} vs {cells[j]}: unexpected strict comparison {got.value}"
+    # prefix-definedness: event comparisons agree with the order's
+    # dominance lift on their cells, one sequence length at a time
     menu = list(sys.menu)
-    seqs = [seq for k in (1, 2) for seq in itertools.product(menu, repeat=k) if k <= sys.horizon + 1]
-    check_budget("UPD2", len(seqs) ** 2, "pairs of menu sequences", budget)
-    event = functools.cache(functools.partial(_formula_prefix_event, sys))
-    dominance = {n: _prefix_dominance(structure, n) for n in {len(seq) for seq in seqs}}
-    for sa, sb in itertools.product(seqs, repeat=2):
-        if len(sa) != len(sb):
-            continue
-        got = prior.at_least(event(sa), event(sb))
-        want = dominance[len(sa)](sa, sb)
-        if got != want:
-            yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {want}"
+    seqs = [list(itertools.product(menu, repeat=k)) for k in (1, 2) if k <= sys.horizon + 1]
+    check_budget("UPD2", sum(map(len, seqs)) ** 2, "pairs of menu sequences", budget)
+    for same_length in seqs:
+        reference = order(len(same_length[0]))
+        events = [_formula_prefix_event(sys, seq) for seq in same_length]
+        cell_masks = [
+            reference.mask(itertools.product(*map(structure.extension, seq))) for seq in same_length
+        ]
+        for a, b in disagreements(prior, events, reference, cell_masks, Ordering.at_least):
+            got = prior.at_least(events[a], events[b])
+            sa, sb = same_length[a], same_length[b]
+            yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {not got}"
+
+
+def _cell_order(structure: UpdateStructure, n: int) -> PreferentialMeasure:
+    """The first-divergence order (:meth:`LexRunOrder.prec`) on the length-n
+    cells, listed in ``itertools.product`` order.  Cells with different
+    first worlds never compare, and that order lists the cells of one first
+    world next to each other, so ``prec`` is asked of those pairs only."""
+    prec = LexRunOrder(structure).prec
+    cells = list(itertools.product(structure.worlds, repeat=n))
+    size = len(cells) // len(structure.worlds)  # cells per first world
+    rows: List[int] = []
+    for start in range(0, len(cells), size):
+        block = range(start, start + size)
+        rows += [mask_of(j for j in block if prec(cells[i], cells[j])) for i in block]
+    return PreferentialMeasure(cells, rows)
 
 
 def _blocks_closed(index) -> bool:
     """Whether runs with different initial worlds never compare strictly:
     the prior's root is a dominance lift, the root images of the blocks
-    ``index.at[0][w]`` are pairwise disjoint, and the root row of each
-    element of a block's image stays inside that image.  Then no element of
-    one image beats one of another, so two non-empty events from different
-    blocks are INCOMPARABLE (README, "Run systems")."""
-    prior = index.prior
-    root = root_of(prior)[0]
-    if not isinstance(root, PreferentialMeasure):
+    ``index.at[0][w]`` are pairwise disjoint (``index.root_blocks(0)``),
+    and the root row of each element of a block's image stays inside that
+    image.  Then no element of one image beats one of another, so two
+    non-empty events from different blocks are INCOMPARABLE (README, "Run
+    systems")."""
+    root = root_of(index.prior)[0]
+    blocks = index.root_blocks(0)
+    if not isinstance(root, PreferentialMeasure) or blocks is None:
         return False
-    seen = 0
-    for block in index.at[0].values():
-        image = prior.root_mask(block)
-        if image & seen or union(root.rows[i] for i in bits(image)) & ~image:
-            return False
-        seen |= image
-    return True
+    return not any(union(root.rows[i] for i in bits(image)) & ~image for image in blocks.values())
 
 
 def _cell_event(index, cell: Sequence[int]) -> Mask:
@@ -670,27 +684,6 @@ def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> Mask:
     for i, f in enumerate(formulas):
         event &= index.env_event(i, sys.vocab.extension(f))
     return Mask(event)
-
-
-def _prefix_dominance(structure: UpdateStructure, n: int) -> Callable[[Sequence[Formula], Sequence[Formula]], bool]:
-    """The prefix-cell criterion on formula sequences of length n: A's cells
-    dominate B's when every cell of B - A is strictly beaten by some cell of
-    A.  Each sequence's cells are a mask over the length-n cells, and each
-    cell has the mask of the cells that beat it, one ``prec`` per pair."""
-    order = LexRunOrder(structure)
-    cells = list(itertools.product(structure.worlds, repeat=n))
-    beaten_by = [mask_of(i for i, ca in enumerate(cells) if order.prec(ca, cb)) for cb in cells]
-
-    @functools.cache
-    def cell_mask(seq) -> int:
-        exts = [structure.extension(f) for f in seq]
-        return mask_of(i for i, c in enumerate(cells) if all(map(operator.contains, exts, c)))
-
-    def dominates(sa, sb) -> bool:
-        a = cell_mask(sa)
-        return all(beaten_by[i] & a for i in bits(cell_mask(sb) & ~a))
-
-    return dominates
 
 
 def _upd3_length(sys: System, structure: UpdateStructure) -> int:

@@ -12,10 +12,16 @@ ranked and preferential roots PRIOR-ISO compares only the empty set and
 one run per image class; the reference compares every subset pair, so it
 runs on small twins only.  ``min_u`` reads the structure's table of
 farther worlds; the reference asks the distance order directly.
+``minimal_prefix_cells`` asks ``prec`` only within a candidate's
+first-world block; the reference scans every cell.  ``believed`` reads
+the prior's root when the worlds' root images are disjoint; the
+reference compares run masks through the prior, world by world.
 """
+import functools
 import itertools
 import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -38,7 +44,15 @@ from beliefchange.plausibility import (
 )
 from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import statify, verify_statification
-from beliefchange.systems import BudgetError, System, check_budget, runs_with_observations
+from beliefchange.systems import (
+    BudgetError,
+    System,
+    _not_disbelieved,
+    bel,
+    believed,
+    check_budget,
+    runs_with_observations,
+)
 from beliefchange.update import (
     check_km,
     hamming_structure,
@@ -509,13 +523,15 @@ def test_disagreements_match_the_literal_sweep(kind):
 # the saved work
 
 
-def counted_compares(monkeypatch, kind):
-    """The list each ``kind._compare`` call appends its two masks to."""
+def counted_compares(monkeypatch, kind, measure=None):
+    """The list each ``kind._compare`` call appends its two masks to; only
+    the calls on ``measure``, when one is given."""
     calls = []
     original = kind._compare
 
     def counted(self, a, b):
-        calls.append((a, b))
+        if measure is None or self is measure:
+            calls.append((a, b))
         return original(self, a, b)
 
     monkeypatch.setattr(kind, "_compare", counted)
@@ -570,11 +586,13 @@ def test_small_update_twin_rev4_compares_less(root_compares):
     assert fast_calls < len(root_compares)
 
 
-def test_small_update_upd2_compares_within_initial_world_blocks(root_compares):
-    # 24 + 480 same-block cell pairs and 90 sequence pairs, against every
-    # one of the 120 + 2,016 cell pairs
+def test_small_update_upd2_compares_within_initial_world_blocks(monkeypatch):
+    # the prior's root compares 24 + 480 same-block cell pairs and 90
+    # sequence pairs, against every one of the 120 + 2,016 cell pairs; the
+    # cell order the sequence pairs are checked against compares its own 90
     _, sys_ = _scenario_system("small_update.scn")
     structure = sys_.prior.structure
+    root_compares = counted_compares(monkeypatch, PreferentialMeasure, root_of(sys_.index.prior)[0])
     assert update._blocks_closed(sys_.index)
     assert list(update._check_upd2(sys_, structure, 2016)) == []
     assert len(root_compares) == 594
@@ -672,6 +690,105 @@ def test_check_km_unchanged_by_the_table(seed):
         lambda belief, observed: min_u_reference(structure, belief, observed), structure.worlds, PQ
     )
     assert report.to_machine() == reference.to_machine()
+
+
+# ---------------------------------------------------------------------------
+# minimal_prefix_cells within first-world blocks against the scan of every
+# cell
+
+
+def minimal_prefix_cells_reference(structure, observations):
+    cells = update._obs_consistent_prefixes(structure, observations)
+    order = update.LexRunOrder(structure)
+    return [c for c in cells if not any(order.prec(d, c) for d in cells if d != c)]
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQ), hamming_structure(PQR)]
+    + [random_structure(PQ, random.Random(seed)) for seed in range(4)]
+    + [random_structure(PQR, random.Random(7))],
+    ids=["hamming-pq", "hamming-pqr"] + [f"random-pq-{seed}" for seed in range(4)] + ["random-pqr-7"],
+)
+def test_minimal_prefix_cells_match_the_scan_of_every_cell(structure):
+    menu = [TRUE, P_, Q_, Not(Q_)]
+    length = 3 if len(structure.worlds) == 4 else 2
+    for k in range(length + 1):
+        for observations in itertools.product(menu, repeat=k):
+            assert update.minimal_prefix_cells(structure, observations) == (
+                minimal_prefix_cells_reference(structure, observations)
+            ), observations
+
+
+# ---------------------------------------------------------------------------
+# belief on the prior's root against the run path
+
+
+def believed_on_runs(sys_, event, time):
+    """``believed`` read on the runs: each world's runs against the rest of
+    the event, under the run-numbered prior."""
+    return _not_disbelieved(sys_.index.prior, event, sys_.index.at[time])
+
+
+def _belief_systems():
+    """System name -> a call that makes it."""
+    def scenario(name):
+        return _scenario_system(name)[1]
+
+    out = {name: functools.partial(scenario, name) for name in sorted(os.listdir(SCENARIOS))}
+    for name in ("small_update.scn", "ranked_basic.scn"):
+        out[f"{name}-twin"] = lambda name=name: statify(scenario(name)).inner
+    for seed, horizon in itertools.product(range(4), (1, 2)):
+        structure = random_structure(PQ, random.Random(seed))
+        out[f"random-seed{seed}-h{horizon}"] = functools.partial(system_from_update, structure, horizon, MENU)
+    return out
+
+
+BELIEF_SYSTEMS = _belief_systems()
+
+
+@pytest.mark.parametrize("name", sorted(BELIEF_SYSTEMS))
+def test_believed_on_the_root_matches_the_run_path(name):
+    sys_ = BELIEF_SYSTEMS[name]()
+    index, rng = sys_.index, random.Random(name)
+    for m in range(sys_.horizon + 1):
+        assert index.root_blocks(m) is not None  # the root path is taken
+    for s_a, event in index.prefix.items():
+        assert believed(sys_, event, len(s_a)) == believed_on_runs(sys_, event, len(s_a)), s_a
+    for _ in range(20):
+        event, m = rng.getrandbits(len(sys_.runs)), rng.randrange(sys_.horizon + 1)
+        assert believed(sys_, event, m) == believed_on_runs(sys_, event, m)
+
+
+def test_believed_takes_the_run_path_when_root_images_meet(monkeypatch):
+    # a prior that reads the initial world alone: at time 1 every world's
+    # runs reach back to several initial worlds, so the images meet
+    source = system_from_update(hamming_structure(PQ), 1, MENU)
+    worlds = tuple(PQ.worlds())
+    by_initial = RankedMeasure(worlds, [bin(x).count("1") for x in worlds])
+    sys_ = with_prior(source, MappedMeasure(source.runs, by_initial, [r.envs[0] for r in source.runs]))
+    index = sys_.index
+    assert index.root_blocks(0) is not None and index.root_blocks(1) is None
+    read_on = []
+    monkeypatch.setattr(
+        "beliefchange.systems._not_disbelieved",
+        lambda measure, *args: read_on.append(measure) or _not_disbelieved(measure, *args),
+    )
+    for s_a, event in index.prefix.items():
+        assert believed(sys_, event, len(s_a)) == believed_on_runs(sys_, event, len(s_a)), s_a
+        assert read_on.pop() is (index.prior if s_a else by_initial)
+
+
+def test_borrowed_car_twin_believes_the_unchanged_cells_in_seconds():
+    _, sys_ = _scenario_system("borrowed_car.scn")
+    st = statify(sys_)
+    st.inner.index
+    start = time.perf_counter()
+    got = bel(st.inner, ())
+    elapsed = time.perf_counter() - start
+    cells = update.minimal_prefix_cells(sys_.prior.structure, (TRUE,) * 4)
+    assert got == {synthesis._encode_env_sequence(sys_, st.vocab, c) for c in cells}
+    assert elapsed < 5
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,14 @@ from beliefchange.plausibility import (
     Ordering,
     PlausibilityError,
     RankedMeasure,
+    bits,
     mask_of,
     rank_of,
 )
 from beliefchange.reports import Report
 from beliefchange.revision import static_system, system_from_ranking, validate_rev
 from beliefchange.scenario import build_system, load_scenario
+from beliefchange.synthesis import statify
 from beliefchange.systems import (
     Learn,
     Run,
@@ -60,6 +62,7 @@ from beliefchange.systems import (
     _check_conditioning,
     _run_str,
     bel,
+    believed,
     expand,
     first_failure,
     model_check,
@@ -395,13 +398,14 @@ RANKED = sorted(name for name in SYSTEMS if "update" not in name)
 
 @pytest.mark.parametrize("name", RANKED)
 def test_rank_levels_are_the_per_run_ranks(name):
+    # under a ranked prior, belief keeps the worlds of the event's
+    # least-ranked runs: the first level of the per-run ranks that meets it
     sys_ = SYSTEMS[name]
-    assert sys_.index.levels == reference_levels(sys_)
-
-
-def test_rank_levels_need_a_ranked_prior():
-    with pytest.raises(RunSystemError, match="rank levels need a ranked prior"):
-        SYSTEMS["small_update"].index.levels
+    levels = reference_levels(sys_)
+    for s_a, event in sys_.index.prefix.items():
+        hits = next((level & event for _, level in levels if level & event), 0)
+        expected = frozenset(sys_.runs[i].envs[len(s_a)] for i in bits(hits))
+        assert believed(sys_, event, len(s_a)) == expected, s_a
 
 
 def test_first_failure_is_run_major():
@@ -532,6 +536,9 @@ def _bel_systems():
         "all-infinite": system_from_ranking(PQ, unreachable, menu, 1),
         "seeded": SYSTEMS["seeded-ranked-0"],
         "changing-fault": SYSTEMS["changing-fault"],
+        "small_update": SYSTEMS["small_update"],
+        "small_update-twin": statify(SYSTEMS["small_update"]).inner,
+        "ranked_basic-twin": statify(ranked).inner,
     }
 
 

@@ -101,20 +101,20 @@ def test_agm_passes_for_rankings():
 
 
 def test_agm_constant_empty_operator_fails_r5():
-    op = RevisionOperator(lambda k, e: frozenset(), PQ, "external")
+    op = RevisionOperator(lambda k, e: frozenset(), PQ)
     report = check_agm(op, K)
     assert not report["R5"].passed
 
 
 def test_agm_input_ignoring_operator_fails_r2():
-    op = RevisionOperator(lambda k, e: K, PQ, "external")
+    op = RevisionOperator(lambda k, e: K, PQ)
     report = check_agm(op, K)
     assert not report["R2"].passed
 
 
 def test_agm_drastic_operator_fails_r4():
     # always jump to the whole input, forgetting prior beliefs
-    op = RevisionOperator(lambda k, e: e, PQ, "external")
+    op = RevisionOperator(lambda k, e: e, PQ)
     report = check_agm(op, K)
     assert not report["R4"].passed
     assert report["R2"].passed

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -324,6 +325,35 @@ def test_local_rule_reports_an_override_over_the_wrong_points():
     for budget in (100_000, 0):
         report = check_prior_local_rule(sys_, budget=budget)
         assert report["LOCAL-RULE"].witness == "carrier mismatch at <p, !q>"
+
+
+def _with_override(sys_, s_a, measure):
+    return System(
+        sys_.vocab, sys_.runs, sys_.prior, sys_.horizon,
+        universe=sys_.universe, menu=sys_.menu, point_measures={s_a: measure},
+    )
+
+
+def test_bcs5_reads_a_reordered_override_through_the_reordering():
+    # the points of <p> in reverse order, each with its conditioned rank:
+    # the conditioned prior itself, so BCS5 passes as LOCAL-RULE does
+    sys_ = build_system(load_scenario(os.path.join(SCENARIOS, "ranked_basic.scn")))
+    s_a = (P_,)
+    pts = sys_.points_with_local_state(s_a)
+    ranks = [sys_.prior.ranks[sys_.prior.index[run]] for run, _ in pts]
+    reversed_ = _with_override(sys_, s_a, RankedMeasure(pts[::-1], ranks[::-1]))
+    assert validate_bcs(reversed_)["BCS5"].passed
+    assert check_prior_local_rule(reversed_)["LOCAL-RULE"].passed
+    assert bel(reversed_, s_a) == bel(sys_, s_a)
+    # one wrong rank still fails, with the witness masks over the state's
+    # points in their own order, listed either way
+    wrong = [ranks[0] + 2] + ranks[1:]
+    witnesses = [
+        validate_bcs(_with_override(sys_, s_a, RankedMeasure(points, rs)))["BCS5"].witness
+        for points, rs in ((pts, wrong), (pts[::-1], wrong[::-1]))
+    ]
+    assert witnesses[0] == witnesses[1]
+    assert re.fullmatch(r"measure at <p> is not the conditioned prior \(masks 0x[0-9a-f]+, 0x[0-9a-f]+\)", witnesses[0])
 
 
 NUMPY_FREE = """
