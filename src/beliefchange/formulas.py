@@ -379,6 +379,13 @@ class OperatorTable:
     ``row(a)[b]`` is the mask of ``op(ext(a), ext(b))``, evaluated on first
     lookup and remembered: each distinct pair of arguments costs one call,
     so the operator must be deterministic.
+
+    An operator may also answer on masks.  If ``op.mask_rows`` exists,
+    ``op.mask_rows(worlds)`` returns None or a function taking a first
+    argument's mask to the function from a second argument's mask over
+    ``worlds`` to the result's mask; the table then reads every row
+    through it and builds no extension.  Any other operator is called on
+    frozensets, and its output mapped back to a mask.
     """
 
     def __init__(self, op, worlds: Iterable[int]):
@@ -386,6 +393,8 @@ class OperatorTable:
         self.worlds = list(worlds)
         self._bits = {w: 1 << i for i, w in enumerate(self.worlds)}
         self._rows: dict = {}
+        mask_rows = getattr(op, "mask_rows", None)
+        self._mask_rows = mask_rows and mask_rows(tuple(self.worlds))
 
     def mask(self, worlds: Iterable[int]) -> int:
         bits, out = self._bits, 0
@@ -403,21 +412,25 @@ class OperatorTable:
     def row(self, a: int) -> "_OperatorRow":
         row = self._rows.get(a)
         if row is None:
-            row = self._rows[a] = _OperatorRow(self, self.ext(a))
+            row = self._rows[a] = _OperatorRow(
+                self._mask_rows(a) if self._mask_rows else self._round_trip(a)
+            )
         return row
+
+    def _round_trip(self, a: int):
+        op, ext, mask, first = self.op, self.ext, self.mask, self.ext(a)
+        return lambda b: mask(op(first, ext(b)))
 
 
 class _OperatorRow(dict):
     """One first argument's results, keyed by the second argument's mask."""
 
-    def __init__(self, table: OperatorTable, first: Extension):
+    def __init__(self, answer):
         super().__init__()
-        self.table = table
-        self.first = first
+        self.answer = answer
 
     def __missing__(self, b: int) -> int:
-        table = self.table
-        out = self[b] = table.mask(table.op(self.first, table.ext(b)))
+        out = self[b] = self.answer(b)
         return out
 
 

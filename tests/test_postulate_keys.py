@@ -1,12 +1,15 @@
-"""Differential tests of the keyed postulate sweeps.
+"""Differential tests of the keyed postulate sweeps and their fast paths.
 
 ``check_agm`` decides R7 and R8 once per distinct key ``psi & (phi |
-revise[phi])``, and ``check_km`` decides U8 on (mu, singleton) pairs and
-builds one U4 variant per observation.  The references below are the
-direct sweeps: R7 and R8 over every (phi, psi) pair, U8 over every ordered
-(mu1, mu2, phi) triple, and U4 rebuilding its variant for every pair.
-Every report must match its reference line for line, and the operator must
-see the same inputs.
+revise[phi])``, or by the order the operator reveals on pairs, and
+``check_km`` decides U8 on (mu, singleton) pairs, U5 and U6 on {} and the
+singletons once U8 holds, and builds one U4 variant per observation.  The
+references below are the direct sweeps: R7 and R8 over every (phi, psi)
+pair, U8 over every ordered (mu1, mu2, phi) triple, U5 and U6 over every
+belief, and U4 rebuilding its variant for every pair.  Every report must
+match its reference line for line, and the operator must see the same
+inputs.  The operators that answer on masks are compared with a frozenset
+wrapper of themselves, which the table calls instead.
 """
 from __future__ import annotations
 
@@ -24,7 +27,15 @@ from beliefchange.formulas import (
 )
 from beliefchange.plausibility import extension_representatives
 from beliefchange.reports import Report
-from beliefchange.revision import RevisionOperator, check_agm, min_rank_worlds, operator_from_ranking
+from beliefchange import revision, update
+from beliefchange.revision import (
+    RevisionError,
+    RevisionOperator,
+    _picks_revealed_minima,
+    check_agm,
+    min_rank_worlds,
+    operator_from_ranking,
+)
 from beliefchange.update import check_km, hamming_structure, random_structure, update_operator
 
 PQ = Vocabulary(["p", "q"])
@@ -414,3 +425,177 @@ def test_u4_checks_every_pair():
     # first eight subsets hold it; its canonical formula denotes 01
     report = assert_km_matches(lambda mu, phi: phi, [0, 1, 2, 5], PQ)
     assert report["U4"].witness == "syntax leaked for {} by {101}"
+
+
+def test_a_repeated_world_is_checked_once():
+    op = update_operator(hamming_structure(PQ))
+    report = check_km(op, [0, 0, 1], PQ)
+    assert report.all_passed
+    assert report.to_machine() == check_km(op, [0, 1], PQ).to_machine()
+
+
+# ---------------------------------------------------------------------------
+# Reductions: each fails when one of its premises is dropped
+
+
+def test_a_non_transitive_revealed_order_is_swept():
+    # 00 <= 10 and 10 <= 01, but not 00 <= 01: every output is the minima
+    # of the revealed order, and R8 still fails
+    up = {0: {0, 2, 3}, 1: {0, 1, 3}, 2: {0, 1, 2, 3}, 3: {3}}
+
+    def apply(belief, observed):
+        return frozenset(a for a in observed if observed <= up[a])
+
+    report = assert_agm_matches(apply, PQ, frozenset({2}))
+    assert report["R8"].witness == (
+        "conjunctive revision {00,01,10} & {00,10} added worlds beyond the narrowed result"
+    )
+
+
+def test_u5_is_swept_at_the_empty_belief():
+    # unions decompose, and U5 fails for mu = {} alone
+    def apply(mu, phi):
+        return phi if mu or len(phi) >= 2 else frozenset()
+
+    report = assert_km_matches(apply, list(PQ.worlds()), PQ)
+    assert report["U8"].passed
+    assert report["U5"].witness == "narrowing {} by {00,01} then {00} lost worlds"
+
+
+def test_u5_is_swept_everywhere_when_unions_do_not_decompose():
+    # every output lies in its observation, so U1 passes; U8 fails, and
+    # U5 holds at {} and the singletons but not at {00,01}
+    def apply(mu, phi):
+        return phi if len(mu) < 2 or len(phi) >= 2 else frozenset()
+
+    report = assert_km_matches(apply, list(PQ.worlds()), PQ)
+    assert report["U1"].passed and not report["U8"].passed
+    assert report["U5"].witness == "narrowing {00,01} by {00,01} then {00} lost worlds"
+
+
+def test_the_revealed_order_reads_only_a_full_row():
+    op, calls = _recording(lambda belief, observed: observed)
+    table = OperatorTable(op, PQ.worlds())
+    row = table.row(0)
+    for phi in range(1, 16, 2):
+        row[phi]
+    seen = list(calls)
+    assert not _picks_revealed_minima(row, 4)
+    assert calls == seen
+    for phi in range(16):
+        row[phi]
+    assert _picks_revealed_minima(row, 4)
+
+
+@pytest.mark.parametrize("start", range(0, len(RANKINGS), 64))
+def test_the_revealed_order_decides_every_two_proposition_ranking(start):
+    for ranks in RANKINGS[start:start + 64]:
+        table = OperatorTable(operator_from_ranking(dict(zip(PQ.worlds(), ranks)), PQ), PQ.worlds())
+        belief = table.mask(min_rank_worlds(dict(zip(PQ.worlds(), ranks)), PQ.worlds()))
+        row = table.row(belief)
+        for phi in range(16):
+            row[phi]
+        assert _picks_revealed_minima(row, 4)
+
+
+# ---------------------------------------------------------------------------
+# Operators that answer on masks, against a frozenset wrapper
+
+
+def _no_frozenset_calls(monkeypatch):
+    """Make the frozenset path of both built-in operators raise."""
+    def refuse(*_):
+        raise AssertionError("operator called on frozensets")
+
+    monkeypatch.setattr(update, "min_u", refuse)
+    monkeypatch.setattr(revision, "min_rank_worlds", refuse)
+
+
+def assert_km_native(structure, vocab, monkeypatch):
+    op = update_operator(structure)
+    wrapped = check_km(lambda mu, phi: op(mu, phi), structure.worlds, vocab)
+    _no_frozenset_calls(monkeypatch)
+    report = check_km(op, structure.worlds, vocab)
+    assert report.to_machine() == wrapped.to_machine()
+    return report
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQ)] + [random_structure(PQ, random.Random(seed)) for seed in range(8)]
+    + [hamming_structure(PQ, [0, 2, 3]), random_structure(PQ, random.Random(8), [1, 2, 3])]
+    + [hamming_structure(PQR, [1, 2, 4, 7]), random_structure(PQR, random.Random(9), [0, 3, 5, 6])],
+    ids=["hamming"] + [f"random-{seed}" for seed in range(8)]
+    + ["hamming-subset", "random-subset", "hamming-pqr-subset", "random-pqr-subset"],
+)
+def test_update_rows_on_masks(structure, monkeypatch):
+    assert assert_km_native(structure, structure.vocab, monkeypatch).all_passed
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQR), random_structure(PQR, random.Random(0)), random_structure(PQR, random.Random(1))],
+    ids=["hamming", "random-0", "random-1"],
+)
+def test_update_rows_on_masks_over_three_propositions(structure, monkeypatch):
+    assert_km_native(structure, PQR, monkeypatch)
+
+
+def test_update_rows_only_over_the_structure_worlds():
+    structure = hamming_structure(PQ)
+    op, calls = _recording(update_operator(structure))
+    op.mask_rows = update_operator(structure).mask_rows
+    check_km(op, [0, 1, 3], PQ)
+    assert calls
+    calls.clear()
+    check_km(op, structure.worlds, PQ)
+    assert not calls
+
+
+def assert_agm_native(ranks, vocab, monkeypatch, belief=None):
+    op = operator_from_ranking(ranks, vocab)
+    if belief is None:
+        belief = min_rank_worlds(ranks, ranks)
+    wrapped = check_agm(RevisionOperator(lambda k, e: op(k, e), vocab), belief)
+    _no_frozenset_calls(monkeypatch)
+    report = check_agm(op, belief)
+    assert report.to_machine() == wrapped.to_machine()
+    monkeypatch.undo()
+    return report
+
+
+def test_every_two_proposition_ranking_on_masks(monkeypatch):
+    for ranks in RANKINGS:
+        assert assert_agm_native(dict(zip(PQ.worlds(), ranks)), PQ, monkeypatch).all_passed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_three_proposition_rankings_on_masks(seed, monkeypatch):
+    # a world left unranked is never believed, which breaks R5
+    rng = random.Random(seed)
+    ranks = {w: rng.randrange(5) for w in PQR.worlds() if rng.random() < 0.9}
+    report = assert_agm_native(ranks, PQR, monkeypatch)
+    assert report.all_passed == (len(ranks) == 8)
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [{0: 1, 1: 0, 2: 2, 3: 1, 7: 3}, {0: 1, 1: 2, 3: 1, 9: 0}, {0: 2, 1: 0, 2: 1, 3: 1, 6: 0}],
+    ids=["outside-above", "outside-minimal", "outside-tied"],
+)
+def test_rankings_naming_a_world_outside_the_vocabulary(ranks, monkeypatch):
+    op = operator_from_ranking(ranks, PQ)
+    minimal = min_rank_worlds(ranks, ranks)
+    if minimal <= PQ.all_worlds():
+        assert_agm_native(ranks, PQ, monkeypatch)
+    else:
+        # those minima name no mask over the vocabulary: the table calls
+        # the operator on frozensets
+        report = check_agm(op, minimal)
+        assert report.to_machine() == check_agm(
+            RevisionOperator(lambda k, e: op(k, e), PQ), minimal
+        ).to_machine()
+    for belief in (minimal | {3}, minimal | {7}):
+        for each in (op, RevisionOperator(lambda k, e: op(k, e), PQ)):
+            with pytest.raises(RevisionError):
+                check_agm(each, belief)
