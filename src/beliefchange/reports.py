@@ -52,10 +52,6 @@ class Report:
         """Scope/context remarks; text format only, never machine records."""
         self.notes.append(text)
 
-    def extend(self, other: "Report") -> None:
-        self.results.extend(other.results)
-        self.notes.extend(other.notes)
-
     def __iter__(self) -> Iterator[CheckResult]:
         return iter(self.results)
 

@@ -9,7 +9,7 @@ world where p holds and q does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diagnosis import Circuit, DiagnosisError, build_diag_system, parse_circuit
@@ -58,17 +58,23 @@ class Scenario:
     distance_order: Tuple[Tuple[str, str], ...] = ()
     circuit: Optional[Circuit] = None
     tests: Tuple[Mapping[str, bool], ...] = ()
+    _structure: Optional[UpdateStructure] = field(default=None, init=False, repr=False, compare=False)
 
     def update_structure(self) -> UpdateStructure:
-        if self.distance_kind == "hamming":
-            return hamming_structure(self.vocab)
-        if self.distance_kind == "table":
-            labels = [v for v in self.distance_table.values() if v != 0]
-            poset = DistancePoset.build(labels, self.distance_order)
-            return UpdateStructure(
-                self.vocab, self.vocab.worlds(), self.distance_table, poset
-            )
-        raise ScenarioError("scenario has no distance block")
+        """The distance block's structure, built on the first call (for a
+        table, by validation) and kept."""
+        if self._structure is None:
+            if self.distance_kind == "hamming":
+                self._structure = hamming_structure(self.vocab)
+            elif self.distance_kind == "table":
+                labels = [v for v in self.distance_table.values() if v != 0]
+                poset = DistancePoset.build(labels, self.distance_order)
+                self._structure = UpdateStructure(
+                    self.vocab, self.vocab.worlds(), self.distance_table, poset
+                )
+            else:
+                raise ScenarioError("scenario has no distance block")
+        return self._structure
 
 
 def _strip(raw: str) -> str:

@@ -26,7 +26,6 @@ from .formulas import (
     Not,
     OperatorTable,
     Vocabulary,
-    formula_of_extension,
     seq_str,
 )
 from .plausibility import (
@@ -254,7 +253,10 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
     be deterministic.
 
     U4 compares every pair with the pair whose observation is the
-    double negation of its canonical formula, one variant per observation.
+    extension, within the checked worlds, of the double negation of its
+    canonical formula, one variant per observation.  That formula names
+    each world by its proposition bits, so the variant is read off the
+    worlds, ``{w & (2**n - 1) for w in phi}``, and no formula is built.
     U8's ordered (mu1, mu2, phi) sweep runs for mu1 = {} alone, which
     reads every pair in the sweep's order and asks ``upd[{}] <= upd[mu]``.
     The rest is decided on (mu, singleton) pairs: union decomposition for
@@ -279,13 +281,8 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
     def describe(mask: int) -> str:
         return vocab.extension_str(table.ext(mask))
 
-    # extension invariance is built into the semantic signature; exercise
-    # it through syntactically different formulas with equal extensions
-    universe = frozenset(worlds)
-    variant = [
-        table.mask(vocab.extension(Not(Not(formula_of_extension(table.ext(phi), vocab)))) & universe)
-        for phi in subsets
-    ]
+    low, universe = vocab.world_count - 1, frozenset(worlds)
+    variant = [table.mask({w & low for w in table.ext(phi)} & universe) for phi in subsets]
 
     below = [[psi for psi in subsets if not psi & ~phi] for phi in subsets]
     above = [[psi for psi in subsets if not phi & ~psi] for phi in subsets]

@@ -15,6 +15,7 @@ from beliefchange.scenario import (
     scenario_to_text,
 )
 from beliefchange.systems import bel
+from beliefchange.update import UpdateStructure
 
 SCENARIOS = os.path.join(
     os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios"
@@ -80,6 +81,26 @@ def test_explicit_distance_table_loads():
     structure = s.update_structure()
     assert structure.poset.less("a", "b")
     assert structure.d(0, 1) == "a"
+
+
+def test_check_km_builds_a_table_structure_once(tmp_path, capsys, monkeypatch):
+    # validation builds the structure to check the table; check-km reuses it
+    path = tmp_path / "table.scn"
+    path.write_text(
+        "vocab p\nhorizon 1\nprior lexicographic\n"
+        "distance table\n  0 1 a\n  1 0 b\norder a < b\nmenu true, p\n"
+    )
+    built = []
+    init = UpdateStructure.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(UpdateStructure, "__init__", counted)
+    code, out, _ = run_cli(capsys, "check-km", "--scenario", str(path))
+    assert code == 0 and "U8 PASS" in out
+    assert len(built) == 1
 
 
 def test_scenario_round_trips_through_printer():

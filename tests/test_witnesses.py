@@ -409,8 +409,8 @@ def test_diagnosis_persistence_with_a_changing_fault(chain_sys):
 
 # ---------------------------------------------------------------------------
 # postulate suites: every R1-R8 and U1-U8 that a deterministic operator can
-# break.  R6 cannot be broken by one: both parses of each probe denote the
-# same extension, so a deterministic operator answers them alike.
+# break.  R6 cannot be broken by one: the operator is called on extensions
+# only, so formulas with one extension get one answer.
 
 
 def failures(report):
@@ -457,15 +457,6 @@ AGM_BREAKERS = {
 def test_agm_witnesses(name):
     apply, expected = AGM_BREAKERS[name]
     assert failures(check_agm(RevisionOperator(apply, PQ), K)) == expected
-
-
-def test_agm_witness_from_an_intersection_outside_the_pool():
-    # {01,11} & {10,11} = {11} is no extension of the pool
-    op = RevisionOperator(lambda k, e: e if len(e) > 1 else frozenset(), PQ)
-    assert failures(check_agm(op, K, formulas=[P_, Q_])) == {
-        "R4": "consistent revision by {01,11} adds foreign worlds",
-        "R7": "conjunctive revision {01,11} & {10,11} dropped compatible worlds",
-    }
 
 
 def _global_min(mu, phi):
