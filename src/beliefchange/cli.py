@@ -178,7 +178,7 @@ def _dispatch(args, out: List[str]) -> int:
 
     if cmd == "statify":
         sys_ = build_system(scenario)
-        st = statify(sys_, args.horizon)
+        st = statify(sys_)
         out.append("# statified system")
         out.append("# vocab " + " ".join(st.inner.vocab.props))
         out.append(f"# horizon {st.inner.horizon}")

@@ -598,20 +598,14 @@ def extension_representatives(vocab: Vocabulary) -> list:
     return pool
 
 
-def check_klm_closure(
-    structure: PlausibilityStructure,
-    formulas: Optional[Iterable[Formula]] = None,
-) -> Report:
+def check_klm_closure(structure: PlausibilityStructure) -> Report:
     """Check the closure rules of the conditional over generated formulas.
 
     Rules: REF (reflexivity), LLE (left logical equivalence), RW (right
     weakening), AND, OR, CM (cautious monotonicity).
     """
     vocab = structure.vocab
-    if formulas is None:
-        pairs = extension_representatives(vocab)
-    else:
-        pairs = [(f, Not(Not(f))) for f in formulas]
+    pairs = extension_representatives(vocab)
     reps = [p[0] for p in pairs]
 
     def cond(a: Formula, b: Formula) -> bool:

@@ -32,7 +32,6 @@ from .plausibility import (
     Mask,
     Ordering,
     PlausibilityError,
-    PlausibilityMeasure,
     PreferentialMeasure,
     RankedMeasure,
     bits,
@@ -45,13 +44,12 @@ from .plausibility import (
 from .reports import Report
 from .systems import (
     LocalState,
-    Run,
     System,
     bel,
     believed,
     check_budget,
-    expand,
     first_failure,
+    menu_system,
     runs_with_observations,
 )
 
@@ -254,51 +252,16 @@ def system_from_ranking(
     horizon: int,
     universe: Optional[frozenset] = None,
 ) -> System:
-    """The :func:`static_system` whose prior ranks runs by initial world."""
-    return static_system(
+    """The static :func:`menu_system`, one group per world of ``universe``
+    (default: every world), whose prior ranks runs by initial world."""
+    if universe is None:
+        universe = vocab.all_worlds()
+    return menu_system(
         vocab,
+        [(w,) for w in sorted(universe)],
         menu,
         horizon,
         lambda runs: RankedMeasure(runs, [world_ranks.get(run.envs[0], INF) for run in runs]),
-        universe,
-    )
-
-
-def static_system(
-    vocab: Vocabulary,
-    menu: Sequence[Formula],
-    horizon: int,
-    make_prior: Callable[[Sequence[Run]], PlausibilityMeasure],
-    universe: Optional[frozenset] = None,
-) -> System:
-    """Runs that hold their environment world constant and observe any menu
-    sequence true at that world, under the prior ``make_prior`` builds
-    from them.
-
-    Observing carries no information beyond the observed formulas' truth.
-    TRUE is forced into the menu so every observation prefix extends to a
-    full run.
-    """
-    menu = tuple(dict.fromkeys(menu))
-    if TRUE not in menu:
-        menu = (TRUE,) + menu
-    if universe is None:
-        universe = vocab.all_worlds()
-    # one block per world: the world at time 0, then a menu choice per step
-    blocks = []
-    for w in sorted(universe):
-        start = (((w,), ()),)
-        step = tuple(((w,), (o,)) for o in menu if w in vocab.extension(o))
-        blocks.append((start,) + (step,) * horizon)
-    runs = expand(blocks)
-    return System(
-        vocab=vocab,
-        runs=runs,
-        prior=make_prior(runs),
-        horizon=horizon,
-        universe=frozenset(universe),
-        menu=menu,
-        blocks=tuple(blocks),
     )
 
 

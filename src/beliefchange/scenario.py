@@ -22,8 +22,8 @@ from .formulas import (
     print_formula,
 )
 from .plausibility import MappedMeasure, from_preference
-from .revision import min_rank_worlds, static_system, system_from_ranking
-from .systems import System
+from .revision import min_rank_worlds, system_from_ranking
+from .systems import System, menu_system
 from .update import (
     DistancePoset,
     UpdateError,
@@ -341,8 +341,9 @@ def _system_from_preference(scenario: Scenario) -> System:
     in the carrier): runs from one world are order-equivalent."""
     vocab = scenario.vocab
     worlds = from_preference(tuple(vocab.worlds()), scenario.preference_pairs)
-    return static_system(
+    return menu_system(
         vocab,
+        [(w,) for w in vocab.worlds()],
         scenario.menu,
         scenario.horizon,
         lambda runs: MappedMeasure(runs, worlds, [run.envs[0] for run in runs]),

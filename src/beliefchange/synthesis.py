@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .formulas import (
     FALSE,
@@ -54,7 +54,6 @@ class StatifiedSystem:
     source: System
     to_source: Dict[Run, Run]
     from_source: Dict[Run, Run]
-    horizon: int
 
     @property
     def vocab(self) -> Vocabulary:
@@ -69,7 +68,7 @@ def _encode_env_sequence(sys: System, vocab_star: Vocabulary, envs: Sequence[int
     return vocab_star.world_of(assignment)
 
 
-def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
+def statify(sys: System) -> StatifiedSystem:
     """Transform a system into its timestamped twin.
 
     Each run maps to one whose constant environment state encodes the full
@@ -79,11 +78,7 @@ def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
     """
     if any("@" in name for name in sys.vocab.props):
         raise TimestampError("system vocabulary is already timestamped")
-    if horizon is None:
-        horizon = sys.horizon
-    if horizon < sys.horizon:
-        raise SynthesisError("timestamp horizon must cover the system horizon")
-    vocab_star = timestamped_vocabulary(sys.vocab, horizon)
+    vocab_star = timestamped_vocabulary(sys.vocab, sys.horizon)
 
     # runs share their environment sequences and their observations, so
     # each distinct one is encoded or stamped once
@@ -124,7 +119,7 @@ def statify(sys: System, horizon: Optional[int] = None) -> StatifiedSystem:
         universe=universe_star,
         menu=menu_star,
     )
-    return StatifiedSystem(inner, sys, to_source, from_source, horizon)
+    return StatifiedSystem(inner, sys, to_source, from_source)
 
 
 def belief_correspondence(

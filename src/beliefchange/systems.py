@@ -190,6 +190,44 @@ def _block_shapes(block: Block) -> set:
     return shapes
 
 
+def menu_system(
+    vocab: Vocabulary,
+    groups: Sequence[Sequence[int]],
+    menu: Sequence[Formula],
+    horizon: int,
+    make_prior: Callable[[Sequence[Run]], PlausibilityMeasure],
+) -> System:
+    """Runs that start at a world of a group, then at each step move to a
+    world of the same group and observe a menu formula true there, under
+    the prior ``make_prior`` builds from them.
+
+    Each group is one product block: its worlds at time 0, then one step
+    factor per time listing each world with each menu formula true at it.
+    One group per world holds the environment fixed (revision); one group
+    of every world lets it change at every step (update).  The universe is
+    the union of the groups.  Observing carries no information beyond the
+    observed formulas' truth; TRUE is forced into the menu, first, so every
+    observation prefix extends to a full run.
+    """
+    menu = tuple(dict.fromkeys((TRUE,) + tuple(menu)))
+    exts = [(o, vocab.extension(o)) for o in menu]
+    blocks = []
+    for group in groups:
+        start = tuple(((w,), ()) for w in group)
+        step = tuple(((w,), (o,)) for w in group for o, ext in exts if w in ext)
+        blocks.append((start,) + (step,) * horizon)
+    runs = expand(blocks)
+    return System(
+        vocab=vocab,
+        runs=runs,
+        prior=make_prior(runs),
+        horizon=horizon,
+        universe=frozenset().union(*groups),
+        menu=menu,
+        blocks=tuple(blocks),
+    )
+
+
 class RunIndex:
     """A system's run-set events as int masks: bit i stands for ``runs[i]``.
 

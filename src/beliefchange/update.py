@@ -42,7 +42,7 @@ from .plausibility import (
     union,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, check_budget, first_failure
+from .systems import LocalState, Run, System, check_budget, first_failure, menu_system
 
 
 class UpdateError(BeliefChangeError):
@@ -427,31 +427,16 @@ class LexPrior(MappedMeasure):
 def system_from_update(
     structure: UpdateStructure, horizon: int, menu: Sequence[Formula]
 ) -> System:
-    """All environment sequences, observed through the menu.
+    """All environment sequences over the structure's worlds, observed
+    through the menu: the :func:`menu_system` of one group, every world.
 
-    Every menu formula must be satisfiable in the structure; TRUE is forced
-    into the menu so every state always has an available observation and
-    all state sequences stay realizable.
+    Every menu formula must be satisfiable in the structure, TRUE included.
     """
-    vocab = structure.vocab
-    menu = tuple(dict.fromkeys((TRUE,) + tuple(menu)))
-    for o in menu:
+    for o in (TRUE, *menu):
         if not structure.extension(o):
             raise UpdateError(f"menu formula {o} is unsatisfiable in the structure")
-    sat = {o: structure.extension(o) for o in menu}
-    runs = []
-    for envs in itertools.product(structure.worlds, repeat=horizon + 1):
-        choices = [[o for o in menu if envs[m] in sat[o]] for m in range(1, horizon + 1)]
-        for obs in itertools.product(*choices):
-            runs.append(Run(envs, obs))
-    prior = LexPrior(runs, structure)
-    return System(
-        vocab=vocab,
-        runs=tuple(runs),
-        prior=prior,
-        horizon=horizon,
-        universe=structure.universe,
-        menu=menu,
+    return menu_system(
+        structure.vocab, [structure.worlds], menu, horizon, lambda runs: LexPrior(runs, structure)
     )
 
 

@@ -83,13 +83,19 @@ def test_explicit_distance_table_loads():
     assert structure.d(0, 1) == "a"
 
 
+TABLE_SCENARIO = (
+    "vocab p\nhorizon 1\nprior lexicographic\n"
+    "distance table\n  0 1 a\n  1 0 b\norder a < b\nmenu true, p\n"
+)
+PREFERENCE_SCENARIO = (
+    "vocab p q\nhorizon 1\nprior preference\n  11 < 10\n  11 < 01\nmenu true, p, q\n"
+)
+
+
 def test_check_km_builds_a_table_structure_once(tmp_path, capsys, monkeypatch):
     # validation builds the structure to check the table; check-km reuses it
     path = tmp_path / "table.scn"
-    path.write_text(
-        "vocab p\nhorizon 1\nprior lexicographic\n"
-        "distance table\n  0 1 a\n  1 0 b\norder a < b\nmenu true, p\n"
-    )
+    path.write_text(TABLE_SCENARIO)
     built = []
     init = UpdateStructure.__init__
 
@@ -104,21 +110,23 @@ def test_check_km_builds_a_table_structure_once(tmp_path, capsys, monkeypatch):
 
 
 def test_scenario_round_trips_through_printer():
-    for path in (RANKED, CAR, DIAG):
-        s = load_scenario(path)
+    scenarios = [load_scenario(path) for path in (RANKED, CAR, DIAG)]
+    scenarios += [load_scenario_text(TABLE_SCENARIO), load_scenario_text(PREFERENCE_SCENARIO)]
+    texts = []
+    for s in scenarios:
         text = scenario_to_text(s)
         again = load_scenario_text(text)
         assert scenario_to_text(again) == text
+        texts.append(text)
+    # the table's order line and the preference pairs are printed back
+    assert "distance table\n  0 1 a\n  1 0 b\norder a < b\n" in texts[3]
+    assert "prior preference\n  11 < 10\n  11 < 01\n" in texts[4]
 
 
 def test_preference_scenario_builds_partial_prior():
     from beliefchange.plausibility import Ordering
 
-    s = load_scenario_text(
-        "vocab p q\nhorizon 1\nprior preference\n  11 < 10\n  11 < 01\n"
-        "menu true, p, q\n"
-    )
-    sys_ = build_system(s)
+    sys_ = build_system(load_scenario_text(PREFERENCE_SCENARIO))
     r10 = next(r for r in sys_.runs if r.envs[0] == 2)
     r01 = next(r for r in sys_.runs if r.envs[0] == 1)
     assert sys_.prior.compare([r10], [r01]) is Ordering.INCOMPARABLE
@@ -421,68 +429,114 @@ def test_negative_budget_is_a_usage_error(capsys, command):
     assert "--budget: must not be negative: -1" in err
 
 
-# sha256 of the --format machine stdout, with the exit code, of every
-# command on every bundled scenario: a change made only for speed or for a
-# simpler design must leave every record byte for byte as it was (exit 2 is
-# a usage error, which prints nothing on stdout)
+# sha256 of the --format machine stdout and of the text stdout, with the
+# exit code (the same in both formats), of every command on every bundled
+# scenario: a change made only for speed or for a simpler design must leave
+# every record and every report byte for byte as it was (exit 2 is a usage
+# error, which prints nothing on stdout)
 NO_OUTPUT = hashlib.sha256(b"").hexdigest()
 GOLDEN = [
-    ("revise", RANKED, 0, "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080"),
-    ("revise", CAR, 2, NO_OUTPUT),
-    ("revise", DIAG, 0, "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720"),
-    ("revise", SMALL_UPDATE, 2, NO_OUTPUT),
-    ("update", RANKED, 2, NO_OUTPUT),
-    ("update", CAR, 0, "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a"),
-    ("update", DIAG, 2, NO_OUTPUT),
-    ("update", SMALL_UPDATE, 0, "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a"),
-    ("check-agm", RANKED, 0, "6952ba7a4d56be366addd2971bb80edfd667b64f1925bf2eabdcda8f5e59eacb"),
-    ("check-agm", CAR, 2, NO_OUTPUT),
-    ("check-agm", DIAG, 2, NO_OUTPUT),
-    ("check-agm", SMALL_UPDATE, 2, NO_OUTPUT),
-    ("check-km", RANKED, 2, NO_OUTPUT),
-    ("check-km", CAR, 0, "69b40dd085c876237cb1696f92f8eddc83e94d9b1e7c11d3cc3ed877e7b60619"),
-    ("check-km", DIAG, 2, NO_OUTPUT),
-    ("check-km", SMALL_UPDATE, 0, "69b40dd085c876237cb1696f92f8eddc83e94d9b1e7c11d3cc3ed877e7b60619"),
-    ("check-rev", RANKED, 0, "81fb09baabd7550414074c23c175c795d5ab35560a554068dec06254ebcb21e0"),
-    ("check-rev", CAR, 1, "6a31d70b0450a1cf5651f2d0ba0ceb736fdd3918333774e49cf32d51baeef1f5"),
-    ("check-rev", DIAG, 1, "e14704a4ac5949db6ac3ee6e3fcd1830cc6ea1403bab5274cbf9b5bbe0857c05"),
-    ("check-rev", SMALL_UPDATE, 1, "9df5277ac05227de3ae91b5a6677330d091eedf503e3d98f412c4152bdcfc44d"),
-    ("check-upd", RANKED, 2, NO_OUTPUT),
-    ("check-upd", CAR, 0, "01a5b879bb446b38bda14447fc9b29bcf3b8489536f33af56b7d2d2e25ed6b72"),
-    ("check-upd", DIAG, 2, NO_OUTPUT),
-    ("check-upd", SMALL_UPDATE, 0, "01a5b879bb446b38bda14447fc9b29bcf3b8489536f33af56b7d2d2e25ed6b72"),
-    ("check-bcs", RANKED, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
-    ("check-bcs", CAR, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
-    ("check-bcs", DIAG, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
-    ("check-bcs", SMALL_UPDATE, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4"),
-    ("statify", RANKED, 1, "b6a80de5ceffd149c81b9a2d9f27e23bee44109a0bcc0e03716cc329071a0a66"),
-    ("statify", CAR, 1, "1867e99172f75818cca8e5ca2ebc0c9d06e4bfd84a234e39488555a2ec398de2"),
-    ("statify", DIAG, 2, NO_OUTPUT),
-    ("statify", SMALL_UPDATE, 1, "c57f854cad0c1a7489dd162995082703699d5665744806412716d8da76626ea9"),
-    ("diagnose", RANKED, 2, NO_OUTPUT),
-    ("diagnose", CAR, 2, NO_OUTPUT),
-    ("diagnose", DIAG, 0, "6a4c6ed1f445df36590492aa5794011de5828975fd03c3eef852542ffd00a8a6"),
-    ("diagnose", SMALL_UPDATE, 2, NO_OUTPUT),
-    ("borrowed-car", RANKED, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
-    ("borrowed-car", CAR, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
-    ("borrowed-car", DIAG, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
-    ("borrowed-car", SMALL_UPDATE, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
-    ("trace", RANKED, 0, "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080"),
-    ("trace", CAR, 0, "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a"),
-    ("trace", DIAG, 0, "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720"),
-    ("trace", SMALL_UPDATE, 0, "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a"),
+    ("revise", RANKED, 0, "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080",
+     "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080"),
+    ("revise", CAR, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("revise", DIAG, 0, "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720",
+     "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720"),
+    ("revise", SMALL_UPDATE, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("update", RANKED, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("update", CAR, 0, "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a",
+     "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a"),
+    ("update", DIAG, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("update", SMALL_UPDATE, 0, "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a",
+     "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a"),
+    ("check-agm", RANKED, 0, "6952ba7a4d56be366addd2971bb80edfd667b64f1925bf2eabdcda8f5e59eacb",
+     "3b0aba8bd0dce6f18960f66ea2d4f0a2ffbf2014c9b948391066b9971d27ec0d"),
+    ("check-agm", CAR, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-agm", DIAG, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-agm", SMALL_UPDATE, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-km", RANKED, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-km", CAR, 0, "69b40dd085c876237cb1696f92f8eddc83e94d9b1e7c11d3cc3ed877e7b60619",
+     "d4380e8a83993ada295ba1fbb3f7ba4ab79a1d5d26db276e985e135f4aab7c7e"),
+    ("check-km", DIAG, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-km", SMALL_UPDATE, 0, "69b40dd085c876237cb1696f92f8eddc83e94d9b1e7c11d3cc3ed877e7b60619",
+     "d4380e8a83993ada295ba1fbb3f7ba4ab79a1d5d26db276e985e135f4aab7c7e"),
+    ("check-rev", RANKED, 0, "81fb09baabd7550414074c23c175c795d5ab35560a554068dec06254ebcb21e0",
+     "a53075948079b8cc0bffade1c9de3b4c7a52c17f24847e88cee3c6eaa16d7fe9"),
+    ("check-rev", CAR, 1, "6a31d70b0450a1cf5651f2d0ba0ceb736fdd3918333774e49cf32d51baeef1f5",
+     "0c8c3f1a3991a0061bcedf2424e6615e5e5eaed9b0843f8ecd6365167bf6a5ed"),
+    ("check-rev", DIAG, 1, "e14704a4ac5949db6ac3ee6e3fcd1830cc6ea1403bab5274cbf9b5bbe0857c05",
+     "17b58e340175d6e6d15bd32abc054b70e179f7befb7c9a834f8d4a891e6467b8"),
+    ("check-rev", SMALL_UPDATE, 1, "9df5277ac05227de3ae91b5a6677330d091eedf503e3d98f412c4152bdcfc44d",
+     "eda703864ac127573a8a4c0e925da6264cd8386b9df0cbe72287ec71f826d5a3"),
+    ("check-upd", RANKED, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-upd", CAR, 0, "01a5b879bb446b38bda14447fc9b29bcf3b8489536f33af56b7d2d2e25ed6b72",
+     "91d7c7b94b106c62b31a302eab3056336ee2233ea79b47e45584bfa70b13ca2c"),
+    ("check-upd", DIAG, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("check-upd", SMALL_UPDATE, 0, "01a5b879bb446b38bda14447fc9b29bcf3b8489536f33af56b7d2d2e25ed6b72",
+     "91d7c7b94b106c62b31a302eab3056336ee2233ea79b47e45584bfa70b13ca2c"),
+    ("check-bcs", RANKED, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4",
+     "a831df0402bbb3ed5b9408fa45527d80a3fbaf6715221f1a0a593f0b6dfe6370"),
+    ("check-bcs", CAR, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4",
+     "c7d0f456c68cc65e0ff8a54acff4bace591a30f860998aabdde02c26bfb8b081"),
+    ("check-bcs", DIAG, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4",
+     "a831df0402bbb3ed5b9408fa45527d80a3fbaf6715221f1a0a593f0b6dfe6370"),
+    ("check-bcs", SMALL_UPDATE, 0, "3bade81146d5aa19b306f95381a7d3c9ab73224f91727e58506d6fc9b60822f4",
+     "c7d0f456c68cc65e0ff8a54acff4bace591a30f860998aabdde02c26bfb8b081"),
+    ("statify", RANKED, 1, "b6a80de5ceffd149c81b9a2d9f27e23bee44109a0bcc0e03716cc329071a0a66",
+     "f1efc1810c010e3645649af2b778dc9f7fa502fd37fc83243ff9fa92d6f6ba71"),
+    ("statify", CAR, 1, "1867e99172f75818cca8e5ca2ebc0c9d06e4bfd84a234e39488555a2ec398de2",
+     "e3686cf39b4abd584266dc1bd67cfa688feb892d3a33fcb0e8cf8ddb72a54621"),
+    ("statify", DIAG, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("statify", SMALL_UPDATE, 1, "c57f854cad0c1a7489dd162995082703699d5665744806412716d8da76626ea9",
+     "a5367e2ae8dabc8dc81c175ad70a6b4966ec1b9f427f5bcdaaa7f6ef4a4da61b"),
+    ("diagnose", RANKED, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("diagnose", CAR, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("diagnose", DIAG, 0, "6a4c6ed1f445df36590492aa5794011de5828975fd03c3eef852542ffd00a8a6",
+     "cdca480f2a5d1db6cdd1720febea5d86696242d62f70b0bc3fc2bcd45e5ec08e"),
+    ("diagnose", SMALL_UPDATE, 2, NO_OUTPUT,
+     NO_OUTPUT),
+    ("borrowed-car", RANKED, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88",
+     "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
+    ("borrowed-car", CAR, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88",
+     "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
+    ("borrowed-car", DIAG, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88",
+     "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
+    ("borrowed-car", SMALL_UPDATE, 0, "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88",
+     "7d81039d1c9002da48d4c195ed5485d1d00c11d5eafd12754e10f8c0104ffa88"),
+    ("trace", RANKED, 0, "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080",
+     "ad6f84e683794efbb249f825012d0b20b88452f3c5d156f1966e704d0bcf7080"),
+    ("trace", CAR, 0, "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a",
+     "aa8fdbdca975b74117be2acbf88e2383b9738781dfc69d8fe986edac9ff1429a"),
+    ("trace", DIAG, 0, "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720",
+     "2926d454f6853bc898096e60834961bb0f2ba9e2edf318b930cc466d29789720"),
+    ("trace", SMALL_UPDATE, 0, "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a",
+     "6616b526091b1ca06ecd465ec32c75c5e28015addc3d3b4f7a2aa3761caab32a"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,scenario,exit_code,digest",
+    "command,scenario,exit_code,digest,text_digest",
     GOLDEN,
-    ids=[f"{c}-{os.path.basename(s)}" for c, s, _, _ in GOLDEN],
+    ids=[f"{c}-{os.path.basename(s)}" for c, s, _, _, _ in GOLDEN],
 )
-def test_machine_output_is_golden(capsys, command, scenario, exit_code, digest):
-    code, out, _ = run_cli(capsys, command, "--scenario", scenario, "--format", "machine")
-    assert code == exit_code
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_machine_output_is_golden(capsys, command, scenario, exit_code, digest, text_digest):
+    for fmt, expected in (("machine", digest), ("text", text_digest)):
+        code, out, _ = run_cli(capsys, command, "--scenario", scenario, "--format", fmt)
+        assert code == exit_code, fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, fmt
 
 
 def test_a_test_vector_naming_an_unknown_line_is_a_clean_error(tmp_path, capsys):

@@ -51,7 +51,7 @@ from beliefchange.plausibility import (
     rank_of,
 )
 from beliefchange.reports import Report
-from beliefchange.revision import static_system, system_from_ranking, validate_rev
+from beliefchange.revision import system_from_ranking, validate_rev
 from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import statify
 from beliefchange.systems import (
@@ -65,11 +65,17 @@ from beliefchange.systems import (
     believed,
     expand,
     first_failure,
+    menu_system,
     model_check,
     validate_bcs,
 )
 from beliefchange import update
-from beliefchange.update import hamming_structure, validate_upd
+from beliefchange.update import (
+    hamming_structure,
+    random_structure,
+    system_from_update,
+    validate_upd,
+)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
 PQ = Vocabulary(["p", "q"])
@@ -522,8 +528,9 @@ def _bel_systems():
     menu = [TRUE, P_, Q_]
     worlds = tuple(PQ.worlds())
     by_world = RankedMeasure(worlds, [RANKS[x] for x in worlds])
-    mapped = static_system(
-        PQ, menu, 2, lambda runs: MappedMeasure(runs, by_world, [run.envs[0] for run in runs])
+    mapped = menu_system(
+        PQ, [(x,) for x in worlds], menu, 2,
+        lambda runs: MappedMeasure(runs, by_world, [run.envs[0] for run in runs]),
     )
     gappy = {x: (INF if x in (w("11"), w("01")) else r) for x, r in RANKS.items()}
     unreachable = {x: INF for x in RANKS}
@@ -567,12 +574,24 @@ def test_bel_builds_no_conditioned_measure():
 
 
 def reference_static_runs(sys_):
-    """``static_system``'s runs, one world and one menu sequence at a time."""
+    """A static system's runs, one world and one menu sequence at a time."""
     runs = []
     for x in sorted(sys_.universe):
         choices = [o for o in sys_.menu if x in sys_.vocab.extension(o)]
         for obs in itertools.product(choices, repeat=sys_.horizon):
             runs.append(Run((x,) * (sys_.horizon + 1), obs))
+    return runs
+
+
+def reference_update_runs(sys_):
+    """``system_from_update``'s runs, one start world and then one (world,
+    observation) step at a time, each step over every world."""
+    worlds = sorted(sys_.universe)
+    steps = [(x, o) for x in worlds for o in sys_.menu if x in sys_.vocab.extension(o)]
+    runs = []
+    for x in worlds:
+        for tail in itertools.product(steps, repeat=sys_.horizon):
+            runs.append(Run((x,) + tuple(y for y, _ in tail), tuple(o for _, o in tail)))
     return runs
 
 
@@ -633,6 +652,18 @@ def seeded_ranking(seed, horizon):
     return system_from_ranking(PQR, ranks, menu, horizon, universe=universe)
 
 
+def seeded_update(vocab, kind, seed, horizon):
+    """``system_from_update`` over ``vocab`` at ``horizon``, on Hamming
+    distance or a seeded random structure, with a seeded menu of literals
+    and two-literal disjunctions."""
+    rng = random.Random(seed)
+    structure = hamming_structure(vocab) if kind == "hamming" else random_structure(vocab, rng)
+    literals = [f(Atom(a)) for a in vocab.props for f in (lambda x: x, Not)]
+    menu = rng.sample(literals, rng.randrange(1, 4))
+    menu += [Or(*rng.sample(literals, 2)) for _ in range(rng.randrange(2))]
+    return system_from_update(structure, horizon, menu)
+
+
 THREE_GATE = load_scenario(os.path.join(SCENARIOS, "diag_three_gates.scn")).circuit
 
 
@@ -657,6 +688,14 @@ def seeded_circuit(seed, tests):
 
 BLOCK_CASES = {
     **{f"ranking-h{h}-{seed}": ("static", seeded_ranking(seed, h)) for h in range(4) for seed in range(3)},
+    **{
+        f"update-{kind}-h{h}-{seed}": ("update", seeded_update(PQ, kind, seed, h))
+        for kind in ("hamming", "random") for h in (1, 2, 3) for seed in range(2)
+    },
+    **{
+        f"update-{kind}-pqr-h2": ("update", seeded_update(PQR, kind, 0, 2))
+        for kind in ("hamming", "random")
+    },
     "diag_three_gates": ("diag", (THREE_GATE, [{"l1": 1, "l2": 1, "l3": 0}, {"l1": 0, "l2": 1, "l3": 1}])),
     **{f"circuit-t{t}-{seed}": ("diag", seeded_circuit(seed, t)) for t in (1, 2, 3) for seed in range(3)},
 }
@@ -664,7 +703,7 @@ BLOCK_CASES = {
 
 def _block_system(name):
     kind, made = BLOCK_CASES[name]
-    return made if kind == "static" else build_diag_system(*made)
+    return build_diag_system(*made) if kind == "diag" else made
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -674,6 +713,13 @@ def test_blocks_expand_to_the_per_run_loops(name):
     assert all(type(run) is Run for run in sys_.runs)
     if kind == "static":
         assert list(sys_.runs) == reference_static_runs(sys_)
+    elif kind == "update":
+        # one block over every world, whose runs reach the prior's cells in
+        # lexicographic order
+        assert len(sys_.blocks) == 1
+        assert list(sys_.runs) == reference_update_runs(sys_)
+        worlds = sorted(sys_.universe)
+        assert sys_.prior.base.carrier == tuple(itertools.product(worlds, repeat=sys_.horizon + 1))
     else:
         runs, ranks, menu = reference_diag_runs(*made)
         assert list(sys_.runs) == runs
@@ -695,6 +741,12 @@ def test_the_block_index_matches_the_run_by_run_build(name):
     assert explicit.blocks == ((sys_.runs,),)
     assert explicit.index.at == index.at and explicit.index.obs_at == index.obs_at
     assert list(explicit.index.prefix.items()) == list(index.prefix.items())
+
+
+def test_menu_system_lists_true_first():
+    sys_ = system_from_ranking(PQ, RANKS, [P_, TRUE, P_], 1)
+    assert sys_.menu == (TRUE, P_)
+    assert [run.obs for run in sys_.runs if run.envs[0] == w("11")] == [(TRUE,), (P_,)]
 
 
 @pytest.mark.parametrize("seed", range(4))

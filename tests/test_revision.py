@@ -33,13 +33,12 @@ from beliefchange.revision import (
     ranking_from_operator,
     revise_at_state,
     revision_from_system,
-    static_system,
     system_from_ranking,
     system_from_revision,
     validate_rev,
 )
 from beliefchange.scenario import build_system, load_scenario
-from beliefchange.systems import BudgetError, bel
+from beliefchange.systems import BudgetError, bel, menu_system
 
 PQ = Vocabulary(["p", "q"])
 w = PQ.world_from_str
@@ -426,8 +425,8 @@ def test_a_strict_linear_preference_root_yields_an_operator():
     order = [w("10"), w("11"), w("00"), w("01")]
     worlds = tuple(PQ.worlds())
     chain = from_preference(worlds, zip(order, order[1:]))
-    sys_ = static_system(
-        PQ, [TRUE, P_, Q_, Not(Q_)], 2,
+    sys_ = menu_system(
+        PQ, [(x,) for x in worlds], [TRUE, P_, Q_, Not(Q_)], 2,
         lambda runs: MappedMeasure(runs, chain, [worlds.index(run.envs[0]) for run in runs]),
     )
     ranks = {x: i for i, x in enumerate(order)}

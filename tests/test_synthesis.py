@@ -12,7 +12,6 @@ from beliefchange.formulas import (
 )
 from beliefchange.plausibility import CustomMeasure, RankedMeasure, extension_representatives
 from beliefchange.synthesis import (
-    SynthesisError,
     belief_correspondence,
     statify,
     verify_statification,
@@ -61,11 +60,6 @@ def test_statified_environment_is_static_and_encodes_history(twin):
 def test_statify_rejects_timestamped_vocabulary(twin):
     with pytest.raises(TimestampError):
         statify(twin.inner)
-
-
-def test_statify_rejects_short_horizon(upd_sys):
-    with pytest.raises(SynthesisError):
-        statify(upd_sys, horizon=1)
 
 
 def test_prior_isomorphism_exhaustive_on_small_system():

@@ -11,7 +11,7 @@ import pytest
 from beliefchange import update
 from beliefchange.diagnosis import Circuit, Gate, build_diag_system, check_prop_diag
 from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary
-from beliefchange.plausibility import INF, CustomMeasure, Ordering, RankedMeasure
+from beliefchange.plausibility import INF, CustomMeasure, MappedMeasure, Ordering, RankedMeasure
 from beliefchange.revision import (
     RevisionOperator,
     check_agm,
@@ -33,6 +33,7 @@ from beliefchange.update import (
     LexPrior,
     UpdateStructure,
     check_km,
+    check_update_correspondence,
     hamming_structure,
     system_from_update,
     update_operator,
@@ -187,6 +188,43 @@ def test_upd2_witness_wins_over_a_later_part_past_the_budget(updsys):
     assert witness == "cells (0, 0) vs (0, 2): expected strictly above, got <"
     with pytest.raises(BudgetError, match="UPD2: 120 pairs"):
         next(update._check_upd2(sys_, HAMMING, 119))
+
+
+def test_upd2_menu_sequence_witness():
+    # single cells compare as the cell order does, so every cell pair
+    # passes; larger sets compare by size, so the measure ties <p, true>
+    # and <true, p>, two cells each, where the order's dominance lift
+    # does not
+    structure = hamming_structure(Vocabulary(["p"]))
+    sys_ = system_from_update(structure, 1, (TRUE, P_))
+    cells = sys_.prior.base
+
+    def compare(a, b):
+        if len(a) == len(b) == 1:
+            return cells.compare(a, b)
+        return _by_size(a, b)
+
+    prior = MappedMeasure(sys_.runs, CustomMeasure(cells.carrier, compare), sys_.prior.image)
+    report = validate_upd(with_prior(sys_, prior), structure)
+    assert report["UPD2"].text_line() == (
+        "UPD2 FAIL  WITNESS: events <p, true> vs <true, p>: measure True, cells False"
+    )
+
+
+def test_states_step_witness(monkeypatch):
+    # a minimal change that drops the highest world of every answer with
+    # more than one world: the states after <true> keep all four
+    min_u = update.min_u
+
+    def short(*args):
+        answer = min_u(*args)
+        return answer - {max(answer)} if len(answer) > 1 else answer
+
+    monkeypatch.setattr(update, "min_u", short)
+    report = check_update_correspondence(system_from_update(HAMMING, 2, (TRUE, P_)))
+    assert report["STATES-STEP"].witness == (
+        "after <> then true: states {00,01,10,11} != minimal change {00,01,10}"
+    )
 
 
 # ---------------------------------------------------------------------------
