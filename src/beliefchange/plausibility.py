@@ -334,14 +334,23 @@ class MappedMeasure(PlausibilityMeasure):
     @cached_property
     def root_mask(self) -> Callable[[int], int]:
         """The image of a carrier mask in the chain's root; recently seen
-        masks keep theirs."""
+        masks keep theirs.  A mask with more elements than the image has
+        positions is read off the preimage of each position, built on the
+        first such mask: a position is in the image when its preimage
+        meets the mask.  A sparser mask walks its bits."""
         image = self._target[1]
         if image is None:
             return lambda mask: mask
+        positions = len(set(image))
+        preimages: List[Tuple[int, int]] = []
 
         @lru_cache(maxsize=MEMO_MASKS)
         def root_mask(mask: int) -> int:
-            return mask_of([image[i] for i in bits(mask)])
+            if mask.bit_count() <= positions:
+                return mask_of([image[i] for i in bits(mask)])
+            if not preimages:
+                preimages.extend((k, mask_of(ids)) for k, ids in group_positions(image).items())
+            return mask_of([k for k, preimage in preimages if preimage & mask])
 
         return root_mask
 

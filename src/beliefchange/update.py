@@ -736,22 +736,40 @@ def _check_upd3(sys: System, structure: UpdateStructure) -> Iterator[str]:
 def _check_upd4(sys: System, structure: UpdateStructure, budget: int) -> Iterator[str]:
     """Biconditional between observed events and their conjunction-only
     counterparts, over every formula/observation sequence with at most one
-    observation; the instances with k observations are one part of the
-    budget.  All of one observation's events are built before its pairs
-    are compared.
+    observation.
+
+    With no observation the two events are one mask, so nothing can
+    differ.  With one observation ``o``, when the worlds' root images are
+    disjoint at times 0 to 2 (:meth:`RunIndex.root_blocks`) every formula
+    sequence's event is a union of root fibres (the runs of one root
+    position), so its image meets another event's image where their
+    intersection's does: if ``o``'s observed and merely-true events have
+    one root image, each sequence has one on both sides, and ``o`` is
+    decided without an event.  The other observations are swept in menu
+    order, all of one observation's events built before its pairs are
+    compared; the instances with one observation are a budget part,
+    checked when some observation is swept.
     """
+    if sys.horizon < 2:
+        return
+    index, vocab = sys.index, sys.vocab
     menu = list(sys.menu)
     probes = list(dict.fromkeys(menu))
-    prior = sys.index.prior
-    for k in range(min(2, sys.horizon)):
-        count = len(menu) ** k * len(probes) ** (2 * k + 4)
-        check_budget("UPD4", count, f"instances with {('no', 'one')[k]} observation", budget)
-        sequences = list(itertools.product(probes, repeat=k + 2))
-        for obs in itertools.product(menu, repeat=k):
-            observed = [_upd4_event(sys, f, obs, True) for f in sequences]
-            merely_true = [_upd4_event(sys, f, obs, False) for f in sequences]
-            for a, b in disagreements(prior, observed, prior, merely_true, Ordering.at_least):
-                yield f"formulas {seq_str(sequences[a])} vs {seq_str(sequences[b])} observing {seq_str(obs)}"
+    prior, root_mask = index.prior, index.prior.root_mask
+    fibred = all(index.root_blocks(t) is not None for t in range(3))
+    swept = [
+        o for o in menu
+        if not fibred
+        or root_mask(index.observed((o,))) != root_mask(index.env_event(1, vocab.extension(o)))
+    ]
+    if swept:
+        check_budget("UPD4", len(menu) * len(probes) ** 6, "instances with one observation", budget)
+    sequences = list(itertools.product(probes, repeat=3))
+    for o in swept:
+        observed = [_upd4_event(sys, f, (o,), True) for f in sequences]
+        merely_true = [_upd4_event(sys, f, (o,), False) for f in sequences]
+        for a, b in disagreements(prior, observed, prior, merely_true, Ordering.at_least):
+            yield f"formulas {seq_str(sequences[a])} vs {seq_str(sequences[b])} observing {seq_str((o,))}"
 
 
 def _upd4_event(sys: System, formulas, obs, observed: bool) -> Mask:

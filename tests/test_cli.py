@@ -14,8 +14,8 @@ from beliefchange.scenario import (
     load_scenario_text,
     scenario_to_text,
 )
-from beliefchange.systems import bel
-from beliefchange.update import UpdateStructure
+from beliefchange.systems import BudgetError, System, bel
+from beliefchange.update import LexPrior, UpdateStructure, validate_upd
 
 SCENARIOS = os.path.join(
     os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios"
@@ -244,16 +244,26 @@ def test_update_trace_on_car_scenario(capsys):
 
 
 def test_check_upd_on_small_update_scenario(capsys):
-    # the largest part of the sweep is UPD4's 2,187 instances with one
-    # observation: one less is a budget error naming the check
+    # every observation's observed and merely-true events have one root
+    # image here, so UPD4 sweeps nothing and its 2,187 instances with one
+    # observation are no budget part; the largest part left is UPD2's 2,016
+    # pairs of length-3 cells
     code, out, _ = run_cli(
-        capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2187"
+        capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2186"
     )
     assert code == 0
-    assert "UPD2 PASS" in out
-    code, _, err = run_cli(capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2186")
+    assert out.splitlines()[:4] == ["UPD1 PASS", "UPD2 PASS", "UPD3 PASS", "UPD4 PASS"]
+    code, _, err = run_cli(capsys, "check-upd", "--scenario", SMALL_UPDATE, "--budget", "2015")
     assert code == 2
-    assert "error: UPD4: 2187 instances with one observation exceed the budget of 2186" in err
+    assert "error: UPD2: 2016 pairs of length-3 cells exceed the budget of 2015" in err
+    # with the runs that observe p at 11 dropped, observing p is swept, and
+    # its part counts every instance with one observation
+    sys_ = build_system(load_scenario(SMALL_UPDATE))
+    w11, p = sys_.vocab.world_from_str("11"), sys_.menu[1]
+    runs = tuple(r for r in sys_.runs if not (r.envs[1] == w11 and r.obs[0] == p))
+    no_p_at_11 = System(sys_.vocab, runs, LexPrior(runs, sys_.prior.structure), sys_.horizon, menu=sys_.menu)
+    with pytest.raises(BudgetError, match="^UPD4: 2187 instances with one observation exceed the budget of 2186$"):
+        validate_upd(no_p_at_11, budget=2186)
 
 
 def test_check_upd_on_borrowed_car_in_both_formats(capsys):

@@ -15,7 +15,11 @@ farther worlds; the reference asks the distance order directly.
 ``minimal_prefix_cells`` asks ``prec`` only within a candidate's
 first-world block; the reference scans every cell.  ``believed`` reads
 the prior's root when the worlds' root images are disjoint; the
-reference compares run masks through the prior, world by world.
+reference compares run masks through the prior, world by world.  UPD4
+decides an observation on root images when the worlds' root images are
+disjoint; the reference builds and compares every event pair.  A mapped
+measure sends a dense mask to its root by a scan of each position's
+preimage; the reference walks every bit.
 """
 import functools
 import itertools
@@ -40,13 +44,15 @@ from beliefchange.plausibility import (
     bits,
     disagreements,
     from_preference,
+    mask_of,
     root_of,
 )
-from beliefchange.scenario import build_system, load_scenario
+from beliefchange.scenario import build_system, load_scenario, load_scenario_text
 from beliefchange.synthesis import statify, verify_statification
 from beliefchange.systems import (
     BudgetError,
     System,
+    _conditioned_prior,
     _not_disbelieved,
     bel,
     believed,
@@ -380,8 +386,7 @@ def test_diagnosis_revision_report(monkeypatch):
     both_ways(monkeypatch, lambda: revision_report(sys_, scenario.circuit))
 
 
-@pytest.fixture(scope="module")
-def no_p_at_11():
+def _no_p_at_11():
     # observing p never happens at world 11, so observing it is informative
     structure = hamming_structure(PQ)
     full = system_from_update(structure, 2, MENU)
@@ -390,18 +395,23 @@ def no_p_at_11():
     return with_prior(full, update.LexPrior(runs, structure), runs)
 
 
+@pytest.fixture(scope="module")
+def no_p_at_11():
+    return _no_p_at_11()
+
+
 @pytest.mark.parametrize("budget", [10, 30, 50, 400])
 def test_upd4_at_sampled_budgets(no_p_at_11, budget):
-    # budgets the sweep once sampled under: the fast and reference UPD4
-    # sweeps now raise at the same part, the first one past the budget
+    # budgets the sweep once sampled under: with no observation the two
+    # events are one mask, so the first part past the budget is the one
+    # with one observation, which observing p takes; the reference sweeps
+    # both parts and raises at the same one once the first fits
     structure = update._structure_of(no_p_at_11, None)
-    part = "81 instances with no observation" if budget < 81 else "2187 instances with one observation"
-    errors = []
-    for check in (update._check_upd4, upd4_reference):
-        with pytest.raises(BudgetError, match=f"UPD4: {part} exceed the budget of {budget}") as raised:
+    message = f"^UPD4: 2187 instances with one observation exceed the budget of {budget}$"
+    checks = (update._check_upd4, upd4_reference) if budget >= 81 else (update._check_upd4,)
+    for check in checks:
+        with pytest.raises(BudgetError, match=message):
             list(check(no_p_at_11, structure, budget))
-        errors.append(str(raised.value))
-    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("budget", [2186, 2187])
@@ -618,39 +628,99 @@ def test_upd2_rows_across_initial_worlds_take_the_full_sweep(monkeypatch):
     assert report["UPD2"].witness == "cells (0, 0) vs (3, 0): unexpected strict comparison >"
 
 
+def built_upd4_events(monkeypatch):
+    """The list each ``_upd4_event`` call appends its observation sequence to."""
+    built, event = [], update._upd4_event
+    monkeypatch.setattr(update, "_upd4_event", lambda *args: built.append(args[2]) or event(*args))
+    return built
+
+
 def test_upd4_compares_nothing_for_an_observation_with_no_live_sequence(monkeypatch, no_p_at_11):
-    # only observing p is informative there; a comparison belongs to the
-    # last observation whose events were built
+    # only observing p is informative there: the other observations are
+    # decided on their root images, with no event built, and the part's
+    # budget is checked before observing p is swept
     structure = no_p_at_11.prior.structure
     reference = list(upd4_reference(no_p_at_11, structure, 2187))
-    built, compared = [], []
-    event, compare = update._upd4_event, PreferentialMeasure._compare
-    monkeypatch.setattr(update, "_upd4_event", lambda *args: built.append(args[2]) or event(*args))
+    built, compared = built_upd4_events(monkeypatch), []
+    compare = PreferentialMeasure._compare
     monkeypatch.setattr(
         PreferentialMeasure, "_compare", lambda *args: compared.append(built[-1]) or compare(*args)
     )
+    with pytest.raises(BudgetError, match="^UPD4: 2187 instances with one observation exceed the budget of 2186$"):
+        list(update._check_upd4(no_p_at_11, structure, 2186))
+    assert built == [] and compared == []
     assert list(update._check_upd4(no_p_at_11, structure, 2187)) == reference != []
-    assert list(dict.fromkeys(built)) == [(), (TRUE,), (P_,), (Not(Q_),)]
+    assert list(dict.fromkeys(built)) == [(P_,)]
     assert compared and set(compared) == {(P_,)}
 
 
-def test_upd4_finds_every_witness_of_the_reference(monkeypatch, no_p_at_11):
-    # ranked on the worlds at times 0 and 1, with 11 at time 1 first:
-    # pairs whose second sequence is not live fail too, after the first
-    # witness
-    structure, runs = no_p_at_11.prior.structure, no_p_at_11.runs
+def ranked_on_two_times(sys_):
+    """``sys_`` ranked on its worlds at times 0 and 1, with 11 at time 1
+    first: a root whose world blocks at time 2 meet."""
     w = {name: PQ.world_from_str(name) for name in ("00", "10", "11")}
     ranks = [
         0 if w1 == w["11"] else 1 if (w0, w1) == (w["00"], w["10"]) else 2
         for w0 in range(4) for w1 in range(4)
     ]
     root = RankedMeasure(range(16), ranks)
-    sys_ = with_prior(no_p_at_11, MappedMeasure(runs, root, [4 * r.envs[0] + r.envs[1] for r in runs]), runs)
+    runs = sys_.runs
+    return with_prior(sys_, MappedMeasure(runs, root, [4 * r.envs[0] + r.envs[1] for r in runs]), runs)
+
+
+def test_upd4_finds_every_witness_of_the_reference(monkeypatch, no_p_at_11):
+    # pairs whose second sequence is not live fail too, after the first
+    # witness
+    structure = no_p_at_11.prior.structure
+    sys_ = ranked_on_two_times(no_p_at_11)
     with monkeypatch.context() as m:
         calls = counted_compares(m, RankedMeasure)
         witnesses = list(update._check_upd4(sys_, structure, 2187))
     assert calls == []  # ranks are read once per event
     assert len(witnesses) == 234 and witnesses == list(upd4_reference(sys_, structure, 2187))
+
+
+def tampered_lex(sys_):
+    """``sys_`` under its lexicographic root with the first and last runs'
+    cells swapped: a root whose world blocks at time 0 meet."""
+    root, image = root_of(sys_.prior)
+    image = list(image)
+    image[0], image[-1] = image[-1], image[0]
+    return with_prior(sys_, MappedMeasure(sys_.runs, root, image))
+
+
+def _upd4_systems():
+    """System name -> (a call that makes it, its structure, the
+    observations UPD4 sweeps)."""
+    out = {}
+    for vocab, horizons, seeds in ((PQ, (1, 2, 3), range(3)), (PQR, (2,), range(2))):
+        named = {"hamming": hamming_structure(vocab)}
+        named.update((f"random-{seed}", random_structure(vocab, random.Random(seed))) for seed in seeds)
+        for (name, structure), horizon in itertools.product(named.items(), horizons):
+            make = functools.partial(system_from_update, structure, horizon, MENU)
+            out[f"{'pq' if vocab is PQ else 'pqr'}-{name}-h{horizon}"] = (make, structure, [])
+    hamming, every = hamming_structure(PQ), [(o,) for o in MENU]
+    out["no_p_at_11"] = (_no_p_at_11, hamming, [(P_,)])
+    out["ranked-on-two-times"] = (lambda: ranked_on_two_times(_no_p_at_11()), hamming, every)
+    out["tampered-lex"] = (lambda: tampered_lex(system_from_update(hamming, 2, MENU)), hamming, every)
+    return out
+
+
+UPD4_SYSTEMS = _upd4_systems()
+
+
+@pytest.mark.parametrize("name", sorted(UPD4_SYSTEMS))
+def test_upd4_reduction_matches_the_full_sweep(monkeypatch, name):
+    make, structure, swept = UPD4_SYSTEMS[name]
+    sys_ = make()
+    if swept == [(o,) for o in MENU]:  # a root whose world blocks meet
+        assert any(sys_.index.root_blocks(t) is None for t in range(3))
+    with monkeypatch.context() as m:
+        built = built_upd4_events(m)
+        witnesses = list(update._check_upd4(sys_, structure, 10**6))
+    assert witnesses == list(upd4_reference(sys_, structure, 10**6))
+    assert list(dict.fromkeys(built)) == swept
+    if not swept:  # no part is swept, so none is past any budget
+        assert list(update._check_upd4(sys_, structure, 0)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +859,54 @@ def test_borrowed_car_twin_believes_the_unchanged_cells_in_seconds():
     cells = update.minimal_prefix_cells(sys_.prior.structure, (TRUE,) * 4)
     assert got == {synthesis._encode_env_sequence(sys_, st.vocab, c) for c in cells}
     assert elapsed < 5
+
+
+# ---------------------------------------------------------------------------
+# root_mask, by bit walk or preimage scan, against the walk of every bit
+
+
+def _root_mask_measures():
+    """Measure name -> a call that makes a mapped measure whose image has
+    fewer positions than its carrier has elements."""
+    lex = functools.partial(system_from_update, hamming_structure(PQ), 2, MENU)
+
+    def twin(name):
+        return statify(_scenario_system(name)[1]).inner.index.prior
+
+    preference = (
+        "vocab p q\nhorizon 2\nprior preference\n  11 < 10\n  11 < 01\n  10 < 00\n"
+        "menu true, p, !q\n"
+    )
+    return {
+        "lex-prior": lambda: lex().prior,
+        "conditioned": lambda: _conditioned_prior(lex(), (P_,)),
+        "small_update-twin": functools.partial(twin, "small_update.scn"),
+        "borrowed_car-twin": functools.partial(twin, "borrowed_car.scn"),
+        "preference": lambda: build_system(load_scenario_text(preference)).prior,
+    }
+
+
+ROOT_MASK_MEASURES = _root_mask_measures()
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_MASK_MEASURES))
+def test_root_mask_matches_the_walk_of_every_bit(name):
+    measure = ROOT_MASK_MEASURES[name]()
+    image = root_of(measure)[1]
+    n, positions = len(image), len(set(image))
+    assert positions < n  # dense masks take the scan
+    rng = random.Random(name)
+
+    def sample(k):
+        return mask_of(rng.sample(range(n), k))
+
+    # dense ones first, so sparse ones also come after the preimages
+    sizes = [n, n - 1, (n + positions) // 2, positions + 1, positions, positions // 2, 2, 1, 0]
+    masks = [sample(k) for k in sizes for _ in range(3)]
+    masks += [rng.getrandbits(n) for _ in range(5)]
+    for mask in masks:
+        expected = mask_of([image[i] for i in bits(mask)])
+        assert measure.root_mask(mask) == expected == measure.root_mask(Mask(mask))
 
 
 # ---------------------------------------------------------------------------
