@@ -8,6 +8,7 @@ one tab-separated record per line: CHECK, NAME, PASS|FAIL, WITNESS.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 from typing import List, Optional
 
@@ -52,8 +53,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call; parsing leaves no state on it
+_main_parser = functools.cache(make_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
         if args.budget < 0:

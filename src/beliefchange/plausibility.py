@@ -31,7 +31,6 @@ from .formulas import (
     And,
     BeliefChangeError,
     Formula,
-    Implies,
     Not,
     Or,
     Vocabulary,
@@ -138,6 +137,15 @@ class PlausibilityMeasure:
         return frozenset(carrier[i] for i in bits(mask))
 
 
+def _kept(carrier: Sequence[Hashable]) -> Sequence[Hashable]:
+    """The carrier a run-level measure keeps: a system's :class:`Runs` view
+    as it is, since building its runs is what the view puts off, and any
+    other sequence as a tuple."""
+    from .systems import Runs  # systems imports this module
+
+    return carrier if type(carrier) is Runs else tuple(carrier)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     """The int with exactly the given bits set."""
     indices = list(indices)
@@ -202,7 +210,7 @@ class RankedMeasure(PlausibilityMeasure):
     def __init__(self, carrier: Sequence[Hashable], ranks: Sequence[float]):
         if isinstance(ranks, Mapping):
             raise PlausibilityError("ranks are positional: ranks[i] is the rank of carrier[i]")
-        self.carrier = tuple(carrier)
+        self.carrier = _kept(carrier)
         self.ranks = tuple(ranks)
         if len(self.ranks) != len(self.carrier):
             raise PlausibilityError(
@@ -214,9 +222,26 @@ class RankedMeasure(PlausibilityMeasure):
 
     @cached_property
     def _levels(self) -> List[Tuple[float, int]]:
-        """(rank, mask of the elements with that rank), finite ranks ascending."""
-        by_rank = group_positions(self.ranks)
-        return [(r, mask_of(by_rank[r])) for r in sorted(by_rank) if r != INF]
+        """(rank, mask of the elements with that rank), finite ranks ascending.
+
+        Ranks are read a stretch of equal ranks at a time while stretches
+        average four elements or more: a rank's mask is the sum of the bit
+        ranges [start, end) of its stretches, its ends' mask minus its
+        starts' (no two of its stretches touch).  The ranks after the point
+        where stretches turn shorter are grouped position by position.
+        """
+        ranks, bounds, start = self.ranks, {}, 0
+        for k, (rank, stretch) in enumerate(itertools.groupby(ranks)):
+            if 4 * k > start:
+                break
+            end = start + len(tuple(stretch))
+            bounds.setdefault(rank, []).extend((start, end))
+            start = end
+        levels = {r: mask_of(b[1::2]) - mask_of(b[::2]) for r, b in bounds.items() if r != INF}
+        for r, ids in group_positions(ranks[start:]).items():
+            if r != INF:
+                levels[r] = levels.get(r, 0) | mask_of(ids) << start
+        return sorted(levels.items())
 
     def _rank(self, a: int) -> float:
         for rank, level in self._levels:
@@ -307,7 +332,7 @@ class MappedMeasure(PlausibilityMeasure):
     def __init__(
         self, carrier: Sequence[Hashable], base: PlausibilityMeasure, image: Sequence[int]
     ):
-        self.carrier = tuple(carrier)
+        self.carrier = _kept(carrier)
         self.base = base
         self.image = list(image)
         n, size = len(self.carrier), len(base.carrier)
@@ -549,40 +574,6 @@ def conditional_holds(
 
 def believes(structure: PlausibilityStructure, formula: Formula) -> bool:
     return conditional_holds(structure, TRUE, formula)
-
-
-def preferential_conditional_holds(
-    order: PreferentialMeasure,
-    labeling: Mapping[Hashable, int],
-    vocab: Vocabulary,
-    antecedent: Formula,
-    consequent: Formula,
-) -> bool:
-    """World-order reading of the conditional, used as an independent oracle.
-
-    For every element satisfying the antecedent there must be an at least
-    as preferred element satisfying antecedent-and-consequent, all of whose
-    strict betters satisfy antecedent-implies-consequent.
-    """
-    ante_ext = vocab.extension(antecedent)
-    good_ext = vocab.extension(And(antecedent, consequent))
-    impl_ext = vocab.extension(Implies(antecedent, consequent))
-    labels, rows = [labeling[e] for e in order.carrier], order.rows
-    for w1, label1 in enumerate(labels):
-        if label1 not in ante_ext:
-            continue
-        found = False
-        for w2, label2 in enumerate(labels):
-            if label2 not in good_ext:
-                continue
-            if w2 != w1 and not rows[w2] >> w1 & 1:
-                continue  # witnesses must be at least as normal as w1
-            if all(label3 in impl_ext for label3, row in zip(labels, rows) if row >> w2 & 1):
-                found = True
-                break
-        if not found:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def system_from_ranking(
         [(w,) for w in sorted(universe)],
         menu,
         horizon,
-        lambda runs: RankedMeasure(runs, [world_ranks.get(run.envs[0], INF) for run in runs]),
+        lambda runs: RankedMeasure(runs, [world_ranks.get(w, INF) for w in runs.initial_worlds()]),
     )
 
 

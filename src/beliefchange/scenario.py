@@ -346,7 +346,7 @@ def _system_from_preference(scenario: Scenario) -> System:
         [(w,) for w in vocab.worlds()],
         scenario.menu,
         scenario.horizon,
-        lambda runs: MappedMeasure(runs, worlds, [run.envs[0] for run in runs]),
+        lambda runs: MappedMeasure(runs, worlds, runs.initial_worlds()),
     )
 
 

@@ -10,12 +10,14 @@ a plausibility measure over the points the agent considers possible.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product, repeat, starmap
+from itertools import accumulate, product, repeat, starmap
 from math import prod
 from operator import add
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from .formulas import (
     TRUE,
@@ -89,15 +91,97 @@ Segment = Tuple[Tuple[int, ...], Tuple[Formula, ...]]
 Block = Tuple[Tuple[Segment, ...], ...]
 
 
-def expand(blocks: Sequence[Block]) -> Tuple[Run, ...]:
+class Runs(Sequence):
+    """The runs of product blocks, in :func:`expand` order, built only when
+    a caller lists them.
+
+    Its length comes from the block sizes.  Until the runs are iterated, an
+    index decodes one run of its block by mixed radix, the last factor
+    varying fastest as in ``itertools.product``.  Iterating or slicing
+    builds every run once, block by block, and keeps the tuple.  It
+    compares, hashes and adds as that tuple does.
+    """
+
+    __slots__ = ("blocks", "_sizes", "_starts", "_built")
+
+    def __init__(self, blocks: Sequence[Block]):
+        self.blocks = tuple(blocks)
+        self._sizes = [[len(factor) for factor in block] for block in self.blocks]
+        # _starts[b]: the number of block b's first run; the last entry is the total
+        self._starts = list(accumulate(map(prod, self._sizes), initial=0))
+        self._built: Optional[Tuple[Run, ...]] = None
+
+    @property
+    def built(self) -> Optional[Tuple[Run, ...]]:
+        """The run tuple once iteration or a slice has built it, else None."""
+        return self._built
+
+    def _all(self) -> Tuple[Run, ...]:
+        if self._built is None:
+            runs: List[Run] = []
+            for block in self.blocks:
+                envs = _concatenations([[segment[0] for segment in factor] for factor in block])
+                obs = _concatenations([[segment[1] for segment in factor] for factor in block])
+                runs += map(tuple.__new__, repeat(Run), zip(envs, obs))
+            self._built = tuple(runs)
+        return self._built
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if self._built is not None or isinstance(i, slice):
+            return self._all()[i]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("run index out of range")
+        b = bisect_right(self._starts, i) - 1  # skips empty blocks
+        j, parts = i - self._starts[b], []
+        for factor, size in zip(reversed(self.blocks[b]), reversed(self._sizes[b])):
+            j, k = divmod(j, size)
+            parts.append(factor[k])
+        parts.reverse()
+        return Run(sum((envs for envs, _ in parts), ()), sum((obs for _, obs in parts), ()))
+
+    def __iter__(self) -> Iterator[Run]:
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        return self._all() == other
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __add__(self, other):
+        return self._all() + (other._all() if isinstance(other, Runs) else other)
+
+    def __repr__(self) -> str:
+        return f"<Runs: {len(self)} runs in {len(self.blocks)} blocks>"
+
+    def initial_worlds(self) -> List[int]:
+        """Each run's world at time 0, read off the blocks: one repeat per
+        segment of a block's first factor, whose segments must start with
+        time 0 (hold at least one world)."""
+        worlds: List[int] = []
+        for block, sizes in zip(self.blocks, self._sizes):
+            width = prod(sizes[1:])
+            for envs, _ in block[0]:
+                worlds += [envs[0]] * width
+        return worlds
+
+
+def expand(blocks: Sequence[Block]) -> Runs:
     """The runs of ``blocks``, block by block, each block's runs in
-    ``itertools.product`` order of its factors."""
-    runs: List[Run] = []
-    for block in blocks:
-        envs = _concatenations([[segment[0] for segment in factor] for factor in block])
-        obs = _concatenations([[segment[1] for segment in factor] for factor in block])
-        runs += map(tuple.__new__, repeat(Run), zip(envs, obs))
-    return tuple(runs)
+    ``itertools.product`` order of its factors, as a :class:`Runs` view."""
+    return Runs(blocks)
+
+
+def _listed(runs: Sequence[Run]) -> Sequence[Run]:
+    """The runs to index in a loop over many of them: a view's tuple once
+    iteration has built it, so each index is a tuple's, else ``runs``."""
+    return (runs.built or runs) if type(runs) is Runs else runs
 
 
 def _concatenations(factors: List[List[tuple]]) -> List[tuple]:
@@ -117,25 +201,28 @@ class System:
     full enumeration for ordinary propositional reasoning, a constrained
     subset when the consequence relation carries extra axioms, e.g. circuit
     behaviour).  ``menu`` lists the observation formulas runs draw from.
-    ``blocks``, when given, are product blocks whose :func:`expand` must be
-    exactly ``runs``: the run index is read off them, and only their run
-    counts, run shapes and each block's first and last runs are checked.
+    ``blocks`` are product blocks whose :func:`expand` must be exactly
+    ``runs``: the run index is read off them, and only their run counts,
+    run shapes and each block's first and last runs are checked.  They
+    default to one block of one factor, the runs themselves.  A
+    :class:`Runs` view is kept as it is, so a system built from blocks
+    builds no run until a caller iterates its runs.
     """
 
     vocab: Vocabulary
-    runs: Tuple[Run, ...]
+    runs: Sequence[Run]  # a Runs view, or a tuple
     prior: PlausibilityMeasure
     horizon: int
     universe: FrozenSet[int] = None  # type: ignore[assignment]
     menu: Tuple[Formula, ...] = ()
     point_measures: Optional[Dict[LocalState, PlausibilityMeasure]] = None
-    # None stands for one block of one factor, the runs themselves
     blocks: Optional[Tuple[Block, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.universe is None:
             self.universe = self.vocab.all_worlds()
-        self.runs = tuple(self.runs)
+        if type(self.runs) is not Runs:
+            self.runs = tuple(self.runs)
         if self.blocks is None:
             self.blocks = ((self.runs,),)
         shapes, count = set(), 0
@@ -164,7 +251,7 @@ class System:
     # -- basic structure -----------------------------------------------------
 
     def points_with_local_state(self, s_a: LocalState) -> Tuple[Point, ...]:
-        m, runs = len(s_a), self.runs
+        m, runs = len(s_a), _listed(self.runs)
         return tuple((runs[i], m) for i in bits(self.index.observed(s_a)))
 
     def plaus_at(self, s_a: LocalState) -> PlausibilityMeasure:
@@ -195,7 +282,7 @@ def menu_system(
     groups: Sequence[Sequence[int]],
     menu: Sequence[Formula],
     horizon: int,
-    make_prior: Callable[[Sequence[Run]], PlausibilityMeasure],
+    make_prior: Callable[[Runs], PlausibilityMeasure],
 ) -> System:
     """Runs that start at a world of a group, then at each step move to a
     world of the same group and observe a menu formula true there, under
@@ -304,7 +391,7 @@ class RunIndex:
         self.prefix = {s_a: Mask(mask) for s_a, mask in reached}
         # the prior read on these masks
         self.prior = sys.prior
-        if tuple(sys.prior.carrier) != runs:
+        if sys.prior.carrier is not runs and tuple(sys.prior.carrier) != runs:
             # a run outside the prior's carrier gets -1, which MappedMeasure rejects
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
@@ -350,7 +437,7 @@ def first_failure(failing: Sequence[int], describe: Callable[[int, int], str]) -
 def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
     """The prior read through point -> run on the points of a local state;
     the run numbers are the positions in the run-numbered prior."""
-    m, runs, index = len(s_a), sys.runs, sys.index
+    m, runs, index = len(s_a), _listed(sys.runs), sys.index
     ids = bits(index.observed(s_a))
     return MappedMeasure(tuple((runs[i], m) for i in ids), index.prior, ids)
 
@@ -411,10 +498,16 @@ def believed(sys: System, event: int, time: int) -> Extension:
 def _not_disbelieved(measure: PlausibilityMeasure, event: int, rows: Dict[int, int]) -> Extension:
     """The worlds w, of ``rows`` (world -> carrier mask), whose part of
     ``event`` the rest of the event does not beat under ``measure``; each
-    side is read once, as :func:`disagreements` reads its entries."""
+    side is read once, as :func:`disagreements` reads its entries.  On a
+    ranked root rank(event) = min(rank(part), rank(rest)), so the rest
+    beats a part exactly when the part's rank exceeds the event's: one rank
+    is read per world, and one for the event."""
     if measure.is_bottom(Mask(event)):
         return frozenset()
     parts = {w: holders for w, row in rows.items() if (holders := event & row)}
+    if isinstance(root_of(measure)[0], RankedMeasure):
+        _, ranks = _reading(measure, [event, *parts.values()])
+        return frozenset(w for w, rank in zip(parts, ranks[1:]) if rank == ranks[0])
     compare, keys = _reading(measure, [side for h in parts.values() for side in (event & ~h, h)])
     beaten = map(compare, keys[::2], keys[1::2])
     return frozenset(w for w, order in zip(parts, beaten) if order is not Ordering.GREATER)

@@ -439,6 +439,22 @@ def test_negative_budget_is_a_usage_error(capsys, command):
     assert "--budget: must not be negative: -1" in err
 
 
+def test_main_builds_its_parser_once_and_parses_alike_after(capsys, monkeypatch):
+    from beliefchange import cli
+
+    cli._main_parser()  # built by an earlier call or now
+    monkeypatch.setattr(cli, "make_parser", lambda: pytest.fail("parser built again"))
+    runs = [
+        run_cli(capsys, *argv)
+        for argv in (("no-such-command",), ("check-upd", "--scenario", SMALL_UPDATE, "--budget", "-1"))
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0][0] == runs[2][0] == 2
+    assert "invalid choice: 'no-such-command'" in runs[0][2]
+    assert run_cli(capsys, "check-agm", "--scenario", RANKED)[0] == 0
+
+
 # sha256 of the --format machine stdout and of the text stdout, with the
 # exit code (the same in both formats), of every command on every bundled
 # scenario: a change made only for speed or for a simpler design must leave

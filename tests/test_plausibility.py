@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from beliefchange.formulas import TRUE, And, Atom, Not, Vocabulary, formula_of_extension
+from beliefchange.formulas import TRUE, And, Atom, Implies, Not, Vocabulary, formula_of_extension
 from beliefchange.plausibility import (
     INF,
     CustomMeasure,
@@ -11,6 +11,7 @@ from beliefchange.plausibility import (
     Ordering,
     PlausibilityError,
     PlausibilityStructure,
+    PreferentialMeasure,
     RankedMeasure,
     believes,
     check_klm_closure,
@@ -19,7 +20,6 @@ from beliefchange.plausibility import (
     extension_representatives,
     from_preference,
     is_qualitative,
-    preferential_conditional_holds,
     rank_of,
     strict_closure,
 )
@@ -290,6 +290,35 @@ def test_believes_basics():
     flat = ranked_structure({"0": 0, "1": 0}, Vocabulary(["p"]))
     assert not believes(flat, Atom("p"))
     assert believes(EXAMPLE, And(Atom("p"), Atom("q")))
+
+
+def preferential_conditional_holds(
+    order: PreferentialMeasure, labeling, vocab: Vocabulary, antecedent, consequent
+) -> bool:
+    """World-order reading of the conditional, an oracle apart from the
+    dominance lift: for every element satisfying the antecedent there must
+    be an at least as preferred element satisfying antecedent-and-
+    consequent, all of whose strict betters satisfy antecedent-implies-
+    consequent."""
+    ante_ext = vocab.extension(antecedent)
+    good_ext = vocab.extension(And(antecedent, consequent))
+    impl_ext = vocab.extension(Implies(antecedent, consequent))
+    labels, rows = [labeling[e] for e in order.carrier], order.rows
+    for w1, label1 in enumerate(labels):
+        if label1 not in ante_ext:
+            continue
+        found = False
+        for w2, label2 in enumerate(labels):
+            if label2 not in good_ext:
+                continue
+            if w2 != w1 and not rows[w2] >> w1 & 1:
+                continue  # witnesses must be at least as normal as w1
+            if all(label3 in impl_ext for label3, row in zip(labels, rows) if row >> w2 & 1):
+                found = True
+                break
+        if not found:
+            return False
+    return True
 
 
 def test_conditional_agrees_with_preference_clause():

@@ -76,3 +76,26 @@ def test_readme_library_sketch_runs():
         section = handle.read().split("## Library sketch", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md: Library sketch", "exec"), {})
+
+
+DIAG = os.path.join(SOURCES, "scenarios", "diag_three_gates.scn")
+
+
+def test_diagnosis_checks_build_no_run():
+    # the circuit system keeps its runs as an unbuilt view through the
+    # checks `diagnose` and `check-bcs` make, and the tracer's run count
+    # reads its length without building it
+    from beliefchange.diagnosis import check_prop_diag
+    from beliefchange.scenario import build_system, load_scenario
+    from beliefchange.systems import bel, validate_bcs
+
+    scenario = load_scenario(DIAG)
+    sys_ = build_system(scenario)
+    for s_a in sys_.index.prefix:
+        bel(sys_, s_a)
+    assert check_prop_diag(sys_, scenario.circuit).all_passed
+    assert validate_bcs(sys_).all_passed
+    name, runs_built = _tracer().WORK_COUNTS["systems.system"]
+    assert name == "systems.runs_built"
+    assert runs_built((sys_,)) == len(sys_.runs) == 5832
+    assert sys_.runs.built is None
