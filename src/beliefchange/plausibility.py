@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -137,13 +138,12 @@ class PlausibilityMeasure:
         return frozenset(carrier[i] for i in bits(mask))
 
 
-def _kept(carrier: Sequence[Hashable]) -> Sequence[Hashable]:
-    """The carrier a run-level measure keeps: a system's :class:`Runs` view
-    as it is, since building its runs is what the view puts off, and any
-    other sequence as a tuple."""
-    from .systems import Runs  # systems imports this module
-
-    return carrier if type(carrier) is Runs else tuple(carrier)
+def frozen_sequence(items: Sequence[Hashable]) -> Sequence[Hashable]:
+    """``items`` as they are when they form a hashable, so unchanging,
+    sequence (a tuple, or a view that builds its elements on demand, which
+    a copy would build), else copied into a tuple."""
+    hashable = isinstance(items, abc.Sequence) and type(items).__hash__ is not None
+    return items if hashable else tuple(items)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -210,7 +210,7 @@ class RankedMeasure(PlausibilityMeasure):
     def __init__(self, carrier: Sequence[Hashable], ranks: Sequence[float]):
         if isinstance(ranks, Mapping):
             raise PlausibilityError("ranks are positional: ranks[i] is the rank of carrier[i]")
-        self.carrier = _kept(carrier)
+        self.carrier = frozen_sequence(carrier)
         self.ranks = tuple(ranks)
         if len(self.ranks) != len(self.carrier):
             raise PlausibilityError(
@@ -224,24 +224,17 @@ class RankedMeasure(PlausibilityMeasure):
     def _levels(self) -> List[Tuple[float, int]]:
         """(rank, mask of the elements with that rank), finite ranks ascending.
 
-        Ranks are read a stretch of equal ranks at a time while stretches
-        average four elements or more: a rank's mask is the sum of the bit
-        ranges [start, end) of its stretches, its ends' mask minus its
-        starts' (no two of its stretches touch).  The ranks after the point
-        where stretches turn shorter are grouped position by position.
+        Ranks are read a stretch of equal ranks at a time: a rank's mask is
+        the sum of the bit ranges [start, end) of its stretches, its ends'
+        mask minus its starts' (no two of its stretches touch).
         """
-        ranks, bounds, start = self.ranks, {}, 0
-        for k, (rank, stretch) in enumerate(itertools.groupby(ranks)):
-            if 4 * k > start:
-                break
+        bounds: Dict[float, List[int]] = {}
+        start = 0
+        for rank, stretch in itertools.groupby(self.ranks):
             end = start + len(tuple(stretch))
             bounds.setdefault(rank, []).extend((start, end))
             start = end
-        levels = {r: mask_of(b[1::2]) - mask_of(b[::2]) for r, b in bounds.items() if r != INF}
-        for r, ids in group_positions(ranks[start:]).items():
-            if r != INF:
-                levels[r] = levels.get(r, 0) | mask_of(ids) << start
-        return sorted(levels.items())
+        return sorted((r, mask_of(b[1::2]) - mask_of(b[::2])) for r, b in bounds.items() if r != INF)
 
     def _rank(self, a: int) -> float:
         for rank, level in self._levels:
@@ -332,7 +325,7 @@ class MappedMeasure(PlausibilityMeasure):
     def __init__(
         self, carrier: Sequence[Hashable], base: PlausibilityMeasure, image: Sequence[int]
     ):
-        self.carrier = _kept(carrier)
+        self.carrier = frozen_sequence(carrier)
         self.base = base
         self.image = list(image)
         n, size = len(self.carrier), len(base.carrier)

@@ -39,6 +39,7 @@ from .plausibility import (
     bits,
     check_monotonicity,
     disagreements,
+    frozen_sequence,
     group_positions,
     is_qualitative,
     mask_of,
@@ -99,7 +100,8 @@ class Runs(Sequence):
     index decodes one run of its block by mixed radix, the last factor
     varying fastest as in ``itertools.product``.  Iterating or slicing
     builds every run once, block by block, and keeps the tuple.  It
-    compares, hashes and adds as that tuple does.
+    compares, hashes and adds as that tuple does, and equals itself without
+    building it.
     """
 
     __slots__ = ("blocks", "_sizes", "_starts", "_built")
@@ -110,11 +112,6 @@ class Runs(Sequence):
         # _starts[b]: the number of block b's first run; the last entry is the total
         self._starts = list(accumulate(map(prod, self._sizes), initial=0))
         self._built: Optional[Tuple[Run, ...]] = None
-
-    @property
-    def built(self) -> Optional[Tuple[Run, ...]]:
-        """The run tuple once iteration or a slice has built it, else None."""
-        return self._built
 
     def _all(self) -> Tuple[Run, ...]:
         if self._built is None:
@@ -149,7 +146,7 @@ class Runs(Sequence):
         return iter(self._all())
 
     def __eq__(self, other) -> bool:
-        return self._all() == other
+        return other is self or self._all() == other
 
     def __hash__(self) -> int:
         return hash(self._all())
@@ -178,12 +175,6 @@ def expand(blocks: Sequence[Block]) -> Runs:
     return Runs(blocks)
 
 
-def _listed(runs: Sequence[Run]) -> Sequence[Run]:
-    """The runs to index in a loop over many of them: a view's tuple once
-    iteration has built it, so each index is a tuple's, else ``runs``."""
-    return (runs.built or runs) if type(runs) is Runs else runs
-
-
 def _concatenations(factors: List[List[tuple]]) -> List[tuple]:
     """``a + b + ...`` for each choice of one part per factor, in product
     order, one factor at a time."""
@@ -204,9 +195,10 @@ class System:
     ``blocks`` are product blocks whose :func:`expand` must be exactly
     ``runs``: the run index is read off them, and only their run counts,
     run shapes and each block's first and last runs are checked.  They
-    default to one block of one factor, the runs themselves.  A
-    :class:`Runs` view is kept as it is, so a system built from blocks
-    builds no run until a caller iterates its runs.
+    default to one block of one factor, the runs themselves.  Runs given
+    as a tuple or a :class:`Runs` view are kept as they are (any other list
+    is copied into a tuple), so a system built from blocks builds no run
+    until a caller iterates its runs.
     """
 
     vocab: Vocabulary
@@ -221,8 +213,7 @@ class System:
     def __post_init__(self):
         if self.universe is None:
             self.universe = self.vocab.all_worlds()
-        if type(self.runs) is not Runs:
-            self.runs = tuple(self.runs)
+        self.runs = frozen_sequence(self.runs)
         if self.blocks is None:
             self.blocks = ((self.runs,),)
         shapes, count = set(), 0
@@ -251,7 +242,7 @@ class System:
     # -- basic structure -----------------------------------------------------
 
     def points_with_local_state(self, s_a: LocalState) -> Tuple[Point, ...]:
-        m, runs = len(s_a), _listed(self.runs)
+        m, runs = len(s_a), self.runs
         return tuple((runs[i], m) for i in bits(self.index.observed(s_a)))
 
     def plaus_at(self, s_a: LocalState) -> PlausibilityMeasure:
@@ -391,7 +382,7 @@ class RunIndex:
         self.prefix = {s_a: Mask(mask) for s_a, mask in reached}
         # the prior read on these masks
         self.prior = sys.prior
-        if sys.prior.carrier is not runs and tuple(sys.prior.carrier) != runs:
+        if sys.prior.carrier != runs:
             # a run outside the prior's carrier gets -1, which MappedMeasure rejects
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
@@ -437,7 +428,7 @@ def first_failure(failing: Sequence[int], describe: Callable[[int, int], str]) -
 def _conditioned_prior(sys: System, s_a: LocalState) -> MappedMeasure:
     """The prior read through point -> run on the points of a local state;
     the run numbers are the positions in the run-numbered prior."""
-    m, runs, index = len(s_a), _listed(sys.runs), sys.index
+    m, runs, index = len(s_a), sys.runs, sys.index
     ids = bits(index.observed(s_a))
     return MappedMeasure(tuple((runs[i], m) for i in ids), index.prior, ids)
 

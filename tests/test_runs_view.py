@@ -14,6 +14,7 @@ from beliefchange.plausibility import (
     Mask,
     Ordering,
     RankedMeasure,
+    frozen_sequence,
     group_positions,
     mask_of,
 )
@@ -91,9 +92,9 @@ def eager_runs(blocks):
 def test_each_run_decoded_before_iteration_is_the_eager_one(name):
     sys_ = SYSTEMS[name]()
     # a LexPrior lists the runs of an update system as it is built
-    assert (sys_.runs.built is None) == (type(sys_.prior) is not LexPrior)
+    assert (sys_.runs._built is None) == (type(sys_.prior) is not LexPrior)
     runs = expand(sys_.blocks)
-    assert type(runs) is Runs and runs.built is None
+    assert type(runs) is Runs and runs._built is None
     reference = eager_runs(sys_.blocks)
     n = len(runs)
     assert n == len(reference)
@@ -105,11 +106,11 @@ def test_each_run_decoded_before_iteration_is_the_eager_one(name):
         with pytest.raises(IndexError):
             runs[i]
     assert runs.initial_worlds() == [run.envs[0] for run in reference]
-    assert runs.built is None
+    assert runs._built is None
     # iterating builds the tuple once; the view then compares as it does
     assert list(runs) == reference
-    built = runs.built
-    assert built == tuple(reference) and runs.built is built
+    built = runs._built
+    assert built == tuple(reference) and runs._built is built
     assert runs == tuple(reference) and runs == sys_.runs
     assert runs != list(reference)
     assert hash(runs) == hash(tuple(reference))
@@ -123,6 +124,21 @@ def test_measures_keep_the_view_and_the_index_reads_it_as_is(name):
     sys_ = SYSTEMS[name]()
     assert sys_.prior.carrier is sys_.runs
     assert sys_.index.prior is sys_.prior
+    # reading the prior as it is builds no run (a LexPrior built them already)
+    assert (sys_.runs._built is None) == (type(sys_.prior) is not LexPrior)
+
+
+def test_measures_copy_only_unhashable_carriers():
+    sys_ = seeded_static(0)
+    runs = sys_.runs
+    listed = list(runs)
+    kept = tuple(listed)
+    for carrier, expected in ((runs, runs), (kept, kept)):
+        assert RankedMeasure(carrier, [0] * len(listed)).carrier is expected
+    copied = RankedMeasure(listed, [0] * len(listed)).carrier
+    assert type(copied) is tuple and copied == kept
+    assert type(frozen_sequence(iter(listed))) is tuple
+    assert frozen_sequence(runs) is runs and frozen_sequence(kept) is kept
 
 
 def test_slices_build_and_empty_blocks_are_skipped():
@@ -135,9 +151,9 @@ def test_slices_build_and_empty_blocks_are_skipped():
     runs = expand(blocks)
     assert len(runs) == 5
     assert [runs[i].envs for i in range(5)] == [(0,), (1,), (3,), (4,), (5,)]
-    assert runs.built is None
+    assert runs._built is None
     assert runs[1:3] == (Run((1,), ()), Run((3,), ()))
-    assert runs.built is not None
+    assert runs._built is not None
     assert len(expand(())) == 0 and list(expand(())) == []
 
 

@@ -98,4 +98,4 @@ def test_diagnosis_checks_build_no_run():
     name, runs_built = _tracer().WORK_COUNTS["systems.system"]
     assert name == "systems.runs_built"
     assert runs_built((sys_,)) == len(sys_.runs) == 5832
-    assert sys_.runs.built is None
+    assert sys_.runs._built is None
