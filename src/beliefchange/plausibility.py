@@ -355,10 +355,15 @@ class MappedMeasure(PlausibilityMeasure):
         masks keep theirs.  A mask with more elements than the image has
         positions is read off the preimage of each position, built on the
         first such mask: a position is in the image when its preimage
-        meets the mask.  A sparser mask walks its bits."""
+        meets the mask.  A sparser mask walks its bits.  A measure whose
+        image is the identity onto a mapped base (a statified twin's prior)
+        sends masks as the base does, so it uses the base's, memo included."""
         image = self._target[1]
         if image is None:
             return lambda mask: mask
+        base = self.base
+        if isinstance(base, MappedMeasure) and self.image == list(range(len(base.carrier))):
+            return base.root_mask
         positions = len(set(image))
         preimages: List[Tuple[int, int]] = []
 

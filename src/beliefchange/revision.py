@@ -511,9 +511,17 @@ def validate_rev(
     if isinstance(root_of(sys.prior)[0], RankedMeasure):
         report.note("REV2 holds by construction: the prior's root is a ranked measure")
 
+    # each world's initial runs, or their root images when the index reads
+    # those (RunIndex.world_images)
+    measure, initial = sys.index.prior, sys.index.world_images(0)
+    if initial is None:
+        initial = sys.index.at[0]
+    else:
+        measure = root_of(measure)[0]
+
     def positive(w: int) -> bool:
-        event = sys.index.at[0].get(w, 0)
-        return bool(event) and not sys.index.prior.is_bottom(event)
+        event = initial.get(w, 0)
+        return bool(event) and not measure.is_bottom(Mask(event))
 
     report.add_first("REV3", (
         f"world {vocab.world_str(w)} has bottom plausibility initially"
@@ -593,9 +601,12 @@ def _check_observation_neutrality(
     Each probe gives two events: the conditional one evaluates the probe at
     the time of the last observation (the reading conditioning actually
     uses), the conjunction one probe-and-observations at time 0; under
-    REV1 the two timings coincide.  The probe pairs after the sequences of
-    one length form one part of the budget: a part past it raises
-    :class:`BudgetError` before it is swept.
+    REV1 the two timings coincide.  When the index reads both times' world
+    images (:meth:`RunIndex.world_images`), each event is sent to the root
+    as the AND of the observed prefix's root image, mapped once per
+    sequence, with the probe's image, and compared there.  The probe pairs
+    after the sequences of one length form one part of the budget: a part
+    past it raises :class:`BudgetError` before it is swept.
     """
     vocab, index = sys.vocab, sys.index
     prior = index.prior
@@ -613,10 +624,16 @@ def _check_observation_neutrality(
         for o in seq:
             conj_ext = conj_ext & vocab.extension(o)
         prefix_runs = runs_with_observations(sys, seq)
-        cond_event = [Mask(prefix_runs & index.env_event(m, ext)) for ext in exts]
-        conj_event = [index.env_event(0, ext & conj_ext) for ext in exts]
-        for i, j in disagreements(prior, cond_event, prior, conj_event, Ordering.at_least):
+        if index.world_images(0) is None or index.world_images(m) is None:
+            measure = prior
+            cond_event = [Mask(prefix_runs & index.env_event(m, ext)) for ext in exts]
+            conj_event = [index.env_event(0, ext & conj_ext) for ext in exts]
+        else:  # the same events' root images, compared on the root
+            measure, observed = root_of(prior)[0], prior.root_mask(prefix_runs)
+            cond_event = [Mask(observed & index.env_image(m, ext)) for ext in exts]
+            conj_event = [index.env_image(0, ext & conj_ext) for ext in exts]
+        for i, j in disagreements(measure, cond_event, measure, conj_event, Ordering.at_least):
             yield (
                 f"probes ({probes[i]}, {probes[j]}) after observing {seq_str(seq)}",
-                not prior.is_bottom(cond_event[i]),
+                not measure.is_bottom(cond_event[i]),
             )

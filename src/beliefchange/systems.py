@@ -168,6 +168,27 @@ class Runs(Sequence):
                 worlds += [envs[0]] * width
         return worlds
 
+    def env_sequences(self) -> Tuple[List[Tuple[int, ...]], List[int]]:
+        """The runs' distinct environment sequences, in the order the runs
+        first reach them, and each run's number among them, read off the
+        blocks.  A block's sequences are the product of its factors'
+        distinct world parts, and its runs reach them in that product order;
+        a run's number within the block is its parts' numbers in mixed
+        radix."""
+        numbers: Dict[Tuple[int, ...], int] = {}
+        image: List[int] = []
+        for block in self.blocks:
+            parts, combined = [], [0]
+            for factor in block:
+                distinct = {envs: None for envs, _ in factor}
+                position = {envs: k for k, envs in enumerate(distinct)}
+                ids = [position[envs] for envs, _ in factor]
+                combined = [c * len(distinct) + k for c in combined for k in ids]
+                parts.append(list(distinct))
+            block_numbers = [numbers.setdefault(envs, len(numbers)) for envs in _concatenations(parts)]
+            image += map(block_numbers.__getitem__, combined)
+        return list(numbers), image
+
 
 def expand(blocks: Sequence[Block]) -> Runs:
     """The runs of ``blocks``, block by block, each block's runs in
@@ -387,6 +408,7 @@ class RunIndex:
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
+        self._env_images: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
         self._root_blocks: Dict[int, Optional[Dict[int, int]]] = {}
 
     def root_blocks(self, time: int) -> Optional[Dict[int, int]]:
@@ -397,6 +419,27 @@ class RunIndex:
             disjoint = sum(map(int.bit_count, images.values())) == union(images.values()).bit_count()
             self._root_blocks[time] = images if disjoint else None
         return self._root_blocks[time]
+
+    def world_images(self, time: int) -> Optional[Dict[int, int]]:
+        """:meth:`root_blocks` when the prior is mapped to other root
+        positions (``root_of(prior)[1]`` is not None), else None.  Each
+        world's runs at ``time`` are then a union of root fibres, so every
+        event built from these worlds and the ones of other such times has
+        the intersections and unions of their images as its root image
+        (README, "Run systems")."""
+        return None if root_of(self.prior)[1] is None else self.root_blocks(time)
+
+    def env_image(self, time: int, ext: Extension) -> Optional[Mask]:
+        """The root image of ``env_event(time, ext)``, the union of its
+        worlds' :meth:`world_images`; None when those are None."""
+        images = self.world_images(time)
+        if images is None:
+            return None
+        key = (time, ext)
+        image = self._env_images.get(key)
+        if image is None:
+            image = self._env_images[key] = Mask(union(images.get(w, 0) for w in ext))
+        return image
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
         """Runs whose observation sequence starts with ``s_a``."""

@@ -42,7 +42,7 @@ from .plausibility import (
     union,
 )
 from .reports import Report
-from .systems import LocalState, Run, System, check_budget, first_failure, menu_system
+from .systems import LocalState, Run, Runs, System, check_budget, expand, first_failure, menu_system
 
 
 class UpdateError(BeliefChangeError):
@@ -116,8 +116,12 @@ class UpdateStructure:
                 raise UpdateError("zero distance must hold exactly on the diagonal")
         # farther[origin][w]: mask of the worlds strictly farther from origin
         # than w (bit v stands for world v)
+        less = poset.less
         self.farther: Dict[int, Dict[int, int]] = {
-            o: {w: sum(1 << v for v in self.worlds if self.closer(o, w, v)) for w in self.worlds}
+            o: {
+                w: sum(1 << v for v in self.worlds if less(self.d(o, w), self.d(o, v)))
+                for w in self.worlds
+            }
             for o in self.worlds
         }
 
@@ -129,8 +133,9 @@ class UpdateStructure:
         return self.distance[(a, b)]
 
     def closer(self, origin: int, a: int, b: int) -> bool:
-        """Strictly smaller distance from origin to a than to b."""
-        return self.poset.less(self.d(origin, a), self.d(origin, b))
+        """Strictly smaller distance from origin to a than to b, read off
+        the ``farther`` table."""
+        return bool(self.farther[origin][a] >> b & 1)
 
     def extension(self, formula: Formula) -> Extension:
         return self.vocab.extension(formula) & self.universe
@@ -405,12 +410,15 @@ class LexPrior(MappedMeasure):
     """Preferential prior over runs: the first-divergence order on their
     environment sequences, read through run -> environment sequence.  Cell
     c beats exactly the cells that share ``c[:t]`` and then hold a world
-    farther from ``c[t-1]`` than ``c[t]``: rows come from prefix blocks."""
+    farther from ``c[t-1]`` than ``c[t]``: rows come from prefix blocks.
+    Cells are numbered in the order the runs first reach them, read off the
+    product blocks of a :class:`Runs` view, which builds no run (an
+    explicit run list is one block of one factor, the runs themselves)."""
 
     def __init__(self, runs: Sequence[Run], structure: UpdateStructure):
         self.structure = structure
-        cells: Dict[Tuple[int, ...], int] = {}  # sequence -> its cell number
-        image = [cells.setdefault(run.envs, len(cells)) for run in runs]
+        view = runs if isinstance(runs, Runs) else expand([(tuple(runs),)])
+        cells, image = view.env_sequences()
         structure.check_worlds(itertools.chain.from_iterable(cells))
         rows = [0] * len(cells)
         for t in range(1, max(map(len, cells), default=0)):
@@ -622,24 +630,40 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     cells with different first worlds compare INCOMPARABLE, as the order
     expects, so only cells with one first world are compared;
     ``itertools.product`` lists those contiguously, so the pairs keep their
-    ``combinations`` order.  The budget counts every pair.
+    ``combinations`` order.  When each cell of a length is then one root
+    position of its own, the pairs are decided by rows (:func:`_rows_agree`)
+    and swept only when some row disagrees.  The budget counts every pair.
+
+    When the index reads the worlds' root images at every time compared
+    (:meth:`RunIndex.world_images`), every event is built there, as the
+    intersection of its worlds' images, and compared on the root.
     """
     index = sys.index
-    prior = index.prior
     worlds = structure.worlds
     closed = _blocks_closed(index)
     order = functools.cache(functools.partial(_cell_order, structure))
+    length = min(sys.horizon + 1, 3)
+    fibred = all(index.world_images(t) is not None for t in range(length))
+    if fibred:
+        measure = root_of(index.prior)[0]
+        cell_event = lambda cell: _prefix_image(index, [frozenset((w,)) for w in cell])
+        prefix_event = lambda seq: _prefix_image(index, [sys.vocab.extension(f) for f in seq])
+    else:
+        measure, cell_event = index.prior, functools.partial(_cell_event, index)
+        prefix_event = functools.partial(_formula_prefix_event, sys)
 
     # consistency with the distance: cell comparisons follow the
     # first-divergence rule
-    for n in range(2, min(sys.horizon + 1, 3) + 1):
+    for n in range(2, length + 1):
         count = len(worlds) ** n
         check_budget("UPD2", count * (count - 1) // 2, f"pairs of length-{n} cells", budget)
         cells, rows = order(n).carrier, order(n).rows
-        groups = [_cell_event(index, cell) for cell in cells]
+        groups = [cell_event(cell) for cell in cells]
         pairs = itertools.combinations(range(count), 2)
         if closed:
             size = count // len(worlds)  # cells per first world
+            if fibred and _rows_agree(measure, groups, rows, size):
+                continue
             pairs = itertools.chain.from_iterable(
                 itertools.combinations(range(i, i + size), 2) for i in range(0, count, size)
             )
@@ -647,7 +671,7 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
             runs_a, runs_b = groups[i], groups[j]
             if not runs_a or not runs_b:
                 continue
-            got = prior.compare(runs_a, runs_b)
+            got = measure.compare(runs_a, runs_b)
             lt = rows[j] >> i & 1  # cell b preferred -> a strictly below
             gt = rows[i] >> j & 1
             if lt and got is not Ordering.LESS:
@@ -663,12 +687,12 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     check_budget("UPD2", sum(map(len, seqs)) ** 2, "pairs of menu sequences", budget)
     for same_length in seqs:
         reference = order(len(same_length[0]))
-        events = [_formula_prefix_event(sys, seq) for seq in same_length]
+        events = [prefix_event(seq) for seq in same_length]
         cell_masks = [
             reference.mask(itertools.product(*map(structure.extension, seq))) for seq in same_length
         ]
-        for a, b in disagreements(prior, events, reference, cell_masks, Ordering.at_least):
-            got = prior.at_least(events[a], events[b])
+        for a, b in disagreements(measure, events, reference, cell_masks, Ordering.at_least):
+            got = measure.at_least(events[a], events[b])
             sa, sb = same_length[a], same_length[b]
             yield f"events {seq_str(sa)} vs {seq_str(sb)}: measure {got}, cells {not got}"
 
@@ -703,6 +727,26 @@ def _blocks_closed(index) -> bool:
     return not any(union(root.rows[i] for i in bits(image)) & ~image for image in blocks.values())
 
 
+def _rows_agree(root: PreferentialMeasure, images: Sequence[int], rows: Sequence[int], size: int) -> bool:
+    """Whether the root orders the cells as ``rows`` do within each block
+    of ``size`` cells, when each cell's root image is one position of its
+    own: each cell's root row, masked to its block's images, is its
+    reference row sent to the images.  Two such cells compare as their
+    positions' row bits say, and the reference rows are asymmetric, so then
+    every pair within a block gets the answer it expects; False when
+    some image is not one position of its own."""
+    if any(image.bit_count() != 1 for image in images) or len(set(images)) != len(images):
+        return False
+    for start in range(0, len(images), size):
+        block = range(start, start + size)
+        within = union(images[j] for j in block)
+        for i in block:
+            expected = union(images[j] for j in bits(rows[i]))
+            if root.rows[images[i].bit_length() - 1] & within != expected:
+                return False
+    return True
+
+
 def _cell_event(index, cell: Sequence[int]) -> Mask:
     """Runs whose environment sequence starts with the cell."""
     event = index.full
@@ -718,6 +762,17 @@ def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> Mask:
     for i, f in enumerate(formulas):
         event &= index.env_event(i, sys.vocab.extension(f))
     return Mask(event)
+
+
+def _prefix_image(index, exts: Sequence[Extension]) -> Mask:
+    """The root image of the runs whose world at each time t lies in
+    ``exts[t]`` (one or more times), the AND of :meth:`RunIndex.env_image`,
+    which must not be None at those times: a cell's image, or a formula
+    sequence's."""
+    image = -1
+    for t, ext in enumerate(exts):
+        image &= index.env_image(t, ext)
+    return Mask(image)
 
 
 def _upd3_length(sys: System, structure: UpdateStructure) -> int:

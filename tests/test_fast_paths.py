@@ -30,7 +30,7 @@ from collections import Counter
 
 import pytest
 
-from beliefchange import revision, synthesis, update
+from beliefchange import plausibility, revision, synthesis, update
 from beliefchange.diagnosis import revision_report
 from beliefchange.formulas import TRUE, Atom, Not, Vocabulary, seq_str
 from beliefchange.plausibility import (
@@ -597,15 +597,16 @@ def test_small_update_twin_rev4_compares_less(root_compares):
 
 
 def test_small_update_upd2_compares_within_initial_world_blocks(monkeypatch):
-    # the prior's root compares 24 + 480 same-block cell pairs and 90
-    # sequence pairs, against every one of the 120 + 2,016 cell pairs; the
+    # the prior's root compares 24 same-block pairs of length-2 cells and
+    # 90 sequence pairs, against every one of the 120 + 2,016 cell pairs;
+    # the length-3 cells, one root position each, are decided by rows; the
     # cell order the sequence pairs are checked against compares its own 90
     _, sys_ = _scenario_system("small_update.scn")
     structure = sys_.prior.structure
     root_compares = counted_compares(monkeypatch, PreferentialMeasure, root_of(sys_.index.prior)[0])
     assert update._blocks_closed(sys_.index)
     assert list(update._check_upd2(sys_, structure, 2016)) == []
-    assert len(root_compares) == 594
+    assert len(root_compares) == 114
     root_compares.clear()
     assert list(upd2_reference(sys_, structure, 2016)) == []
     assert len(root_compares) == 2226
@@ -626,6 +627,75 @@ def test_upd2_rows_across_initial_worlds_take_the_full_sweep(monkeypatch):
     assert not update._blocks_closed(sys_.index)
     report = both_ways(monkeypatch, lambda: validate_upd(sys_, structure=structure))
     assert report["UPD2"].witness == "cells (0, 0) vs (3, 0): unexpected strict comparison >"
+
+
+def lex_with_root(rows=None, swapped=()):
+    """The horizon-2 Hamming update system over p q under its lexicographic
+    root, with ``rows`` in place of the root's rows and the cells of each
+    swapped pair mapped to each other's root position."""
+    source = system_from_update(hamming_structure(PQ), 2, MENU)
+    root, image = root_of(source.prior)
+    position = list(range(len(root.carrier)))
+    for a, b in swapped:
+        position[a], position[b] = b, a
+    root = PreferentialMeasure(root.carrier, root.rows if rows is None else rows)
+    return with_prior(source, MappedMeasure(source.runs, root, [position[k] for k in image]))
+
+
+def _rows_cut_at_time_2():
+    """The lexicographic root's rows without the relations between cells
+    whose first divergence is at time 2."""
+    root = root_of(system_from_update(hamming_structure(PQ), 2, MENU).prior)[0]
+    cells = root.carrier
+
+    def divergence(a, b):
+        return next(t for t, (x, y) in enumerate(zip(a, b)) if x != y)
+
+    return [
+        mask_of(j for j in bits(row) if divergence(cells[i], cells[j]) < 2)
+        for i, row in enumerate(root.rows)
+    ]
+
+
+def _mutual_rows():
+    """The lexicographic root's rows, with cell (0, 0, 1) beating (0, 0, 0)
+    back."""
+    rows = list(root_of(system_from_update(hamming_structure(PQ), 2, MENU).prior)[0].rows)
+    rows[1] |= 1
+    return rows
+
+
+UPD2_ROOTS = {
+    "lex": (lex_with_root, None),
+    "swapped-cells": (
+        lambda: lex_with_root(swapped=[(0, 1)]),
+        "cells (0, 0, 0) vs (0, 0, 1): expected strictly above, got <",
+    ),
+    "mutual-pair": (
+        lambda: lex_with_root(_mutual_rows()),
+        "cells (0, 0, 0) vs (0, 0, 1): expected strictly above, got <>",
+    ),
+    "cut-at-time-2": (
+        lambda: lex_with_root(_rows_cut_at_time_2()),
+        "cells (0, 0, 0) vs (0, 0, 1): expected strictly above, got <>",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPD2_ROOTS))
+def test_upd2_rows_give_the_reference_witnesses(monkeypatch, name):
+    # the length-2 cells hold four root positions each and are swept; the
+    # length-3 cells are one position each, so their rows are compared,
+    # and a row that disagrees runs the pairwise sweep
+    make, first = UPD2_ROOTS[name]
+    sys_, structure = make(), hamming_structure(PQ)
+    assert update._blocks_closed(sys_.index)
+    decided, rows_agree = [], update._rows_agree
+    monkeypatch.setattr(update, "_rows_agree", lambda *args: decided.append(rows_agree(*args)) or decided[-1])
+    witnesses = list(update._check_upd2(sys_, structure, 2016))
+    assert decided == [False, name == "lex"]
+    assert witnesses == list(upd2_reference(sys_, structure, 2016))
+    assert witnesses[:1] == ([first] if first else [])
 
 
 def built_upd4_events(monkeypatch):
@@ -724,6 +794,89 @@ def test_upd4_reduction_matches_the_full_sweep(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
+# root images read off the index against root_mask of the run masks
+
+
+def check_root_images(sys_, rng):
+    """Assert that each event the checkers build on root images equals
+    ``prior.root_mask`` of its run mask: environment events at each time
+    whose world images the index reads, REV4's conditional events, and
+    UPD2's cells and menu-sequence events.  Returns, per time, whether the
+    index reads its world images."""
+    index = sys_.index
+    root_mask = index.prior.root_mask
+    fibred = [index.world_images(t) is not None for t in range(sys_.horizon + 1)]
+    prefixes = rng.sample(list(index.prefix), min(8, len(index.prefix)))
+    for t in itertools.compress(range(sys_.horizon + 1), fibred):
+        worlds = sorted(index.at[t])
+        exts = [frozenset(), frozenset(worlds), frozenset(sys_.universe)]
+        exts += [frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1))) for _ in range(12)]
+        for ext in exts:
+            assert index.env_image(t, ext) == root_mask(index.env_event(t, ext)), (t, ext)
+        for s_a in prefixes:
+            observed = index.observed(s_a)
+            for ext in exts[:5]:
+                event = observed & index.env_event(t, ext)
+                assert root_mask(observed) & index.env_image(t, ext) == root_mask(event), (s_a, t)
+    length = min(sys_.horizon + 1, 3)
+    if all(fibred[:length]) and len(index.at[0]) <= 8:
+        for n in range(2, length + 1):
+            for cell in itertools.product(sorted(sys_.universe), repeat=n):
+                image = update._prefix_image(index, [frozenset((w,)) for w in cell])
+                assert image == root_mask(update._cell_event(index, cell)), cell
+        for k in range(1, min(length, 2) + 1):
+            for seq in itertools.product(sys_.menu, repeat=k):
+                image = update._prefix_image(index, [sys_.vocab.extension(f) for f in seq])
+                assert image == root_mask(update._formula_prefix_event(sys_, seq)), seq
+    return fibred
+
+
+def _root_image_systems():
+    """System name -> a call that makes it, given the ``seeded_update``
+    fixture: the seeded update systems of the index tests, over p q and
+    p q r, two statified twins and a ranked root whose world images meet
+    at time 2."""
+    out = {}
+    for kind, h, seed in itertools.product(("hamming", "random"), (1, 2, 3), range(2)):
+        out[f"update-{kind}-h{h}-{seed}"] = lambda make, args=(PQ, kind, seed, h): make(*args)
+    for kind in ("hamming", "random"):
+        out[f"update-{kind}-pqr-h2"] = lambda make, kind=kind: make(PQR, kind, 0, 2)
+    for name in ("small_update.scn", "borrowed_car.scn"):
+        out[f"{name}-twin"] = lambda make, name=name: statify(_scenario_system(name)[1]).inner
+    out["ranked-on-two-times"] = lambda make: ranked_on_two_times(_no_p_at_11())
+    return out
+
+
+ROOT_IMAGE_SYSTEMS = _root_image_systems()
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_IMAGE_SYSTEMS))
+def test_root_images_match_root_mask_of_the_run_masks(name, seeded_update):
+    sys_ = ROOT_IMAGE_SYSTEMS[name](seeded_update)
+    fibred = check_root_images(sys_, random.Random(name))
+    assert fibred == [name != "ranked-on-two-times" or t < 2 for t in range(sys_.horizon + 1)]
+
+
+def test_root_images_decline_where_world_images_meet_or_the_prior_is_its_root(monkeypatch):
+    hamming = hamming_structure(PQ)
+    meet_at_2 = ranked_on_two_times(_no_p_at_11())
+    assert meet_at_2.index.root_blocks(2) is None
+    assert meet_at_2.index.world_images(2) is None
+    assert meet_at_2.index.env_image(2, frozenset(PQ.worlds())) is None
+    meet_at_0 = tampered_lex(system_from_update(hamming, 2, MENU))
+    assert meet_at_0.index.root_blocks(0) is None and meet_at_0.index.world_images(0) is None
+    _, static = _scenario_system("ranked_basic.scn")
+    assert static.index.root_blocks(0) is not None
+    assert static.index.world_images(0) is None and static.index.env_image(0, frozenset()) is None
+    # the checkers read those times' run events and give the reference's
+    # verdicts and witnesses
+    for sys_ in (meet_at_2, meet_at_0):
+        both_ways(monkeypatch, lambda: validate_upd(sys_, structure=hamming))
+        both_ways(monkeypatch, lambda: revision.validate_rev(sys_))
+    both_ways(monkeypatch, lambda: revision.validate_rev(static))
+
+
+# ---------------------------------------------------------------------------
 # min_u against the distance order
 
 
@@ -750,6 +903,18 @@ def test_min_u_matches_the_closer_loop(structure):
     subsets = _subsets(structure.worlds)
     for origins, candidates in itertools.product(subsets, repeat=2):
         assert min_u(structure, origins, candidates) == min_u_reference(structure, origins, candidates)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQ), hamming_structure(PQR)]
+    + [random_structure(vocab, random.Random(seed)) for vocab in (PQ, PQR) for seed in range(6)],
+    ids=["hamming-pq", "hamming-pqr"] + [f"random-{v}-{seed}" for v in ("pq", "pqr") for seed in range(6)],
+)
+def test_closer_reads_the_distance_order(structure):
+    less, d = structure.poset.less, structure.d
+    for origin, a, b in itertools.product(structure.worlds, repeat=3):
+        assert structure.closer(origin, a, b) is less(d(origin, a), d(origin, b))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -907,6 +1072,27 @@ def test_root_mask_matches_the_walk_of_every_bit(name):
     for mask in masks:
         expected = mask_of([image[i] for i in bits(mask)])
         assert measure.root_mask(mask) == expected == measure.root_mask(Mask(mask))
+
+
+def test_twin_prior_reads_the_source_root_images(monkeypatch):
+    # a twin's run i is its source's run i, so its prior maps masks as the
+    # source's does, through one memo and one set of preimages
+    grouped, group_positions = [], plausibility.group_positions
+    monkeypatch.setattr(
+        plausibility, "group_positions", lambda column: grouped.append(column) or group_positions(column)
+    )
+    _, sys_ = _scenario_system("borrowed_car.scn")
+    st = statify(sys_)
+    star, source = st.inner.index.prior, st.source.index.prior
+    images = (root_of(star)[1], root_of(source)[1])
+    assert images[0] == images[1]
+    verify_statification(st)
+    assert len([column for column in grouped if column is images[0] or column is images[1]]) == 1
+    rng, n = random.Random(68), len(st.inner.runs)
+    for k in (n, n // 2, 2048, 1024, 1025, 3, 1, 0):
+        mask = mask_of(rng.sample(range(n), k))
+        expected = mask_of([images[1][i] for i in bits(mask)])
+        assert star.root_mask(mask) == source.root_mask(mask) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,7 @@ from beliefchange.systems import (
     validate_bcs,
 )
 from beliefchange import update
-from beliefchange.update import (
-    hamming_structure,
-    random_structure,
-    system_from_update,
-    validate_upd,
-)
+from beliefchange.update import hamming_structure, validate_upd
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
 PQ = Vocabulary(["p", "q"])
@@ -652,18 +647,6 @@ def seeded_ranking(seed, horizon):
     return system_from_ranking(PQR, ranks, menu, horizon, universe=universe)
 
 
-def seeded_update(vocab, kind, seed, horizon):
-    """``system_from_update`` over ``vocab`` at ``horizon``, on Hamming
-    distance or a seeded random structure, with a seeded menu of literals
-    and two-literal disjunctions."""
-    rng = random.Random(seed)
-    structure = hamming_structure(vocab) if kind == "hamming" else random_structure(vocab, rng)
-    literals = [f(Atom(a)) for a in vocab.props for f in (lambda x: x, Not)]
-    menu = rng.sample(literals, rng.randrange(1, 4))
-    menu += [Or(*rng.sample(literals, 2)) for _ in range(rng.randrange(2))]
-    return system_from_update(structure, horizon, menu)
-
-
 THREE_GATE = load_scenario(os.path.join(SCENARIOS, "diag_three_gates.scn")).circuit
 
 
@@ -686,30 +669,30 @@ def seeded_circuit(seed, tests):
     return circuit, vectors
 
 
+# an update case holds the arguments of the ``seeded_update`` fixture
 BLOCK_CASES = {
     **{f"ranking-h{h}-{seed}": ("static", seeded_ranking(seed, h)) for h in range(4) for seed in range(3)},
     **{
-        f"update-{kind}-h{h}-{seed}": ("update", seeded_update(PQ, kind, seed, h))
+        f"update-{kind}-h{h}-{seed}": ("update", (PQ, kind, seed, h))
         for kind in ("hamming", "random") for h in (1, 2, 3) for seed in range(2)
     },
-    **{
-        f"update-{kind}-pqr-h2": ("update", seeded_update(PQR, kind, 0, 2))
-        for kind in ("hamming", "random")
-    },
+    **{f"update-{kind}-pqr-h2": ("update", (PQR, kind, 0, 2)) for kind in ("hamming", "random")},
     "diag_three_gates": ("diag", (THREE_GATE, [{"l1": 1, "l2": 1, "l3": 0}, {"l1": 0, "l2": 1, "l3": 1}])),
     **{f"circuit-t{t}-{seed}": ("diag", seeded_circuit(seed, t)) for t in (1, 2, 3) for seed in range(3)},
 }
 
 
-def _block_system(name):
+def _block_system(name, seeded_update):
     kind, made = BLOCK_CASES[name]
-    return build_diag_system(*made) if kind == "diag" else made
+    if kind == "diag":
+        return build_diag_system(*made)
+    return seeded_update(*made) if kind == "update" else made
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_blocks_expand_to_the_per_run_loops(name):
+def test_blocks_expand_to_the_per_run_loops(name, seeded_update):
     kind, made = BLOCK_CASES[name]
-    sys_ = _block_system(name)
+    sys_ = _block_system(name, seeded_update)
     assert all(type(run) is Run for run in sys_.runs)
     if kind == "static":
         assert list(sys_.runs) == reference_static_runs(sys_)
@@ -728,8 +711,8 @@ def test_blocks_expand_to_the_per_run_loops(name):
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_the_block_index_matches_the_run_by_run_build(name):
-    sys_ = _block_system(name)
+def test_the_block_index_matches_the_run_by_run_build(name, seeded_update):
+    sys_ = _block_system(name, seeded_update)
     assert sys_.blocks != ((sys_.runs,),)
     index = sys_.index
     at, prefix = reference_index(sys_)

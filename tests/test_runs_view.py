@@ -1,5 +1,6 @@
-"""The lazy run view (``systems.Runs``), the stretch-wise rank levels and
-the one-rank-per-world belief reading, each checked against the eager or
+"""The lazy run view (``systems.Runs``), the lexicographic prior's cells
+numbered off its blocks, the stretch-wise rank levels and the
+one-rank-per-world belief reading, each checked against the eager or
 pairwise reference it replaces."""
 import itertools
 import os
@@ -7,6 +8,7 @@ import random
 
 import pytest
 
+from beliefchange import cli, systems
 from beliefchange.diagnosis import Circuit, Gate, build_diag_system
 from beliefchange.formulas import Atom, Not, Or, Vocabulary
 from beliefchange.plausibility import (
@@ -91,8 +93,7 @@ def eager_runs(blocks):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_each_run_decoded_before_iteration_is_the_eager_one(name):
     sys_ = SYSTEMS[name]()
-    # a LexPrior lists the runs of an update system as it is built
-    assert (sys_.runs._built is None) == (type(sys_.prior) is not LexPrior)
+    assert sys_.runs._built is None
     runs = expand(sys_.blocks)
     assert type(runs) is Runs and runs._built is None
     reference = eager_runs(sys_.blocks)
@@ -124,8 +125,8 @@ def test_measures_keep_the_view_and_the_index_reads_it_as_is(name):
     sys_ = SYSTEMS[name]()
     assert sys_.prior.carrier is sys_.runs
     assert sys_.index.prior is sys_.prior
-    # reading the prior as it is builds no run (a LexPrior built them already)
-    assert (sys_.runs._built is None) == (type(sys_.prior) is not LexPrior)
+    # reading the prior as it is builds no run
+    assert sys_.runs._built is None
 
 
 def test_measures_copy_only_unhashable_carriers():
@@ -139,6 +140,65 @@ def test_measures_copy_only_unhashable_carriers():
     assert type(copied) is tuple and copied == kept
     assert type(frozen_sequence(iter(listed))) is tuple
     assert frozen_sequence(runs) is runs and frozen_sequence(kept) is kept
+
+
+def reference_env_sequences(runs):
+    """The distinct environment sequences in the order the runs first reach
+    them, and each run's number among them, read run by run."""
+    numbers = {}
+    image = [numbers.setdefault(run.envs, len(numbers)) for run in runs]
+    return list(numbers), image
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_env_sequences_read_off_the_blocks_match_the_runs(name):
+    sys_ = SYSTEMS[name]()
+    got = sys_.runs.env_sequences()
+    assert sys_.runs._built is None
+    assert got == reference_env_sequences(eager_runs(sys_.blocks))
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(SYSTEMS) if "update" in name])
+def test_lex_prior_numbers_its_cells_as_the_run_list_does(name):
+    sys_ = SYSTEMS[name]()
+    listed = LexPrior(eager_runs(sys_.blocks), sys_.prior.structure)
+    assert sys_.runs._built is None
+    assert sys_.prior.image == listed.image
+    assert sys_.prior.base.carrier == listed.base.carrier
+    assert sys_.prior.base.rows == listed.base.rows
+
+
+def test_hand_made_blocks_number_their_env_sequences_as_the_runs_do():
+    # segments spanning two times, repeated world parts, a sequence shared
+    # by two blocks and an empty block
+    segment = lambda envs, obs: (envs, obs)
+    blocks = (
+        ((segment((0, 1), ()), segment((2, 3), ()), segment((0, 1), ())), (segment((1,), (1,)), segment((1,), (2,)))),
+        ((segment((2, 3), ()),), ()),
+        ((segment((2, 3), ()), segment((0, 0), ())), (segment((0,), (3,)), segment((1,), (3,)))),
+    )
+    runs = expand(blocks)
+    assert runs.env_sequences() == reference_env_sequences(eager_runs(blocks))
+    assert runs.env_sequences()[0] == [(0, 1, 1), (2, 3, 1), (2, 3, 0), (0, 0, 0), (0, 0, 1)]
+
+
+def test_update_commands_build_no_run(monkeypatch):
+    # update, check-upd and check-bcs read the update system through its
+    # blocks, its run index and its prior's root
+    built, listed = [], systems.Runs._all
+
+    def counted(runs):
+        if runs._built is None:
+            built.append(len(runs))
+        return listed(runs)
+
+    monkeypatch.setattr(systems.Runs, "_all", counted)
+    path = os.path.join(SCENARIOS, "small_update.scn")
+    for command in ("update", "check-upd", "check-bcs"):
+        for form in ("text", "machine"):
+            assert cli.main([command, "--scenario", path, "--format", form]) == 0
+    assert built == []
+    assert cli.main(["statify", "--scenario", path]) == 1 and built == [256]
 
 
 def test_slices_build_and_empty_blocks_are_skipped():
