@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import and_, attrgetter, eq
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 Extension = frozenset
 
@@ -376,16 +376,18 @@ class OperatorTable:
     Bit i of a mask stands for ``worlds[i]``; a world the operator returns
     outside that list gets the next free bit, so such an output stays
     distinct and fails every inclusion in a mask of the listed worlds.
-    ``row(a)[b]`` is the mask of ``op(ext(a), ext(b))``, evaluated on first
-    lookup and remembered: each distinct pair of arguments costs one call,
-    so the operator must be deterministic.
+    ``row(a)[b]`` is the mask of ``op(ext(a), ext(b))``, and ``len(row(a))``
+    counts the results the row holds.
 
-    An operator may also answer on masks.  If ``op.mask_rows`` exists,
-    ``op.mask_rows(worlds)`` returns None or a function taking a first
-    argument's mask to the function from a second argument's mask over
-    ``worlds`` to the result's mask; the table then reads every row
-    through it and builds no extension.  Any other operator is called on
-    frozensets, and its output mapped back to a mask.
+    An operator may answer whole rows on masks.  If ``op.mask_rows``
+    exists, ``op.mask_rows(worlds)`` returns None or a function taking a
+    first argument's mask to the list of the result masks for every second
+    argument's mask over ``worlds``, in mask order; ``row(a)`` is then that
+    list, and no extension is built.  Any other operator is called on
+    frozensets, one pair at a time as a checker first reads it, and its
+    output mapped back to a mask: its row is filled on lookup and
+    remembered, each distinct pair costing one call, so the operator must
+    be deterministic.  Each extension is built once per mask.
     """
 
     def __init__(self, op, worlds: Iterable[int]):
@@ -393,6 +395,7 @@ class OperatorTable:
         self.worlds = list(worlds)
         self._bits = {w: 1 << i for i, w in enumerate(self.worlds)}
         self._rows: dict = {}
+        self._exts: dict = {}
         mask_rows = getattr(op, "mask_rows", None)
         self._mask_rows = mask_rows and mask_rows(tuple(self.worlds))
 
@@ -407,13 +410,19 @@ class OperatorTable:
         return out
 
     def ext(self, mask: int) -> Extension:
-        return frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
+        # a mask's bits are fixed once it exists: new worlds only add bits
+        out = self._exts.get(mask)
+        if out is None:
+            out = self._exts[mask] = frozenset(w for i, w in enumerate(self.worlds) if mask >> i & 1)
+        return out
 
-    def row(self, a: int) -> "_OperatorRow":
+    def row(self, a: int):
+        """The results for first argument ``a``: a list, or a lazy
+        :class:`_OperatorRow` for an operator without whole rows."""
         row = self._rows.get(a)
         if row is None:
-            row = self._rows[a] = _OperatorRow(
-                self._mask_rows(a) if self._mask_rows else self._round_trip(a)
+            row = self._rows[a] = (
+                self._mask_rows(a) if self._mask_rows else _OperatorRow(self._round_trip(a))
             )
         return row
 
@@ -423,7 +432,8 @@ class OperatorTable:
 
 
 class _OperatorRow(dict):
-    """One first argument's results, keyed by the second argument's mask."""
+    """One first argument's results, keyed by the second argument's mask
+    and evaluated on first lookup."""
 
     def __init__(self, answer):
         super().__init__()
@@ -432,6 +442,33 @@ class _OperatorRow(dict):
     def __missing__(self, b: int) -> int:
         out = self[b] = self.answer(b)
         return out
+
+
+def revealed_order(row, n: int) -> Optional[List[int]]:
+    """The order a row of an :class:`OperatorTable` over ``n`` worlds
+    reveals on pairs, if the row picks that order's minima on every mask.
+
+    World a is at most world b, ``a <= b``, when a is in ``row[{a, b}]``;
+    the minima of a mask phi are ``Min(phi) = {a in phi : a <= b for every
+    b in phi}``.  Returns ``down``, ``down[b]`` the mask of the worlds at
+    most b, when the row holds every mask and ``row[phi] == Min(phi)`` for
+    each; otherwise None.  It reads only results the row already holds, so
+    it makes no operator call.
+    """
+    size = 1 << n
+    if len(row) != size:
+        return None
+    singles = [1 << a for a in range(n)]
+    down = [sum(map(and_, map(row.__getitem__, [a | b for a in singles]), singles)) for b in singles]
+    # Min(phi) is phi & common[phi], the AND of down[b] over b in phi
+    common = [-1] * size
+    for phi in range(1, size):
+        low = phi & -phi
+        common[phi] = common[phi ^ low] & down[low.bit_length() - 1]
+    masks = range(size)
+    if all(map(eq, map(row.__getitem__, masks), map(and_, masks, common))):
+        return down
+    return None
 
 
 # ---------------------------------------------------------------------------

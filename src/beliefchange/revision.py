@@ -25,6 +25,7 @@ from .formulas import (
     Not,
     OperatorTable,
     Vocabulary,
+    revealed_order,
     seq_str,
 )
 from .plausibility import (
@@ -94,8 +95,9 @@ def _not_minimal(*_) -> NoReturn:
 
 def _ranked_reviser(ranks: Mapping[int, float]) -> Callable[[Extension, Extension], Extension]:
     """Min-rank revision; on masks over worlds that hold the rank-minimal
-    ones, revising by ``b`` keeps ``b``'s part of the lowest rank level it
-    meets, the levels being masks of the listed worlds of one finite rank."""
+    ones, the row of the rank-minimal belief keeps, for each mask ``b``,
+    ``b``'s part of the lowest finite rank it meets, built from ``b`` less
+    its lowest world."""
     minimal = min_rank_worlds(ranks, ranks.keys())
 
     def revise(belief: Extension, observed: Extension) -> Extension:
@@ -106,18 +108,20 @@ def _ranked_reviser(ranks: Mapping[int, float]) -> Callable[[Extension, Extensio
     def mask_rows(worlds: Tuple[int, ...]):
         if not minimal <= set(worlds):
             return None
-        bit = {w: 1 << i for i, w in enumerate(worlds)}
-        levels: Dict[float, int] = collections.defaultdict(int)
-        for w in worlds:
-            if ranks.get(w, INF) != INF:
-                levels[ranks[w]] |= bit[w]
-        levels = [levels[r] for r in sorted(levels)]
+        world_rank = [ranks.get(w, INF) for w in worlds]
+        lowest, best = [0], [INF]  # best[b]: the lowest rank b meets
+        for b in range(1, 1 << len(worlds)):
+            low = b & -b
+            rank, rest = world_rank[low.bit_length() - 1], b ^ low
+            if rank < best[rest]:
+                lowest.append(low)
+                best.append(rank)
+            else:
+                lowest.append(lowest[rest] | low if rank == best[rest] != INF else lowest[rest])
+                best.append(best[rest])
 
-        def lowest(b: int) -> int:
-            return next((b & level for level in levels if b & level), 0)
-
-        want = union(bit[w] for w in minimal)
-        return lambda a: lowest if a == want else _not_minimal
+        want = mask_of(i for i, w in enumerate(worlds) if w in minimal)
+        return lambda a: lowest if a == want else _not_minimal()
 
     revise.mask_rows = mask_rows
     return revise
@@ -145,8 +149,10 @@ def check_agm(op: RevisionOperator, belief: Extension) -> Report:
     Extensions are int masks, bit w standing for world w, visited in the
     ``sorted`` order of their worlds.  The operator is evaluated once per
     distinct input, through an :class:`OperatorTable` filled as the sweeps
-    reach each input, so it must be deterministic.  A vocabulary of more
-    than 8 worlds raises :class:`PlausibilityError` before any call.
+    reach each input, so it must be deterministic; an operator that answers
+    on masks hands the table its whole row.  The visiting order is sorted
+    once per world count.  A vocabulary of more than 8 worlds raises
+    :class:`PlausibilityError` before any call.
 
     R7 and R8 read psi only through its key ``psi & (phi | revise[phi])``:
     that restriction leaves ``phi & psi`` and ``revise[phi] & psi`` as they
@@ -155,15 +161,16 @@ def check_agm(op: RevisionOperator, belief: Extension) -> Report:
     failing psi, which the witness names, and the operator sees the inputs
     the full (phi, psi) sweep would show it, in the same order.  When R1-R5
     have read every input into the table, both pass without that sweep if
-    the operator picks the minimal worlds of the order it reveals on pairs
-    (:func:`_picks_revealed_minima`).
+    the row picks the minima of the order it reveals on pairs
+    (:func:`revealed_order`) and that order is transitive (README,
+    "Postulate checks").
     """
     vocab = op.vocab
     n = vocab.world_count
     if n > 8:
         raise PlausibilityError(f"check_agm sweeps at most 8 worlds, not {n}")
     table = OperatorTable(op, vocab.worlds())
-    exts = sorted(range(1 << n), key=bits)
+    exts = _visiting_order(n)
     every = (1 << n) - 1
     belief = table.mask(belief)
     revise = table.row(belief)  # revise[phi]: mask of the revision by phi
@@ -203,7 +210,11 @@ def check_agm(op: RevisionOperator, belief: Extension) -> Report:
     ))
     report.add("R6", True)
     report.note("R6 holds by construction: the operator is called on extensions only")
-    swept = () if _picks_revealed_minima(revise, n) else exts
+    down = revealed_order(revise, n)  # down[c]: the worlds at most c
+    transitive = down is not None and not any(
+        down[b] & ~down[c] for c in range(n) for b in bits(down[c])
+    )
+    swept = () if transitive else exts
     report.add_first("R7", (
         f"conjunctive revision {describe(phi)} & {describe(first_psi(phi, key))} "
         "dropped compatible worlds"
@@ -219,26 +230,10 @@ def check_agm(op: RevisionOperator, belief: Extension) -> Report:
     return report
 
 
-def _picks_revealed_minima(revise: Mapping[int, int], n: int) -> bool:
-    """Whether a row that already holds every mask over ``n`` worlds picks
-    the minimal worlds of the order it reveals on pairs, ``a <= b`` iff
-    ``a`` is in ``revise[{a, b}]``, and that order is transitive: then
-    R7 and R8 hold for every pair of inputs (README, "Postulate checks").
-    A row missing a mask gives False and no operator call."""
-    full = range(1 << n)
-    if not all(phi in revise for phi in full):
-        return False
-    # up[a]: the worlds a is at most; down[b]: the worlds at most b
-    up = [mask_of(b for b in range(n) if revise[1 << a | 1 << b] >> a & 1) for a in range(n)]
-    if any(up[b] & ~up[a] for a in range(n) for b in bits(up[a])):
-        return False
-    down = [mask_of(a for a in range(n) if up[a] >> b & 1) for b in range(n)]
-    # the minimal worlds of phi: phi & the intersection of down[b], b in phi
-    common = [-1]
-    for phi in full[1:]:
-        low = phi & -phi
-        common.append(common[phi ^ low] & down[low.bit_length() - 1])
-    return all(revise[phi] == phi & common[phi] for phi in full)
+@functools.cache
+def _visiting_order(n: int) -> List[int]:
+    """The masks over ``n`` worlds in the ``sorted`` order of their worlds."""
+    return sorted(range(1 << n), key=bits)
 
 
 # ---------------------------------------------------------------------------

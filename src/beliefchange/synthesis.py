@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -223,10 +224,19 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     each other and with the empty set, so the empty set and one run per
     (twin image, source image) class are compared pairwise.  With any other
     root every subset pair is compared.  More pairs than the budget raise
-    :class:`BudgetError`.
+    :class:`BudgetError`.  Twin run i maps to source run i when the
+    bijection lists each side's runs in order, as :func:`statify` builds
+    it; only an edited bijection is renumbered through a dict of the
+    source runs.
     """
-    position = {run: i for i, run in enumerate(st.source.runs)}
-    to_source = [position[st.to_source[run]] for run in st.inner.runs]
+    twins, sources = st.inner.runs, st.source.runs
+    if len(st.to_source) == len(twins) == len(sources) and all(
+        map(operator.is_, st.to_source, twins)
+    ) and all(map(operator.is_, st.to_source.values(), sources)):
+        to_source: Sequence[int] = range(len(twins))  # as statify numbers them
+    else:
+        position = {run: i for i, run in enumerate(sources)}
+        to_source = [position[st.to_source[run]] for run in twins]
     star, source = st.inner.index.prior, st.source.index.prior
     (star_root, star_image), (source_root, source_image) = root_of(star), root_of(source)
     if star_image is None:  # the same positions

@@ -26,6 +26,7 @@ from .formulas import (
     Not,
     OperatorTable,
     Vocabulary,
+    revealed_order,
     seq_str,
 )
 from .plausibility import (
@@ -202,12 +203,13 @@ def km_update(structure: UpdateStructure, belief: Extension, observed: Extension
 def update_operator(structure: UpdateStructure):
     """:func:`km_update` on the structure, as an operator on extensions.
 
-    On the structure's own worlds it also answers on masks (see
-    :class:`OperatorTable`): ``beaten[o][b]``, the worlds some world of
-    ``b`` is strictly closer to origin ``o`` than, is built for every
-    mask ``b`` by one pass over its subsets, and the update of ``a`` by
-    ``b`` keeps the worlds of ``b`` that some origin in ``a`` does not
-    see beaten, ``b & ~(beaten[o1][b] & beaten[o2][b] & ...)``.
+    On the structure's own worlds it also answers whole rows on masks (see
+    :class:`OperatorTable`).  ``beaten[o][b]``, the worlds some world of
+    ``b`` is strictly closer to origin ``o`` than, is built for every mask
+    ``b`` by one pass over its subsets.  The update of ``a`` by ``b`` keeps
+    the worlds of ``b`` that some origin in ``a`` does not see beaten,
+    ``b & ~(beaten[o1][b] & beaten[o2][b] & ...)``: the AND over ``a`` is
+    one list per first argument, grown from ``a`` less its lowest world.
     """
     def apply(belief: Extension, observed: Extension) -> Extension:
         return km_update(structure, belief, observed)
@@ -215,28 +217,26 @@ def update_operator(structure: UpdateStructure):
     def mask_rows(worlds: Tuple[int, ...]):
         if worlds != structure.worlds:
             return None
+        masks = range(1 << len(worlds))
         position = {w: 1 << i for i, w in enumerate(worlds)}
         beaten = []
         for o in worlds:
             farther = [union(position[v] for v in bits(structure.farther[o][w])) for w in worlds]
             table = [0]
-            for b in range(1, 1 << len(worlds)):
+            for b in masks[1:]:
                 low = b & -b
                 table.append(table[b ^ low] | farther[low.bit_length() - 1])
             beaten.append(table)
+        common = {0: list(masks)}  # common[a][b]: b & the AND of beaten[o][b], o in a
 
-        def row(a: int):
-            tables = [beaten[i] for i in bits(a)]
+        def shared(a: int) -> List[int]:
+            out = common.get(a)
+            if out is None:
+                low = a & -a
+                out = common[a] = list(map(operator.and_, shared(a ^ low), beaten[low.bit_length() - 1]))
+            return out
 
-            def update(b: int) -> int:
-                common = b
-                for table in tables:
-                    common &= table[b]
-                return b & ~common
-
-            return update
-
-        return row
+        return lambda a: list(map(operator.xor, masks, shared(a)))
 
     apply.mask_rows = mask_rows
     return apply
@@ -246,79 +246,139 @@ def update_operator(structure: UpdateStructure):
 # Postulates
 
 
+@functools.cache
+def _lattice(n: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """``below[phi]`` and ``above[phi]``: the masks over ``n`` worlds inside
+    and around ``phi``, ascending; built once per world count."""
+    masks = range(1 << n)
+    below = [[psi for psi in masks if not psi & ~phi] for phi in masks]
+    above = [[psi for psi in masks if not phi & ~psi] for phi in masks]
+    return below, above
+
+
+def _u5_sweep(upd, mus: Iterable[int], describe) -> Iterator[str]:
+    """U5's ordered sweep over the beliefs ``mus``: (phi, psi) in mask order."""
+    subsets = range(len(upd))
+    below = _lattice(len(upd).bit_length() - 1)[0]
+    for mu in mus:
+        row = upd[mu]
+        for phi in subsets:
+            kept = row[phi]
+            # kept inside phi: psi matters only through phi & psi, and
+            # psi = phi & psi is the first psi to give each value
+            for psi in below[phi] if not kept & ~phi else subsets:
+                if kept & psi & ~row[phi & psi]:
+                    yield (
+                        f"narrowing {describe(mu)} by {describe(phi)} then "
+                        f"{describe(psi)} lost worlds"
+                    )
+
+
+def _u6_sweep(upd, mus: Iterable[int], describe) -> Iterator[str]:
+    """U6's ordered sweep over the beliefs ``mus``: (phi, psi) in mask order."""
+    subsets = range(len(upd))
+    above = _lattice(len(upd).bit_length() - 1)[1]
+    for mu in mus:
+        row = upd[mu]
+        for phi in subsets:
+            kept = row[phi]
+            # only a psi that contains the update by phi can fail; an
+            # update with a world outside the set is in none
+            for psi in above[kept] if kept < len(subsets) else ():
+                if not row[psi] & ~phi and row[psi] != kept:
+                    yield (
+                        f"mutually entailing updates of {describe(mu)} by "
+                        f"{describe(phi)}, {describe(psi)} differ"
+                    )
+
+
+def _u7_sweep(upd, mus: Iterable[int], describe) -> Iterator[str]:
+    """U7's ordered sweep over the complete beliefs ``mus``: (phi, psi) in
+    mask order."""
+    subsets = range(len(upd))
+    for mu in mus:
+        row = upd[mu]
+        for phi, psi in itertools.product(subsets, repeat=2):
+            if row[phi] & row[psi] & ~row[phi | psi]:
+                yield (
+                    f"complete belief {describe(mu)}: updates by {describe(phi)} and "
+                    f"{describe(psi)} disagree with their disjunction"
+                )
+
+
+def _strict_partial_order(down: Sequence[int]) -> bool:
+    """Whether the strict order a revealed order gives (:func:`revealed_order`),
+    b < a iff not a <= b, is irreflexive and transitive."""
+    n = len(down)
+    greater = [((1 << n) - 1) & ~mask for mask in down]  # greater[b]: the a with b < a
+    return all(mask >> b & 1 for b, mask in enumerate(down)) and not any(
+        greater[a] & ~greater[b] for b in range(n) for a in bits(greater[b])
+    )
+
+
 def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
     """Semantic renditions of the eight update postulates, exhaustive over
     all extension pairs of the given world set (the completeness-restricted
     one only for singleton beliefs).
 
     Extensions are int masks, bit i standing for the i-th world in sorted
-    order, and every sweep visits them in mask order.  The operator is
-    evaluated once per distinct (belief, observation) pair, through an
-    :class:`OperatorTable` filled as the sweeps reach each pair, so it must
-    be deterministic.
+    order, and every sweep visits them in mask order.  The operator's
+    results come from an :class:`OperatorTable`: whole rows when it answers
+    on masks, else one call per distinct (belief, observation) pair, made
+    as the checks first read it, so it must be deterministic.
 
+    U1-U4 are decided one belief's row at a time, and only the first row
+    that fails is swept pair by pair for its first witness, so a lazy row
+    sees the pairs the full (mu, phi) sweep shows it, in the same order.
     U4 compares every pair with the pair whose observation is the
     extension, within the checked worlds, of the double negation of its
     canonical formula, one variant per observation.  That formula names
     each world by its proposition bits, so the variant is read off the
     worlds, ``{w & (2**n - 1) for w in phi}``, and no formula is built.
-    U8's ordered (mu1, mu2, phi) sweep runs for mu1 = {} alone, which
-    reads every pair in the sweep's order and asks ``upd[{}] <= upd[mu]``.
-    The rest is decided on (mu, singleton) pairs: union decomposition for
-    every pair follows from those by induction on the second belief.  Only
-    a failed decision runs the rest of the ordered sweep, which finds the
-    first witness, so the operator sees the pairs the full sweep shows it,
-    in the same order.
+    U8's ordered (mu1, mu2, phi) sweep for mu1 = {} asks ``upd[{}] <=
+    upd[mu]`` row by row; the rest is decided on (mu, singleton) pairs:
+    union decomposition for every pair follows from those by induction on
+    the second belief.  Only a failed decision runs the rest of the ordered
+    sweep, which finds the first witness.
 
-    Once U1 has passed, every pair has been read, so U8 is decided first;
-    if it holds, U5 and U6 are swept for ``mu = {}`` and the singletons
-    alone, since a failure for any mu is then one for {} or a singleton
-    (README, "Postulate checks").  Only a failure there runs the full
-    sweep, which finds the first witness.  A world listed twice is
+    Once U1 has passed, every pair has been read, so U8 is decided first,
+    and a belief's row is read, with no operator call, for the order it
+    reveals on pairs (:func:`revealed_order`).  A row that picks that
+    order's minima on every mask satisfies U5 and U7, and if the strict
+    order is also irreflexive and transitive, U6 (README, "Postulate
+    checks"); an empty row satisfies all three.  U5 and U6 are swept over
+    the beliefs the reader leaves open: if U8 holds, over {} and the
+    singletons among them first, since a failure for any mu is then one for
+    {} or a singleton, and only a failure there runs the sweep over every
+    belief left open, which finds the first witness.  U7 is swept over the
+    singletons left open.  A belief that holds has no witness, so skipping
+    it leaves the first witness where it was.  A world listed twice is
     checked once.
     """
     worlds = tuple(sorted(dict.fromkeys(worlds)))
     table = OperatorTable(op, worlds)
-    subsets = range(1 << len(worlds))
-    singletons = [1 << i for i in range(len(worlds))]
+    n = len(worlds)
+    subsets = range(1 << n)
+    singletons = [1 << i for i in range(n)]
     upd = [table.row(mu) for mu in subsets]  # upd[mu][phi]: mask of the update
+    above = _lattice(n)[1]
 
     def describe(mask: int) -> str:
         return vocab.extension_str(table.ext(mask))
 
+    def values(row) -> Iterable[int]:
+        # in mask order, so a lazy row is read as the pair sweep reads it
+        return row if isinstance(row, list) else map(row.__getitem__, subsets)
+
+    def failing(test) -> Iterator[int]:
+        return (mu for mu in subsets if test(mu, upd[mu]))
+
     low, universe = vocab.world_count - 1, frozenset(worlds)
-    variant = [table.mask({w & low for w in table.ext(phi)} & universe) for phi in subsets]
-
-    below = [[psi for psi in subsets if not psi & ~phi] for phi in subsets]
-    above = [[psi for psi in subsets if not phi & ~psi] for phi in subsets]
-
-    def u5(mus: Iterable[int]) -> Iterator[str]:
-        for mu in mus:
-            row = upd[mu]
-            for phi in subsets:
-                kept = row[phi]
-                # kept inside phi: psi matters only through phi & psi, and
-                # psi = phi & psi is the first psi to give each value
-                for psi in below[phi] if not kept & ~phi else subsets:
-                    if kept & psi & ~row[phi & psi]:
-                        yield (
-                            f"narrowing {describe(mu)} by {describe(phi)} then "
-                            f"{describe(psi)} lost worlds"
-                        )
-
-    def u6(mus: Iterable[int]) -> Iterator[str]:
-        for mu in mus:
-            row = upd[mu]
-            for phi in subsets:
-                kept = row[phi]
-                # only a psi that contains the update by phi can fail; an
-                # update with a world outside the set is in none
-                for psi in above[kept] if kept < len(subsets) else ():
-                    if not row[psi] & ~phi and row[psi] != kept:
-                        yield (
-                            f"mutually entailing updates of {describe(mu)} by "
-                            f"{describe(phi)}, {describe(psi)} differ"
-                        )
+    named = [table.mask({w & low} & universe) for w in worlds]
+    variant = [0]
+    for phi in subsets[1:]:
+        bit = phi & -phi
+        variant.append(variant[phi ^ bit] | named[bit.bit_length() - 1])
 
     def u8(mus: Iterable[int]) -> Iterator[str]:
         # the test is symmetric in mu1 and mu2, so a failure with
@@ -335,52 +395,77 @@ def check_km(op, worlds: Sequence[int], vocab: Vocabulary) -> Report:
                         )
 
     def u8_by_singletons() -> Iterator[str]:
-        yield from u8(subsets[:1])
-        cols = [[row[phi] for phi in subsets] for row in upd]
+        # mu1 = {}: each row must hold the row of {}
+        empty = upd[0]
+        if any(
+            any(map(operator.ne, values(row), map(operator.or_, values(empty), values(row))))
+            for row in upd
+        ):
+            yield from u8(subsets[:1])
+        cols = [list(values(row)) for row in upd]
+        # every mu with two or more worlds is its lowest world's row OR the rest's
         if not all(
-            cols[mu | bit] == list(map(operator.or_, cols[mu], cols[bit]))
-            for mu in subsets[1:] for bit in singletons
+            cols[mu] == list(map(operator.or_, cols[mu ^ (mu & -mu)], cols[mu & -mu]))
+            for mu in subsets[1:] if mu & (mu - 1)
         ):
             yield from u8(subsets[1:])
 
-    def on_singletons(sweep, unions_decompose: bool) -> Iterator[str]:
-        # under U8, a failure for any mu is one for {} or a singleton
-        if unions_decompose and next(sweep([0] + singletons), None) is None:
-            return iter(())
-        return sweep(subsets)
-
     report = Report("km")
+    outside = [~phi for phi in subsets]
     report.add_first("U1", (
         f"update {describe(mu)} by {describe(phi)} leaves the observation"
-        for mu, phi in itertools.product(subsets, repeat=2) if upd[mu][phi] & ~phi
+        for mu in failing(lambda _, row: any(map(operator.and_, values(row), outside)))
+        for phi in subsets if upd[mu][phi] & ~phi
     ))
     report.add_first("U2", (
         f"update of {describe(mu)} by implied {describe(phi)} changed beliefs"
-        for mu, phi in itertools.product(subsets, repeat=2)
-        if not mu & ~phi and upd[mu][phi] != mu
+        for mu in failing(lambda mu, row: any(map(mu.__ne__, map(row.__getitem__, above[mu]))))
+        for phi in above[mu] if upd[mu][phi] != mu
     ))
+    # not mu or not phi: the emptiness U3 asks of the row of {}, and of any other
+    emptiness = ([True] * len(subsets), [True] + [False] * (len(subsets) - 1))
     report.add_first("U3", (
         f"emptiness mismatch for {describe(mu)} by {describe(phi)}"
-        for mu, phi in itertools.product(subsets, repeat=2)
-        if (not upd[mu][phi]) != (not mu or not phi)
+        for mu in failing(lambda mu, row: any(map(
+            operator.ne, map(operator.not_, values(row)), emptiness[mu > 0]
+        )))
+        for phi in subsets if (not upd[mu][phi]) != (not mu or not phi)
     ))
     report.add_first("U4", (
         f"syntax leaked for {describe(mu)} by {describe(phi)}"
-        for mu, phi in itertools.product(subsets, repeat=2)
-        if upd[mu][phi] != upd[mu][variant[phi]]
+        for mu in failing(lambda _, row: any(map(
+            operator.ne, values(row), map(row.__getitem__, variant)
+        )))
+        for phi in subsets if upd[mu][phi] != upd[mu][variant[phi]]
     ))
-    # U1 passed: every pair is in the table, so U8 is decided ahead of its
-    # turn with no operator call
+    # U1 passed: every pair is in the table, so U8 and the revealed orders
+    # are read with no operator call
     u8_witness = next(filter(None, u8_by_singletons()), "") if report["U1"].passed else None
-    report.add_first("U5", on_singletons(u5, u8_witness == ""))
-    report.add_first("U6", on_singletons(u6, u8_witness == ""))
-    report.add_first("U7", (
-        f"complete belief {describe(mu)}: updates by {describe(phi)} and "
-        f"{describe(psi)} disagree with their disjunction"
-        for mu in singletons
-        for phi, psi in itertools.product(subsets, repeat=2)
-        if upd[mu][phi] & upd[mu][psi] & ~upd[mu][phi | psi]
-    ))
+
+    @functools.cache
+    def revealed(mu: int) -> int:
+        """What the order mu's row reveals shows it to satisfy: 2 for U5,
+        U6 and U7, 1 for U5 and U7, 0 for none.  An empty row satisfies
+        all three."""
+        if u8_witness is None:
+            return 0
+        if not any(values(upd[mu])):
+            return 2
+        down = revealed_order(upd[mu], n)
+        return 0 if down is None else 1 + _strict_partial_order(down)
+
+    def unrevealed(sweep, level: int) -> Iterator[str]:
+        def left(mus: Iterable[int]) -> List[int]:
+            return [mu for mu in mus if revealed(mu) < level]
+
+        # under U8, a failure for any mu is one for {} or a singleton
+        if u8_witness == "" and next(sweep(upd, left([0] + singletons), describe), None) is None:
+            return iter(())
+        return sweep(upd, left(subsets), describe)
+
+    report.add_first("U5", unrevealed(_u5_sweep, 1))
+    report.add_first("U6", unrevealed(_u6_sweep, 2))
+    report.add_first("U7", _u7_sweep(upd, [bit for bit in singletons if not revealed(bit)], describe))
     report.add_first("U8", u8_by_singletons() if u8_witness is None else [u8_witness])
     return report
 

@@ -12,11 +12,19 @@ as holding by construction, with no operator call.  Every report must
 match its reference line for line, and the operator must see the same
 inputs.  The operators that answer on masks are compared with a frozenset
 wrapper of themselves, which the table calls instead.
+
+``check_km`` also decides U1-U4 row by row and U5-U7 from the order each
+row reveals on pairs (``revealed_order``); ``oracle_check_km``, its
+earlier form, is the reference for those, on operators that fail each of
+U5, U6 and U7, and a guard counts the ordered sweeps a distance update
+enters.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -25,6 +33,7 @@ from beliefchange.formulas import (
     OperatorTable,
     Vocabulary,
     formula_of_extension,
+    revealed_order,
 )
 from beliefchange.plausibility import PlausibilityError
 from beliefchange.reports import Report
@@ -32,7 +41,6 @@ from beliefchange import revision, update
 from beliefchange.revision import (
     RevisionError,
     RevisionOperator,
-    _picks_revealed_minima,
     check_agm,
     min_rank_worlds,
     operator_from_ranking,
@@ -459,11 +467,11 @@ def test_the_revealed_order_reads_only_a_full_row():
     for phi in range(1, 16, 2):
         row[phi]
     seen = list(calls)
-    assert not _picks_revealed_minima(row, 4)
+    assert revealed_order(row, 4) is None
     assert calls == seen
     for phi in range(16):
         row[phi]
-    assert _picks_revealed_minima(row, 4)
+    assert revealed_order(row, 4) == [15] * 4
 
 
 @pytest.mark.parametrize("start", range(0, len(RANKINGS), 64))
@@ -471,10 +479,9 @@ def test_the_revealed_order_decides_every_two_proposition_ranking(start):
     for ranks in RANKINGS[start:start + 64]:
         table = OperatorTable(operator_from_ranking(dict(zip(PQ.worlds(), ranks)), PQ), PQ.worlds())
         belief = table.mask(min_rank_worlds(dict(zip(PQ.worlds(), ranks)), PQ.worlds()))
-        row = table.row(belief)
-        for phi in range(16):
-            row[phi]
-        assert _picks_revealed_minima(row, 4)
+        down = revealed_order(table.row(belief), 4)
+        # a ranking reveals a total preorder: a <= b iff rank a <= rank b
+        assert down == [sum(1 << a for a in range(4) if ranks[a] <= ranks[b]) for b in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +585,365 @@ def test_rankings_naming_a_world_outside_the_vocabulary(ranks, monkeypatch):
         for each in (op, RevisionOperator(lambda k, e: op(k, e), PQ)):
             with pytest.raises(RevisionError):
                 check_agm(each, belief)
+
+
+# ---------------------------------------------------------------------------
+# check_km against its earlier form
+
+
+def oracle_check_km(op, worlds, vocab) -> Report:
+    """``check_km`` as it was before it read revealed orders and whole
+    rows: U1-U4 swept pair by pair, U5 and U6 reduced to {} and the
+    singletons under U8 and swept there, and U7 swept over every singleton
+    and (phi, psi) pair."""
+    worlds = tuple(sorted(dict.fromkeys(worlds)))
+    table = OperatorTable(op, worlds)
+    subsets = range(1 << len(worlds))
+    singletons = [1 << i for i in range(len(worlds))]
+    upd = [table.row(mu) for mu in subsets]  # upd[mu][phi]: mask of the update
+
+    def describe(mask: int) -> str:
+        return vocab.extension_str(table.ext(mask))
+
+    low, universe = vocab.world_count - 1, frozenset(worlds)
+    variant = [table.mask({w & low for w in table.ext(phi)} & universe) for phi in subsets]
+
+    below = [[psi for psi in subsets if not psi & ~phi] for phi in subsets]
+    above = [[psi for psi in subsets if not phi & ~psi] for phi in subsets]
+
+    def u5(mus: Iterable[int]) -> Iterator[str]:
+        for mu in mus:
+            row = upd[mu]
+            for phi in subsets:
+                kept = row[phi]
+                # kept inside phi: psi matters only through phi & psi, and
+                # psi = phi & psi is the first psi to give each value
+                for psi in below[phi] if not kept & ~phi else subsets:
+                    if kept & psi & ~row[phi & psi]:
+                        yield (
+                            f"narrowing {describe(mu)} by {describe(phi)} then "
+                            f"{describe(psi)} lost worlds"
+                        )
+
+    def u6(mus: Iterable[int]) -> Iterator[str]:
+        for mu in mus:
+            row = upd[mu]
+            for phi in subsets:
+                kept = row[phi]
+                # only a psi that contains the update by phi can fail; an
+                # update with a world outside the set is in none
+                for psi in above[kept] if kept < len(subsets) else ():
+                    if not row[psi] & ~phi and row[psi] != kept:
+                        yield (
+                            f"mutually entailing updates of {describe(mu)} by "
+                            f"{describe(phi)}, {describe(psi)} differ"
+                        )
+
+    def u8(mus: Iterable[int]) -> Iterator[str]:
+        # the test is symmetric in mu1 and mu2, so a failure with
+        # mu2 < mu1 has its mirror image earlier in the sweep
+        for mu1 in mus:
+            row1 = upd[mu1]
+            for mu2 in subsets[mu1:]:
+                row12, row2 = upd[mu1 | mu2], upd[mu2]
+                for phi in subsets:
+                    if row12[phi] != row1[phi] | row2[phi]:
+                        yield (
+                            f"update of {describe(mu1)} | {describe(mu2)} by "
+                            f"{describe(phi)} is not the union of the parts"
+                        )
+
+    def u8_by_singletons() -> Iterator[str]:
+        yield from u8(subsets[:1])
+        cols = [[row[phi] for phi in subsets] for row in upd]
+        if not all(
+            cols[mu | bit] == list(map(operator.or_, cols[mu], cols[bit]))
+            for mu in subsets[1:] for bit in singletons
+        ):
+            yield from u8(subsets[1:])
+
+    def on_singletons(sweep, unions_decompose: bool) -> Iterator[str]:
+        # under U8, a failure for any mu is one for {} or a singleton
+        if unions_decompose and next(sweep([0] + singletons), None) is None:
+            return iter(())
+        return sweep(subsets)
+
+    report = Report("km")
+    report.add_first("U1", (
+        f"update {describe(mu)} by {describe(phi)} leaves the observation"
+        for mu, phi in itertools.product(subsets, repeat=2) if upd[mu][phi] & ~phi
+    ))
+    report.add_first("U2", (
+        f"update of {describe(mu)} by implied {describe(phi)} changed beliefs"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if not mu & ~phi and upd[mu][phi] != mu
+    ))
+    report.add_first("U3", (
+        f"emptiness mismatch for {describe(mu)} by {describe(phi)}"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if (not upd[mu][phi]) != (not mu or not phi)
+    ))
+    report.add_first("U4", (
+        f"syntax leaked for {describe(mu)} by {describe(phi)}"
+        for mu, phi in itertools.product(subsets, repeat=2)
+        if upd[mu][phi] != upd[mu][variant[phi]]
+    ))
+    # U1 passed: every pair is in the table, so U8 is decided ahead of its
+    # turn with no operator call
+    u8_witness = next(filter(None, u8_by_singletons()), "") if report["U1"].passed else None
+    report.add_first("U5", on_singletons(u5, u8_witness == ""))
+    report.add_first("U6", on_singletons(u6, u8_witness == ""))
+    report.add_first("U7", (
+        f"complete belief {describe(mu)}: updates by {describe(phi)} and "
+        f"{describe(psi)} disagree with their disjunction"
+        for mu in singletons
+        for phi, psi in itertools.product(subsets, repeat=2)
+        if upd[mu][phi] & upd[mu][psi] & ~upd[mu][phi | psi]
+    ))
+    report.add_first("U8", u8_by_singletons() if u8_witness is None else [u8_witness])
+    return report
+
+
+
+def assert_km_matches_oracle(op, worlds, vocab):
+    """``check_km`` on ``op`` against the oracle on a frozenset wrapper of
+    it: the same report, and for an operator without whole rows the same
+    calls, in the same order."""
+    ref_op, ref_calls = _recording(op)
+    reference = oracle_check_km(ref_op, worlds, vocab)
+    if getattr(op, "mask_rows", None):
+        report = check_km(op, worlds, vocab)
+    else:
+        recorded, calls = _recording(op)
+        report = check_km(recorded, worlds, vocab)
+        assert calls == ref_calls
+    assert report.to_text() == reference.to_text()
+    assert report.to_machine() == reference.to_machine()
+    return report
+
+
+def _perturbed(op, worlds, rng, count, within):
+    """``op`` with ``count`` random answers replaced by a random part of the
+    observation (``within``) or of the checked worlds."""
+    subsets = _subsets(worlds)
+    spoiled = {}
+    for _ in range(count):
+        mu, phi = rng.choice(subsets), rng.choice(subsets)
+        spoiled[mu, phi] = frozenset(w for w in sorted(phi if within else worlds) if rng.random() < 0.5)
+
+    def apply(mu, phi):
+        out = spoiled.get((frozenset(mu), frozenset(phi)))
+        return op(mu, phi) if out is None else out
+
+    return apply
+
+
+def _spoiled_choices(structure, rng, count):
+    """The union, over the worlds of the belief, of each world's update on
+    the structure, with ``count`` random answers for one world replaced by a
+    random part of the observation: unions still decompose."""
+    op, worlds = update_operator(structure), structure.worlds
+    subsets = _subsets(worlds)
+    spoiled = {}
+    for _ in range(count):
+        w, phi = rng.choice(worlds), rng.choice(subsets)
+        spoiled[w, phi] = frozenset(v for v in sorted(phi) if rng.random() < 0.5)
+
+    def choice(w, phi):
+        out = spoiled.get((w, phi))
+        return op(frozenset((w,)), phi) if out is None else out
+
+    def apply(mu, phi):
+        phi = frozenset(phi)
+        return frozenset().union(*(choice(w, phi) for w in mu))
+
+    return apply
+
+
+def _minima_of(relations):
+    """The union, over the worlds w of the belief, of the minima of the
+    observation under ``relations[w]``: the worlds a of phi that no world
+    of ``relations[w][a]`` in phi precedes."""
+    def apply(mu, phi):
+        phi = frozenset(phi)
+        return frozenset(a for w in mu for a in phi if not relations[w][a] & phi)
+
+    return apply
+
+
+def _random_relations(worlds, rng, density):
+    """One random relation per origin, cycles and self-loops allowed."""
+    return {
+        w: {a: frozenset(b for b in worlds if rng.random() < density) for a in worlds}
+        for w in worlds
+    }
+
+
+def _echo(mu, phi):
+    return phi
+
+
+def _global_hamming(mu, phi):
+    # the closest worlds to the belief as a whole: unions do not decompose
+    if not mu or not phi:
+        return frozenset()
+    dist = {w: min(bin(w ^ o).count("1") for o in mu) for w in phi}
+    best = min(dist.values())
+    return frozenset(w for w in phi if dist[w] == best)
+
+
+def _oracle_cases():
+    """(id, operator, worlds, vocabulary) for the oracle differential."""
+    cases = []
+    structures = [("hamming", hamming_structure(PQ))] + [
+        (f"random-{seed}", random_structure(PQ, random.Random(seed))) for seed in range(8)
+    ] + [
+        ("hamming-subset", hamming_structure(PQ, [0, 2, 3])),
+        ("random-subset", random_structure(PQ, random.Random(8), [1, 2, 3])),
+        ("hamming-pqr-subset", hamming_structure(PQR, [1, 2, 4, 7])),
+        ("random-pqr-subset", random_structure(PQR, random.Random(9), [0, 3, 5, 6])),
+    ]
+    for name, structure in structures:
+        cases.append((f"distance-{name}", update_operator(structure), structure.worlds, structure.vocab))
+    for seed in range(16):
+        rng = random.Random(seed)
+        structure = structures[seed % len(structures)][1]
+        op = _perturbed(update_operator(structure), structure.worlds, rng, 1 + seed % 3, seed % 2 == 0)
+        cases.append((f"perturbed-{seed}", op, structure.worlds, structure.vocab))
+    for seed in range(16):
+        rng = random.Random(seed)
+        structure = structures[seed % len(structures)][1]
+        op = _spoiled_choices(structure, rng, 1 + seed % 3)
+        cases.append((f"spoiled-choice-{seed}", op, structure.worlds, structure.vocab))
+    for seed in range(16):
+        rng = random.Random(seed)
+        worlds = list(PQ.worlds()) if seed % 4 else [0, 1, 3]
+        relations = _random_relations(worlds, rng, (0.15, 0.3)[seed % 2])
+        cases.append((f"relation-{seed}", _minima_of(relations), worlds, PQ))
+    cases.append(("echo", _echo, list(PQ.worlds()), PQ))
+    cases.append(("global-hamming", _global_hamming, list(PQ.worlds()), PQ))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize(
+    "op, worlds, vocab", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+)
+def test_check_km_matches_the_oracle(op, worlds, vocab):
+    assert_km_matches_oracle(op, worlds, vocab)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQR), random_structure(PQR, random.Random(0))],
+    ids=["hamming", "random-0"],
+)
+def test_check_km_matches_the_oracle_over_three_propositions(structure):
+    assert assert_km_matches_oracle(update_operator(structure), structure.worlds, PQR).all_passed
+
+
+def test_the_oracle_cases_fail_u5_u6_and_u7():
+    # each fallback sweep is compared with the oracle where it finds a witness
+    failed = {
+        r.name for _, op, worlds, vocab in ORACLE_CASES for r in check_km(op, worlds, vocab).failures()
+    }
+    assert {"U5", "U6", "U7"} <= failed
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (postulate, belief) pairs the ordered U5, U6 and U7 sweeps of
+    ``check_km`` visit, in order."""
+    visited = []
+    for name in ("U5", "U6", "U7"):
+        sweep = getattr(update, f"_{name.lower()}_sweep")
+
+        def counted(upd, mus, describe, sweep=sweep, name=name):
+            def visiting():
+                for mu in mus:
+                    visited.append((name, mu))
+                    yield mu
+
+            return sweep(upd, visiting(), describe)
+
+        monkeypatch.setattr(update, f"_{name.lower()}_sweep", counted)
+    return visited
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [hamming_structure(PQR)] + [random_structure(PQR, random.Random(seed)) for seed in range(4)]
+    + [random_structure(PQ, random.Random(seed)) for seed in range(4)],
+    ids=["hamming-pqr"] + [f"random-pqr-{seed}" for seed in range(4)]
+    + [f"random-pq-{seed}" for seed in range(4)],
+)
+def test_distance_updates_run_no_ordered_u5_u6_or_u7_sweep(structure, sweeps):
+    # every row of a distance update picks the minima of a strict partial
+    # order, and {} has the empty row, so the reader decides U5-U7
+    assert check_km(update_operator(structure), structure.worlds, structure.vocab).all_passed
+    assert sweeps == []
+
+
+def test_a_non_transitive_strict_order_declines_u6(sweeps):
+    # from 00, 00 precedes every world, 01 precedes 10 and 10 precedes 11,
+    # but 01 does not precede 11; every other origin precedes the rest
+    worlds = list(PQ.worlds())
+    relations = {w: {a: frozenset() if a == w else frozenset({w}) for a in worlds} for w in worlds}
+    relations[0] = {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1}), 3: frozenset({0, 2})}
+    op = _minima_of(relations)
+    table = OperatorTable(op, worlds)
+    row = table.row(1)
+    for phi in range(16):
+        row[phi]
+    down = revealed_order(row, 4)
+    assert down is not None and not update._strict_partial_order(down)
+    report = assert_km_matches_oracle(op, worlds, PQ)
+    assert [r.name for r in report.failures()] == ["U6"]
+    assert report["U6"].witness == "mutually entailing updates of {00} by {01,11}, {01,10,11} differ"
+    # the oracle's sweeps are not counted: the checker swept U6 at {00} alone
+    assert sweeps == [("U6", 1), ("U6", 1)]
+
+
+def test_a_choice_that_breaks_gamma_fails_u7(sweeps):
+    # from each world w outside phi: all of phi, but only its lowest world
+    # when phi holds every other world, so 10 is kept from {01,10} and
+    # {10,11} and dropped from their union
+    worlds = list(PQ.worlds())
+
+    def apply(mu, phi):
+        phi = frozenset(phi)
+
+        def choice(w):
+            if w in phi:
+                return frozenset({w})
+            return frozenset({min(phi)}) if phi == frozenset(worlds) - {w} else phi
+
+        return frozenset().union(*map(choice, mu))
+
+    table = OperatorTable(apply, worlds)
+    row = table.row(1)
+    for phi in range(16):
+        row[phi]
+    assert revealed_order(row, 4) is None
+    report = assert_km_matches_oracle(apply, worlds, PQ)
+    assert report["U7"].witness == (
+        "complete belief {00}: updates by {01,10} and {10,11} disagree with their disjunction"
+    )
+    assert ("U7", 1) in sweeps
+
+
+def test_a_failure_of_u1_mid_sweep_keeps_the_call_sequence():
+    # one answer of the bit-flip update leaves its observation: U1 stops
+    # inside row {00,01}, and the checks after it read the rest in the
+    # oracle's order
+    hamming = update_operator(hamming_structure(PQ))
+
+    def apply(mu, phi):
+        if frozenset(mu) == {0, 1} and frozenset(phi) == {2}:
+            return frozenset({1})
+        return hamming(mu, phi)
+
+    report = assert_km_matches_oracle(apply, list(PQ.worlds()), PQ)
+    assert report["U1"].witness == "update {00,01} by {10} leaves the observation"
