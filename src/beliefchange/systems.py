@@ -215,11 +215,13 @@ class System:
     behaviour).  ``menu`` lists the observation formulas runs draw from.
     ``blocks`` are product blocks whose :func:`expand` must be exactly
     ``runs``: the run index is read off them, and only their run counts,
-    run shapes and each block's first and last runs are checked.  They
-    default to one block of one factor, the runs themselves.  Runs given
-    as a tuple or a :class:`Runs` view are kept as they are (any other list
-    is copied into a tuple), so a system built from blocks builds no run
-    until a caller iterates its runs.
+    run shapes and each block's first and last runs are checked.  When
+    ``runs`` is a :class:`Runs` view of these same blocks it is their
+    expansion by definition, so no run is decoded for that last check.
+    They default to one block of one factor, the runs themselves.  Runs
+    given as a tuple or a :class:`Runs` view are kept as they are (any
+    other list is copied into a tuple), so a system built from blocks
+    builds no run until a caller iterates its runs.
     """
 
     vocab: Vocabulary
@@ -247,8 +249,9 @@ class System:
             raise RunSystemError("a run needs exactly one more environment state than observations")
         if any(len_obs != self.horizon for _, len_obs in shapes):
             raise RunSystemError("all runs must share the system horizon")
+        own_view = isinstance(self.runs, Runs) and self.runs.blocks == self.blocks
         offset = 0
-        for block in self.blocks:
+        for block in () if own_view else self.blocks:
             size = prod(map(len, block))
             for k, i in ((0, offset), (-1, offset + size - 1)) if size else ():
                 parts = [factor[k] for factor in block]
@@ -331,16 +334,17 @@ class RunIndex:
     """A system's run-set events as int masks: bit i stands for ``runs[i]``.
 
     Built once per system, on first use: one mask per (time, world) and
-    one per (time, observation), read off the system's blocks, and one per
-    observation prefix.  Each time column of a factor is grouped once; a
-    group's segment positions become a block mask by stretching each
-    position to the runs it stands for (the product W of the later
-    factors' sizes) and repeating that once per choice of the earlier
-    factors, so an explicit run list (W = 1, one repeat) costs one grouping
-    of each time column.  A prefix of length m + 1 is the AND of
-    a prefix of length m with an observation column at time m + 1, kept
-    when non-empty, so the prefixes cost at most the sum over m of
-    |prefixes of length m| * |observations at time m + 1| ANDs.  Every
+    one per (time, observation), read off the system's blocks.  Each time
+    column of a factor is grouped once; a group's segment positions become
+    a block mask by stretching each position to the runs it stands for
+    (the product W of the later factors' sizes) and repeating that once
+    per choice of the earlier factors.  That pattern is built once per
+    factor, at its block's offset, so a group of one position is one shift
+    of it, and an explicit run list (W = 1, one repeat) costs one grouping
+    of each time column.  Row entries become :class:`Mask` once, after
+    every block is ORed in.  The runs of an observation prefix are ANDed
+    from the observation columns when :meth:`observed` first asks, and
+    :attr:`prefix` lists every attainable prefix when first read.  Every
     other event is ``&`` and ``|`` of those.  The root image of each
     (time, world) mask is built when :meth:`root_blocks` first asks.
     """
@@ -352,8 +356,8 @@ class RunIndex:
         # whose observation at time m is o (none at time 0).  Blocks come in
         # run order and a factor's groups by first position, so each row
         # lists its values in the order the runs first reach them.
-        self.at: List[Dict[int, Mask]] = [{} for _ in range(sys.horizon + 1)]
-        self.obs_at: List[Dict[Formula, Mask]] = [{} for _ in range(sys.horizon + 1)]
+        at: List[Dict[int, int]] = [{} for _ in range(sys.horizon + 1)]
+        obs_at: List[Dict[Formula, int]] = [{} for _ in range(sys.horizon + 1)]
         offset = 0
         for block in sys.blocks:
             sizes = [len(factor) for factor in block]
@@ -364,43 +368,36 @@ class RunIndex:
             for factor, n in zip(block, sizes):
                 width = size // (before * n)
                 span = n * width
-                # stretch a position to its W runs, once per earlier choice
-                spread = ((1 << width) - 1) * (((1 << span * before) - 1) // ((1 << span) - 1))
+                # position 0 stretched to its W runs, once per earlier
+                # choice, at the block's offset; position j is this << W * j
+                spread = ((1 << width) - 1) * (((1 << span * before) - 1) // ((1 << span) - 1)) << offset
                 for rows, time, parts in (
-                    (self.at, env_time, [segment[0] for segment in factor]),
-                    (self.obs_at, obs_time, [segment[1] for segment in factor]),
+                    (at, env_time, [segment[0] for segment in factor]),
+                    (obs_at, obs_time, [segment[1] for segment in factor]),
                 ):
                     for k in range(len(parts[0])):
                         row = rows[time + k]
                         for value, ids in group_positions([part[k] for part in parts]).items():
-                            # an explicit list (W = 1, one repeat, offset 0)
-                            # skips all three steps and costs what a scan does
-                            if width > 1:
-                                ids = map(width.__mul__, ids)
-                            mask = mask_of(ids)
-                            if spread > 1:
-                                mask *= spread
-                            if offset:
-                                mask <<= offset
+                            if len(ids) == 1:
+                                mask = spread << width * ids[0]
+                            else:
+                                # an explicit list (W = 1, one repeat, offset
+                                # 0) costs what a scan does
+                                mask = mask_of(map(width.__mul__, ids) if width > 1 else ids)
+                                if spread > 1:
+                                    mask *= spread
                             old = row.get(value)
-                            row[value] = Mask(mask if old is None else old | mask)
+                            row[value] = mask if old is None else old | mask
                 env_time += len(factor[0][0])
                 obs_time += len(factor[0][1])
                 before *= n
             offset += size
-        # observation prefixes, one time at a time, then in the order the
-        # runs first reach them: by first run, then by length
-        level = [((), self.full)] if runs else []
-        reached = list(level)
-        for row in self.obs_at[1:]:
-            level = [
-                (s_a + (o,), both)
-                for s_a, mask in level for o, column in row.items()
-                if (both := mask & column)
-            ]
-            reached += level
-        reached.sort(key=lambda group: (_lowest(group[1]), len(group[0])))
-        self.prefix = {s_a: Mask(mask) for s_a, mask in reached}
+        # in place, so each plain mask is freed as its Mask replaces it
+        for row in at + obs_at:
+            for value in row:
+                row[value] = Mask(row[value])
+        self.at, self.obs_at = at, obs_at
+        self._observed: Dict[LocalState, Mask] = {(): Mask(self.full)}
         # the prior read on these masks
         self.prior = sys.prior
         if sys.prior.carrier != runs:
@@ -442,8 +439,34 @@ class RunIndex:
         return image
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
-        """Runs whose observation sequence starts with ``s_a``."""
-        return self.prefix.get(tuple(s_a), Mask(0))
+        """Runs whose observation sequence starts with ``s_a``: the runs of
+        its prefix one shorter, ``&`` the observation column of its last
+        time, kept once asked."""
+        s_a = tuple(s_a)
+        event = self._observed.get(s_a)
+        if event is None:
+            if len(s_a) >= len(self.obs_at):
+                return Mask(0)
+            column = self.obs_at[len(s_a)].get(s_a[-1], 0)
+            event = self._observed[s_a] = Mask(self.observed(s_a[:-1]) & column)
+        return event
+
+    @cached_property
+    def prefix(self) -> Dict[LocalState, Mask]:
+        """Every observation prefix some run has, with its runs, in the
+        order the runs first reach them: by lowest run, then by length.
+        Built on first use, one time at a time: a prefix of length m + 1
+        is one of length m, kept when some run has it, and an observation
+        of time m + 1, so the listing costs at most the sum over m of
+        |prefixes of length m| * |observations at time m + 1| ANDs."""
+        level = [()] if self.full else []
+        reached = list(level)
+        for row in self.obs_at[1:]:
+            level = [s_a + (o,) for s_a in level for o in row if self.observed(s_a + (o,))]
+            reached += level
+        observed = self._observed
+        reached.sort(key=lambda s_a: (_lowest(observed[s_a]), len(s_a)))
+        return {s_a: observed[s_a] for s_a in reached}
 
     def env_event(self, time: int, ext: Extension) -> Mask:
         """Runs whose environment world at ``time`` lies in ``ext``."""

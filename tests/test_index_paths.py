@@ -11,6 +11,7 @@ import functools
 import itertools
 import os
 import random
+from math import prod
 
 import pytest
 
@@ -378,13 +379,20 @@ def test_the_index_matches_the_run_by_run_build(name):
     assert [list(row.items()) for row in index.obs_at] == reference_obs_at(sys_)
 
 
-def test_equal_observations_group_together():
-    # each run observes its own parse of p and q: equal, but distinct objects
+def explicit_system():
+    """Five explicit runs, each observing its own parse of p and q."""
     p1, p2, q1, q2 = (parse_formula(text) for text in ("p", "p", "q", "q"))
-    assert p1 == p2 and p1 is not p2 and q1 == q2 and q1 is not q2
     obs = [(p1, q1), (TRUE, q2), (p2, TRUE), (p2, q2), (TRUE, q1)]
     runs = [Run((w("11"),) * 3, o) for o in obs]
-    sys_ = System(PQ, runs, RankedMeasure(runs, [0, 1, 1, 2, 0]), 2)
+    return System(PQ, runs, RankedMeasure(runs, [0, 1, 1, 2, 0]), 2)
+
+
+def test_equal_observations_group_together():
+    # each run observes its own parse of p and q: equal, but distinct objects
+    sys_ = explicit_system()
+    (p1, q1), (p2, _) = sys_.runs[0].obs, sys_.runs[2].obs
+    q2 = sys_.runs[1].obs[1]
+    assert p1 == p2 and p1 is not p2 and q1 == q2 and q1 is not q2
     index = sys_.index
     _, prefix = reference_index(sys_)
     assert list(index.prefix.items()) == prefix
@@ -392,6 +400,46 @@ def test_equal_observations_group_together():
     assert list(index.prefix) == [(), (P_,), (P_, Q_), (TRUE,), (TRUE, Q_), (P_, TRUE)]
     assert index.obs_at[1] == {P_: 0b01101, TRUE: 0b10010}
     assert index.obs_at[2] == {Q_: 0b11011, TRUE: 0b00100}
+
+
+# built afresh for each call order, since a system keeps its index
+OBSERVED_SYSTEMS = {
+    **{
+        name: functools.partial(scenario_system, f"{name}.scn")
+        for name in ("ranked_basic", "diag_three_gates", "small_update", "borrowed_car")
+    },
+    "ranked_basic-twin": lambda: statify(scenario_system("ranked_basic.scn")).inner,
+    "small_update-twin": lambda: statify(scenario_system("small_update.scn")).inner,
+    "explicit": explicit_system,
+    "empty": lambda: System(PQ, [], RankedMeasure([], []), 2),
+}
+
+
+@pytest.mark.parametrize("prefix_first", [False, True], ids=["observed-first", "prefix-first"])
+@pytest.mark.parametrize("name", sorted(OBSERVED_SYSTEMS))
+def test_observed_matches_the_run_by_run_prefixes(name, prefix_first):
+    sys_ = OBSERVED_SYSTEMS[name]()
+    index = sys_.index
+    _, listing = reference_index(sys_)
+    expected = dict(listing)
+    menu = list(sys_.menu) or [TRUE, P_, Q_]
+    longest = [s_a for s_a in expected if len(s_a) == sys_.horizon]
+    queries = (
+        list(expected)
+        # unattainable: a menu formula where no run has it, or one outside the menu
+        + [s_a + (o,) for s_a in list(expected)[:40] for o in menu + [FALSE, Atom("zz")]]
+        # longer than the horizon
+        + [s_a + (TRUE,) for s_a in longest[:10]]
+        + [(TRUE,) * (sys_.horizon + 1), [TRUE] * (sys_.horizon + 2)]
+    )
+    if prefix_first:
+        assert list(index.prefix.items()) == listing
+    for s_a in queries:
+        event = index.observed(s_a)
+        assert type(event) is Mask and event == expected.get(tuple(s_a), 0), s_a
+    assert ("prefix" in vars(index)) == prefix_first
+    assert list(index.prefix.items()) == listing
+    assert all(index.observed(s_a) == event for s_a, event in listing)
 
 
 RANKED = sorted(name for name in SYSTEMS if "update" not in name)
@@ -724,6 +772,43 @@ def test_the_block_index_matches_the_run_by_run_build(name, seeded_update):
     assert explicit.blocks == ((sys_.runs,),)
     assert explicit.index.at == index.at and explicit.index.obs_at == index.obs_at
     assert list(explicit.index.prefix.items()) == list(index.prefix.items())
+
+
+def _empty_factor_system():
+    """Three blocks over two times; the middle one has an empty factor, so
+    it holds no run and the last block starts where the first ends."""
+    start = (((w("11"),), ()), ((w("10"),), ()))
+    step = (((w("11"),), (TRUE,)), ((w("10"),), (P_,)), ((w("11"),), (P_,)))
+    blocks = ((start, step, step), (start, (), step), (start[::-1], step[1:], step))
+    runs = expand(blocks)
+    return System(PQ, runs, RankedMeasure(runs, [0] * len(runs)), 2, blocks=blocks)
+
+
+# each case: a system, and the factor sizes of one of its blocks
+ROW_SHAPES = {
+    "static-1444": (lambda: system_from_ranking(PQ, RANKS, [P_, Q_, Or(P_, Q_)], 3), [1, 4, 4, 4]),
+    # a block after the first, so at a non-zero offset, whose later
+    # factors repeat once per choice of the earlier ones
+    "circuit-16-2-2": (lambda: scenario_system("diag_three_gates.scn"), [16, 2, 2]),
+    "one-update-block": (lambda: scenario_system("small_update.scn"), [4, 8, 8]),
+    "explicit": (explicit_system, [5]),
+    "empty-factor": (_empty_factor_system, [2, 0, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SHAPES))
+def test_index_rows_match_a_scan_of_the_runs(name):
+    make, shape = ROW_SHAPES[name]
+    sys_ = make()
+    shapes = [[len(factor) for factor in block] for block in sys_.blocks]
+    assert shape in shapes
+    if name.startswith("circuit"):
+        assert shapes.index(shape) > 0 and any(prod(sizes) for sizes in shapes[: shapes.index(shape)])
+    index = sys_.index
+    at, _ = reference_index(sys_)
+    assert [list(row.items()) for row in index.at] == at
+    assert [list(row.items()) for row in index.obs_at] == reference_obs_at(sys_)
+    assert all(type(mask) is Mask for row in index.at + index.obs_at for mask in row.values())
 
 
 def test_menu_system_lists_true_first():

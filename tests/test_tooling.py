@@ -99,3 +99,40 @@ def test_diagnosis_checks_build_no_run():
     assert name == "systems.runs_built"
     assert runs_built((sys_,)) == len(sys_.runs) == 5832
     assert sys_.runs._built is None
+
+
+RANKED = os.path.join(SOURCES, "scenarios", "ranked_basic.scn")
+
+
+@pytest.mark.parametrize("command", ["revise", "check-rev", "check-bcs"])
+def test_ranked_commands_list_no_observation_prefixes(command, monkeypatch, capsys):
+    # each command ANDs the observation prefixes it reads, and none of them
+    # asks for the listing of every prefix
+    from beliefchange import cli
+
+    built = []
+    build = cli.build_system
+    monkeypatch.setattr(cli, "build_system", lambda scenario: built.append(build(scenario)) or built[-1])
+    assert cli.main([command, "--scenario", RANKED, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert "prefix" not in vars(built[0].index)
+
+
+def test_a_system_decodes_no_run_of_its_own_view(monkeypatch):
+    from beliefchange.scenario import build_system, load_scenario
+    from beliefchange.systems import Runs, RunSystemError, System, expand
+
+    decoded = []
+    get = Runs.__getitem__
+    monkeypatch.setattr(Runs, "__getitem__", lambda runs, i: decoded.append(i) or get(runs, i))
+    sys_ = build_system(load_scenario(RANKED))
+    assert decoded == []
+    # a view of other blocks, with the same run count and shapes, is still
+    # checked against the blocks it is given
+    blocks = sys_.blocks
+    assert [len(factor) for factor in blocks[0]] == [len(factor) for factor in blocks[1]]
+    other = expand((blocks[1], blocks[0]) + blocks[2:])
+    with pytest.raises(RunSystemError, match="run 0 is not the one its block expands to"):
+        System(sys_.vocab, other, sys_.prior, sys_.horizon, sys_.universe, sys_.menu, blocks=blocks)
+    assert decoded
