@@ -27,7 +27,7 @@ from .formulas import (
 from .plausibility import RankedMeasure, bits, union
 from .reports import Report
 from .revision import validate_rev, _default_obs_sequences
-from .systems import LocalState, Run, System, bel, expand, first_failure
+from .systems import LocalState, Run, Runs, System, bel, first_failure
 
 GATE_KINDS = ("AND", "OR", "NOT", "XOR")
 _GATE_OPS = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor}
@@ -216,7 +216,7 @@ def build_diag_system(circuit: Circuit, tests: Sequence[Mapping[str, bool]]) -> 
                 for i, s in enumerate(step):
                     first[reading[s]] = min(first.get(reading[s], (i * later, j)), (i * later, j))
         menu.update(dict.fromkeys(sorted(first, key=first.__getitem__)))
-    runs = expand(blocks)
+    runs = Runs(blocks)
     return System(
         vocab=circuit.vocab,
         runs=runs,

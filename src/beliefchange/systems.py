@@ -93,8 +93,9 @@ Block = Tuple[Tuple[Segment, ...], ...]
 
 
 class Runs(Sequence):
-    """The runs of product blocks, in :func:`expand` order, built only when
-    a caller lists them.
+    """The runs of product blocks, block by block, each block's runs in
+    ``itertools.product`` order of its factors, built only when a caller
+    lists them.
 
     Its length comes from the block sizes.  Until the runs are iterated, an
     index decodes one run of its block by mixed radix, the last factor
@@ -190,12 +191,6 @@ class Runs(Sequence):
         return list(numbers), image
 
 
-def expand(blocks: Sequence[Block]) -> Runs:
-    """The runs of ``blocks``, block by block, each block's runs in
-    ``itertools.product`` order of its factors, as a :class:`Runs` view."""
-    return Runs(blocks)
-
-
 def _concatenations(factors: List[List[tuple]]) -> List[tuple]:
     """``a + b + ...`` for each choice of one part per factor, in product
     order, one factor at a time."""
@@ -213,7 +208,7 @@ class System:
     full enumeration for ordinary propositional reasoning, a constrained
     subset when the consequence relation carries extra axioms, e.g. circuit
     behaviour).  ``menu`` lists the observation formulas runs draw from.
-    ``blocks`` are product blocks whose :func:`expand` must be exactly
+    ``blocks`` are product blocks whose :class:`Runs` must be exactly
     ``runs``: the run index is read off them, and only their run counts,
     run shapes and each block's first and last runs are checked.  When
     ``runs`` is a :class:`Runs` view of these same blocks it is their
@@ -318,7 +313,7 @@ def menu_system(
         start = tuple(((w,), ()) for w in group)
         step = tuple(((w,), (o,)) for w in group for o, ext in exts if w in ext)
         blocks.append((start,) + (step,) * horizon)
-    runs = expand(blocks)
+    runs = Runs(blocks)
     return System(
         vocab=vocab,
         runs=runs,
@@ -328,6 +323,26 @@ def menu_system(
         menu=menu,
         blocks=tuple(blocks),
     )
+
+
+class Frame(NamedTuple):
+    """The coordinates a checker builds and compares run-set events in
+    (:meth:`RunIndex.frame`): ``send`` maps a run mask there, ``measure``
+    compares what it maps, ``worlds(t)`` maps each world to the mask of
+    its runs at time t, ``env(t, ext)`` is the mask of the runs whose world
+    at time t lies in ``ext``, kept per (time, extension), and
+    ``observed(s_a)`` the mask of the runs whose observations start with
+    ``s_a``.  Each is read only at the times the frame was made for."""
+
+    measure: PlausibilityMeasure
+    send: Callable[[int], int]
+    worlds: Callable[[int], Dict[int, int]]
+    env: Callable[[int, Extension], Mask]
+    observed: Callable[[Sequence[Formula]], int]
+
+
+def _as_is(mask: int) -> int:
+    return mask
 
 
 class RunIndex:
@@ -346,7 +361,10 @@ class RunIndex:
     from the observation columns when :meth:`observed` first asks, and
     :attr:`prefix` lists every attainable prefix when first read.  Every
     other event is ``&`` and ``|`` of those.  The root image of each
-    (time, world) mask is built when :meth:`root_blocks` first asks.
+    (time, world) mask is built when :meth:`root_blocks` first asks, and
+    :meth:`frame` decides, once per tuple of times, whether the checkers
+    build and compare those times' events on the prior's root or on the
+    runs.
     """
 
     def __init__(self, sys: System):
@@ -405,8 +423,9 @@ class RunIndex:
             image = [sys.prior.index.get(run, -1) for run in runs]
             self.prior = MappedMeasure(runs, sys.prior, image)
         self._env_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
-        self._env_images: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
+        self._root_events: Dict[Tuple[int, FrozenSet[int]], Mask] = {}
         self._root_blocks: Dict[int, Optional[Dict[int, int]]] = {}
+        self._frames: Dict[Tuple[int, ...], Frame] = {}
 
     def root_blocks(self, time: int) -> Optional[Dict[int, int]]:
         """World -> the root image (:func:`root_of`) of its runs at ``time``;
@@ -417,39 +436,35 @@ class RunIndex:
             self._root_blocks[time] = images if disjoint else None
         return self._root_blocks[time]
 
-    def world_images(self, time: int) -> Optional[Dict[int, int]]:
-        """:meth:`root_blocks` when the prior is mapped to other root
-        positions (``root_of(prior)[1]`` is not None), else None.  Each
-        world's runs at ``time`` are then a union of root fibres, so every
-        event built from these worlds and the ones of other such times has
-        the intersections and unions of their images as its root image
-        (README, "Run systems")."""
-        return None if root_of(self.prior)[1] is None else self.root_blocks(time)
-
-    def env_image(self, time: int, ext: Extension) -> Optional[Mask]:
-        """The root image of ``env_event(time, ext)``, the union of its
-        worlds' :meth:`world_images`; None when those are None."""
-        images = self.world_images(time)
-        if images is None:
-            return None
-        key = (time, ext)
-        image = self._env_images.get(key)
-        if image is None:
-            image = self._env_images[key] = Mask(union(images.get(w, 0) for w in ext))
-        return image
+    def frame(self, times: Tuple[int, ...]) -> Frame:
+        """Where to build and compare the events of ``times``, kept per
+        tuple: the prior's root when :meth:`root_blocks` is not None at
+        every one of them, else the runs.  On the root each world's runs
+        at those times are a union of root fibres, so the ``&`` and ``|``
+        of their images are the images of the ``&`` and ``|`` of their runs
+        (README, "Run systems").  A prior that is its own root takes the
+        root, whose masks are the run masks."""
+        frame = self._frames.get(times)
+        if frame is None:
+            # bound to the index's tables, not to the index, so a kept
+            # frame holds no reference cycle
+            observed = functools.partial(_observed_event, self.obs_at, self._observed)
+            if any(self.root_blocks(t) is None for t in times):
+                env = functools.partial(_union_event, self.at, self._env_events)
+                frame = Frame(self.prior, _as_is, self.at.__getitem__, env, observed)
+            else:
+                send, blocks = self.prior.root_mask, self._root_blocks
+                env = functools.partial(_union_event, blocks, self._root_events)
+                sent = lambda s_a: send(observed(s_a))
+                frame = Frame(root_of(self.prior)[0], send, blocks.__getitem__, env, sent)
+            self._frames[times] = frame
+        return frame
 
     def observed(self, s_a: Sequence[Formula]) -> Mask:
         """Runs whose observation sequence starts with ``s_a``: the runs of
         its prefix one shorter, ``&`` the observation column of its last
         time, kept once asked."""
-        s_a = tuple(s_a)
-        event = self._observed.get(s_a)
-        if event is None:
-            if len(s_a) >= len(self.obs_at):
-                return Mask(0)
-            column = self.obs_at[len(s_a)].get(s_a[-1], 0)
-            event = self._observed[s_a] = Mask(self.observed(s_a[:-1]) & column)
-        return event
+        return _observed_event(self.obs_at, self._observed, s_a)
 
     @cached_property
     def prefix(self) -> Dict[LocalState, Mask]:
@@ -469,15 +484,35 @@ class RunIndex:
         return {s_a: observed[s_a] for s_a in reached}
 
     def env_event(self, time: int, ext: Extension) -> Mask:
-        """Runs whose environment world at ``time`` lies in ``ext``."""
-        key = (time, ext)
-        event = self._env_events.get(key)
-        if event is None:
-            row, event = self.at[time], 0
-            for w in ext:
-                event |= row.get(w, 0)
-            event = self._env_events[key] = Mask(event)
-        return event
+        """Runs whose environment world at ``time`` lies in ``ext``, kept
+        per (time, extension)."""
+        return _union_event(self.at, self._env_events, time, ext)
+
+
+def _observed_event(obs_at: List[Dict[Formula, int]], kept: Dict[LocalState, Mask], s_a) -> Mask:
+    """:meth:`RunIndex.observed` on the observation columns ``obs_at``,
+    keeping each prefix's runs in ``kept``."""
+    s_a = tuple(s_a)
+    event = kept.get(s_a)
+    if event is None:
+        if len(s_a) >= len(obs_at):
+            return Mask(0)
+        column = obs_at[len(s_a)].get(s_a[-1], 0)
+        event = kept[s_a] = Mask(_observed_event(obs_at, kept, s_a[:-1]) & column)
+    return event
+
+
+def _union_event(rows, kept: Dict[Tuple[int, FrozenSet[int]], Mask], time: int, ext: Extension) -> Mask:
+    """The union of the masks ``rows[time]`` holds for the worlds of
+    ``ext``, kept in ``kept`` per (time, extension)."""
+    key = (time, ext)
+    event = kept.get(key)
+    if event is None:
+        row, event = rows[time], 0
+        for w in ext:
+            event |= row.get(w, 0)
+        event = kept[key] = Mask(event)
+    return event
 
 
 def first_failure(failing: Sequence[int], describe: Callable[[int, int], str]) -> Iterator[str]:
@@ -539,17 +574,14 @@ def believed(sys: System, event: int, time: int) -> Extension:
     outside it are not strictly more plausible than its runs in it.  Empty
     when the event is empty or sits at bottom.
 
-    When the worlds' root images are disjoint (:meth:`RunIndex.root_blocks`)
-    they split the event's root image as the worlds split its runs, so the
-    event is sent to the prior's root once and read there.
+    The event is sent once to the time's frame (:meth:`RunIndex.frame`)
+    and read there against each world's mask: on the prior's root the
+    worlds' images split the event's image as the worlds split its runs.
     """
     if not event:
         return frozenset()
-    index = sys.index
-    blocks = index.root_blocks(time)
-    if blocks is None:
-        return _not_disbelieved(index.prior, event, index.at[time])
-    return _not_disbelieved(root_of(index.prior)[0], index.prior.root_mask(event), blocks)
+    frame = sys.index.frame((time,))
+    return _not_disbelieved(frame.measure, frame.send(event), frame.worlds(time))
 
 
 def _not_disbelieved(measure: PlausibilityMeasure, event: int, rows: Dict[int, int]) -> Extension:

@@ -33,17 +33,17 @@ from .plausibility import (
     MappedMeasure,
     Mask,
     Ordering,
+    PlausibilityMeasure,
     PreferentialMeasure,
     bits,
     disagreements,
     group_positions,
     mask_of,
-    root_of,
     strict_closure,
     union,
 )
 from .reports import Report
-from .systems import LocalState, Run, Runs, System, check_budget, expand, first_failure, menu_system
+from .systems import Frame, LocalState, Run, Runs, System, check_budget, first_failure, menu_system
 
 
 class UpdateError(BeliefChangeError):
@@ -502,7 +502,7 @@ class LexPrior(MappedMeasure):
 
     def __init__(self, runs: Sequence[Run], structure: UpdateStructure):
         self.structure = structure
-        view = runs if isinstance(runs, Runs) else expand([(tuple(runs),)])
+        view = runs if isinstance(runs, Runs) else Runs([(tuple(runs),)])
         cells, image = view.env_sequences()
         structure.check_worlds(itertools.chain.from_iterable(cells))
         rows = [0] * len(cells)
@@ -719,23 +719,16 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     position of its own, the pairs are decided by rows (:func:`_rows_agree`)
     and swept only when some row disagrees.  The budget counts every pair.
 
-    When the index reads the worlds' root images at every time compared
-    (:meth:`RunIndex.world_images`), every event is built there, as the
-    intersection of its worlds' images, and compared on the root.
+    Every event is built and compared in the frame of the times compared
+    (:meth:`RunIndex.frame`).
     """
     index = sys.index
     worlds = structure.worlds
     closed = _blocks_closed(index)
     order = functools.cache(functools.partial(_cell_order, structure))
     length = min(sys.horizon + 1, 3)
-    fibred = all(index.world_images(t) is not None for t in range(length))
-    if fibred:
-        measure = root_of(index.prior)[0]
-        cell_event = lambda cell: _prefix_image(index, [frozenset((w,)) for w in cell])
-        prefix_event = lambda seq: _prefix_image(index, [sys.vocab.extension(f) for f in seq])
-    else:
-        measure, cell_event = index.prior, functools.partial(_cell_event, index)
-        prefix_event = functools.partial(_formula_prefix_event, sys)
+    frame = index.frame(tuple(range(length)))
+    measure = frame.measure
 
     # consistency with the distance: cell comparisons follow the
     # first-divergence rule
@@ -743,11 +736,11 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
         count = len(worlds) ** n
         check_budget("UPD2", count * (count - 1) // 2, f"pairs of length-{n} cells", budget)
         cells, rows = order(n).carrier, order(n).rows
-        groups = [cell_event(cell) for cell in cells]
+        groups = [_prefix_event(frame, [frozenset((w,)) for w in cell]) for cell in cells]
         pairs = itertools.combinations(range(count), 2)
         if closed:
             size = count // len(worlds)  # cells per first world
-            if fibred and _rows_agree(measure, groups, rows, size):
+            if _rows_agree(measure, groups, rows, size):
                 continue
             pairs = itertools.chain.from_iterable(
                 itertools.combinations(range(i, i + size), 2) for i in range(0, count, size)
@@ -772,7 +765,7 @@ def _check_upd2(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     check_budget("UPD2", sum(map(len, seqs)) ** 2, "pairs of menu sequences", budget)
     for same_length in seqs:
         reference = order(len(same_length[0]))
-        events = [prefix_event(seq) for seq in same_length]
+        events = [_prefix_event(frame, map(sys.vocab.extension, seq)) for seq in same_length]
         cell_masks = [
             reference.mask(itertools.product(*map(structure.extension, seq))) for seq in same_length
         ]
@@ -799,27 +792,29 @@ def _cell_order(structure: UpdateStructure, n: int) -> PreferentialMeasure:
 
 def _blocks_closed(index) -> bool:
     """Whether runs with different initial worlds never compare strictly:
-    the prior's root is a dominance lift, the root images of the blocks
-    ``index.at[0][w]`` are pairwise disjoint (``index.root_blocks(0)``),
-    and the root row of each element of a block's image stays inside that
-    image.  Then no element of one image beats one of another, so two
-    non-empty events from different blocks are INCOMPARABLE (README, "Run
-    systems")."""
-    root = root_of(index.prior)[0]
-    blocks = index.root_blocks(0)
-    if not isinstance(root, PreferentialMeasure) or blocks is None:
+    time 0's frame (:meth:`RunIndex.frame`) is the prior's root, a
+    dominance lift, and the root row of each element of a block's image
+    ``frame.worlds(0)[w]`` stays inside that image.  Then no element of one
+    image beats one of another, so two non-empty events from different
+    blocks are INCOMPARABLE (README, "Run systems")."""
+    frame = index.frame((0,))
+    root = frame.measure  # on the runs, a mapped measure: never a lift
+    if not isinstance(root, PreferentialMeasure):
         return False
-    return not any(union(root.rows[i] for i in bits(image)) & ~image for image in blocks.values())
+    return not any(union(root.rows[i] for i in bits(image)) & ~image for image in frame.worlds(0).values())
 
 
-def _rows_agree(root: PreferentialMeasure, images: Sequence[int], rows: Sequence[int], size: int) -> bool:
-    """Whether the root orders the cells as ``rows`` do within each block
-    of ``size`` cells, when each cell's root image is one position of its
-    own: each cell's root row, masked to its block's images, is its
-    reference row sent to the images.  Two such cells compare as their
+def _rows_agree(measure: PlausibilityMeasure, images: Sequence[int], rows: Sequence[int], size: int) -> bool:
+    """Whether ``measure`` orders the cells as ``rows`` do within each block
+    of ``size`` cells, when each cell's mask is one position of its own:
+    each cell's row in the measure, masked to its block's positions, is its
+    reference row sent to those positions.  Two such cells compare as their
     positions' row bits say, and the reference rows are asymmetric, so then
-    every pair within a block gets the answer it expects; False when
-    some image is not one position of its own."""
+    every pair within a block gets the answer it expects; False when the
+    measure has no rows (is not a :class:`PreferentialMeasure`) or some
+    mask is not one position of its own."""
+    if not isinstance(measure, PreferentialMeasure):
+        return False
     if any(image.bit_count() != 1 for image in images) or len(set(images)) != len(images):
         return False
     for start in range(0, len(images), size):
@@ -827,37 +822,19 @@ def _rows_agree(root: PreferentialMeasure, images: Sequence[int], rows: Sequence
         within = union(images[j] for j in block)
         for i in block:
             expected = union(images[j] for j in bits(rows[i]))
-            if root.rows[images[i].bit_length() - 1] & within != expected:
+            if measure.rows[images[i].bit_length() - 1] & within != expected:
                 return False
     return True
 
 
-def _cell_event(index, cell: Sequence[int]) -> Mask:
-    """Runs whose environment sequence starts with the cell."""
-    event = index.full
-    for t, w in enumerate(cell):
-        event &= index.at[t].get(w, 0)
-    return Mask(event)
-
-
-def _formula_prefix_event(sys: System, formulas: Sequence[Formula]) -> Mask:
-    """Runs whose environment world at each time i satisfies formulas[i]."""
-    index = sys.index
-    event = index.full
-    for i, f in enumerate(formulas):
-        event &= index.env_event(i, sys.vocab.extension(f))
-    return Mask(event)
-
-
-def _prefix_image(index, exts: Sequence[Extension]) -> Mask:
-    """The root image of the runs whose world at each time t lies in
-    ``exts[t]`` (one or more times), the AND of :meth:`RunIndex.env_image`,
-    which must not be None at those times: a cell's image, or a formula
-    sequence's."""
-    image = -1
+def _prefix_event(frame: Frame, exts: Iterable[Extension]) -> Mask:
+    """The runs, in ``frame``, whose world at each time t lies in
+    ``exts[t]`` (one or more times): a cell's event when each extension is
+    one world, a formula sequence's otherwise."""
+    event = -1
     for t, ext in enumerate(exts):
-        image &= index.env_image(t, ext)
-    return Mask(image)
+        event &= frame.env(t, ext)
+    return Mask(event)
 
 
 def _upd3_length(sys: System, structure: UpdateStructure) -> int:
@@ -866,10 +843,12 @@ def _upd3_length(sys: System, structure: UpdateStructure) -> int:
 
 
 def _check_upd3(sys: System, structure: UpdateStructure) -> Iterator[str]:
+    length = _upd3_length(sys, structure)
+    frame = sys.index.frame(tuple(range(length)))
     return (
         "state sequence " + ",".join(sys.vocab.world_str(w) for w in prefix) + " has no run"
-        for prefix in itertools.product(structure.worlds, repeat=_upd3_length(sys, structure))
-        if not _cell_event(sys.index, prefix)
+        for prefix in itertools.product(structure.worlds, repeat=length)
+        if not _prefix_event(frame, [frozenset((w,)) for w in prefix])
     )
 
 
@@ -879,48 +858,34 @@ def _check_upd4(sys: System, structure: UpdateStructure, budget: int) -> Iterato
     observation.
 
     With no observation the two events are one mask, so nothing can
-    differ.  With one observation ``o``, when the worlds' root images are
-    disjoint at times 0 to 2 (:meth:`RunIndex.root_blocks`) every formula
-    sequence's event is a union of root fibres (the runs of one root
-    position), so its image meets another event's image where their
-    intersection's does: if ``o``'s observed and merely-true events have
-    one root image, each sequence has one on both sides, and ``o`` is
-    decided without an event.  The other observations are swept in menu
-    order, all of one observation's events built before its pairs are
-    compared; the instances with one observation are a budget part,
-    checked when some observation is swept.
+    differ.  With one observation ``o`` every event is built in the frame
+    of times 0 to 2 (:meth:`RunIndex.frame`), as a formula sequence's
+    event ANDed with ``o``'s observed runs or with its merely-true ones.
+    When those two are one mask there, each sequence has one mask on both
+    sides, and ``o`` is decided without an event: on the root this holds
+    because every formula sequence's event is a union of root fibres.  The
+    other observations are swept in menu order.  The instances with one
+    observation are a budget part, checked before the first is swept; the
+    formula sequences' events are built once, after that check.
     """
     if sys.horizon < 2:
         return
-    index, vocab = sys.index, sys.vocab
+    vocab = sys.vocab
     menu = list(sys.menu)
     probes = list(dict.fromkeys(menu))
-    prior, root_mask = index.prior, index.prior.root_mask
-    fibred = all(index.root_blocks(t) is not None for t in range(3))
-    swept = [
-        o for o in menu
-        if not fibred
-        or root_mask(index.observed((o,))) != root_mask(index.env_event(1, vocab.extension(o)))
-    ]
-    if swept:
-        check_budget("UPD4", len(menu) * len(probes) ** 6, "instances with one observation", budget)
+    frame = sys.index.frame((0, 1, 2))
+    sides = {o: (frame.observed((o,)), frame.env(1, vocab.extension(o))) for o in probes}
+    swept = [o for o in menu if sides[o][0] != sides[o][1]]
+    if not swept:
+        return
+    check_budget("UPD4", len(menu) * len(probes) ** 6, "instances with one observation", budget)
     sequences = list(itertools.product(probes, repeat=3))
+    events = [_prefix_event(frame, map(vocab.extension, seq)) for seq in sequences]
+    measure = frame.measure
     for o in swept:
-        observed = [_upd4_event(sys, f, (o,), True) for f in sequences]
-        merely_true = [_upd4_event(sys, f, (o,), False) for f in sequences]
-        for a, b in disagreements(prior, observed, prior, merely_true, Ordering.at_least):
+        observed, merely_true = ([Mask(event & side) for event in events] for side in sides[o])
+        for a, b in disagreements(measure, observed, measure, merely_true, Ordering.at_least):
             yield f"formulas {seq_str(sequences[a])} vs {seq_str(sequences[b])} observing {seq_str((o,))}"
-
-
-def _upd4_event(sys: System, formulas, obs, observed: bool) -> Mask:
-    """Runs meeting the formulas, time by time, that observed ``obs`` (or,
-    with ``observed`` false, where ``obs`` was merely true at times 1..)."""
-    event = _formula_prefix_event(sys, formulas)
-    if observed:
-        return Mask(event & sys.index.observed(obs))
-    for i, o in enumerate(obs):
-        event &= sys.index.env_event(i + 1, sys.vocab.extension(o))
-    return Mask(event)
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,22 @@ runs on small twins only.  ``min_u`` reads the structure's table of
 farther worlds; the reference asks the distance order directly.
 ``minimal_prefix_cells`` asks ``prec`` only within a candidate's
 first-world block; the reference scans every cell.  ``believed`` reads
-the prior's root when the worlds' root images are disjoint; the
-reference compares run masks through the prior, world by world.  UPD4
-decides an observation on root images when the worlds' root images are
-disjoint; the reference builds and compares every event pair.  A mapped
+the time's frame (``RunIndex.frame``), the prior's root when the worlds'
+root images are disjoint; the reference compares run masks through the
+prior, world by world.  UPD4 decides an observation whose observed and
+merely-true runs are one mask in its frame; the reference builds and
+compares every event pair on run masks.  Every frame's events are also
+checked against a scan of the runs.  A mapped
 measure sends a dense mask to its root by a scan of each position's
 preimage; the reference walks every bit.
 """
 import functools
+import gc
 import itertools
 import os
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -46,6 +50,7 @@ from beliefchange.plausibility import (
     from_preference,
     mask_of,
     root_of,
+    union,
 )
 from beliefchange.scenario import build_system, load_scenario, load_scenario_text
 from beliefchange.synthesis import statify, verify_statification
@@ -82,7 +87,15 @@ def _scenario_system(name):
 
 
 # ---------------------------------------------------------------------------
-# reference sweeps: every pair compared
+# reference sweeps: every pair compared, on run masks
+
+RUN_EVENTS = None  # the conftest's run-mask events, set for each test
+
+
+@pytest.fixture(autouse=True)
+def _run_events(run_events):
+    global RUN_EVENTS
+    RUN_EVENTS = run_events
 
 
 def prefix_dominance_reference(structure, sa, sb):
@@ -113,7 +126,7 @@ def upd2_reference(sys_, structure, budget):
     for n in range(2, min(sys_.horizon + 1, 3) + 1):
         cells = list(itertools.product(structure.worlds, repeat=n))
         check_budget("UPD2", len(cells) * (len(cells) - 1) // 2, f"pairs of length-{n} cells", budget)
-        groups = {cell: update._cell_event(index, cell) for cell in cells}
+        groups = {cell: RUN_EVENTS.cell_event(index, cell) for cell in cells}
         for ca, cb in itertools.combinations(cells, 2):
             runs_a, runs_b = groups[ca], groups[cb]
             if not runs_a or not runs_b:
@@ -133,7 +146,7 @@ def upd2_reference(sys_, structure, budget):
     for sa, sb in itertools.product(seqs, repeat=2):
         if len(sa) != len(sb):
             continue
-        events = [update._formula_prefix_event(sys_, seq) for seq in (sa, sb)]
+        events = [RUN_EVENTS.formula_prefix_event(sys_, seq) for seq in (sa, sb)]
         got = prior.at_least(*events)
         want = prefix_dominance_reference(structure, sa, sb)
         if got != want:
@@ -153,8 +166,8 @@ def upd4_reference(sys_, structure, budget):
         ]
         check_budget("UPD4", len(instances), f"instances with {('no', 'one')[k]} observation", budget)
         for obs, fa, fb in instances:
-            observed = [update._upd4_event(sys_, f, obs, True) for f in (fa, fb)]
-            merely_true = [update._upd4_event(sys_, f, obs, False) for f in (fa, fb)]
+            observed = [RUN_EVENTS.upd4_event(sys_, f, obs, True) for f in (fa, fb)]
+            merely_true = [RUN_EVENTS.upd4_event(sys_, f, obs, False) for f in (fa, fb)]
             if prior.at_least(*observed) != prior.at_least(*merely_true):
                 yield f"formulas {seq_str(fa)} vs {seq_str(fb)} observing {seq_str(obs)}"
 
@@ -698,29 +711,43 @@ def test_upd2_rows_give_the_reference_witnesses(monkeypatch, name):
     assert witnesses[:1] == ([first] if first else [])
 
 
-def built_upd4_events(monkeypatch):
-    """The list each ``_upd4_event`` call appends its observation sequence to."""
-    built, event = [], update._upd4_event
-    monkeypatch.setattr(update, "_upd4_event", lambda *args: built.append(args[2]) or event(*args))
-    return built
+def built_upd4_events(monkeypatch, sys_):
+    """``(events, swept)``: the lists UPD4's event builds append to.  Each
+    formula-sequence event it builds (a ``_prefix_event`` call) appends to
+    ``events``, and each observation it sweeps (a ``disagreements`` call
+    on that observation's observed and merely-true events) appends the
+    observation to ``swept``, named by the union of its observed events:
+    the menus here hold true, so that union is the frame's runs that
+    observed it."""
+    events, swept = [], []
+    prefix_event, search = update._prefix_event, update.disagreements
+
+    def sweep(left, left_masks, *args):
+        frame = sys_.index.frame((0, 1, 2))
+        swept.append(next((o,) for o in sys_.menu if frame.observed((o,)) == union(left_masks)))
+        return search(left, left_masks, *args)
+
+    monkeypatch.setattr(update, "_prefix_event", lambda *args: events.append(args) or prefix_event(*args))
+    monkeypatch.setattr(update, "disagreements", sweep)
+    return events, swept
 
 
 def test_upd4_compares_nothing_for_an_observation_with_no_live_sequence(monkeypatch, no_p_at_11):
     # only observing p is informative there: the other observations are
-    # decided on their root images, with no event built, and the part's
-    # budget is checked before observing p is swept
+    # decided in the frame, with no event built, and the part's budget is
+    # checked before observing p is swept
     structure = no_p_at_11.prior.structure
     reference = list(upd4_reference(no_p_at_11, structure, 2187))
-    built, compared = built_upd4_events(monkeypatch), []
+    (events, swept), compared = built_upd4_events(monkeypatch, no_p_at_11), []
     compare = PreferentialMeasure._compare
     monkeypatch.setattr(
-        PreferentialMeasure, "_compare", lambda *args: compared.append(built[-1]) or compare(*args)
+        PreferentialMeasure, "_compare", lambda *args: compared.append(swept[-1]) or compare(*args)
     )
     with pytest.raises(BudgetError, match="^UPD4: 2187 instances with one observation exceed the budget of 2186$"):
         list(update._check_upd4(no_p_at_11, structure, 2186))
-    assert built == [] and compared == []
+    assert events == [] and swept == [] and compared == []
     assert list(update._check_upd4(no_p_at_11, structure, 2187)) == reference != []
-    assert list(dict.fromkeys(built)) == [(P_,)]
+    assert swept == [(P_,)] and len(events) == 27  # one per formula sequence
     assert compared and set(compared) == {(P_,)}
 
 
@@ -751,7 +778,7 @@ def test_upd4_finds_every_witness_of_the_reference(monkeypatch, no_p_at_11):
 
 def tampered_lex(sys_):
     """``sys_`` under its lexicographic root with the first and last runs'
-    cells swapped: a root whose world blocks at time 0 meet."""
+    cells swapped: a root whose world blocks meet at every time."""
     root, image = root_of(sys_.prior)
     image = list(image)
     image[0], image[-1] = image[-1], image[0]
@@ -780,100 +807,172 @@ UPD4_SYSTEMS = _upd4_systems()
 
 @pytest.mark.parametrize("name", sorted(UPD4_SYSTEMS))
 def test_upd4_reduction_matches_the_full_sweep(monkeypatch, name):
-    make, structure, swept = UPD4_SYSTEMS[name]
+    make, structure, expected = UPD4_SYSTEMS[name]
     sys_ = make()
-    if swept == [(o,) for o in MENU]:  # a root whose world blocks meet
+    if expected == [(o,) for o in MENU]:  # a root whose world blocks meet
         assert any(sys_.index.root_blocks(t) is None for t in range(3))
     with monkeypatch.context() as m:
-        built = built_upd4_events(m)
+        events, swept = built_upd4_events(m, sys_)
         witnesses = list(update._check_upd4(sys_, structure, 10**6))
     assert witnesses == list(upd4_reference(sys_, structure, 10**6))
-    assert list(dict.fromkeys(built)) == swept
-    if not swept:  # no part is swept, so none is past any budget
+    assert list(dict.fromkeys(swept)) == expected
+    assert len(events) == (27 if expected else 0)  # one per formula sequence, built once
+    if not expected:  # no part is swept, so none is past any budget
         assert list(update._check_upd4(sys_, structure, 0)) == []
 
 
+def test_upd4_decides_on_the_runs_an_observation_every_run_makes():
+    # with the menu true alone, every run observes true at time 1, where it
+    # is true: its observed and merely-true runs are one mask on the runs,
+    # so nothing is swept and no budget is asked for
+    structure = hamming_structure(PQ)
+    sys_ = ranked_on_two_times(system_from_update(structure, 2, []))
+    assert sys_.index.frame((0, 1, 2)).worlds(2) is sys_.index.at[2]  # the runs
+    assert list(update._check_upd4(sys_, structure, 0)) == []
+    assert list(update._check_upd4(sys_, structure, 10**6)) == []
+    assert list(upd4_reference(sys_, structure, 10**6)) == []
+
+
 # ---------------------------------------------------------------------------
-# root images read off the index against root_mask of the run masks
+# the index's frames against frame.send of a run-by-run scan
 
 
-def check_root_images(sys_, rng):
-    """Assert that each event the checkers build on root images equals
-    ``prior.root_mask`` of its run mask: environment events at each time
-    whose world images the index reads, REV4's conditional events, and
-    UPD2's cells and menu-sequence events.  Returns, per time, whether the
-    index reads its world images."""
-    index = sys_.index
-    root_mask = index.prior.root_mask
-    fibred = [index.world_images(t) is not None for t in range(sys_.horizon + 1)]
+def on_runs(frame, index, t):
+    """Whether ``frame`` reads time ``t`` on the runs: its world masks there
+    are the index's own row."""
+    return frame.worlds(t) is index.at[t]
+
+
+def check_frames(sys_, rng):
+    """Assert that every event a frame builds equals ``frame.send`` of a
+    scan of the runs, and of the run mask the index or the reference
+    sweeps build: world masks and environment events at each time,
+    observed prefixes, REV4's conditional events, and UPD2's cells and
+    menu-sequence events.  Returns, per time, whether that time's frame
+    reads it on the runs."""
+    index, runs = sys_.index, sys_.runs
+    times = range(sys_.horizon + 1)
+    column = [[run.envs[t] for run in runs] for t in times]
+
+    def scan(holds):
+        return mask_of(i for i, run in enumerate(runs) if holds(i, run))
+
     prefixes = rng.sample(list(index.prefix), min(8, len(index.prefix)))
-    for t in itertools.compress(range(sys_.horizon + 1), fibred):
+    prefixes += [tuple(sys_.menu[-1:]) * (sys_.horizon + 1), (TRUE,) * 2 + tuple(sys_.menu[-1:])]
+    for t in times:
+        frame = index.frame((t,))
+        send = frame.send
+        assert frame is index.frame((t,))  # kept per tuple of times
         worlds = sorted(index.at[t])
+        assert frame.worlds(t) == {w: send(scan(lambda i, _: column[t][i] == w)) for w in worlds}
         exts = [frozenset(), frozenset(worlds), frozenset(sys_.universe)]
-        exts += [frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1))) for _ in range(12)]
+        exts += [frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1))) for _ in range(6)]
         for ext in exts:
-            assert index.env_image(t, ext) == root_mask(index.env_event(t, ext)), (t, ext)
+            want = send(scan(lambda i, _: column[t][i] in ext))
+            assert frame.env(t, ext) == want == send(index.env_event(t, ext)), (t, ext)
         for s_a in prefixes:
-            observed = index.observed(s_a)
+            observed = scan(lambda _, run: len(s_a) <= sys_.horizon and run.obs[: len(s_a)] == s_a)
+            assert frame.observed(s_a) == send(observed) == send(index.observed(s_a)), s_a
             for ext in exts[:5]:
-                event = observed & index.env_event(t, ext)
-                assert root_mask(observed) & index.env_image(t, ext) == root_mask(event), (s_a, t)
+                event = index.observed(s_a) & index.env_event(t, ext)
+                assert frame.observed(s_a) & frame.env(t, ext) == send(event), (s_a, t)
     length = min(sys_.horizon + 1, 3)
-    if all(fibred[:length]) and len(index.at[0]) <= 8:
+    frame = index.frame(tuple(range(length)))
+    send = frame.send
+    if len(index.at[0]) <= 8:
         for n in range(2, length + 1):
             for cell in itertools.product(sorted(sys_.universe), repeat=n):
-                image = update._prefix_image(index, [frozenset((w,)) for w in cell])
-                assert image == root_mask(update._cell_event(index, cell)), cell
-        for k in range(1, min(length, 2) + 1):
-            for seq in itertools.product(sys_.menu, repeat=k):
-                image = update._prefix_image(index, [sys_.vocab.extension(f) for f in seq])
-                assert image == root_mask(update._formula_prefix_event(sys_, seq)), seq
-    return fibred
+                event = update._prefix_event(frame, [frozenset((w,)) for w in cell])
+                want = scan(lambda i, _: all(column[t][i] == w for t, w in enumerate(cell)))
+                assert event == send(want) == send(RUN_EVENTS.cell_event(index, cell)), cell
+    for k in range(1, min(length, 2) + 1):
+        for seq in itertools.product(sys_.menu, repeat=k):
+            exts = [sys_.vocab.extension(f) for f in seq]
+            event = update._prefix_event(frame, exts)
+            want = scan(lambda i, _: all(column[t][i] in ext for t, ext in enumerate(exts)))
+            assert event == send(want) == send(RUN_EVENTS.formula_prefix_event(sys_, seq)), seq
+    return [on_runs(index.frame((t,)), index, t) for t in times]
 
 
-def _root_image_systems():
-    """System name -> a call that makes it, given the ``seeded_update``
-    fixture: the seeded update systems of the index tests, over p q and
-    p q r, two statified twins and a ranked root whose world images meet
-    at time 2."""
+def _frame_systems():
+    """System name -> (a call that makes it, given the ``seeded_update``
+    fixture; the times its frames read on the runs): the seeded update
+    systems of the index tests, over p q and p q r, two statified twins, a
+    ranked static system and a circuit, which take the root at every time,
+    and two hand-made roots whose world images meet."""
     out = {}
     for kind, h, seed in itertools.product(("hamming", "random"), (1, 2, 3), range(2)):
-        out[f"update-{kind}-h{h}-{seed}"] = lambda make, args=(PQ, kind, seed, h): make(*args)
+        out[f"update-{kind}-h{h}-{seed}"] = (lambda make, args=(PQ, kind, seed, h): make(*args), [])
     for kind in ("hamming", "random"):
-        out[f"update-{kind}-pqr-h2"] = lambda make, kind=kind: make(PQR, kind, 0, 2)
+        out[f"update-{kind}-pqr-h2"] = (lambda make, kind=kind: make(PQR, kind, 0, 2), [])
     for name in ("small_update.scn", "borrowed_car.scn"):
-        out[f"{name}-twin"] = lambda make, name=name: statify(_scenario_system(name)[1]).inner
-    out["ranked-on-two-times"] = lambda make: ranked_on_two_times(_no_p_at_11())
+        out[f"{name}-twin"] = (lambda make, name=name: statify(_scenario_system(name)[1]).inner, [])
+    for name in ("ranked_basic.scn", "diag_three_gates.scn"):
+        out[name] = (lambda make, name=name: _scenario_system(name)[1], [])
+    out["ranked-on-two-times"] = (lambda make: ranked_on_two_times(_no_p_at_11()), [2])
+    hamming = hamming_structure(PQ)
+    out["tampered-lex"] = (lambda make: tampered_lex(system_from_update(hamming, 2, MENU)), [0, 1, 2])
     return out
 
 
-ROOT_IMAGE_SYSTEMS = _root_image_systems()
+FRAME_SYSTEMS = _frame_systems()
 
 
-@pytest.mark.parametrize("name", sorted(ROOT_IMAGE_SYSTEMS))
+@pytest.mark.parametrize("name", sorted(FRAME_SYSTEMS))
 def test_root_images_match_root_mask_of_the_run_masks(name, seeded_update):
-    sys_ = ROOT_IMAGE_SYSTEMS[name](seeded_update)
-    fibred = check_root_images(sys_, random.Random(name))
-    assert fibred == [name != "ranked-on-two-times" or t < 2 for t in range(sys_.horizon + 1)]
+    make, run_times = FRAME_SYSTEMS[name]
+    sys_ = make(seeded_update)
+    on_runs_at = check_frames(sys_, random.Random(name))
+    assert [t for t, runs in enumerate(on_runs_at) if runs] == run_times
 
 
-def test_root_images_decline_where_world_images_meet_or_the_prior_is_its_root(monkeypatch):
+def test_frames_take_the_runs_only_where_root_images_meet(monkeypatch):
     hamming = hamming_structure(PQ)
     meet_at_2 = ranked_on_two_times(_no_p_at_11())
-    assert meet_at_2.index.root_blocks(2) is None
-    assert meet_at_2.index.world_images(2) is None
-    assert meet_at_2.index.env_image(2, frozenset(PQ.worlds())) is None
+    index = meet_at_2.index
+    assert index.root_blocks(2) is None
+    for times in ((2,), (0, 1, 2)):
+        frame = index.frame(times)
+        assert frame.measure is index.prior and on_runs(frame, index, 2)
+        assert frame.env(2, frozenset(PQ.worlds())) is index.env_event(2, frozenset(PQ.worlds()))
+    assert not on_runs(index.frame((0, 1)), index, 1)
     meet_at_0 = tampered_lex(system_from_update(hamming, 2, MENU))
-    assert meet_at_0.index.root_blocks(0) is None and meet_at_0.index.world_images(0) is None
+    assert meet_at_0.index.root_blocks(0) is None
+    assert on_runs(meet_at_0.index.frame((0,)), meet_at_0.index, 0)
+    # a prior that is its own root takes the root, whose masks are the run
+    # masks
     _, static = _scenario_system("ranked_basic.scn")
-    assert static.index.root_blocks(0) is not None
-    assert static.index.world_images(0) is None and static.index.env_image(0, frozenset()) is None
+    index = static.index
+    frame = index.frame((0,))
+    assert index.root_blocks(0) is not None and not on_runs(frame, index, 0)
+    assert frame.measure is root_of(index.prior)[0] and frame.worlds(0) == index.at[0]
+    assert frame.env(0, frozenset()) == 0 and frame.send(index.full) == index.full
     # the checkers read those times' run events and give the reference's
     # verdicts and witnesses
     for sys_ in (meet_at_2, meet_at_0):
         both_ways(monkeypatch, lambda: validate_upd(sys_, structure=hamming))
         both_ways(monkeypatch, lambda: revision.validate_rev(sys_))
     both_ways(monkeypatch, lambda: revision.validate_rev(static))
+
+
+def test_kept_frames_leave_the_index_free_of_reference_cycles():
+    # an index keeps its frames, so a frame bound to the index itself would
+    # keep each system's masks alive until the cyclic collector ran
+    def used_index(sys_):
+        index = sys_.index
+        for times in ((0,), tuple(range(sys_.horizon + 1))):
+            frame = index.frame(times)
+            frame.env(0, frozenset(sys_.universe)) & frame.observed(sys_.menu[:1])
+        return weakref.ref(index)
+
+    makers = [lambda: ranked_on_two_times(_no_p_at_11()), lambda: _scenario_system("ranked_basic.scn")[1]]
+    gc.disable()
+    try:
+        for make in makers:  # the runs at time 2, and the root throughout
+            index = used_index(make())
+            assert index() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,13 @@ from beliefchange.synthesis import statify
 from beliefchange.systems import (
     Learn,
     Run,
+    Runs,
     RunSystemError,
     System,
     _check_conditioning,
     _run_str,
     bel,
     believed,
-    expand,
     first_failure,
     menu_system,
     model_check,
@@ -780,7 +780,7 @@ def _empty_factor_system():
     start = (((w("11"),), ()), ((w("10"),), ()))
     step = (((w("11"),), (TRUE,)), ((w("10"),), (P_,)), ((w("11"),), (P_,)))
     blocks = ((start, step, step), (start, (), step), (start[::-1], step[1:], step))
-    runs = expand(blocks)
+    runs = Runs(blocks)
     return System(PQ, runs, RankedMeasure(runs, [0] * len(runs)), 2, blocks=blocks)
 
 
@@ -834,7 +834,7 @@ def test_hand_made_blocks_with_wide_segments(seed):
         (segments(4, 3, 2),),
         (segments(2, 1, 0), segments(2, 1, 1), segments(3, 1, 1)),
     )
-    runs = expand(blocks)
+    runs = Runs(blocks)
     assert len(runs) == 3 * 2 + 4 + 2 * 2 * 3
     assert list(runs[:6]) == [
         Run(a[0] + b[0], a[1] + b[1]) for a, b in itertools.product(*blocks[0])

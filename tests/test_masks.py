@@ -29,9 +29,6 @@ from beliefchange.scenario import build_system, load_scenario, load_scenario_tex
 from beliefchange.synthesis import statify
 from beliefchange.systems import System, _not_disbelieved, bel, runs_with_observations
 from beliefchange.update import (
-    _cell_event,
-    _formula_prefix_event,
-    _upd4_event,
     LexRunOrder,
     hamming_structure,
     random_structure,
@@ -117,7 +114,7 @@ def test_environment_events_match_the_scan(system):
             assert runs_of(system, index.env_event(t, ext)) == want
 
 
-def test_formula_prefix_and_neutrality_events_match_the_scan(system):
+def test_formula_prefix_and_neutrality_events_match_the_scan(system, run_events):
     pool = formula_pool(system)[:4]
     ext = system.vocab.extension
     for k in (1, 2):
@@ -125,22 +122,22 @@ def test_formula_prefix_and_neutrality_events_match_the_scan(system):
             exts = [ext(f) for f in formulas]
             meets = lambda r: all(r.envs[i] in exts[i] for i in range(k))
             want = frozenset(r for r in system.runs if meets(r))
-            assert runs_of(system, _formula_prefix_event(system, formulas)) == want
+            assert runs_of(system, run_events.formula_prefix_event(system, formulas)) == want
             for obs in itertools.product(system.menu[:3], repeat=k - 1):
                 observed = frozenset(r for r in want if r.obs[: len(obs)] == obs)
-                assert runs_of(system, _upd4_event(system, formulas, obs, True)) == observed
+                assert runs_of(system, run_events.upd4_event(system, formulas, obs, True)) == observed
                 true_then = frozenset(
                     r for r in want if all(r.envs[i + 1] in ext(o) for i, o in enumerate(obs))
                 )
-                assert runs_of(system, _upd4_event(system, formulas, obs, False)) == true_then
+                assert runs_of(system, run_events.upd4_event(system, formulas, obs, False)) == true_then
 
 
-def test_cell_events_match_the_scan(system):
+def test_cell_events_match_the_scan(system, run_events):
     worlds = sorted(system.universe)[:4]
     for n in (1, 2):
         for cell in itertools.product(worlds, repeat=n):
             want = frozenset(r for r in system.runs if r.envs[:n] == cell)
-            assert runs_of(system, _cell_event(system.index, cell)) == want
+            assert runs_of(system, run_events.cell_event(system.index, cell)) == want
 
 
 # ---------------------------------------------------------------------------

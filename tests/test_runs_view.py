@@ -22,7 +22,7 @@ from beliefchange.plausibility import (
 )
 from beliefchange.revision import system_from_ranking
 from beliefchange.scenario import build_system, load_scenario, load_scenario_text
-from beliefchange.systems import Run, Runs, _not_disbelieved, expand
+from beliefchange.systems import Run, Runs, _not_disbelieved
 from beliefchange.update import LexPrior, hamming_structure, random_structure, system_from_update
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
@@ -83,7 +83,7 @@ SYSTEMS = {
 
 def eager_runs(blocks):
     """Every run of the blocks, concatenated from one segment per factor in
-    ``itertools.product`` order: what ``expand`` built before the view."""
+    ``itertools.product`` order: what the blocks listed before the view."""
     return [
         Run(sum((envs for envs, _ in parts), ()), sum((obs for _, obs in parts), ()))
         for block in blocks for parts in itertools.product(*block)
@@ -94,7 +94,7 @@ def eager_runs(blocks):
 def test_each_run_decoded_before_iteration_is_the_eager_one(name):
     sys_ = SYSTEMS[name]()
     assert sys_.runs._built is None
-    runs = expand(sys_.blocks)
+    runs = Runs(sys_.blocks)
     assert type(runs) is Runs and runs._built is None
     reference = eager_runs(sys_.blocks)
     n = len(runs)
@@ -177,7 +177,7 @@ def test_hand_made_blocks_number_their_env_sequences_as_the_runs_do():
         ((segment((2, 3), ()),), ()),
         ((segment((2, 3), ()), segment((0, 0), ())), (segment((0,), (3,)), segment((1,), (3,)))),
     )
-    runs = expand(blocks)
+    runs = Runs(blocks)
     assert runs.env_sequences() == reference_env_sequences(eager_runs(blocks))
     assert runs.env_sequences()[0] == [(0, 1, 1), (2, 3, 1), (2, 3, 0), (0, 0, 0), (0, 0, 1)]
 
@@ -208,13 +208,13 @@ def test_slices_build_and_empty_blocks_are_skipped():
         ((segment(2),), ()),  # an empty factor: no runs
         ((segment(3), segment(4), segment(5)),),
     )
-    runs = expand(blocks)
+    runs = Runs(blocks)
     assert len(runs) == 5
     assert [runs[i].envs for i in range(5)] == [(0,), (1,), (3,), (4,), (5,)]
     assert runs._built is None
     assert runs[1:3] == (Run((1,), ()), Run((3,), ()))
     assert runs._built is not None
-    assert len(expand(())) == 0 and list(expand(())) == []
+    assert len(Runs(())) == 0 and list(Runs(())) == []
 
 
 def reference_levels(ranks):

@@ -121,7 +121,7 @@ def test_ranked_commands_list_no_observation_prefixes(command, monkeypatch, caps
 
 def test_a_system_decodes_no_run_of_its_own_view(monkeypatch):
     from beliefchange.scenario import build_system, load_scenario
-    from beliefchange.systems import Runs, RunSystemError, System, expand
+    from beliefchange.systems import Runs, RunSystemError, System
 
     decoded = []
     get = Runs.__getitem__
@@ -132,7 +132,7 @@ def test_a_system_decodes_no_run_of_its_own_view(monkeypatch):
     # checked against the blocks it is given
     blocks = sys_.blocks
     assert [len(factor) for factor in blocks[0]] == [len(factor) for factor in blocks[1]]
-    other = expand((blocks[1], blocks[0]) + blocks[2:])
+    other = Runs((blocks[1], blocks[0]) + blocks[2:])
     with pytest.raises(RunSystemError, match="run 0 is not the one its block expands to"):
         System(sys_.vocab, other, sys_.prior, sys_.horizon, sys_.universe, sys_.menu, blocks=blocks)
     assert decoded
