@@ -12,61 +12,114 @@ formulas) is lost.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
+from collections import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .formulas import (
     FALSE,
     TRUE,
-    BeliefChangeError,
     Formula,
     TimestampError,
-    Vocabulary,
     timestamp,
     timestamped_vocabulary,
 )
 from .plausibility import (
     MappedMeasure,
+    Mask,
     PreferentialMeasure,
     RankedMeasure,
     bits,
     disagreements,
+    group_positions,
     mask_of,
     root_of,
 )
 from .reports import Report
 from .revision import validate_rev
-from .systems import Believes, Run, System, check_budget, model_check, validate_bcs
+from .systems import Believes, Run, RunIndex, Runs, System, check_budget, model_check, validate_bcs
 from .update import LexPrior, _check_upd3, _check_upd4
-
-
-class SynthesisError(BeliefChangeError):
-    pass
 
 
 @dataclass
 class StatifiedSystem:
-    """The transformed system plus the run bijection it came from."""
+    """The transformed system plus the run bijection it came from: twin
+    run i is source run ``to_source[i]``."""
 
     inner: System
     source: System
-    to_source: Dict[Run, Run]
-    from_source: Dict[Run, Run]
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self.inner.vocab
+    to_source: Sequence[int]
 
 
-def _encode_env_sequence(sys: System, vocab_star: Vocabulary, envs: Sequence[int]) -> int:
-    assignment = {}
-    for m, world in enumerate(envs):
-        for name in sys.vocab.props:
-            assignment[f"{name}@{m}"] = sys.vocab.truth(world, name)
-    return vocab_star.world_of(assignment)
+def _encode_env_sequence(width: int, envs: Sequence[int]) -> int:
+    """The twin world of an environment sequence, ``width`` bits a world,
+    time-major as :func:`timestamped_vocabulary` orders the p@m."""
+    code = 0
+    for world in envs:
+        code = code << width | world
+    return code
+
+
+class TwinRuns(abc.Sequence):
+    """A statified twin's runs: run i is the source's run i with its
+    environment sequence encoded (:func:`_encode_env_sequence`) and held at
+    every time, and each observation stamped with its time, decoded only
+    when asked for.  It compares and hashes as the tuple of its runs."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: System):
+        self.source = source
+
+    def twin(self, run: Run) -> Run:
+        code = _encode_env_sequence(len(self.source.vocab.props), run.envs)
+        return Run((code,) * len(run.envs), tuple(map(timestamp, run.obs, range(1, len(run.envs)))))
+
+    def __len__(self) -> int:
+        return len(self.source.runs)
+
+    def __getitem__(self, i):
+        runs = self.source.runs[i]
+        return tuple(map(self.twin, runs)) if isinstance(i, slice) else self.twin(runs)
+
+    def __iter__(self) -> Iterator[Run]:
+        return map(self.twin, self.source.runs)
+
+    def __eq__(self, other) -> bool:
+        return other is self or tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class TwinSystem(System):
+    """A statified twin over :class:`TwinRuns`, whose run index is read off
+    its source's."""
+
+    def _check_runs(self) -> None:
+        """Nothing to decode: a twin run has its source run's shape."""
+
+    @cached_property
+    def index(self) -> RunIndex:
+        return RunIndex(self, _twin_columns(self.runs.source))
+
+
+def _twin_columns(source: System) -> Tuple[List[Dict[int, Mask]], List[Dict[Formula, Mask]]]:
+    """The twin's :attr:`RunIndex.at` and :attr:`RunIndex.obs_at`: one
+    world row for every time, each encoded environment sequence with the
+    runs that have it, in the order the runs first reach them
+    (:meth:`Runs.env_sequences`); and the source's observation rows, each
+    observation stamped with its row's time."""
+    sequences, numbers = Runs(source.blocks).env_sequences()
+    width = len(source.vocab.props)
+    groups = group_positions(numbers).items()
+    row = {_encode_env_sequence(width, sequences[k]): Mask(mask_of(ids)) for k, ids in groups}
+    obs_at = [
+        {timestamp(o, m): runs for o, runs in observed.items()} for m, observed in enumerate(source.index.obs_at)
+    ]
+    return [row] * (source.horizon + 1), obs_at
 
 
 def statify(sys: System) -> StatifiedSystem:
@@ -75,63 +128,29 @@ def statify(sys: System) -> StatifiedSystem:
     Each run maps to one whose constant environment state encodes the full
     original state sequence and whose observations carry their own time
     index.  The prior is the image of the original prior under this
-    bijection, so all run-set comparisons are preserved exactly.
+    bijection (twin run i is source run i, :class:`TwinRuns`), so all
+    run-set comparisons are preserved exactly.
     """
     if any("@" in name for name in sys.vocab.props):
         raise TimestampError("system vocabulary is already timestamped")
     vocab_star = timestamped_vocabulary(sys.vocab, sys.horizon)
-
-    # runs share their environment sequences and their observations, so
-    # each distinct one is encoded or stamped once
-    encode = functools.cache(functools.partial(_encode_env_sequence, sys, vocab_star))
-
-    @functools.cache
-    def stamped(obs: Tuple[Formula, ...]) -> Tuple[Formula, ...]:
-        return tuple(timestamp(o, k + 1) for k, o in enumerate(obs))
-
-    to_source: Dict[Run, Run] = {}
-    from_source: Dict[Run, Run] = {}
-    runs_star: List[Run] = []
-    for run in sys.runs:
-        run_star = Run((encode(run.envs),) * (sys.horizon + 1), stamped(run.obs))
-        if run_star in to_source:
-            raise SynthesisError("run collision while timestamping")
-        to_source[run_star] = run
-        from_source[run] = run_star
-        runs_star.append(run_star)
-
-    # twin run i is source run i
-    prior_star = MappedMeasure(runs_star, sys.index.prior, range(len(runs_star)))
+    runs_star, width = TwinRuns(sys), len(sys.vocab.props)
+    positions = range(len(runs_star))
     universe_star = frozenset(
-        map(encode, itertools.product(sorted(sys.universe), repeat=sys.horizon + 1))
+        _encode_env_sequence(width, envs) for envs in itertools.product(sys.universe, repeat=sys.horizon + 1)
     )
-    menu_star = tuple(
-        dict.fromkeys(
-            timestamp(o, k)
-            for k in range(1, sys.horizon + 1)
-            for o in sys.menu
-        )
-    )
-    inner = System(
-        vocab=vocab_star,
-        runs=tuple(runs_star),
-        prior=prior_star,
-        horizon=sys.horizon,
-        universe=universe_star,
-        menu=menu_star,
-    )
-    return StatifiedSystem(inner, sys, to_source, from_source)
+    menu_star = tuple(dict.fromkeys(timestamp(o, k) for k in range(1, sys.horizon + 1) for o in sys.menu))
+    prior_star = MappedMeasure(runs_star, sys.index.prior, positions)
+    inner = TwinSystem(vocab_star, runs_star, prior_star, sys.horizon, universe=universe_star, menu=menu_star)
+    return StatifiedSystem(inner, sys, positions)
 
 
-def belief_correspondence(
-    st: StatifiedSystem, run: Run, time: int, formula: Formula
-) -> bool:
+def belief_correspondence(st: StatifiedSystem, run: Run, time: int, formula: Formula) -> bool:
     """Do the original point and its timestamped twin agree on believing
     the formula (timestamped to the current instant on the twin side)?"""
     source_side = model_check(st.source, (run, time), Believes(formula))
-    star_side = model_check(
-        st.inner, (st.from_source[run], time), Believes(timestamp(formula, time))
-    )
+    twin = TwinRuns(st.source).twin(run)
+    star_side = model_check(st.inner, (twin, time), Believes(timestamp(formula, time)))
     return source_side == star_side
 
 
@@ -143,8 +162,7 @@ def _timed_obs_sequences(st: StatifiedSystem, max_len: int) -> List[Tuple[Formul
     separates the strong neutrality condition from its observable-only
     weakening.
     """
-    menu = list(st.source.menu)
-    horizon = st.source.horizon
+    menu, horizon = list(st.source.menu), st.source.horizon
     on_time = [
         tuple(timestamp(o, i + 1) for i, o in enumerate(combo))
         for k in range(1, min(max_len, horizon) + 1)
@@ -177,27 +195,15 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
         source, structure, upd = st.source, st.source.prior.structure, Report("upd")
         upd.add_first("UPD3", _check_upd3(source, structure))
         upd.add_first("UPD4", _check_upd4(source, structure, budget))
-    probes = _star_probes(st)
-    rev = validate_rev(
-        inner,
-        formula_probes=probes,
-        obs_sequences=_timed_obs_sequences(st, 2),
-        budget=budget,
-    )
+    probes, sequences = _star_probes(st), _timed_obs_sequences(st, 2)
+    rev = validate_rev(inner, formula_probes=probes, obs_sequences=sequences, budget=budget)
 
     report.add("REV1", rev["REV1"].passed, rev["REV1"].witness)
     if upd is not None:
-        rev4p = rev["REV4'"]
-        report.add(
-            "UPD3->REV3",
-            (not upd["UPD3"].passed) or rev["REV3"].passed,
-            f"update side: {upd['UPD3'].witness}; static side: {rev['REV3'].witness}",
-        )
-        report.add(
-            "UPD4->REV4'",
-            (not upd["UPD4"].passed) or rev4p.passed,
-            f"update side: {upd['UPD4'].witness}; static side: {rev4p.witness}",
-        )
+        for update_side, static_side in (("UPD3", "REV3"), ("UPD4", "REV4'")):
+            u, r = upd[update_side], rev[static_side]
+            witness = f"update side: {u.witness}; static side: {r.witness}"
+            report.add(f"{update_side}->{static_side}", (not u.passed) or r.passed, witness)
     # observed verdicts: genuinely partial priors fail the rankedness
     # requirement, and off-time observations break strong neutrality
     report.add("REV2", rev["REV2"].passed, rev["REV2"].witness)
@@ -207,11 +213,8 @@ def verify_statification(st: StatifiedSystem, budget: int = 60_000) -> Report:
 
 
 def _star_probes(st: StatifiedSystem) -> List[Formula]:
-    probes: List[Formula] = [TRUE, FALSE]
-    for o in st.source.menu:
-        for k in range(1, st.source.horizon + 1):
-            probes.append(timestamp(o, k))
-    return list(dict.fromkeys(probes))
+    stamped = [timestamp(o, k) for o in st.source.menu for k in range(1, st.source.horizon + 1)]
+    return list(dict.fromkeys([TRUE, FALSE] + stamped))
 
 
 def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
@@ -224,28 +227,14 @@ def _check_prior_isomorphism(st: StatifiedSystem, budget: int) -> Iterator[str]:
     each other and with the empty set, so the empty set and one run per
     (twin image, source image) class are compared pairwise.  With any other
     root every subset pair is compared.  More pairs than the budget raise
-    :class:`BudgetError`.  Twin run i maps to source run i when the
-    bijection lists each side's runs in order, as :func:`statify` builds
-    it; only an edited bijection is renumbered through a dict of the
-    source runs.
+    :class:`BudgetError`.  Twin run i maps to source run ``to_source[i]``.
     """
-    twins, sources = st.inner.runs, st.source.runs
-    if len(st.to_source) == len(twins) == len(sources) and all(
-        map(operator.is_, st.to_source, twins)
-    ) and all(map(operator.is_, st.to_source.values(), sources)):
-        to_source: Sequence[int] = range(len(twins))  # as statify numbers them
-    else:
-        position = {run: i for i, run in enumerate(sources)}
-        to_source = [position[st.to_source[run]] for run in twins]
-    star, source = st.inner.index.prior, st.source.index.prior
+    to_source, star, source = st.to_source, st.inner.index.prior, st.source.index.prior
     (star_root, star_image), (source_root, source_image) = root_of(star), root_of(source)
-    if star_image is None:  # the same positions
-        star_image = range(len(star_root.carrier))
-    if source_image is None:
-        source_image = range(len(source_root.carrier))
-    if star_root is source_root and all(
-        star_image[i] == source_image[j] for i, j in enumerate(to_source)
-    ):
+    # None: the same positions
+    star_image = range(len(star_root.carrier)) if star_image is None else star_image
+    source_image = range(len(source_root.carrier)) if source_image is None else source_image
+    if star_root is source_root and list(star_image) == list(map(source_image.__getitem__, to_source)):
         return
     n = len(st.inner.runs)
     fixed_by_single_runs = (RankedMeasure, PreferentialMeasure)

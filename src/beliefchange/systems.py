@@ -234,6 +234,13 @@ class System:
         self.runs = frozen_sequence(self.runs)
         if self.blocks is None:
             self.blocks = ((self.runs,),)
+        self._check_runs()
+        self._conditioned: Dict[LocalState, PlausibilityMeasure] = {}
+        self._bel_cache: Dict[LocalState, Extension] = {}
+        self._cond_cache: Dict[tuple, bool] = {}
+
+    def _check_runs(self) -> None:
+        """The blocks' run count and shapes, and each block's first and last run."""
         shapes, count = set(), 0
         for block in self.blocks:
             shapes |= _block_shapes(block)
@@ -254,9 +261,6 @@ class System:
                 if self.runs[i] != run:
                     raise RunSystemError(f"run {i} is not the one its block expands to")
             offset += size
-        self._conditioned: Dict[LocalState, PlausibilityMeasure] = {}
-        self._bel_cache: Dict[LocalState, Extension] = {}
-        self._cond_cache: Dict[tuple, bool] = {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -349,15 +353,9 @@ class RunIndex:
     """A system's run-set events as int masks: bit i stands for ``runs[i]``.
 
     Built once per system, on first use: one mask per (time, world) and
-    one per (time, observation), read off the system's blocks.  Each time
-    column of a factor is grouped once; a group's segment positions become
-    a block mask by stretching each position to the runs it stands for
-    (the product W of the later factors' sizes) and repeating that once
-    per choice of the earlier factors.  That pattern is built once per
-    factor, at its block's offset, so a group of one position is one shift
-    of it, and an explicit run list (W = 1, one repeat) costs one grouping
-    of each time column.  Row entries become :class:`Mask` once, after
-    every block is ORed in.  The runs of an observation prefix are ANDed
+    one per (time, observation), read off the system's blocks
+    (:func:`_block_columns`) unless given (a statified twin reads them off
+    its source's index).  The runs of an observation prefix are ANDed
     from the observation columns when :meth:`observed` first asks, and
     :attr:`prefix` lists every attainable prefix when first read.  Every
     other event is ``&`` and ``|`` of those.  The root image of each
@@ -367,54 +365,12 @@ class RunIndex:
     runs.
     """
 
-    def __init__(self, sys: System):
+    def __init__(self, sys: System, columns: Optional[Tuple[List[Dict], List[Dict]]] = None):
         runs = sys.runs
         self.full = (1 << len(runs)) - 1
         # at[m][w]: the runs at world w at time m; obs_at[m][o]: the runs
-        # whose observation at time m is o (none at time 0).  Blocks come in
-        # run order and a factor's groups by first position, so each row
-        # lists its values in the order the runs first reach them.
-        at: List[Dict[int, int]] = [{} for _ in range(sys.horizon + 1)]
-        obs_at: List[Dict[Formula, int]] = [{} for _ in range(sys.horizon + 1)]
-        offset = 0
-        for block in sys.blocks:
-            sizes = [len(factor) for factor in block]
-            size = prod(sizes)
-            if not size:
-                continue
-            before, env_time, obs_time = 1, 0, 1
-            for factor, n in zip(block, sizes):
-                width = size // (before * n)
-                span = n * width
-                # position 0 stretched to its W runs, once per earlier
-                # choice, at the block's offset; position j is this << W * j
-                spread = ((1 << width) - 1) * (((1 << span * before) - 1) // ((1 << span) - 1)) << offset
-                for rows, time, parts in (
-                    (at, env_time, [segment[0] for segment in factor]),
-                    (obs_at, obs_time, [segment[1] for segment in factor]),
-                ):
-                    for k in range(len(parts[0])):
-                        row = rows[time + k]
-                        for value, ids in group_positions([part[k] for part in parts]).items():
-                            if len(ids) == 1:
-                                mask = spread << width * ids[0]
-                            else:
-                                # an explicit list (W = 1, one repeat, offset
-                                # 0) costs what a scan does
-                                mask = mask_of(map(width.__mul__, ids) if width > 1 else ids)
-                                if spread > 1:
-                                    mask *= spread
-                            old = row.get(value)
-                            row[value] = mask if old is None else old | mask
-                env_time += len(factor[0][0])
-                obs_time += len(factor[0][1])
-                before *= n
-            offset += size
-        # in place, so each plain mask is freed as its Mask replaces it
-        for row in at + obs_at:
-            for value in row:
-                row[value] = Mask(row[value])
-        self.at, self.obs_at = at, obs_at
+        # whose observation at time m is o (none at time 0)
+        self.at, self.obs_at = columns or _block_columns(sys)
         self._observed: Dict[LocalState, Mask] = {(): Mask(self.full)}
         # the prior read on these masks
         self.prior = sys.prior
@@ -429,11 +385,14 @@ class RunIndex:
 
     def root_blocks(self, time: int) -> Optional[Dict[int, int]]:
         """World -> the root image (:func:`root_of`) of its runs at ``time``;
-        None when two worlds' images meet.  Built once per time."""
+        None when two worlds' images meet.  Built once per row, for every
+        time that shares it (a statified twin has one row for all times)."""
         if time not in self._root_blocks:
-            images = {w: self.prior.root_mask(runs) for w, runs in self.at[time].items()}
+            row = self.at[time]
+            images = {w: self.prior.root_mask(runs) for w, runs in row.items()}
             disjoint = sum(map(int.bit_count, images.values())) == union(images.values()).bit_count()
-            self._root_blocks[time] = images if disjoint else None
+            kept = images if disjoint else None
+            self._root_blocks.update((t, kept) for t, other in enumerate(self.at) if other is row)
         return self._root_blocks[time]
 
     def frame(self, times: Tuple[int, ...]) -> Frame:
@@ -487,6 +446,58 @@ class RunIndex:
         """Runs whose environment world at ``time`` lies in ``ext``, kept
         per (time, extension)."""
         return _union_event(self.at, self._env_events, time, ext)
+
+
+def _block_columns(sys: System) -> Tuple[List[Dict[int, Mask]], List[Dict[Formula, Mask]]]:
+    """:attr:`RunIndex.at` and :attr:`RunIndex.obs_at` read off the
+    system's blocks.  Each time column of a factor is grouped once; a
+    group's segment positions become a block mask by stretching each
+    position to the runs it stands for (the product W of the later
+    factors' sizes) and repeating that once per choice of the earlier
+    factors.  Blocks come in run order and a factor's groups by first
+    position, so each row lists its values in the order the runs first
+    reach them."""
+    at: List[Dict[int, int]] = [{} for _ in range(sys.horizon + 1)]
+    obs_at: List[Dict[Formula, int]] = [{} for _ in range(sys.horizon + 1)]
+    offset = 0
+    for block in sys.blocks:
+        sizes = [len(factor) for factor in block]
+        size = prod(sizes)
+        if not size:
+            continue
+        before, env_time, obs_time = 1, 0, 1
+        for factor, n in zip(block, sizes):
+            width = size // (before * n)
+            span = n * width
+            # position 0 stretched to its W runs, once per earlier
+            # choice, at the block's offset; position j is this << W * j
+            spread = ((1 << width) - 1) * (((1 << span * before) - 1) // ((1 << span) - 1)) << offset
+            for rows, time, parts in (
+                (at, env_time, [segment[0] for segment in factor]),
+                (obs_at, obs_time, [segment[1] for segment in factor]),
+            ):
+                for k in range(len(parts[0])):
+                    row = rows[time + k]
+                    for value, ids in group_positions([part[k] for part in parts]).items():
+                        if len(ids) == 1:
+                            mask = spread << width * ids[0]
+                        else:
+                            # an explicit list (W = 1, one repeat, offset
+                            # 0) costs what a scan does
+                            mask = mask_of(map(width.__mul__, ids) if width > 1 else ids)
+                            if spread > 1:
+                                mask *= spread
+                        old = row.get(value)
+                        row[value] = mask if old is None else old | mask
+            env_time += len(factor[0][0])
+            obs_time += len(factor[0][1])
+            before *= n
+        offset += size
+    # in place, so each plain mask is freed as its Mask replaces it
+    for row in at + obs_at:
+        for value in row:
+            row[value] = Mask(row[value])
+    return at, obs_at
 
 
 def _observed_event(obs_at: List[Dict[Formula, int]], kept: Dict[LocalState, Mask], s_a) -> Mask:

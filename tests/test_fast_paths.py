@@ -21,7 +21,9 @@ merely-true runs are one mask in its frame; the reference builds and
 compares every event pair on run masks.  Every frame's events are also
 checked against a scan of the runs.  A mapped
 measure sends a dense mask to its root by a scan of each position's
-preimage; the reference walks every bit.
+preimage; the reference walks every bit.  A statified twin's run index is
+read off its source's; the reference lists the twin's runs and builds an
+index over them.
 """
 import functools
 import gc
@@ -36,7 +38,16 @@ import pytest
 
 from beliefchange import plausibility, revision, synthesis, update
 from beliefchange.diagnosis import revision_report
-from beliefchange.formulas import TRUE, Atom, Not, Vocabulary, seq_str
+from beliefchange.formulas import (
+    TRUE,
+    Atom,
+    FormulaError,
+    Not,
+    Vocabulary,
+    seq_str,
+    timestamp,
+    timestamped_vocabulary,
+)
 from beliefchange.plausibility import (
     INF,
     CustomMeasure,
@@ -56,12 +67,14 @@ from beliefchange.scenario import build_system, load_scenario, load_scenario_tex
 from beliefchange.synthesis import statify, verify_statification
 from beliefchange.systems import (
     BudgetError,
+    Run,
     System,
     _conditioned_prior,
     _not_disbelieved,
     bel,
     believed,
     check_budget,
+    menu_system,
     runs_with_observations,
 )
 from beliefchange.update import (
@@ -200,9 +213,7 @@ def rev4_reference(sys_, probes, obs_sequences, budget):
 
 
 def prior_iso_reference(st):
-    n = len(st.inner.runs)
-    position = {run: i for i, run in enumerate(st.source.runs)}
-    to_source = [position[st.to_source[run]] for run in st.inner.runs]
+    n, to_source = len(st.inner.runs), st.to_source
 
     def image(mask):
         return Mask(sum(1 << to_source[i] for i in range(n) if mask >> i & 1))
@@ -235,11 +246,10 @@ def with_prior(sys_, prior, runs=None):
 
 
 def tampered(st):
-    """The twin with the bijection's first and last runs swapped; its prior
-    still reads the true bijection."""
-    runs = st.inner.runs
-    st.to_source = dict(st.to_source)
-    st.to_source[runs[0]], st.to_source[runs[-1]] = st.to_source[runs[-1]], st.to_source[runs[0]]
+    """The twin with the bijection's first and last positions swapped; its
+    prior still reads the true bijection."""
+    st.to_source = list(st.to_source)
+    st.to_source[0], st.to_source[-1] = st.to_source[-1], st.to_source[0]
     return st
 
 
@@ -352,9 +362,8 @@ def _rebuilt_from_single_runs(st, mode):
     keeps the source's bottom runs at infinity, "ranked-no-bottom" ranks
     them last), or the dominance lift of the strictly-above pairs."""
     source = st.source.index.prior
-    position = {run: i for i, run in enumerate(st.source.runs)}
     runs = st.inner.runs
-    single = {run: Mask(1 << position[st.to_source[run]]) for run in runs}
+    single = {run: Mask(1 << j) for run, j in zip(runs, st.to_source)}
 
     def above(x, y):
         return source.compare(single[x], single[y]) is Ordering.GREATER
@@ -382,7 +391,7 @@ def test_prior_iso_reduction_matches_the_subset_sweep(kind):
         source = systems[seed % 2]
         st = statify(with_prior(source, _small_prior(kind, source.runs, rng)))
         runs = list(st.inner.runs)
-        st.to_source = dict(zip(runs, rng.sample([st.to_source[r] for r in runs], len(runs))))
+        st.to_source = rng.sample(list(st.to_source), len(runs))
         if seed % 3 == 1:
             st.inner = with_prior(st.inner, _small_prior(rng.choice(SMALL_KINDS), runs, rng))
         elif seed % 3 == 2:
@@ -586,8 +595,7 @@ def test_tampered_small_update_prior_iso_compares_less(root_compares):
     assert len(root_compares) == 10
     root_compares.clear()
     star, source = st.inner.index.prior, st.source.index.prior
-    position = {run: i for i, run in enumerate(st.source.runs)}
-    sources = [1 << position[st.to_source[run]] for run in st.inner.runs]
+    sources = [1 << j for j in st.to_source]
     first = {}
     for i, k in enumerate(sources):
         first.setdefault((star.root_mask(1 << i), source.root_mask(k)), i)
@@ -844,35 +852,45 @@ def on_runs(frame, index, t):
 
 
 def check_frames(sys_, rng):
-    """Assert that every event a frame builds equals ``frame.send`` of a
-    scan of the runs, and of the run mask the index or the reference
-    sweeps build: world masks and environment events at each time,
+    """Assert that every event a frame builds equals ``frame.send`` of the
+    run mask read off the runs (each time's worlds grouped in one pass,
+    each observed prefix scanned), and of the run mask the index or the
+    reference sweeps build: world masks and environment events at each time,
     observed prefixes, REV4's conditional events, and UPD2's cells and
     menu-sequence events.  Returns, per time, whether that time's frame
     reads it on the runs."""
     index, runs = sys_.index, sys_.runs
     times = range(sys_.horizon + 1)
-    column = [[run.envs[t] for run in runs] for t in times]
+    # one pass over the runs: each time's world -> the positions of its runs
+    positions = [{} for _ in times]
+    for i, run in enumerate(runs):
+        for t, w in enumerate(run.envs):
+            positions[t].setdefault(w, []).append(i)
+    by_world = [{w: mask_of(ids) for w, ids in column.items()} for column in positions]
 
-    def scan(holds):
-        return mask_of(i for i, run in enumerate(runs) if holds(i, run))
+    def runs_in(t, ext):
+        return union(by_world[t].get(w, 0) for w in ext)
 
     prefixes = rng.sample(list(index.prefix), min(8, len(index.prefix)))
     prefixes += [tuple(sys_.menu[-1:]) * (sys_.horizon + 1), (TRUE,) * 2 + tuple(sys_.menu[-1:])]
+    observed_runs = {  # one scan of the runs per prefix
+        s_a: mask_of(i for i, run in enumerate(runs) if len(s_a) <= sys_.horizon and run.obs[: len(s_a)] == s_a)
+        for s_a in prefixes
+    }
     for t in times:
         frame = index.frame((t,))
         send = frame.send
         assert frame is index.frame((t,))  # kept per tuple of times
         worlds = sorted(index.at[t])
-        assert frame.worlds(t) == {w: send(scan(lambda i, _: column[t][i] == w)) for w in worlds}
+        assert worlds == sorted(by_world[t])
+        assert frame.worlds(t) == {w: send(by_world[t][w]) for w in worlds}
         exts = [frozenset(), frozenset(worlds), frozenset(sys_.universe)]
         exts += [frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1))) for _ in range(6)]
         for ext in exts:
-            want = send(scan(lambda i, _: column[t][i] in ext))
+            want = send(runs_in(t, ext))
             assert frame.env(t, ext) == want == send(index.env_event(t, ext)), (t, ext)
         for s_a in prefixes:
-            observed = scan(lambda _, run: len(s_a) <= sys_.horizon and run.obs[: len(s_a)] == s_a)
-            assert frame.observed(s_a) == send(observed) == send(index.observed(s_a)), s_a
+            assert frame.observed(s_a) == send(observed_runs[s_a]) == send(index.observed(s_a)), s_a
             for ext in exts[:5]:
                 event = index.observed(s_a) & index.env_event(t, ext)
                 assert frame.observed(s_a) & frame.env(t, ext) == send(event), (s_a, t)
@@ -883,13 +901,13 @@ def check_frames(sys_, rng):
         for n in range(2, length + 1):
             for cell in itertools.product(sorted(sys_.universe), repeat=n):
                 event = update._prefix_event(frame, [frozenset((w,)) for w in cell])
-                want = scan(lambda i, _: all(column[t][i] == w for t, w in enumerate(cell)))
+                want = functools.reduce(int.__and__, (by_world[t].get(w, 0) for t, w in enumerate(cell)))
                 assert event == send(want) == send(RUN_EVENTS.cell_event(index, cell)), cell
     for k in range(1, min(length, 2) + 1):
         for seq in itertools.product(sys_.menu, repeat=k):
             exts = [sys_.vocab.extension(f) for f in seq]
             event = update._prefix_event(frame, exts)
-            want = scan(lambda i, _: all(column[t][i] in ext for t, ext in enumerate(exts)))
+            want = functools.reduce(int.__and__, (runs_in(t, ext) for t, ext in enumerate(exts)))
             assert event == send(want) == send(RUN_EVENTS.formula_prefix_event(sys_, seq)), seq
     return [on_runs(index.frame((t,)), index, t) for t in times]
 
@@ -924,6 +942,84 @@ def test_root_images_match_root_mask_of_the_run_masks(name, seeded_update):
     sys_ = make(seeded_update)
     on_runs_at = check_frames(sys_, random.Random(name))
     assert [t for t, runs in enumerate(on_runs_at) if runs] == run_times
+
+
+# ---------------------------------------------------------------------------
+# a statified twin's run index, read off its source's, against the index of
+# the twin's explicit run list
+
+
+def listed_twin(sys_):
+    """The twin as a run list: each source run in turn, its environment
+    sequence encoded through the timestamped vocabulary's truth assignment,
+    under a :class:`System` that reads its index off those runs."""
+    vocab, horizon = sys_.vocab, sys_.horizon
+    vocab_star = timestamped_vocabulary(vocab, horizon)
+
+    def encode(envs):
+        truths = {f"{name}@{m}": vocab.truth(w, name) for m, w in enumerate(envs) for name in vocab.props}
+        return vocab_star.world_of(truths)
+
+    runs = tuple(
+        Run((encode(run.envs),) * (horizon + 1), tuple(timestamp(o, m) for m, o in enumerate(run.obs, 1)))
+        for run in sys_.runs
+    )
+    universe = frozenset(map(encode, itertools.product(sorted(sys_.universe), repeat=horizon + 1)))
+    prior = MappedMeasure(runs, sys_.index.prior, range(len(runs)))
+    menu = tuple(dict.fromkeys(timestamp(o, m) for m in range(1, horizon + 1) for o in sys_.menu))
+    return System(vocab_star, runs, prior, horizon, universe=universe, menu=menu)
+
+
+def _twin_sources():
+    """System name -> a call that makes it, given the ``seeded_update``
+    fixture: the bundled scenarios, the seeded update systems of the frame
+    tests, an explicit run list, and a ranked system of two blocks whose
+    universe leaves worlds out and whose runs reach its environment
+    sequences out of their numeric order."""
+    out = {name: (lambda make, name=name: _scenario_system(name)[1]) for name in sorted(os.listdir(SCENARIOS))}
+    out.update((name, make) for name, (make, _) in FRAME_SYSTEMS.items() if name.startswith("update-"))
+    out["explicit-runs"] = lambda make: _no_p_at_11()
+    out["two-blocks"] = lambda make: menu_system(
+        PQ, [(1, 3), (0,)], MENU, 2, lambda runs: RankedMeasure(runs, [i % 3 for i in range(len(runs))])
+    )
+    return out
+
+
+TWIN_SOURCES = _twin_sources()
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_SOURCES))
+def test_twin_index_read_off_the_source_matches_the_run_list(name, seeded_update):
+    sys_ = TWIN_SOURCES[name](seeded_update)
+    if len(sys_.vocab.props) * (sys_.horizon + 1) > 16:  # the circuit: too many timestamped atoms
+        with pytest.raises(FormulaError):
+            timestamped_vocabulary(sys_.vocab, sys_.horizon)
+        with pytest.raises(FormulaError):
+            statify(sys_)
+        return
+    st = statify(sys_)
+    listed = listed_twin(sys_)
+    derived, expected = st.inner.index, listed.index
+    times = tuple(range(sys_.horizon + 1))
+    for m in times:
+        assert list(derived.at[m].items()) == list(expected.at[m].items()), m
+        assert list(derived.obs_at[m].items()) == list(expected.obs_at[m].items()), m
+        images = derived.root_blocks(m)
+        assert (images and list(images.items())) == (expected.root_blocks(m) and list(expected.root_blocks(m).items()))
+    assert list(derived.prefix.items()) == list(expected.prefix.items())
+    frames = derived.frame(times), expected.frame(times)
+    assert [frames[0].worlds(t) for t in times] == [frames[1].worlds(t) for t in times]
+    assert st.inner.universe == listed.universe and st.inner.menu == listed.menu
+    assert list(st.inner.runs) == list(listed.runs)
+    assert st.inner.runs == listed.runs and hash(st.inner.runs) == hash(listed.runs)
+
+
+def test_twin_encoding_matches_the_timestamped_vocabulary():
+    # every environment sequence of p q r at horizon 2, time-major
+    vocab_star = timestamped_vocabulary(PQR, 2)
+    for envs in itertools.product(PQR.worlds(), repeat=3):
+        truths = {f"{name}@{m}": PQR.truth(w, name) for m, w in enumerate(envs) for name in PQR.props}
+        assert synthesis._encode_env_sequence(3, envs) == vocab_star.world_of(truths), envs
 
 
 def test_frames_take_the_runs_only_where_root_images_meet(monkeypatch):
@@ -1121,7 +1217,7 @@ def test_borrowed_car_twin_believes_the_unchanged_cells_in_seconds():
     got = bel(st.inner, ())
     elapsed = time.perf_counter() - start
     cells = update.minimal_prefix_cells(sys_.prior.structure, (TRUE,) * 4)
-    assert got == {synthesis._encode_env_sequence(sys_, st.vocab, c) for c in cells}
+    assert got == {synthesis._encode_env_sequence(len(sys_.vocab.props), c) for c in cells}
     assert elapsed < 5
 
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -11,12 +12,13 @@ from beliefchange.formulas import (
     timestamp,
 )
 from beliefchange.plausibility import CustomMeasure, RankedMeasure, extension_representatives
+from beliefchange.scenario import build_system, load_scenario
 from beliefchange.synthesis import (
     belief_correspondence,
     statify,
     verify_statification,
 )
-from beliefchange import update
+from beliefchange import synthesis, update
 from beliefchange.systems import BudgetError, System, bel
 from beliefchange.update import hamming_structure, system_from_update, validate_upd
 
@@ -24,6 +26,7 @@ PQ = Vocabulary(["p", "q"])
 P_ = Atom("p")
 Q_ = Atom("q")
 MENU = (TRUE, P_, Not(Q_))
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "src", "beliefchange", "scenarios")
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +40,8 @@ def twin(upd_sys):
 
 
 def test_statify_timestamps_observations(twin):
-    run = next(r for r in twin.source.runs if r.obs == (P_, Not(Q_)))
-    star = twin.from_source[run]
+    i = next(i for i, r in enumerate(twin.source.runs) if r.obs == (P_, Not(Q_)))
+    star = twin.inner.runs[twin.to_source.index(i)]
     assert star.obs == (Atom("p", 1), timestamp(Not(Q_), 2))
 
 
@@ -49,7 +52,8 @@ def test_statify_preserves_run_count(twin):
 
 def test_statified_environment_is_static_and_encodes_history(twin):
     vocab_star = twin.inner.vocab
-    for star, source in itertools.islice(twin.to_source.items(), 30):
+    for i, j in itertools.islice(enumerate(twin.to_source), 30):
+        star, source = twin.inner.runs[i], twin.source.runs[j]
         assert len(set(star.envs)) == 1  # constant along the run
         encoded = star.envs[0]
         for m, world in enumerate(source.envs):
@@ -66,15 +70,15 @@ def test_prior_isomorphism_exhaustive_on_small_system():
     vocab = Vocabulary(["p"])
     sys_ = system_from_update(hamming_structure(vocab), 1, [TRUE])
     st = statify(sys_)
-    runs_star = list(st.inner.runs)
+    runs_star, runs = list(st.inner.runs), list(st.source.runs)
     n = len(runs_star)
     assert n <= 8
     for mask_a in range(1 << n):
         a_star = frozenset(runs_star[i] for i in range(n) if mask_a >> i & 1)
-        a = frozenset(st.to_source[r] for r in a_star)
+        a = frozenset(runs[st.to_source[i]] for i in range(n) if mask_a >> i & 1)
         for mask_b in range(1 << n):
             b_star = frozenset(runs_star[i] for i in range(n) if mask_b >> i & 1)
-            b = frozenset(st.to_source[r] for r in b_star)
+            b = frozenset(runs[st.to_source[i]] for i in range(n) if mask_b >> i & 1)
             assert st.inner.prior.compare(a_star, b_star) is st.source.prior.compare(a, b)
 
 
@@ -156,3 +160,21 @@ def test_statified_beliefs_refine_original(twin):
                 for w in star_bel
             }
             assert frozenset(projected) == source_bel, [str(f) for f in combo]
+
+
+@pytest.mark.parametrize("name", ["small_update.scn", "seeded"])
+def test_statify_builds_no_run_list(name, seeded_update, monkeypatch):
+    # the source keeps its runs an unbuilt view, and the twin decodes only
+    # the runs BCS3 reads (one per observation and time, and one at time
+    # 0) and those its witnesses name
+    decoded, twin_of = [], synthesis.TwinRuns.twin
+    monkeypatch.setattr(synthesis.TwinRuns, "twin", lambda runs, run: decoded.append(run) or twin_of(runs, run))
+    if name == "seeded":
+        sys_ = seeded_update(PQ, "random", 0, 2)
+    else:
+        sys_ = build_system(load_scenario(os.path.join(SCENARIOS, name)))
+    st = statify(sys_)
+    assert decoded == []
+    verify_statification(st)
+    assert sys_.runs._built is None
+    assert 0 < len(decoded) <= 1 + sum(map(len, st.inner.index.obs_at))

@@ -233,9 +233,8 @@ def test_states_step_witness(monkeypatch):
 
 def _tampered_twin(sys_):
     st = statify(sys_)
-    runs = list(st.inner.runs)
-    to_source = dict(st.to_source)
-    to_source[runs[0]], to_source[runs[-1]] = to_source[runs[-1]], to_source[runs[0]]
+    to_source = list(st.to_source)
+    to_source[0], to_source[-1] = to_source[-1], to_source[0]
     st.to_source = to_source  # the twin's prior still reads the true bijection
     return st
 
